@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RunSpec, SurvivalTrace, propagate
-from .errors import ContractError
+from .errors import ContractError, SpinBathError
 from .pulses import ErrorModel
 from .sequences import (compile_cdd, compile_cpmg, compile_free, compile_hahn,
                         compile_pdd, compile_udd)
@@ -166,7 +166,8 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
 
     Each grid point gets n_cycles = max(1, round(budget / tau_c)) cycles, so
     long and short cycles see comparable total evolution time. Per-point
-    failures are recorded and the sweep continues. The returned tau_opt is
+    domain errors (SpinBathError, LinAlgError) are recorded and the sweep
+    continues; any other exception propagates. The returned tau_opt is
     the grid delay maximizing the decay time, with unreached decays ranked
     above any finite value (ties resolve to the smallest delay).
     """
@@ -190,7 +191,7 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
             summaries.append(decay_time(
                 trace, method, tau=tau, tau_c=stats_tau_c,
                 pulses_per_unit_time=tl.pulses_per_cycle / stats_tau_c))
-        except Exception as exc:  # noqa: BLE001 - per-point fault isolation
+        except (SpinBathError, np.linalg.LinAlgError) as exc:
             failures.append((tau, f"{type(exc).__name__}: {exc}"))
     if not summaries:
         raise ContractError(f"every sweep point failed: {failures}")

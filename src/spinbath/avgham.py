@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _free_propagators
 from .errors import ContractError
 from .hamiltonians import build_h_e, build_h_error, build_h_free, build_model
 from .operators import build_operator_set, evolve, require_hermitian
@@ -49,70 +50,45 @@ def rotation_generator(u):
     return 0.5 * (g + g.conj().T)
 
 
-def _toggled_pieces(timeline, h_free, ops, pulse_model, error_model):
-    """Ordered (duration, toggled area) pieces of one cycle.
-
-    Free periods carry area H_k * dt; with pulse_model='errored' each pulse
-    also contributes a zero-duration kick whose area is the toggled
-    generator of its error rotation (rf_scale fixed at 1, so only the
-    deterministic flip-angle and tilt errors enter).
-    """
-    pieces = []
-    frame = np.eye(ops.dim, dtype=complex)
-    cursor = 0.0
-    for ev in timeline.events:
-        if ev.duration != 0.0:
-            raise ContractError(
-                "toggling frames need delta pulses; finite-width pulses are "
-                "handled through their error factors"
-            )
-        gap = ev.start_time - cursor
-        if gap > 1e-12:
-            h_t = frame.conj().T @ h_free @ frame
-            pieces.append((gap, h_t * gap))
-        if pulse_model == "errored":
-            spec = PulseSpec.delta(ev.axis, ev.nominal_angle)
-            e = error_factor(spec, 1.0, error_model, ops).matrix
-            g = rotation_generator(e)
-            # the error rotation acts after the ideal pulse, so toggle it
-            # with the frame that includes this pulse
-            next_frame = ideal_pulse(ev.axis, ev.nominal_angle, ops).matrix @ frame
-            pieces.append((0.0, next_frame.conj().T @ g @ next_frame))
-            frame = next_frame
-        else:
-            frame = ideal_pulse(ev.axis, ev.nominal_angle, ops).matrix @ frame
-        cursor = ev.end_time
-    tail = timeline.cycle_time - cursor
-    if tail > 1e-12:
-        h_t = frame.conj().T @ h_free @ frame
-        pieces.append((tail, h_t * tail))
-    return pieces
-
-
 def toggling_frames(timeline, h_free, ops, pulse_model="ideal", error_model=None):
     """Toggling-frame segments of one delta-pulse cycle.
 
     Returns a list of ToggledSegment whose durations sum to tau_c. With
     pulse_model='errored' the error rotation following each pulse is folded
-    into the next free segment; a trailing error with no following free
-    period cannot be represented this way and raises ContractError.
+    into the next free segment as its toggled generator (rf_scale fixed at
+    1, so only the deterministic flip-angle and tilt errors enter); a
+    trailing error with no following free period cannot be represented
+    this way and raises ContractError.
     """
     if pulse_model not in ("ideal", "errored"):
         raise ContractError(f"pulse_model must be 'ideal' or 'errored', got {pulse_model!r}")
     if pulse_model == "errored" and error_model is None:
         raise ContractError("pulse_model='errored' needs an error_model")
     require_hermitian(h_free, "free Hamiltonian")
-    pieces = _toggled_pieces(timeline, h_free, ops, pulse_model, error_model)
     segments = []
+    frame = np.eye(ops.dim, dtype=complex)
     pending = None
-    for duration, area in pieces:
-        if duration == 0.0:
-            pending = area if pending is None else pending + area
+    for kind, payload in timeline.segments():
+        if kind == "free":
+            area = (frame.conj().T @ h_free @ frame) * payload
+            if pending is not None:
+                area = area + pending
+                pending = None
+            segments.append(ToggledSegment(payload, area / payload))
             continue
-        if pending is not None:
-            area = area + pending
-            pending = None
-        segments.append(ToggledSegment(duration, area / duration))
+        if payload.duration != 0.0:
+            raise ContractError(
+                "toggling frames need delta pulses; finite-width pulses are "
+                "handled through their error factors"
+            )
+        frame = ideal_pulse(payload.axis, payload.nominal_angle, ops).matrix @ frame
+        if pulse_model == "errored":
+            spec = PulseSpec.delta(payload.axis, payload.nominal_angle)
+            g = rotation_generator(error_factor(spec, 1.0, error_model, ops).matrix)
+            # the error rotation acts after the ideal pulse, so toggle it
+            # with the frame that includes this pulse
+            kick = frame.conj().T @ g @ frame
+            pending = kick if pending is None else pending + kick
     if pending is not None and float(np.max(np.abs(pending))) > 1e-15:
         raise ContractError(
             "a trailing pulse-error rotation has no following free period to absorb it"
@@ -291,20 +267,17 @@ def magnus_defect(timeline, h_free, ops):
     segs = toggling_frames(timeline, h_free, ops, "ideal")
     h01 = average_hamiltonian(segs, 0) + average_hamiltonian(segs, 1)
     u_avg = evolve(h01, timeline.cycle_time).matrix
+    pieces = timeline.segments()
+    free_us = _free_propagators(h_free, pieces)
     u_exact = np.eye(ops.dim, dtype=complex)
-    cursor = 0.0
-    for ev in timeline.events:
-        gap = ev.start_time - cursor
-        if gap > 1e-12:
-            u_exact = evolve(h_free, gap).matrix @ u_exact
-        u_exact = ideal_pulse(ev.axis, ev.nominal_angle, ops).matrix @ u_exact
-        cursor = ev.end_time
-    tail = timeline.cycle_time - cursor
-    if tail > 1e-12:
-        u_exact = evolve(h_free, tail).matrix @ u_exact
+    frame = np.eye(ops.dim, dtype=complex)
+    for kind, payload in pieces:
+        if kind == "free":
+            u_exact = free_us[payload] @ u_exact
+        else:
+            p = ideal_pulse(payload.axis, payload.nominal_angle, ops).matrix
+            u_exact = p @ u_exact
+            frame = p @ frame
     # undo the ideal frame so both matrices live in the toggling frame at
     # the cycle end; for pi-pulse cycles the net frame is +-identity
-    frame = np.eye(ops.dim, dtype=complex)
-    for ev in timeline.events:
-        frame = ideal_pulse(ev.axis, ev.nominal_angle, ops).matrix @ frame
     return float(np.linalg.norm(frame.conj().T @ u_exact - u_avg))

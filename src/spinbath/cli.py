@@ -26,7 +26,8 @@ from .engine import RunSpec, bath_correlation, model_tau_b, propagate
 from .errors import ConfigError, SpinBathError
 from .hamiltonians import build_h_e, build_h_free
 from .pulses import ErrorModel
-from .sequences import compile_cdd, compile_cpmg, compile_hahn, compile_udd, dump_timeline
+from .sequences import (compile_cdd, compile_cpmg, compile_hahn, compile_pdd, compile_udd,
+                        dump_timeline)
 from .util import fmt
 
 
@@ -221,8 +222,8 @@ def _bookkeeping_checks():
 
     anchors = (
         ("cpmg", compile_cpmg(30.0, 10.4).cycle_time, 80.8),
-        ("pdd", 4 * (40.0 + 10.4), 201.6),
-        ("pdd", 4 * (70.0 + 10.4), 321.6),
+        ("pdd", compile_pdd(40.0, 10.4).cycle_time, 201.6),
+        ("pdd", compile_pdd(70.0, 10.4).cycle_time, 321.6),
         ("cdd2", compile_cdd(2, 30.0, 10.4).cycle_time, 688.0),
         ("cdd3", compile_cdd(3, 10.0, 10.4).cycle_time, 1513.6),
     )

@@ -11,14 +11,13 @@ distribution) or as explicit lists: `b_khz` is a comma list, `d_khz` a
 semicolon-separated list of comma rows. Explicit lists win when present.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .hamiltonians import CouplingSpec, build_model, sample_couplings
 from .pulses import BimodalRf, ErrorModel, FixedRf, GaussianRf
-from .util import KHZ_TO_RAD_PER_US
+from .util import KHZ_TO_RAD_PER_US, text_digest
 
 _SCHEMA = {
     "bath": {
@@ -136,8 +135,7 @@ class ExperimentConfig:
         for section in sorted(self.raw):
             for key in sorted(self.raw[section]):
                 lines.append(f"{section}.{key}={self.raw[section][key]}")
-        blob = "\n".join(lines).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return text_digest("\n".join(lines))
 
 
 def _parse_lines(text):

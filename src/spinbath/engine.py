@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractError, TimelineError
 from .hamiltonians import build_h_e, build_h_free
-from .operators import DensityOperator, evolve
+from .operators import DensityOperator
 from .pulses import ErrorModel, PulseSpec, ideal_pulse, real_pulse, sample_rf_scale
 from .sequences import validate_timeline
 from .util import first_crossing, fmt, realization_rng
@@ -160,22 +160,6 @@ def _detection_frames(timeline, ops):
     return frame, pulse_frames
 
 
-def _cycle_segments(timeline):
-    """One cycle as ('free', dt) and ('pulse', event) pieces in time order."""
-    segments = []
-    cursor = 0.0
-    for ev in timeline.events:
-        gap = ev.start_time - cursor
-        if gap > 1e-12:
-            segments.append(("free", gap))
-        segments.append(("pulse", ev))
-        cursor = ev.end_time
-    tail = timeline.cycle_time - cursor
-    if tail > 1e-12:
-        segments.append(("free", tail))
-    return segments
-
-
 def _free_propagators(h_free, segments):
     """One shared exp(-i H_free dt) per distinct gap length.
 
@@ -191,28 +175,32 @@ def _free_propagators(h_free, segments):
 
 
 class _PropagatorCache:
-    """Free-segment and pulse propagators, keyed within one realization.
+    """Segment propagators for one realization: the run's shared free
+    table plus pulse propagators.
 
     With tilt jitter enabled every pulse propagator is built fresh from a
     new tilt draw (in pulse application order, so runs are deterministic
     in the realization seed); without it pulses are cached by shape.
     """
 
-    def __init__(self, h_free, ops, err, rf_scale, free_us=None, rng=None):
+    def __init__(self, h_free, ops, err, rf_scale, free_us, rng):
         self.h_free = h_free
         self.ops = ops
         self.err = err
         self.rf_scale = rf_scale
         self.rng = rng
-        self._free = dict(free_us) if free_us else {}
+        self._free = free_us
         self._pulse = {}
 
-    def free(self, dt):
-        u = self._free.get(dt)
-        if u is None:
-            u = evolve(self.h_free, dt).matrix
-            self._free[dt] = u
-        return u
+    def segment(self, kind, payload):
+        return self._free[payload] if kind == "free" else self.pulse(payload)
+
+    def cycle(self, segments):
+        """Product of the segment propagators over one cycle."""
+        u_cycle = np.eye(self.ops.dim, dtype=complex)
+        for kind, payload in segments:
+            u_cycle = self.segment(kind, payload) @ u_cycle
+        return u_cycle
 
     def pulse(self, ev):
         jitter = self.err.tilt_jitter_sd > 0
@@ -272,27 +260,22 @@ def _realization_curve(spec, segments, h_free, dev0, norm0, k, frames, free_us):
     rf_scale = sample_rf_scale(spec.error_model, rng)
     cache = _PropagatorCache(h_free, model.ops, spec.error_model, rf_scale,
                              free_us, rng)
-    dim = model.ops.dim
-    rho = model.ops.identity / dim + dev0
+    rho = model.ops.identity / model.ops.dim + dev0
     static_pulses = spec.error_model.tilt_jitter_sd == 0
 
     if spec.record == "cycle_boundaries":
-        if static_pulses:
-            u_cycle = np.eye(dim, dtype=complex)
-            for kind, payload in segments:
-                u = cache.free(payload) if kind == "free" else cache.pulse(payload)
-                u_cycle = u @ u_cycle
-            if cycle_frame is None and tl.n_cycles >= _POWER_MIN_CYCLES:
-                return _powered_overlaps(u_cycle, dev0, rho, norm0, tl.n_cycles)
+        u_cycle = cache.cycle(segments)
+        if static_pulses and cycle_frame is None and tl.n_cycles >= _POWER_MIN_CYCLES:
+            return _powered_overlaps(u_cycle, dev0, rho, norm0, tl.n_cycles)
         det = dev0
         values = np.empty(tl.n_cycles + 1)
         values[0] = 1.0
         for m in range(1, tl.n_cycles + 1):
-            if not static_pulses:
-                u_cycle = np.eye(dim, dtype=complex)
-                for kind, payload in segments:
-                    u = cache.free(payload) if kind == "free" else cache.pulse(payload)
-                    u_cycle = u @ u_cycle
+            # jittered pulses draw fresh tilts, so every cycle is rebuilt;
+            # drop the previous propagator first so only one is alive
+            if m > 1 and not static_pulses:
+                del u_cycle
+                u_cycle = cache.cycle(segments)
             rho = u_cycle @ rho @ u_cycle.conj().T
             if cycle_frame is not None:
                 det = cycle_frame @ det @ cycle_frame.conj().T
@@ -306,7 +289,7 @@ def _realization_curve(spec, segments, h_free, dev0, norm0, k, frames, free_us):
     values = [1.0]
     for _ in range(tl.n_cycles):
         for kind, payload in segments:
-            u = cache.free(payload) if kind == "free" else cache.pulse(payload)
+            u = cache.segment(kind, payload)
             rho = u @ rho @ u.conj().T
             if kind == "pulse":
                 p = pulse_frames[(payload.axis, payload.nominal_angle)]
@@ -356,7 +339,7 @@ def propagate(spec, threads=1):
     eps = 2.0 / model.ops.dim
     dev0 = eps * model.ops.s(spec.initial_axis)
     norm0 = float(np.real(np.einsum("ij,ji->", dev0, dev0)))
-    segments = _cycle_segments(spec.timeline)
+    segments = spec.timeline.segments()
     frames = _detection_frames(spec.timeline, model.ops)
     free_us = _free_propagators(h_free, segments)
 

@@ -64,29 +64,24 @@ class Timeline:
     def total_time(self):
         return self.cycle_time * self.n_cycles
 
-    def expanded_events(self):
-        """Events of all n_cycles cycles, time-translated copies of cycle 0."""
-        out = []
-        for m in range(self.n_cycles):
-            shift = m * self.cycle_time
-            for ev in self.events:
-                out.append(PulseEvent(ev.start_time + shift, ev.axis,
-                                      ev.nominal_angle, ev.duration))
-        return out
+    def segments(self):
+        """One cycle as ('free', dt) and ('pulse', event) pieces in time order.
 
-    def free_gaps(self):
-        """Positive free-evolution gaps (start, length) within one cycle."""
-        gaps = []
+        Free gaps of at most TIME_ATOL are dropped, so back-to-back pulses
+        meet without a free piece between them.
+        """
+        pieces = []
         cursor = 0.0
         for ev in self.events:
             gap = ev.start_time - cursor
             if gap > TIME_ATOL:
-                gaps.append((cursor, gap))
+                pieces.append(("free", gap))
+            pieces.append(("pulse", ev))
             cursor = ev.end_time
         tail = self.cycle_time - cursor
         if tail > TIME_ATOL:
-            gaps.append((cursor, tail))
-        return gaps
+            pieces.append(("free", tail))
+        return pieces
 
 
 def validate_timeline(tl):
@@ -244,8 +239,8 @@ class CycleStats:
 
 def cycle_stats(tl):
     """Compute CycleStats for a timeline's single cycle."""
-    gaps = tl.free_gaps()
-    free_total = sum(g for _, g in gaps)
+    gaps = [dt for kind, dt in tl.segments() if kind == "free"]
+    free_total = sum(gaps)
     n_pulses = tl.pulses_per_cycle
     return CycleStats(
         tau_c=tl.cycle_time,

@@ -35,16 +35,6 @@ def first_crossing(times, values, level):
     return None
 
 
-def array_digest(*arrays):
-    """Short hex digest identifying a set of float arrays bit-exactly."""
-    h = hashlib.sha256()
-    for a in arrays:
-        a = np.ascontiguousarray(a, dtype=float)
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()[:12]
-
-
 def text_digest(text):
     """Hex digest of a text blob (config fingerprints)."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -151,6 +151,10 @@ class TestSweep:
         assert res.failures[0][0] == -3.0
         assert res.tau_opt == 6.0
 
+    def test_programming_errors_propagate(self):
+        with pytest.raises(AttributeError):
+            sweep_tau("cpmg", [6.0], None, ErrorModel(), "x", time_budget=100.0)
+
     def test_empty_grid_and_bad_budget(self):
         with pytest.raises(ContractError):
             sweep_tau("cpmg", [], static_model(), ErrorModel(), "x", 100.0)

@@ -167,6 +167,18 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     assert len(report["checks"]) >= 6
 
 
+def test_verify_fails_on_wrong_pdd_cycle_time(monkeypatch, capsys):
+    import spinbath.cli as cli
+    from spinbath import Timeline
+
+    monkeypatch.setattr(cli, "compile_pdd",
+                        lambda tau, tau_p: Timeline((), 4 * (tau + tau_p) + 1.0))
+    assert main(["verify"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    assert len(fails) == 1 and "cycle-time-anchors" in fails[0]
+
+
 def test_fit_round_trip(tmp_path, capsys):
     import math
     points = tmp_path / "points.csv"

@@ -13,6 +13,7 @@ from spinbath import (
     RunSpec,
     bath_correlation,
     build_model,
+    compile_cdd,
     compile_cpmg,
     compile_free,
     compile_hahn,
@@ -119,6 +120,24 @@ def test_record_grids():
     assert len(tr_p.times) == 1 + 3 * 3
     assert tr_p.n_pulses[-1] == 6
     assert np.all(np.diff(tr_p.times) > 0)
+
+
+def test_every_pulse_matches_cycle_boundaries():
+    # finite back-to-back pulses and static errors, below the powering
+    # threshold: both record modes take the same per-segment products
+    m = default_model(n_bath=3)
+    err = ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03)
+    tl = compile_cdd(2, 6.0, 2.0, n_cycles=3)
+    assert tl.n_cycles < engine._POWER_MIN_CYCLES
+    spec = dict(model=m, timeline=tl, error_model=err, initial_axis="y",
+                n_realizations=2, master_seed=4)
+    cyc = propagate(RunSpec(**spec))
+    per = propagate(RunSpec(**spec, record="every_pulse"))
+    idx = [int(np.argmin(np.abs(per.times - t))) for t in cyc.times]
+    assert np.max(np.abs(per.times[idx] - cyc.times)) < 1e-9
+    assert list(per.n_pulses[idx]) == list(cyc.n_pulses)
+    assert np.max(np.abs(per.s[idx] - cyc.s)) < 1e-12
+    assert np.max(np.abs(per.stderr[idx] - cyc.stderr)) < 1e-12
 
 
 def test_ensemble_stderr_and_mean():

@@ -8,6 +8,7 @@ from spinbath import (
     TimelineError,
     compile_cdd,
     compile_cpmg,
+    compile_family,
     compile_free,
     compile_hahn,
     compile_pdd,
@@ -16,6 +17,7 @@ from spinbath import (
     dump_timeline,
     validate_timeline,
 )
+from spinbath.sequences import TIME_ATOL
 
 TAU_P = 10.4
 
@@ -60,9 +62,9 @@ def test_pdd_layout():
     assert tl.cycle_time == pytest.approx(4 * (40.0 + TAU_P))
     assert tl.pulses_per_cycle == 4
     assert [ev.axis for ev in tl.events] == ["x", "y", "x", "y"]
-    gaps = tl.free_gaps()
-    assert gaps[0][0] == pytest.approx(0.0)
-    assert all(length == pytest.approx(40.0) for _, length in gaps)
+    pieces = tl.segments()
+    assert [kind for kind, _ in pieces] == ["free", "pulse"] * 4
+    assert all(dt == pytest.approx(40.0) for kind, dt in pieces if kind == "free")
     assert validate_timeline(tl) == []
 
 
@@ -119,12 +121,33 @@ def test_finite_pulse_udd_keeps_instants():
     assert np.allclose(starts, expected, atol=1e-12)
 
 
-def test_expanded_events_shift_by_cycle():
-    tl = compile_cpmg(10.0, 0.0, n_cycles=3)
-    starts = [ev.start_time for ev in tl.expanded_events()]
-    assert len(starts) == 6
-    assert starts[2] == pytest.approx(starts[0] + tl.cycle_time)
-    assert starts[4] == pytest.approx(starts[0] + 2 * tl.cycle_time)
+def _compile_named(name, tau_p):
+    if name[:3] in ("cdd", "udd"):
+        n = int(name[3:])
+        return compile_family(name[:3], 30.0, tau_p, order=n, udd_pulses=n)
+    return compile_family(name, 30.0, tau_p)
+
+
+@pytest.mark.parametrize("tau_p", [0.0, TAU_P])
+@pytest.mark.parametrize("name", ["hahn", "cp", "cpmg", "cpmg2", "pdd", "cdd1", "cdd2",
+                                  "cdd3", "udd1", "udd2", "udd3", "udd4"])
+def test_segments_walk_one_cycle(name, tau_p):
+    tl = _compile_named(name, tau_p)
+    pieces = tl.segments()
+    total = sum(p.duration if kind == "pulse" else p for kind, p in pieces)
+    assert abs(total - tl.cycle_time) <= 1e-9
+    assert [p for kind, p in pieces if kind == "pulse"] == list(tl.events)
+    assert all(dt > TIME_ATOL for kind, dt in pieces if kind == "free")
+    kinds = [kind for kind, _ in pieces]
+    assert ("free", "free") not in zip(kinds, kinds[1:])
+    # a free piece separates two pulses exactly when they do not touch
+    touching = [b.start_time - a.end_time <= TIME_ATOL
+                for a, b in zip(tl.events, tl.events[1:])]
+    assert list(zip(kinds, kinds[1:])).count(("pulse", "pulse")) == sum(touching)
+    if name.startswith("cdd"):
+        order = int(name[3:])
+        assert cycle_stats(tl).free_periods == 4**order
+        assert any(touching) == (order > 1)
 
 
 def test_cycle_stats():
