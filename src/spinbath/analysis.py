@@ -22,6 +22,7 @@ from .sequences import (compile_cdd, compile_cpmg, compile_free, compile_hahn,
 from .util import first_crossing
 
 SEQUENCE_FAMILIES = ("fid", "hahn", "cp", "cpmg", "cpmg2", "pdd", "cdd", "udd")
+DECAY_METHODS = ("one_over_e", "exp_fit")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def decay_time(trace, method="one_over_e", tau=math.nan, tau_c=math.nan,
     envelope; 'exp_fit' least-squares fits log(envelope) over the samples
     above a small floor and reports -1/slope.
     """
-    if method not in ("one_over_e", "exp_fit"):
+    if method not in DECAY_METHODS:
         raise ContractError(f"unknown decay-time method {method!r}")
     env = envelope(trace)
     t = np.asarray(env.times, dtype=float)

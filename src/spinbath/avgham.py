@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import _free_propagators
 from .errors import ContractError
-from .hamiltonians import build_h_e, build_h_error, build_h_free, build_model
+from .hamiltonians import build_h_e, build_h_error, build_h_free, default_model
 from .operators import build_operator_set, evolve, require_hermitian
 from .pulses import ErrorModel, PulseSpec, error_factor, ideal_pulse
 from .sequences import compile_cpmg, compile_pdd
@@ -147,7 +147,9 @@ def _claim_cpmg_flip_angle(params):
     Hamiltonian is a pure S_y field of strength 2 eps pi / tau_c."""
     tau = params.get("tau", 30.0)
     eps = params.get("flip_angle_fraction", 0.05)
-    model = params.get("model") or _random_model(params.get("n_bath", 2), params.get("seed", 11))
+    model = params.get("model") or default_model(
+        seed=params.get("seed", 11), n_bath=params.get("n_bath", 2),
+        b_scale=0.05, d_scale=0.05)
     ops = model.ops
     tl = compile_cpmg(tau, 0.0)
     err = ErrorModel(flip_angle_fraction=eps)
@@ -202,7 +204,8 @@ def _claim_pdd_cancels_coupling(params):
     error Hamiltonian vanishes, leaving only the bath term."""
     tau = params.get("tau", 20.0)
     seed = params.get("seed", 5)
-    model = params.get("model") or _random_model(params.get("n_bath", 3), seed)
+    model = params.get("model") or default_model(
+        seed=seed, n_bath=params.get("n_bath", 3), b_scale=0.05, d_scale=0.05)
     rng = np.random.default_rng(seed)
     a = rng.uniform(-0.05, 0.05, 3)
     b_u = rng.uniform(-0.05, 0.05, (3, model.n_bath))
@@ -220,15 +223,6 @@ def _claim_pdd_cancels_coupling(params):
         "norms": {"h0_minus_bath": float(np.linalg.norm(h0 - h_e)), "reference": ref},
         "residual": residual,
     }
-
-
-def _random_model(n_bath, seed):
-    rng = np.random.default_rng(seed)
-    b = rng.uniform(-0.05, 0.05, n_bath)
-    d = np.zeros((n_bath, n_bath))
-    iu = np.triu_indices(n_bath, k=1)
-    d[iu] = rng.uniform(-0.05, 0.05, iu[0].size)
-    return build_model(b, d + d.T)
 
 
 CLAIMS = {

@@ -310,43 +310,39 @@ def build_parser():
         prog="spinbath",
         description="Exact decoupling simulations of one spin-1/2 in a spin bath.")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "config": dict(required=True, help="experiment config file"),
+        "seed": dict(type=int, default=None, help="override run.master_seed"),
+        "threads": dict(type=int, default=1,
+                        help="worker threads (1 = reproducible order, default)"),
+        "csv": dict(default="",
+                    help="CSV output path (default: config [output], else stdout)"),
+        "json": dict(default="", help="JSON output path (default: config [output])"),
+        "dump-timeline": dict(action="store_true",
+                              help="print the compiled timeline and exit"),
+        "fair": dict(action="store_true",
+                     help="equalize the average number of pulses per unit time"),
+        "families": dict(default="",
+                         help="comma list of sequence families (default: config family)"),
+        "points": dict(default="", help="CSV of order,tau_opt_us rows"),
+        "tau-b": dict(type=float, default=None, help="bath correlation time in us"),
+    }
 
-    def add(name, fn, help_text, config_required=True):
+    def add(name, fn, help_text, names):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if config_required is not None:
-            p.add_argument("--config", required=config_required,
-                           help="experiment config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override run.master_seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (1 = reproducible order, default)")
-        p.add_argument("--csv", default="", help="CSV output path (default: config)")
-        p.add_argument("--json", default="", help="JSON output path (default: config)")
-        return p
+        for flag in names.split():
+            p.add_argument(f"--{flag}", **flags[flag])
 
-    p = add("simulate", cmd_simulate, "run one sequence and record s(t)")
-    p.add_argument("--dump-timeline", action="store_true",
-                   help="print the compiled timeline and exit")
-
-    p = add("sweep", cmd_sweep, "decay time against inter-pulse delay")
-    p.add_argument("--fair", action="store_true",
-                   help="equalize the average number of pulses per unit time")
-    p.add_argument("--families", default="",
-                   help="comma list of sequence families (default: config family)")
-
-    add("corr", cmd_corr, "bath correlation function and its 1/e time")
-    add("avgham", cmd_avgham, "leading average-Hamiltonian terms for the config cycle")
-
-    p = add("verify", cmd_verify, "check closed-form claims and bookkeeping",
-            config_required=False)
-
-    p = add("fit", cmd_fit, "fit decay order against ln(tau_opt/tau_B)",
-            config_required=None)
-    p.add_argument("--points", default="",
-                   help="CSV of order,tau_opt_us rows")
-    p.add_argument("--tau-b", type=float, default=None,
-                   help="bath correlation time in us")
+    add("simulate", cmd_simulate, "run one sequence and record s(t)",
+        "config seed threads csv json dump-timeline")
+    add("sweep", cmd_sweep, "decay time against inter-pulse delay",
+        "config seed threads csv json fair families")
+    add("corr", cmd_corr, "bath correlation function and its 1/e time", "config csv json")
+    add("avgham", cmd_avgham, "leading average-Hamiltonian terms for the config cycle",
+        "config json")
+    add("verify", cmd_verify, "check closed-form claims and bookkeeping", "json")
+    add("fit", cmd_fit, "fit decay order against ln(tau_opt/tau_B)", "points tau-b json")
     return parser
 
 

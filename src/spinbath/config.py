@@ -4,7 +4,8 @@ The format is a small INI dialect: `[section]` headers, `key = value`
 lines, `#` comments, blank lines ignored. Keys carry their unit as a
 suffix (tau_us, rf_khz, axis_tilt_rad) and are converted on load, so an
 ExperimentConfig holds only rad/us and us quantities. Unknown sections or
-keys are reported with their line number rather than silently dropped.
+keys, and enumerated values outside their choices, are reported with
+their line number rather than silently dropped.
 
 Couplings come either from the sampling recipe ([bath] scales, seed,
 distribution) or as explicit lists: `b_khz` is a comma list, `d_khz` a
@@ -14,59 +15,15 @@ semicolon-separated list of comma rows. Explicit lists win when present.
 import math
 from dataclasses import dataclass, field
 
+from .analysis import DECAY_METHODS, SEQUENCE_FAMILIES
+from .engine import INITIAL_AXES, RECORD_MODES
 from .errors import ConfigError
-from .hamiltonians import CouplingSpec, build_model, sample_couplings
+from .hamiltonians import (COUPLING_DISTRIBUTIONS, CouplingSpec, build_model,
+                           sample_couplings)
 from .pulses import BimodalRf, ErrorModel, FixedRf, GaussianRf
 from .util import KHZ_TO_RAD_PER_US, text_digest
 
-_SCHEMA = {
-    "bath": {
-        "n_bath": int,
-        "b_scale_khz": float,
-        "d_scale_khz": float,
-        "distribution": str,
-        "coupling_seed": int,
-        "b_khz": str,
-        "d_khz": str,
-    },
-    "pulses": {
-        "tau_p_us": float,
-        "rf_khz": float,
-    },
-    "errors": {
-        "rf_distribution": str,
-        "rf_s1": float,
-        "rf_s2": float,
-        "rf_weight": float,
-        "rf_mean": float,
-        "rf_sd": float,
-        "flip_angle_fraction": float,
-        "axis_tilt_rad": float,
-        "tilt_jitter_rad": float,
-    },
-    "sequence": {
-        "family": str,
-        "tau_us": float,
-        "order": int,
-        "udd_pulses": int,
-        "n_cycles": int,
-        "tau_grid_us": str,
-        "time_budget_us": float,
-    },
-    "run": {
-        "initial_axis": str,
-        "n_realizations": int,
-        "master_seed": int,
-        "record": str,
-        "fair": str,
-        "method": str,
-    },
-    "output": {
-        "csv": str,
-        "json": str,
-    },
-}
-
+# Every section and key with its default; a key's type is its default's type.
 _DEFAULTS = {
     "bath": {"n_bath": 7, "b_scale_khz": 2.6, "d_scale_khz": 2.6,
              "distribution": "uniform_symmetric", "coupling_seed": 37,
@@ -93,9 +50,9 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 class ExperimentConfig:
     """Parsed configuration with all unit suffixes resolved.
 
-    Couplings and RF amplitudes are rad/us, times are us. raw holds the
-    canonical string table the fingerprint is computed from; explicit_b
-    and explicit_d are None unless the file listed couplings directly.
+    Couplings are rad/us, times are us. raw holds the canonical string
+    table the fingerprint is computed from; explicit_b and explicit_d are
+    None unless the file listed couplings directly.
     """
 
     n_bath: int
@@ -106,7 +63,6 @@ class ExperimentConfig:
     explicit_b: tuple
     explicit_d: tuple
     tau_p: float
-    rf_amplitude: float
     error_model: ErrorModel
     family: str
     tau: float
@@ -148,10 +104,10 @@ def _parse_lines(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if section not in _DEFAULTS:
                 raise ConfigError(
                     f"line {line_no}: unknown section [{section}]; "
-                    f"expected one of {sorted(_SCHEMA)}")
+                    f"expected one of {sorted(_DEFAULTS)}")
             table.setdefault(section, {})
             continue
         if "=" not in line:
@@ -160,10 +116,10 @@ def _parse_lines(text):
             raise ConfigError(f"line {line_no}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
-        if key not in _SCHEMA[section]:
+        if key not in _DEFAULTS[section]:
             raise ConfigError(
                 f"line {line_no}: unknown key {key!r} in [{section}]; "
-                f"expected one of {sorted(_SCHEMA[section])}")
+                f"expected one of {sorted(_DEFAULTS[section])}")
         if key in table[section]:
             raise ConfigError(f"line {line_no}: duplicate key {key!r} in [{section}]")
         table[section][key] = (value, line_no)
@@ -171,16 +127,21 @@ def _parse_lines(text):
 
 
 def _coerce(section, key, value, line_no):
-    target = _SCHEMA[section][key]
+    target = type(_DEFAULTS[section][key])
     try:
-        if target is int:
-            return int(value)
-        if target is float:
-            return float(value)
+        return target(value)
     except ValueError:
         raise ConfigError(
             f"line {line_no}: {section}.{key} needs a {target.__name__}, "
             f"got {value!r}") from None
+
+
+def _choice(value, choices, section, key, line_of):
+    """value if it is one of choices, else a ConfigError at its line."""
+    if value not in choices:
+        raise ConfigError(
+            f"line {line_of[section].get(key, '?')}: {section}.{key} must be one of "
+            f"{', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -215,20 +176,16 @@ def _parse_grid(text, line_no):
     return _parse_floats(text, "tau_grid_us", line_no)
 
 
-def _build_error_model(settings, lines):
-    dist = settings["rf_distribution"].lower()
+def _build_error_model(settings, line_of):
+    dist = _choice(settings["rf_distribution"].lower(), ("fixed", "bimodal", "gaussian"),
+                   "errors", "rf_distribution", line_of)
     if dist == "fixed":
         rf = FixedRf()
     elif dist == "bimodal":
         rf = BimodalRf(s1=settings["rf_s1"], s2=settings["rf_s2"],
                        weight=settings["rf_weight"])
-    elif dist == "gaussian":
-        rf = GaussianRf(mean=settings["rf_mean"], sd=settings["rf_sd"])
     else:
-        line_no = lines.get("rf_distribution", "?")
-        raise ConfigError(
-            f"line {line_no}: rf_distribution must be fixed, bimodal, or "
-            f"gaussian, got {dist!r}")
+        rf = GaussianRf(mean=settings["rf_mean"], sd=settings["rf_sd"])
     return ErrorModel(rf=rf, flip_angle_fraction=settings["flip_angle_fraction"],
                       axis_tilt=settings["axis_tilt_rad"],
                       tilt_jitter_sd=settings["tilt_jitter_rad"])
@@ -238,15 +195,16 @@ def parse_config(text):
     """Parse config text into an ExperimentConfig.
 
     Raises ConfigError with a line number on any unknown section or key,
-    type mismatch, or inconsistent setting.
+    type mismatch, enumerated value outside its choices, or inconsistent
+    setting.
     """
     table = _parse_lines(text)
     resolved, raw, line_of = {}, {}, {}
-    for section, schema in _SCHEMA.items():
-        resolved[section] = dict(_DEFAULTS[section])
+    for section, defaults in _DEFAULTS.items():
+        resolved[section] = dict(defaults)
         raw[section] = {}
         line_of[section] = {}
-        for key in schema:
+        for key in defaults:
             if section in table and key in table[section]:
                 value, line_no = table[section][key]
                 resolved[section][key] = _coerce(section, key, value, line_no)
@@ -285,17 +243,11 @@ def parse_config(text):
     if tau_p < 0:
         line_no = line_of["pulses"].get("tau_p_us", "?")
         raise ConfigError(f"line {line_no}: tau_p_us must be >= 0")
-    # Resolution order for the pulse shape: an explicit duration wins and
-    # the amplitude is recomputed as pi / tau_p, so a rounded duration
-    # never breaks the area = pi bookkeeping downstream; rf_khz alone
-    # derives the duration; neither means delta pulses.
-    if tau_p > 0:
-        rf_amplitude = math.pi / tau_p
-    elif rf_khz > 0:
-        rf_amplitude = rf_khz * KHZ_TO_RAD_PER_US
-        tau_p = math.pi / rf_amplitude
-    else:
-        rf_amplitude = 0.0
+    # Resolution order for the pulse shape: an explicit duration wins;
+    # rf_khz alone derives the duration of a pi pulse; neither means delta
+    # pulses.
+    if tau_p == 0 and rf_khz > 0:
+        tau_p = math.pi / (rf_khz * KHZ_TO_RAD_PER_US)
 
     fair_text = run["fair"].lower()
     if fair_text not in _BOOL:
@@ -310,26 +262,28 @@ def parse_config(text):
         n_bath=bath["n_bath"],
         b_scale=bath["b_scale_khz"] * KHZ_TO_RAD_PER_US,
         d_scale=bath["d_scale_khz"] * KHZ_TO_RAD_PER_US,
-        distribution=bath["distribution"],
+        distribution=_choice(bath["distribution"], COUPLING_DISTRIBUTIONS,
+                             "bath", "distribution", line_of),
         coupling_seed=bath["coupling_seed"],
         explicit_b=explicit_b,
         explicit_d=explicit_d,
         tau_p=tau_p,
-        rf_amplitude=rf_amplitude,
-        error_model=_build_error_model(errors, line_of["errors"]),
-        family=seq["family"].lower(),
+        error_model=_build_error_model(errors, line_of),
+        family=_choice(seq["family"].lower(), SEQUENCE_FAMILIES, "sequence", "family",
+                       line_of),
         tau=seq["tau_us"],
         order=seq["order"],
         udd_pulses=seq["udd_pulses"],
         n_cycles=seq["n_cycles"],
         tau_grid=tau_grid,
         time_budget=seq["time_budget_us"],
-        initial_axis=run["initial_axis"].lower(),
+        initial_axis=_choice(run["initial_axis"].lower(), INITIAL_AXES, "run",
+                             "initial_axis", line_of),
         n_realizations=run["n_realizations"],
         master_seed=run["master_seed"],
-        record=run["record"],
+        record=_choice(run["record"], RECORD_MODES, "run", "record", line_of),
         fair=_BOOL[fair_text],
-        method=run["method"],
+        method=_choice(run["method"], DECAY_METHODS, "run", "method", line_of),
         csv_path=output["csv"],
         json_path=output["json"],
         raw=raw,
@@ -349,7 +303,7 @@ def model_from_config(cfg):
     """
     if cfg.explicit_b is not None:
         return build_model(cfg.explicit_b, cfg.explicit_d)
-    spec = CouplingSpec(mode="random", b_scale=cfg.b_scale, d_scale=cfg.d_scale,
+    spec = CouplingSpec(b_scale=cfg.b_scale, d_scale=cfg.d_scale,
                         distribution=cfg.distribution, seed=cfg.coupling_seed)
     b, d = sample_couplings(spec, cfg.n_bath)
     return build_model(b, d)

@@ -40,6 +40,7 @@ from .sequences import validate_timeline
 from .util import first_crossing, fmt, realization_rng
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
+INITIAL_AXES = ("x", "y", "z")
 
 # below this many cycles a direct conjugation loop beats diagonalizing
 # the cycle propagator
@@ -63,7 +64,7 @@ class RunSpec:
     record: str = "cycle_boundaries"
 
     def __post_init__(self):
-        if self.initial_axis not in ("x", "y", "z"):
+        if self.initial_axis not in INITIAL_AXES:
             raise ContractError(f"initial_axis must be x, y or z, got {self.initial_axis!r}")
         if self.n_realizations < 1:
             raise ContractError("n_realizations must be >= 1")

@@ -81,24 +81,19 @@ def build_model(b, d, max_bath=DEFAULT_MAX_BATH, ops=None):
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Recipe for drawing random couplings.
+    """Recipe for drawing random couplings up to the given scales.
 
-    mode 'random' draws couplings up to the given scales; mode 'explicit'
-    marks a model whose couplings were supplied directly (sample_couplings
-    refuses it). distribution 'uniform_symmetric' is flat on [-scale, scale];
-    'gaussian' uses sd = scale/3 clipped to the same interval, so the posted
-    bound max|coupling| <= scale holds for both.
+    distribution 'uniform_symmetric' is flat on [-scale, scale]; 'gaussian'
+    uses sd = scale/3 clipped to the same interval, so the posted bound
+    max|coupling| <= scale holds for both.
     """
 
-    mode: str = "random"
     b_scale: float = DEFAULT_B_SCALE
     d_scale: float = DEFAULT_D_SCALE
     distribution: str = "uniform_symmetric"
     seed: int = DEFAULT_COUPLING_SEED
 
     def __post_init__(self):
-        if self.mode not in ("random", "explicit"):
-            raise ContractError(f"unknown coupling mode {self.mode!r}")
         if self.distribution not in COUPLING_DISTRIBUTIONS:
             raise ContractError(f"unknown coupling distribution {self.distribution!r}")
         if self.b_scale < 0 or self.d_scale < 0:
@@ -106,14 +101,12 @@ class CouplingSpec:
 
 
 def sample_couplings(spec, n_bath):
-    """Draw (b, d) for `n_bath` spins from a random CouplingSpec.
+    """Draw (b, d) for `n_bath` spins from a CouplingSpec.
 
     Deterministic in spec.seed. Returns b of shape (n,) and a symmetric
     zero-diagonal d of shape (n, n) with max|b| <= b_scale and
     max|d| <= d_scale.
     """
-    if spec.mode != "random":
-        raise ContractError("sample_couplings needs a CouplingSpec with mode='random'")
     n = int(n_bath)
     if n < 0:
         raise ContractError(f"n_bath must be >= 0, got {n}")
@@ -138,7 +131,7 @@ def sample_couplings(spec, n_bath):
 def default_model(seed=DEFAULT_COUPLING_SEED, n_bath=DEFAULT_N_BATH,
                   b_scale=DEFAULT_B_SCALE, d_scale=DEFAULT_D_SCALE):
     """The calibrated desk-scale bath used by tests and demo scripts."""
-    spec = CouplingSpec(mode="random", b_scale=b_scale, d_scale=d_scale,
+    spec = CouplingSpec(b_scale=b_scale, d_scale=d_scale,
                         distribution="uniform_symmetric", seed=seed)
     b, d = sample_couplings(spec, n_bath)
     return build_model(b, d)

@@ -1,12 +1,17 @@
 """Command-line front end: outputs, determinism, exit codes."""
 
+import argparse
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from spinbath.cli import main
+from spinbath.cli import build_parser, main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SMALL_BATH = """\
 [bath]
@@ -206,9 +211,39 @@ def test_bad_config_path_is_io_error(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", {"--config", "--seed", "--threads", "--csv", "--json", "--dump-timeline"}),
+    ("sweep", {"--config", "--seed", "--threads", "--csv", "--json", "--fair", "--families"}),
+    ("corr", {"--config", "--csv", "--json"}),
+    ("avgham", {"--config", "--json"}),
+    ("verify", {"--json"}),
+    ("fit", {"--points", "--tau-b", "--json"}),
+])
+def test_each_subcommand_declares_only_the_flags_it_reads(command, flags):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    declared = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+    assert declared - {"-h", "--help"} == flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "1"],
+    ["corr", "--config", "run.cfg", "--threads", "2"],
+    ["avgham", "--config", "run.cfg", "--csv", "x"],
+    ["fit", "--seed", "1"],
+])
+def test_flags_a_subcommand_ignores_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_module_entry_point_help():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "spinbath.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     for name in ("simulate", "sweep", "corr", "avgham", "verify", "fit"):
         assert name in proc.stdout

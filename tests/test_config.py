@@ -49,6 +49,30 @@ csv = out.csv
 """
 
 
+# The benchmark's noisy CPMG sweep at seed 37.
+NOISY_SWEEP = """\
+[bath]
+n_bath = 7
+coupling_seed = 37
+
+[errors]
+rf_distribution = gaussian
+rf_mean = 1.0
+rf_sd = 0.10
+tilt_jitter_rad = 0.15
+
+[sequence]
+family = cpmg
+tau_grid_us = 5..80:15
+time_budget_us = 1000
+
+[run]
+initial_axis = y
+n_realizations = 1
+master_seed = 37
+"""
+
+
 def test_empty_text_gives_documented_defaults():
     cfg = parse_config("")
     assert cfg.n_bath == 7
@@ -57,7 +81,7 @@ def test_empty_text_gives_documented_defaults():
     assert cfg.coupling_seed == 37
     assert cfg.distribution == "uniform_symmetric"
     assert cfg.family == "cpmg" and cfg.tau == 30.0
-    assert cfg.tau_p == 0.0 and cfg.rf_amplitude == 0.0
+    assert cfg.tau_p == 0.0  # delta pulses
     assert cfg.initial_axis == "y" and not cfg.fair
     assert cfg.error_model.is_trivial
     assert cfg.tau_grid == ()
@@ -69,7 +93,6 @@ def test_full_file_round_trip():
     assert cfg.b_scale == pytest.approx(1.5 * KHZ_TO_RAD_PER_US)
     assert cfg.distribution == "gaussian"
     assert cfg.tau_p == 2.0
-    assert cfg.rf_amplitude == pytest.approx(math.pi / 2.0)
     assert isinstance(cfg.error_model.rf, GaussianRf)
     assert cfg.error_model.rf.sd == 0.05
     assert cfg.error_model.tilt_jitter_sd == 0.12
@@ -117,6 +140,22 @@ class TestDiagnostics:
     def test_bad_rf_distribution(self):
         with pytest.raises(ConfigError, match="rf_distribution must be"):
             parse_config("[errors]\nrf_distribution = lorentzian\n")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sequence", "family", "xy8"),
+        ("run", "initial_axis", "w"),
+        ("run", "record", "sometimes"),
+        ("run", "method", "fit"),
+        ("bath", "distribution", "lorentzian"),
+    ])
+    def test_bad_enumerated_value_reports_line(self, section, key, value):
+        with pytest.raises(ConfigError,
+                           match=rf"line 3: {section}\.{key} must be one of .*'{value}'"):
+            parse_config(f"# bad value\n[{section}]\n{key} = {value}\n")
+
+    def test_enumerated_values_checked_after_lowercasing(self):
+        cfg = parse_config("[sequence]\nfamily = PDD\n[run]\ninitial_axis = X\n")
+        assert cfg.family == "pdd" and cfg.initial_axis == "x"
 
 
 class TestGrid:
@@ -171,15 +210,14 @@ d_khz = 0, 0.5; 0.5, 0
 
 
 class TestPulseResolution:
-    def test_duration_wins_and_amplitude_is_recomputed(self):
+    def test_duration_wins_over_rf(self):
         cfg = parse_config("[pulses]\ntau_p_us = 4.0\nrf_khz = 999\n")
         assert cfg.tau_p == 4.0
-        assert cfg.rf_amplitude == pytest.approx(math.pi / 4.0)
 
     def test_rf_alone_derives_duration(self):
         cfg = parse_config("[pulses]\nrf_khz = 25\n")
-        assert cfg.rf_amplitude == pytest.approx(25 * KHZ_TO_RAD_PER_US)
-        assert cfg.tau_p == pytest.approx(math.pi / cfg.rf_amplitude)
+        assert cfg.tau_p == pytest.approx(math.pi / (25 * KHZ_TO_RAD_PER_US))
+        assert cfg.tau_p == pytest.approx(20.0)  # a pi pulse at 25 kHz takes 20 us
 
     def test_negative_duration(self):
         with pytest.raises(ConfigError, match="tau_p_us must be >= 0"):
@@ -193,6 +231,15 @@ def test_fingerprint_tracks_resolved_values():
     assert base.fingerprint() == same.fingerprint()
     assert base.fingerprint() != other.fingerprint()
     assert len(base.fingerprint()) == 16
+
+
+@pytest.mark.parametrize("text, digest", [
+    ("", "6c4d54c5b07b7ac1"),
+    (FULL, "e05dd378fecafd13"),
+    (NOISY_SWEEP, "5d80db6d77175fd0"),
+])
+def test_fingerprints_are_pinned(text, digest):
+    assert parse_config(text).fingerprint() == digest
 
 
 def test_bimodal_error_model():

