@@ -18,12 +18,12 @@ import sys
 
 import numpy as np
 
-from .analysis import compile_family, fit_order_relation, sweep_tau
+from .analysis import SEQUENCE_FAMILIES, compile_family, fit_order_relation, sweep_tau
 from .avgham import (CLAIM_IDS, average_hamiltonian, toggling_frames,
                      verify_claim)
 from .config import ExperimentConfig, load_config, model_from_config
 from .engine import RunSpec, bath_correlation, model_tau_b, propagate
-from .errors import ConfigError, SpinBathError
+from .errors import ConfigError, ContractError, SpinBathError
 from .hamiltonians import build_h_e, build_h_free
 from .pulses import ErrorModel
 from .sequences import (compile_cdd, compile_cpmg, compile_hahn, compile_pdd, compile_udd,
@@ -115,6 +115,11 @@ def cmd_sweep(args):
         raise ConfigError("sweep needs sequence.time_budget_us > 0")
     families = [f.strip() for f in args.families.split(",")] if args.families \
         else [cfg.family]
+    unknown = [f for f in families if f not in SEQUENCE_FAMILIES]
+    if unknown:
+        raise ContractError(
+            f"--families: unknown {', '.join(map(repr, unknown))}; "
+            f"expected names from {', '.join(SEQUENCE_FAMILIES)}")
     fair = args.fair or cfg.fair
     seed = _resolved_seed(cfg, args)
     many = len(families) > 1

@@ -126,14 +126,24 @@ def _parse_lines(text):
     return table
 
 
+def _finite(x, what, line_no):
+    """x, unless it is nan or infinite, which no setting accepts."""
+    if not math.isfinite(x):
+        raise ConfigError(f"line {line_no}: {what} must be finite, got {x!r}")
+    return x
+
+
 def _coerce(section, key, value, line_no):
     target = type(_DEFAULTS[section][key])
     try:
-        return target(value)
+        coerced = target(value)
     except ValueError:
         raise ConfigError(
             f"line {line_no}: {section}.{key} needs a {target.__name__}, "
             f"got {value!r}") from None
+    if target is float:
+        _finite(coerced, f"{section}.{key}", line_no)
+    return coerced
 
 
 def _choice(value, choices, section, key, line_of):
@@ -147,11 +157,12 @@ def _choice(value, choices, section, key, line_of):
 
 def _parse_floats(text, what, line_no):
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(
             f"line {line_no}: {what} must be comma-separated numbers, "
             f"got {text!r}") from None
+    return tuple(_finite(x, what, line_no) for x in values)
 
 
 def _parse_grid(text, line_no):
@@ -167,6 +178,8 @@ def _parse_grid(text, line_no):
             raise ConfigError(
                 f"line {line_no}: tau_grid_us range must look like "
                 f"start..stop:step, got {text!r}") from None
+        for x in (start, stop, step):
+            _finite(x, "tau_grid_us", line_no)
         if step <= 0 or stop < start:
             raise ConfigError(
                 f"line {line_no}: tau_grid_us range needs stop >= start "

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ContractError, TimelineError
 from .hamiltonians import build_h_e, build_h_free
 from .operators import DensityOperator
-from .pulses import ErrorModel, PulseSpec, ideal_pulse, real_pulse, sample_rf_scale
+from .pulses import ErrorModel, PulseSpec, delta_rotation, real_pulse, sample_rf_scale
 from .sequences import validate_timeline
 from .util import first_crossing, fmt, realization_rng
 
@@ -139,24 +139,37 @@ def survival_probability(rho_t, rho_0_dev):
     return float(np.real(np.einsum("ij,ji->", dev, m))) / norm
 
 
-def _detection_frames(timeline, ops):
-    """Ideal-frame bookkeeping for detection.
+def _left(u, a):
+    """u @ a; a 2x2 u is a system-spin rotation and acts on the system
+    factor of `a` alone, never embedded in the full space."""
+    return (u @ a.reshape(u.shape[0], -1)).reshape(a.shape)
+
+
+def _conjugate(u, a):
+    """u @ a @ u^dag, with a 2x2 u acting on the system factor as in _left."""
+    if u.shape == a.shape:
+        return u @ a @ u.conj().T
+    return _left(u, _left(u, a).conj().T).conj().T
+
+
+def _detection_frames(timeline):
+    """Ideal-frame bookkeeping for detection, as 2x2 system rotations.
 
     Returns (cycle_frame, pulse_frames) where cycle_frame is the net ideal
     pulse product over one cycle (None when it is a scalar, the common
-    case) and pulse_frames maps (axis, angle) to the ideal pulse matrix
+    case) and pulse_frames maps (axis, angle) to the ideal pulse rotation
     for per-pulse recording.
     """
     pulse_frames = {}
-    frame = np.eye(ops.dim, dtype=complex)
+    frame = np.eye(2, dtype=complex)
     for ev in timeline.events:
         key = (ev.axis, ev.nominal_angle)
         if key not in pulse_frames:
-            pulse_frames[key] = ideal_pulse(ev.axis, ev.nominal_angle, ops).matrix
+            pulse_frames[key] = delta_rotation(ev.axis, ev.nominal_angle)
         frame = pulse_frames[key] @ frame
     scalar = frame[0, 0]
     if abs(abs(scalar) - 1.0) < 1e-12 and \
-            float(np.max(np.abs(frame - scalar * np.eye(ops.dim)))) < 1e-12:
+            float(np.max(np.abs(frame - scalar * np.eye(2)))) < 1e-12:
         return None, pulse_frames
     return frame, pulse_frames
 
@@ -179,9 +192,11 @@ class _PropagatorCache:
     """Segment propagators for one realization: the run's shared free
     table plus pulse propagators.
 
-    With tilt jitter enabled every pulse propagator is built fresh from a
-    new tilt draw (in pulse application order, so runs are deterministic
-    in the realization seed); without it pulses are cached by shape.
+    Delta pulses are 2x2 rotations of the system spin (see _left); finite
+    pulses are full-space propagators. With tilt jitter enabled every pulse
+    is built fresh from a new tilt draw (in pulse application order, so
+    runs are deterministic in the realization seed); without it pulses are
+    cached by shape.
     """
 
     def __init__(self, h_free, ops, err, rf_scale, free_us, rng):
@@ -198,9 +213,10 @@ class _PropagatorCache:
 
     def cycle(self, segments):
         """Product of the segment propagators over one cycle."""
-        u_cycle = np.eye(self.ops.dim, dtype=complex)
-        for kind, payload in segments:
-            u_cycle = self.segment(kind, payload) @ u_cycle
+        u_cycle = self.ops.identity
+        for i, (kind, payload) in enumerate(segments):
+            u = self.segment(kind, payload)
+            u_cycle = u if i == 0 and u.shape == u_cycle.shape else _left(u, u_cycle)
         return u_cycle
 
     def pulse(self, ev):
@@ -210,16 +226,16 @@ class _PropagatorCache:
             u = self._pulse.get(key)
             if u is not None:
                 return u
-        if ev.duration > 0:
-            spec = PulseSpec(ev.axis, ev.nominal_angle, ev.duration,
-                             ev.nominal_angle / ev.duration)
-        else:
-            spec = PulseSpec.delta(ev.axis, ev.nominal_angle)
         tilt = None
         if jitter:
             tilt = self.err.axis_tilt + self.rng.normal(0.0, self.err.tilt_jitter_sd)
-        u = real_pulse(spec, self.rf_scale, self.err, self.h_free, self.ops,
-                       tilt=tilt).matrix
+        if ev.duration > 0:
+            spec = PulseSpec(ev.axis, ev.nominal_angle, ev.duration,
+                             ev.nominal_angle / ev.duration)
+            u = real_pulse(spec, self.rf_scale, self.err, self.h_free, self.ops,
+                           tilt=tilt).matrix
+        else:
+            u = delta_rotation(ev.axis, ev.nominal_angle, self.rf_scale, self.err, tilt)
         if not jitter:
             self._pulse[key] = u
         return u
@@ -277,9 +293,9 @@ def _realization_curve(spec, segments, h_free, dev0, norm0, k, frames, free_us):
             if m > 1 and not static_pulses:
                 del u_cycle
                 u_cycle = cache.cycle(segments)
-            rho = u_cycle @ rho @ u_cycle.conj().T
+            rho = _conjugate(u_cycle, rho)
             if cycle_frame is not None:
-                det = cycle_frame @ det @ cycle_frame.conj().T
+                det = _conjugate(cycle_frame, det)
             values[m] = np.real(np.einsum("ij,ji->", det, rho)) / norm0
         return values
 
@@ -290,11 +306,9 @@ def _realization_curve(spec, segments, h_free, dev0, norm0, k, frames, free_us):
     values = [1.0]
     for _ in range(tl.n_cycles):
         for kind, payload in segments:
-            u = cache.segment(kind, payload)
-            rho = u @ rho @ u.conj().T
+            rho = _conjugate(cache.segment(kind, payload), rho)
             if kind == "pulse":
-                p = pulse_frames[(payload.axis, payload.nominal_angle)]
-                det = p @ det @ p.conj().T
+                det = _conjugate(pulse_frames[(payload.axis, payload.nominal_angle)], det)
                 values.append(np.real(np.einsum("ij,ji->", det, rho)) / norm0)
         values.append(np.real(np.einsum("ij,ji->", det, rho)) / norm0)
     return np.asarray(values)
@@ -341,7 +355,7 @@ def propagate(spec, threads=1):
     dev0 = eps * model.ops.s(spec.initial_axis)
     norm0 = float(np.real(np.einsum("ij,ji->", dev0, dev0)))
     segments = spec.timeline.segments()
-    frames = _detection_frames(spec.timeline, model.ops)
+    frames = _detection_frames(spec.timeline)
     free_us = _free_propagators(h_free, segments)
 
     ks = range(spec.n_realizations)
@@ -388,8 +402,12 @@ def bath_correlation(model, t_grid, which="ix_total", j=0):
         a = ops.iz[j]
     else:
         raise ContractError(f"which must be 'ix_total' or 'iz', got {which!r}")
-    h_e = build_h_e(model)
-    w, v = np.linalg.eigh(h_e)
+    return _correlation_series(np.linalg.eigh(build_h_e(model)), a, t_grid)
+
+
+def _correlation_series(eig_h_e, a, t_grid):
+    """Tr{A(0) A(t)} / Tr{A A} on t_grid from the eigenpairs (w, v) of H_E."""
+    w, v = eig_h_e
     a_eig = v.conj().T @ a @ v
     weights = np.abs(a_eig) ** 2
     norm = float(weights.sum())
@@ -426,15 +444,17 @@ def estimate_tau_b(series, times):
 def model_tau_b(model, t_max=2000.0, n_points=800):
     """Bath correlation time from the per-spin I_z curves, averaged over j.
 
-    Doubles the grid (up to 8x) when the mean curve has not crossed 1/e.
+    Doubles the grid (up to 8x) when the mean curve has not crossed 1/e;
+    H_E is diagonalized once for all spins and horizons.
     """
     if model.n_bath == 0:
         raise ContractError("tau_B needs at least one bath spin")
+    eig_h_e = np.linalg.eigh(build_h_e(model))
     horizon = float(t_max)
     for _ in range(4):
         t_grid = np.linspace(0.0, horizon, n_points)
         mean = np.mean(
-            [bath_correlation(model, t_grid, which="iz", j=j) for j in range(model.n_bath)],
+            [_correlation_series(eig_h_e, iz, t_grid) for iz in model.ops.iz],
             axis=0,
         )
         est = estimate_tau_b(mean, t_grid)

@@ -137,14 +137,27 @@ def default_model(seed=DEFAULT_COUPLING_SEED, n_bath=DEFAULT_N_BATH,
     return build_model(b, d)
 
 
+def _basis_z(n_sites):
+    """S_z eigenvalues of every site on the product basis, shape (n_sites, 2**n_sites).
+
+    Site 0 is the system spin and site j + 1 bath spin j; site q is bit
+    n_sites - 1 - q of the basis index, and bit 0 means spin up (+1/2).
+    """
+    shifts = np.arange(n_sites - 1, -1, -1)
+    return 0.5 - ((np.arange(2**n_sites) >> shifts[:, None]) & 1)
+
+
 def build_h_se(model):
-    """System-bath pure-dephasing coupling S_z * sum_j b_j I_z^j."""
-    ops = model.ops
-    acc = np.zeros((ops.dim, ops.dim), dtype=complex)
+    """System-bath pure-dephasing coupling S_z * sum_j b_j I_z^j.
+
+    Diagonal on the product basis, so it is filled in from the basis bits.
+    """
+    z = _basis_z(model.n_bath + 1)
+    field = np.zeros(model.ops.dim)
     for j in range(model.n_bath):
         if model.b[j] != 0.0:
-            acc += model.b[j] * ops.iz[j]
-    return ops.sz @ acc
+            field += model.b[j] * z[j + 1]
+    return np.diag((z[0] * field).astype(complex))
 
 
 def build_h_e(model):
@@ -152,19 +165,24 @@ def build_h_e(model):
 
     sum_{i<j} d_ij [2 I_z^i I_z^j - (I_x^i I_x^j + I_y^i I_y^j)]; the
     flip-flop part exchanges polarization while conserving total I_z.
+    Built from the basis bits: the Ising part is diagonal, and the
+    flip-flop part puts -d_ij / 2 between basis states that differ by
+    swapping opposite spins i and j.
     """
-    ops = model.ops
-    h = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for i in range(model.n_bath):
-        for j in range(i + 1, model.n_bath):
+    n, dim = model.n_bath, model.ops.dim
+    z = _basis_z(n + 1)[1:]
+    index = np.arange(dim)
+    diag = np.zeros(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
             dij = model.d[i, j]
             if dij == 0.0:
                 continue
-            h += dij * (
-                2.0 * ops.iz[i] @ ops.iz[j]
-                - ops.ix[i] @ ops.ix[j]
-                - ops.iy[i] @ ops.iy[j]
-            )
+            diag += dij * (2.0 * z[i] * z[j])
+            flip = index[z[i] != z[j]]
+            h[flip ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))), flip] = -0.5 * dij
+    h[index, index] = diag
     return h
 
 

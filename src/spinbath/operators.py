@@ -8,6 +8,7 @@ goes through an exact Hermitian eigendecomposition, never through splitting
 approximations.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ def _site_operator(op2, site, n_sites):
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Cached embedded spin operators for one system spin plus a bath.
+    """Embedded spin operators for one system spin plus a bath.
 
     Attributes
     ----------
@@ -51,10 +52,11 @@ class OperatorSet:
         Total Hilbert-space dimension, 2**(n_bath + 1).
     sx, sy, sz : ndarray
         System spin components S_u acting on the full space.
-    ix, iy, iz : tuple of ndarray
-        Bath spin components I_u^j, indexed 0 .. n_bath - 1.
     identity : ndarray
         The full-space identity.
+    ix, iy, iz : tuple of ndarray
+        Bath spin components I_u^j, indexed 0 .. n_bath - 1. Each tuple is
+        built on first access and cached; the engine never needs them.
     """
 
     n_bath: int
@@ -62,9 +64,6 @@ class OperatorSet:
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
-    ix: tuple
-    iy: tuple
-    iz: tuple
     identity: np.ndarray
 
     def s(self, axis):
@@ -74,9 +73,25 @@ class OperatorSet:
         except KeyError:
             raise ContractError(f"unknown axis {axis!r}; expected 'x', 'y' or 'z'") from None
 
+    def _bath(self, axis):
+        return tuple(_frozen(_site_operator(_SPIN_HALF[axis], j + 1, self.n_bath + 1))
+                     for j in range(self.n_bath))
+
+    @functools.cached_property
+    def ix(self):
+        return self._bath("x")
+
+    @functools.cached_property
+    def iy(self):
+        return self._bath("y")
+
+    @functools.cached_property
+    def iz(self):
+        return self._bath("z")
+
 
 def build_operator_set(n_bath, max_bath=DEFAULT_MAX_BATH):
-    """Construct all embedded spin operators for `n_bath` bath spins.
+    """Construct the system spin operators for `n_bath` bath spins.
 
     Raises
     ------
@@ -95,19 +110,12 @@ def build_operator_set(n_bath, max_bath=DEFAULT_MAX_BATH):
     n_sites = n_bath + 1
     dim = 2**n_sites
     sys_ops = {u: _frozen(_site_operator(_SPIN_HALF[u], 0, n_sites)) for u in "xyz"}
-    bath = {u: [] for u in "xyz"}
-    for j in range(n_bath):
-        for u in "xyz":
-            bath[u].append(_frozen(_site_operator(_SPIN_HALF[u], j + 1, n_sites)))
     return OperatorSet(
         n_bath=n_bath,
         dim=dim,
         sx=sys_ops["x"],
         sy=sys_ops["y"],
         sz=sys_ops["z"],
-        ix=tuple(bath["x"]),
-        iy=tuple(bath["y"]),
-        iz=tuple(bath["z"]),
         identity=_frozen(np.eye(dim, dtype=complex)),
     )
 

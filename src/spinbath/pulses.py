@@ -57,15 +57,6 @@ def axis_vector(base, tilt):
     raise ContractError(f"unknown base axis {base!r}")
 
 
-def _rotation(ux, uy, uz, angle, ops):
-    """exp(-i angle (u . S)) built from the closed 2x2 form, then embedded."""
-    half = 0.5 * angle
-    r2 = np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * (
-        ux * _PAULI["x"] + uy * _PAULI["y"] + uz * _PAULI["z"]
-    )
-    return np.kron(r2, np.eye(ops.dim // 2, dtype=complex))
-
-
 @dataclass(frozen=True)
 class PulseSpec:
     """Nominal description of one pulse.
@@ -183,6 +174,9 @@ class ErrorModel:
         )
 
 
+_IDEAL = ErrorModel()
+
+
 def sample_rf_scale(err, seed):
     """One RF amplitude scale draw; deterministic in `seed`."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -192,18 +186,38 @@ def sample_rf_scale(err, seed):
     return value
 
 
+def delta_rotation(axis, angle, rf_scale=1.0, err=None, tilt=None):
+    """2x2 rotation of the system spin by one delta pulse.
+
+    Turns by angle * rf_scale * (1 + eps) about `axis` tilted by `tilt`
+    within the transverse plane; a '-' axis folds its sign into the angle.
+    `err` supplies the flip-angle fraction eps and, when `tilt` is None,
+    the static axis tilt; err=None is the ideal pulse.
+    """
+    err = _IDEAL if err is None else err
+    base, sign = split_axis(axis)
+    ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
+    half = 0.5 * (sign * angle * (rf_scale * (1.0 + err.flip_angle_fraction)))
+    return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * (
+        ux * _PAULI["x"] + uy * _PAULI["y"] + uz * _PAULI["z"]
+    )
+
+
+def _embedded(r2, ops):
+    """A system-spin operator on the full space, r2 (x) 1_bath."""
+    return np.kron(r2, np.eye(ops.dim // 2, dtype=complex))
+
+
 def ideal_pulse(axis, angle, ops):
     """Instantaneous perfect rotation exp(-i angle S_axis) on the full space."""
-    base, sign = split_axis(axis)
-    ux, uy, uz = axis_vector(base, 0.0)
-    return Propagator(_rotation(ux, uy, uz, sign * angle, ops), 0.0)
+    return Propagator(_embedded(delta_rotation(axis, angle), ops), 0.0)
 
 
 def real_pulse(spec, rf_scale, err, h_free, ops, tilt=None):
     """Pulse propagator with errors applied, exact in the full space.
 
     Delta pulses rotate by nominal_angle * rf_scale * (1 + eps) about the
-    tilted axis. Finite pulses evolve under
+    tilted axis (see delta_rotation). Finite pulses evolve under
     H_free + sign * w_eff * (u . S) for the pulse duration, with
     w_eff = rf_amplitude * rf_scale * (1 + eps), so system-bath and
     intra-bath dynamics run during the pulse. `tilt` overrides the error
@@ -212,13 +226,12 @@ def real_pulse(spec, rf_scale, err, h_free, ops, tilt=None):
     """
     if rf_scale <= 0:
         raise ContractError(f"rf_scale must be > 0, got {rf_scale}")
+    if spec.duration == 0.0:
+        r2 = delta_rotation(spec.axis, spec.nominal_angle, rf_scale, err, tilt)
+        return Propagator(_embedded(r2, ops), 0.0)
     base, sign = split_axis(spec.axis)
     ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
-    scale = rf_scale * (1.0 + err.flip_angle_fraction)
-    if spec.duration == 0.0:
-        u = _rotation(ux, uy, uz, sign * spec.nominal_angle * scale, ops)
-        return Propagator(u, 0.0)
-    w_eff = spec.rf_amplitude * scale
+    w_eff = spec.rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
     drive = sign * w_eff * (ux * ops.sx + uy * ops.sy + uz * ops.sz)
     h = np.asarray(h_free, dtype=complex) + drive
     return evolve(h, spec.duration)

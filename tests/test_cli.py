@@ -119,6 +119,15 @@ def test_sweep_per_family_files_and_summary(tmp_path):
         assert info["failures"] == []
 
 
+def test_sweep_checks_family_names_before_running(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP)
+    assert main(["sweep", "--config", cfg, "--families", "cpmg,xy8",
+                 "--csv", str(tmp_path / "x.csv"), "--json", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "'xy8'" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_sweep_requires_grid_and_budget(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SIM)
     assert main(["sweep", "--config", cfg]) == 2

@@ -158,6 +158,26 @@ class TestDiagnostics:
         assert cfg.family == "pdd" and cfg.initial_axis == "x"
 
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("pulses", "tau_p_us", "nan"),
+        ("pulses", "tau_p_us", "inf"),
+        ("pulses", "rf_khz", "-inf"),
+        ("bath", "b_scale_khz", "NaN"),
+        ("errors", "rf_sd", "Infinity"),
+        ("sequence", "time_budget_us", "nan"),
+    ])
+    def test_non_finite_float_reports_line(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"line 3: {section}\.{key} must be finite"):
+            parse_config(f"# bad value\n[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("line", [
+        "tau_grid_us = 5, nan", "tau_grid_us = 5..inf:5", "tau_grid_us = 5..50:nan",
+    ])
+    def test_non_finite_grid_reports_line(self, line):
+        with pytest.raises(ConfigError, match="line 2: tau_grid_us must be finite"):
+            parse_config(f"[sequence]\n{line}\n")
+
+
 class TestGrid:
     def test_comma_list(self):
         cfg = parse_config("[sequence]\ntau_grid_us = 5, 10, 22.5\n")

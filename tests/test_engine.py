@@ -7,11 +7,14 @@ import pytest
 
 import spinbath.engine as engine
 from spinbath import (
+    BimodalRf,
     ContractError,
     ErrorModel,
     GaussianRf,
+    PulseSpec,
     RunSpec,
     bath_correlation,
+    build_h_free,
     build_model,
     compile_cdd,
     compile_cpmg,
@@ -20,10 +23,16 @@ from spinbath import (
     compile_pdd,
     default_model,
     estimate_tau_b,
+    evolve,
+    ideal_pulse,
     prepare_initial_state,
     propagate,
+    real_pulse,
+    sample_rf_scale,
     survival_probability,
 )
+from spinbath.analysis import compile_family
+from spinbath.util import realization_rng
 
 
 def dephasing_model(n_bath, seed=0, scale=0.05):
@@ -249,3 +258,135 @@ def test_pdd_decouples_better_than_fid():
     fid = propagate(RunSpec(model=m, timeline=compile_free(horizon / 8, n_cycles=8)))
     pdd = propagate(RunSpec(model=m, timeline=compile_pdd(horizon / 32, n_cycles=8)))
     assert pdd.s[-1] > fid.s[-1] + 0.2
+
+
+def _bath_operators(n):
+    """I_x, I_y, I_z of each of n bath spins in the bath space alone."""
+    half = {"x": np.array([[0, 0.5], [0.5, 0]], dtype=complex),
+            "y": np.array([[0, -0.5j], [0.5j, 0]], dtype=complex),
+            "z": np.array([[0.5, 0], [0, -0.5]], dtype=complex)}
+    return {u: [np.kron(np.kron(np.eye(2**j), op), np.eye(2 ** (n - j - 1)))
+                for j in range(n)] for u, op in half.items()}
+
+
+def _conditional_survival(model, timeline):
+    """Ideal delta-pulse survival from conditional bath evolution.
+
+    The bath evolves in dimension 2^n under H_E + B/2 for the system's up
+    branch and H_E - B/2 for the down branch, B = sum_j b_j I_z^j, and each
+    pi pulse swaps the branches; s = Re Tr[U_-^dag U_+] / 2^n (Yao, Liu &
+    Sham, PRB 74, 195301 (2006)). Returns s at every cycle boundary.
+    """
+    n = model.n_bath
+    ops = _bath_operators(n)
+    h_e = sum(model.d[i, j] * (2 * ops["z"][i] @ ops["z"][j] - ops["x"][i] @ ops["x"][j]
+                               - ops["y"][i] @ ops["y"][j])
+              for i in range(n) for j in range(i + 1, n))
+    field = sum(model.b[j] * ops["z"][j] for j in range(n))
+    u = {+1: np.eye(2**n), -1: np.eye(2**n)}
+    sign = 1
+
+    def free(dt):
+        for branch in (+1, -1):
+            w, v = np.linalg.eigh(h_e + branch * sign * field / 2)
+            u[branch] = (v * np.exp(-1j * w * dt)) @ v.conj().T @ u[branch]
+
+    values = [1.0]
+    for _ in range(timeline.n_cycles):
+        cursor = 0.0
+        for ev in timeline.events:
+            free(ev.start_time - cursor)
+            sign = -sign
+            cursor = ev.start_time
+        free(timeline.cycle_time - cursor)
+        values.append(np.real(np.trace(u[-1].conj().T @ u[+1])) / 2**n)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("family", ["hahn", "cp", "cpmg", "pdd", "cdd", "udd", "fid"])
+def test_ideal_trains_match_conditional_evolution(family, axis):
+    m = default_model(seed=21, n_bath=5)
+    tl = compile_family(family, 23.0, 0.0, n_cycles=3, order=2, udd_pulses=4)
+    trace = propagate(RunSpec(model=m, timeline=tl, initial_axis=axis))
+    assert np.max(np.abs(trace.s - _conditional_survival(m, tl))) < 1e-12
+
+
+def _dense_kron_curves(spec):
+    """Survival values per realization with every pulse and detection frame
+    embedded in the full space: real_pulse and ideal_pulse matrices, one
+    evolve() per free gap, and the engine's per-realization draws (RF scale
+    first, then one tilt per pulse application in time order). Recording
+    instants that coincide keep the last value, as in SurvivalTrace."""
+    model, tl, err = spec.model, spec.timeline, spec.error_model
+    ops = model.ops
+    h_free = build_h_free(model)
+    dev0 = 2.0 / ops.dim * ops.s(spec.initial_axis)
+    norm0 = np.real(np.trace(dev0 @ dev0))
+    curves = []
+    for k in range(spec.n_realizations):
+        rng = realization_rng(spec.master_seed, k)
+        rf_scale = sample_rf_scale(err, rng)
+        rho = ops.identity / ops.dim + dev0
+        det = dev0
+        times, values = [0.0], [1.0]
+        for m in range(tl.n_cycles):
+            cursor = 0.0
+            for ev in tl.events:
+                if ev.start_time - cursor > 1e-9:
+                    u = evolve(h_free, ev.start_time - cursor).matrix
+                    rho = u @ rho @ u.conj().T
+                tilt = None
+                if err.tilt_jitter_sd > 0:
+                    tilt = err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd)
+                pulse = PulseSpec(ev.axis, ev.nominal_angle, ev.duration,
+                                  ev.nominal_angle / ev.duration if ev.duration else 0.0)
+                u = real_pulse(pulse, rf_scale, err, h_free, ops, tilt=tilt).matrix
+                rho = u @ rho @ u.conj().T
+                p = ideal_pulse(ev.axis, ev.nominal_angle, ops).matrix
+                det = p @ det @ p.conj().T
+                if spec.record == "every_pulse":
+                    times.append(m * tl.cycle_time + ev.end_time)
+                    values.append(np.real(np.trace(det @ rho)) / norm0)
+                cursor = ev.end_time
+            if tl.cycle_time - cursor > 1e-9:
+                u = evolve(h_free, tl.cycle_time - cursor).matrix
+                rho = u @ rho @ u.conj().T
+            times.append((m + 1) * tl.cycle_time)
+            values.append(np.real(np.trace(det @ rho)) / norm0)
+        last = np.append(np.diff(times) > 1e-12, True)
+        curves.append(np.array(values)[last])
+    return np.array(curves)
+
+
+_JITTER = ErrorModel(rf=GaussianRf(1.0, 0.1), axis_tilt=0.02, tilt_jitter_sd=0.15)
+_STATIC = ErrorModel(rf=BimodalRf(), flip_angle_fraction=0.03, axis_tilt=0.05)
+
+
+@pytest.mark.parametrize("record", ["cycle_boundaries", "every_pulse"])
+@pytest.mark.parametrize("family, tau_p, err, n_cycles", [
+    ("cpmg", 0.0, _JITTER, 4),
+    ("cdd", 0.0, _STATIC, 3),
+    ("pdd", 0.0, _STATIC, 20),  # static delta pulses: the powered path
+    ("cpmg2", 1.5, _STATIC, 3),
+    ("udd", 1.5, _JITTER, 3),
+    ("hahn", 0.0, _STATIC, 5),
+    ("hahn", 1.5, _JITTER, 5),
+])
+def test_system_factor_pulses_match_dense_kron_reference(family, tau_p, err, n_cycles,
+                                                          record):
+    m = default_model(seed=4, n_bath=4)
+    tl = compile_family(family, 17.0, tau_p, n_cycles=n_cycles, order=2, udd_pulses=3)
+    spec = RunSpec(model=m, timeline=tl, error_model=err, initial_axis="x",
+                   n_realizations=2, master_seed=8, record=record)
+    trace = propagate(spec)
+    ref = _dense_kron_curves(spec).mean(axis=0)
+    assert trace.s.shape == ref.shape
+    assert np.max(np.abs(trace.s - ref)) < 1e-12
+
+
+def test_propagate_never_builds_bath_operators():
+    m = default_model(n_bath=8)
+    tl = compile_cpmg(20.0, 0.0, n_cycles=2)
+    propagate(RunSpec(model=m, timeline=tl, error_model=_STATIC, n_realizations=2))
+    assert not {"ix", "iy", "iz"} & set(m.ops.__dict__)

@@ -78,6 +78,62 @@ def test_h_se_structure():
     assert not np.allclose(h @ ops.sx, ops.sx @ h, atol=1e-8)
 
 
+_PAULI_HALF = {
+    "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
+    "z": np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
+}
+
+
+def _dense_pieces(m):
+    """H_SE and H_E from products of kron-embedded spin operators, written
+    out here independently of the package's basis-bit kernels."""
+    n_sites = m.n_bath + 1
+
+    def site(axis, q):
+        return np.kron(np.kron(np.eye(2**q), _PAULI_HALF[axis]),
+                       np.eye(2 ** (n_sites - q - 1)))
+
+    dim = 2**n_sites
+    ix = [site("x", j + 1) for j in range(m.n_bath)]
+    iy = [site("y", j + 1) for j in range(m.n_bath)]
+    iz = [site("z", j + 1) for j in range(m.n_bath)]
+    field = np.zeros((dim, dim), dtype=complex)
+    for j in range(m.n_bath):
+        if m.b[j] != 0.0:
+            field += m.b[j] * iz[j]
+    h_e = np.zeros((dim, dim), dtype=complex)
+    for i in range(m.n_bath):
+        for j in range(i + 1, m.n_bath):
+            if m.d[i, j] != 0.0:
+                h_e += m.d[i, j] * (2.0 * iz[i] @ iz[j] - ix[i] @ ix[j] - iy[i] @ iy[j])
+    return site("z", 0) @ field, h_e
+
+
+@pytest.mark.parametrize("distribution", ["uniform_symmetric", "gaussian"])
+@pytest.mark.parametrize("n_bath", range(7))
+def test_basis_bit_kernels_equal_dense_products(n_bath, distribution):
+    spec = CouplingSpec(b_scale=0.3, d_scale=0.2, distribution=distribution,
+                        seed=10 + n_bath)
+    m = build_model(*sample_couplings(spec, n_bath))
+    h_se, h_e = _dense_pieces(m)
+    assert np.array_equal(build_h_se(m), h_se)
+    assert np.array_equal(build_h_e(m), h_e)
+    assert np.array_equal(build_h_free(m), h_se + h_e)
+
+
+def test_basis_bit_kernels_skip_zero_couplings_like_dense_products():
+    b = np.array([0.2, 0.0, -0.1, 0.0, 0.05])
+    d = np.zeros((5, 5))
+    for (i, j), v in {(0, 1): 0.3, (0, 4): -0.2, (2, 3): 0.15, (3, 4): 0.07}.items():
+        d[i, j] = d[j, i] = v
+    m = build_model(b, d)
+    h_se, h_e = _dense_pieces(m)
+    assert np.array_equal(build_h_se(m), h_se)
+    assert np.array_equal(build_h_e(m), h_e)
+    assert np.array_equal(build_h_free(m), h_se + h_e)
+
+
 def test_h_e_conserves_total_iz_and_ignores_system():
     m = default_model(n_bath=4)
     h = build_h_e(m)
