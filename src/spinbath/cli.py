@@ -354,6 +354,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
         return args.fn(args)
     except ConfigError as exc:

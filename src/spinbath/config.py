@@ -143,6 +143,8 @@ def _coerce(section, key, value, line_no):
             f"got {value!r}") from None
     if target is float:
         _finite(coerced, f"{section}.{key}", line_no)
+    if key.endswith("_seed") and coerced < 0:
+        raise ConfigError(f"line {line_no}: {section}.{key} must be >= 0, got {coerced}")
     return coerced
 
 

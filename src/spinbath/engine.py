@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import ContractError, TimelineError
 from .hamiltonians import build_h_e, build_h_free
-from .operators import DensityOperator
-from .pulses import ErrorModel, PulseSpec, delta_rotation, real_pulse, sample_rf_scale
+from .operators import DensityOperator, exp_propagators
+from .pulses import (ErrorModel, PulseSpec, _conjugate, _left, delta_rotation, ideal_frame,
+                     real_pulse, sample_rf_scale)
 from .sequences import validate_timeline
 from .util import first_crossing, fmt, realization_rng
 
@@ -68,6 +69,8 @@ class RunSpec:
             raise ContractError(f"initial_axis must be x, y or z, got {self.initial_axis!r}")
         if self.n_realizations < 1:
             raise ContractError("n_realizations must be >= 1")
+        if self.master_seed < 0:
+            raise ContractError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.record not in RECORD_MODES:
             raise ContractError(f"record must be one of {RECORD_MODES}, got {self.record!r}")
 
@@ -139,64 +142,26 @@ def survival_probability(rho_t, rho_0_dev):
     return float(np.real(np.einsum("ij,ji->", dev, m))) / norm
 
 
-def _left(u, a):
-    """u @ a; a 2x2 u is a system-spin rotation and acts on the system
-    factor of `a` alone, never embedded in the full space."""
-    return (u @ a.reshape(u.shape[0], -1)).reshape(a.shape)
-
-
-def _conjugate(u, a):
-    """u @ a @ u^dag, with a 2x2 u acting on the system factor as in _left."""
-    if u.shape == a.shape:
-        return u @ a @ u.conj().T
-    return _left(u, _left(u, a).conj().T).conj().T
-
-
-def _detection_frames(timeline):
-    """Ideal-frame bookkeeping for detection, as 2x2 system rotations.
-
-    Returns (cycle_frame, pulse_frames) where cycle_frame is the net ideal
-    pulse product over one cycle (None when it is a scalar, the common
-    case) and pulse_frames maps (axis, angle) to the ideal pulse rotation
-    for per-pulse recording.
-    """
-    pulse_frames = {}
-    frame = np.eye(2, dtype=complex)
-    for ev in timeline.events:
-        key = (ev.axis, ev.nominal_angle)
-        if key not in pulse_frames:
-            pulse_frames[key] = delta_rotation(ev.axis, ev.nominal_angle)
-        frame = pulse_frames[key] @ frame
+def _cycle_frame(timeline):
+    """Net ideal frame of one cycle for detection, a 2x2 system rotation,
+    or None when it is a scalar (the common case)."""
+    frame = ideal_frame(timeline.events)
     scalar = frame[0, 0]
     if abs(abs(scalar) - 1.0) < 1e-12 and \
             float(np.max(np.abs(frame - scalar * np.eye(2)))) < 1e-12:
-        return None, pulse_frames
-    return frame, pulse_frames
+        return None
+    return frame
 
 
-def _free_propagators(h_free, segments):
-    """One shared exp(-i H_free dt) per distinct gap length.
-
-    Free evolution does not depend on the pulse-error draw, so these are
-    computed once per run from a single diagonalization and shared
-    read-only across realizations.
-    """
-    dts = {payload for kind, payload in segments if kind == "free"}
-    if not dts:
-        return {}
-    w, v = np.linalg.eigh(h_free)
-    return {dt: (v * np.exp(-1j * w * dt)) @ v.conj().T for dt in dts}
-
-
-class _PropagatorCache:
+class PropagatorCache:
     """Segment propagators for one realization: the run's shared free
-    table plus pulse propagators.
+    table {dt: exp(-i H_free dt)} plus pulse propagators.
 
-    Delta pulses are 2x2 rotations of the system spin (see _left); finite
-    pulses are full-space propagators. With tilt jitter enabled every pulse
-    is built fresh from a new tilt draw (in pulse application order, so
-    runs are deterministic in the realization seed); without it pulses are
-    cached by shape.
+    Delta pulses are 2x2 rotations of the system spin (see pulses._left);
+    finite pulses are full-space propagators. With tilt jitter enabled
+    every pulse is built fresh from a new tilt draw (in pulse application
+    order, so runs are deterministic in the realization seed); without it
+    pulses are cached by shape.
     """
 
     def __init__(self, h_free, ops, err, rf_scale, free_us, rng):
@@ -269,14 +234,12 @@ def _powered_overlaps(u_cycle, dev0, rho0, norm0, n_cycles):
     return values
 
 
-def _realization_curve(spec, segments, h_free, dev0, norm0, k, frames, free_us):
+def _realization_curve(spec, segments, h_free, dev0, norm0, k, cycle_frame, free_us):
     """Survival values for realization k at the configured record instants."""
     model, tl = spec.model, spec.timeline
-    cycle_frame, pulse_frames = frames
     rng = realization_rng(spec.master_seed, k)
     rf_scale = sample_rf_scale(spec.error_model, rng)
-    cache = _PropagatorCache(h_free, model.ops, spec.error_model, rf_scale,
-                             free_us, rng)
+    cache = PropagatorCache(h_free, model.ops, spec.error_model, rf_scale, free_us, rng)
     rho = model.ops.identity / model.ops.dim + dev0
     static_pulses = spec.error_model.tilt_jitter_sd == 0
 
@@ -308,7 +271,7 @@ def _realization_curve(spec, segments, h_free, dev0, norm0, k, frames, free_us):
         for kind, payload in segments:
             rho = _conjugate(cache.segment(kind, payload), rho)
             if kind == "pulse":
-                det = _conjugate(pulse_frames[(payload.axis, payload.nominal_angle)], det)
+                det = _conjugate(delta_rotation(payload.axis, payload.nominal_angle), det)
                 values.append(np.real(np.einsum("ij,ji->", det, rho)) / norm0)
         values.append(np.real(np.einsum("ij,ji->", det, rho)) / norm0)
     return np.asarray(values)
@@ -355,19 +318,21 @@ def propagate(spec, threads=1):
     dev0 = eps * model.ops.s(spec.initial_axis)
     norm0 = float(np.real(np.einsum("ij,ji->", dev0, dev0)))
     segments = spec.timeline.segments()
-    frames = _detection_frames(spec.timeline)
-    free_us = _free_propagators(h_free, segments)
+    cycle_frame = _cycle_frame(spec.timeline)
+    # free evolution does not depend on the pulse-error draw, so the
+    # realizations share one table read-only
+    free_us = exp_propagators(h_free, {dt for kind, dt in segments if kind == "free"})
 
     ks = range(spec.n_realizations)
     if threads > 1 and spec.n_realizations > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             curves = list(pool.map(
                 lambda k: _realization_curve(
-                    spec, segments, h_free, dev0, norm0, k, frames, free_us),
+                    spec, segments, h_free, dev0, norm0, k, cycle_frame, free_us),
                 ks))
     else:
-        curves = [_realization_curve(spec, segments, h_free, dev0, norm0, k, frames, free_us)
-                  for k in ks]
+        curves = [_realization_curve(spec, segments, h_free, dev0, norm0, k, cycle_frame,
+                                     free_us) for k in ks]
     curves = np.vstack(curves)
 
     times, counts = _record_grid(spec.timeline, spec.record)
@@ -418,7 +383,8 @@ def _correlation_series(eig_h_e, a, t_grid):
     # matrix elements between same-sector eigenstates dominate; drop the
     # zero weights so the phase table stays small
     keep = weights > norm * 1e-15
-    phases = np.cos(np.outer(gaps[keep], t_grid))
+    phases = np.outer(gaps[keep], t_grid)
+    np.cos(phases, out=phases)
     series = (weights[keep] @ phases) / norm
     return series
 

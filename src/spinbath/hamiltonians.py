@@ -98,6 +98,8 @@ class CouplingSpec:
             raise ContractError(f"unknown coupling distribution {self.distribution!r}")
         if self.b_scale < 0 or self.d_scale < 0:
             raise ContractError("coupling scales must be >= 0")
+        if self.seed < 0:
+            raise ContractError(f"coupling seed must be >= 0, got {self.seed}")
 
 
 def sample_couplings(spec, n_bath):

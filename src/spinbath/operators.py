@@ -196,9 +196,16 @@ def evolve(h, t):
     t = float(t)
     if t < 0:
         raise ContractError(f"evolve() needs t >= 0, got {t}")
+    return Propagator(exp_propagators(h, (t,))[t], t)
+
+
+def exp_propagators(h, times):
+    """{t: exp(-i H t)} as raw arrays for every t in `times`, from one
+    diagonalization of the Hermitian H (not checked here), none if no times."""
+    if not times:
+        return {}
     w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Propagator(u, t)
+    return {t: (v * np.exp(-1j * w * t)) @ v.conj().T for t in times}
 
 
 def partial_trace_bath(rho, n_bath):

@@ -14,8 +14,11 @@ static imperfection of such pulses cancels pairwise (two identical pi
 rotations compose to a global phase), so only a fluctuating axis can
 damage the spin component along the pulse axis.
 
-Every real pulse factors exactly as U_real = U_error @ U_ideal, which is
-what the average-Hamiltonian analysis consumes.
+A delta pulse touches the system spin only: it stays a 2x2 rotation
+(delta_rotation) that _left and _conjugate apply to the system factor of a
+full-space matrix, and only the public builders ideal_pulse and real_pulse
+embed it as R (x) 1_bath. Its 2x2 error factor E gives U_real =
+(E (x) 1_bath) @ U_ideal, which the average-Hamiltonian analysis consumes.
 """
 
 from dataclasses import dataclass, field
@@ -203,6 +206,28 @@ def delta_rotation(axis, angle, rf_scale=1.0, err=None, tilt=None):
     )
 
 
+def ideal_frame(events):
+    """Net ideal rotation, as a 2x2 system rotation, of the pulses `events`
+    (anything with .axis and .nominal_angle) applied in order."""
+    frame = np.eye(2, dtype=complex)
+    for ev in events:
+        frame = delta_rotation(ev.axis, ev.nominal_angle) @ frame
+    return frame
+
+
+def _left(u, a):
+    """u @ a; a 2x2 u is a system-spin rotation and acts on the system
+    factor of `a` alone, never embedded in the full space."""
+    return (u @ a.reshape(u.shape[0], -1)).reshape(a.shape)
+
+
+def _conjugate(u, a):
+    """u @ a @ u^dag, with a 2x2 u acting on the system factor as in _left."""
+    if u.shape == a.shape:
+        return u @ a @ u.conj().T
+    return _left(u, _left(u, a).conj().T).conj().T
+
+
 def _embedded(r2, ops):
     """A system-spin operator on the full space, r2 (x) 1_bath."""
     return np.kron(r2, np.eye(ops.dim // 2, dtype=complex))
@@ -237,13 +262,9 @@ def real_pulse(spec, rf_scale, err, h_free, ops, tilt=None):
     return evolve(h, spec.duration)
 
 
-def error_factor(spec, rf_scale, err, ops):
-    """Error rotation E with real = E @ ideal for the isolated pulse.
-
-    The factorization is exact by construction: E multiplies the realized
-    pulse (with H_free absent) by the inverse ideal rotation.
-    """
-    zero = np.zeros((ops.dim, ops.dim), dtype=complex)
-    realized = real_pulse(spec, rf_scale, err, zero, ops).matrix
-    ideal = ideal_pulse(spec.axis, spec.nominal_angle, ops).matrix
-    return Propagator(realized @ ideal.conj().T, 0.0)
+def error_factor(spec, rf_scale, err):
+    """2x2 error rotation E with real = (E (x) 1_bath) @ ideal for the
+    isolated pulse (H_free absent): the realized rotation about spec.axis
+    by spec.nominal_angle times the inverse ideal one."""
+    realized = delta_rotation(spec.axis, spec.nominal_angle, rf_scale, err)
+    return realized @ delta_rotation(spec.axis, spec.nominal_angle).conj().T

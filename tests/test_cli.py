@@ -248,6 +248,16 @@ def test_flags_a_subcommand_ignores_are_usage_errors(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_negative_seed_is_usage_error(tmp_path, command, capsys):
+    cfg = write_cfg(tmp_path, SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--seed", "-4"])
+    assert exc.value.code == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_module_entry_point_help():
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "spinbath.cli", "--help"],

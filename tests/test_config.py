@@ -170,6 +170,13 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=rf"line 3: {section}\.{key} must be finite"):
             parse_config(f"# bad value\n[{section}]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("section, key", [("bath", "coupling_seed"),
+                                              ("run", "master_seed")])
+    def test_negative_seed_reports_line(self, section, key):
+        with pytest.raises(ConfigError,
+                           match=rf"line 3: {section}\.{key} must be >= 0, got -3"):
+            parse_config(f"# bad seed\n[{section}]\n{key} = -3\n")
+
     @pytest.mark.parametrize("line", [
         "tau_grid_us = 5, nan", "tau_grid_us = 5..inf:5", "tau_grid_us = 5..50:nan",
     ])

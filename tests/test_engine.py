@@ -9,6 +9,7 @@ import spinbath.engine as engine
 from spinbath import (
     BimodalRf,
     ContractError,
+    CouplingSpec,
     ErrorModel,
     GaussianRf,
     PulseSpec,
@@ -28,6 +29,7 @@ from spinbath import (
     prepare_initial_state,
     propagate,
     real_pulse,
+    sample_couplings,
     sample_rf_scale,
     survival_probability,
 )
@@ -115,6 +117,8 @@ def test_runspec_validation():
         RunSpec(model=m, timeline=tl, n_realizations=0)
     with pytest.raises(ContractError):
         RunSpec(model=m, timeline=tl, record="sometimes")
+    with pytest.raises(ContractError, match="master_seed"):
+        RunSpec(model=m, timeline=tl, master_seed=-1)
 
 
 def test_record_grids():
@@ -303,11 +307,23 @@ def _conditional_survival(model, timeline):
     return np.array(values)
 
 
+# (id, family, cdd order): the plain "cdd" id is order 2
+_ORACLE_TRAINS = [("hahn", "hahn", 2), ("cp", "cp", 2), ("cpmg", "cpmg", 2),
+                  ("cpmg2", "cpmg2", 2), ("pdd", "pdd", 2), ("cdd1", "cdd", 1),
+                  ("cdd", "cdd", 2), ("cdd3", "cdd", 3), ("udd", "udd", 2), ("fid", "fid", 2)]
+# (id suffix, coupling seed, distribution): two seeds and the gaussian draw
+_ORACLE_MODELS = [("", 21, "uniform_symmetric"), ("seed8", 8, "uniform_symmetric"),
+                  ("gaussian", 21, "gaussian")]
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("family", ["hahn", "cp", "cpmg", "pdd", "cdd", "udd", "fid"])
-def test_ideal_trains_match_conditional_evolution(family, axis):
-    m = default_model(seed=21, n_bath=5)
-    tl = compile_family(family, 23.0, 0.0, n_cycles=3, order=2, udd_pulses=4)
+@pytest.mark.parametrize("family, order, seed, distribution", [
+    pytest.param(family, order, seed, dist, id=f"{name}-{suffix}" if suffix else name)
+    for suffix, seed, dist in _ORACLE_MODELS for name, family, order in _ORACLE_TRAINS])
+def test_ideal_trains_match_conditional_evolution(family, order, seed, distribution, axis):
+    spec = CouplingSpec(seed=seed, distribution=distribution)
+    m = build_model(*sample_couplings(spec, 5))
+    tl = compile_family(family, 23.0, 0.0, n_cycles=3, order=order, udd_pulses=4)
     trace = propagate(RunSpec(model=m, timeline=tl, initial_axis=axis))
     assert np.max(np.abs(trace.s - _conditional_survival(m, tl))) < 1e-12
 

@@ -53,6 +53,8 @@ def test_explicit_spec_refuses_sampling():
         CouplingSpec(distribution="lorentzian")
     with pytest.raises(ContractError):
         CouplingSpec(b_scale=-0.1)
+    with pytest.raises(ContractError, match="seed"):
+        CouplingSpec(seed=-3)
 
 
 def test_build_model_validates_shapes():
