@@ -14,6 +14,7 @@ from spinbath.avgham import (
     build_h_e,
     build_h_free,
     magnus_defect,
+    residual_text,
     toggling_frames,
 )
 
@@ -52,4 +53,4 @@ for cid in ("cpmg-flip-angle-zeroth-order",
             "pdd-cancels-system-bath-coupling"):
     report = verify_claim(cid)
     mark = "PASS" if report["pass"] else "FAIL"
-    print(f"  {mark} {cid}  residual={report['residual']:.2e}")
+    print(f"  {mark} {cid}  {residual_text(report['residual'], '.2e')}")

@@ -16,15 +16,13 @@ from .avgham import (CLAIM_IDS, ToggledSegment, average_hamiltonian,
                      verify_claim)
 from .config import ExperimentConfig, load_config, model_from_config, parse_config
 from .engine import (RunSpec, SurvivalTrace, TauBEstimate, bath_correlation,
-                     estimate_tau_b, model_tau_b, prepare_initial_state,
-                     propagate, survival_probability)
+                     estimate_tau_b, model_tau_b, propagate)
 from .errors import (ConfigError, ContractError, ResourceLimitError,
                      SpinBathError, TimelineError)
 from .hamiltonians import (CouplingSpec, SpinBathModel, build_h_e, build_h_error,
                            build_h_free, build_h_se, build_model, default_model,
                            sample_couplings)
-from .operators import (DensityOperator, OperatorSet, Propagator,
-                        build_operator_set, evolve, overlap, partial_trace_bath)
+from .operators import OperatorSet, Propagator, build_operator_set, evolve
 from .pulses import (BimodalRf, ErrorModel, FixedRf, GaussianRf, PulseSpec,
                      axis_vector, error_factor, ideal_pulse, real_pulse,
                      sample_rf_scale)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .analysis import SEQUENCE_FAMILIES, compile_family, fit_order_relation, sweep_tau
-from .avgham import (CLAIM_IDS, average_hamiltonian, toggling_frames,
+from .avgham import (CLAIM_IDS, average_hamiltonian, residual_text, toggling_frames,
                      verify_claim)
 from .config import ExperimentConfig, load_config, model_from_config
 from .engine import RunSpec, bath_correlation, model_tau_b, propagate
@@ -257,7 +257,7 @@ def cmd_verify(args):
     for claim_id in CLAIM_IDS:
         report = verify_claim(claim_id)
         rows.append({"check": claim_id, "pass": report["pass"],
-                     "detail": f"residual={report['residual']:.3e} "
+                     "detail": f"{residual_text(report['residual'], '.3e')} "
                                f"(tol={report['tolerance']:g})"})
         all_ok &= report["pass"]
     for name, ok, detail in _bookkeeping_checks():
@@ -356,6 +356,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error(f"argument --seed: must be >= 0, got {args.seed}")
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractError, TimelineError
 from .hamiltonians import build_h_e, build_h_free
-from .operators import DensityOperator, exp_propagators
+from .operators import exp_propagators
 from .pulses import (ErrorModel, PulseSpec, _conjugate, _left, delta_rotation, ideal_frame,
                      real_pulse, sample_rf_scale)
 from .sequences import validate_timeline
@@ -116,30 +116,6 @@ class TauBEstimate(NamedTuple):
 
     value: float
     reached: bool
-
-
-def prepare_initial_state(axis, model):
-    """rho(0) = 1/d + eps S_axis with eps = 2/d (bath maximally mixed)."""
-    ops = model.ops
-    eps = 2.0 / ops.dim
-    return DensityOperator(ops.identity / ops.dim + eps * ops.s(axis))
-
-
-def survival_probability(rho_t, rho_0_dev):
-    """Normalized deviation overlap Tr{dev0 rho_t} / Tr{dev0 dev0}.
-
-    rho_0_dev is the traceless deviation of the prepared state (eps S_u for
-    engine-prepared states); by construction the value is 1 when
-    rho_t equals the initial state.
-    """
-    m = rho_t.matrix if isinstance(rho_t, DensityOperator) else np.asarray(rho_t)
-    dev = np.asarray(rho_0_dev)
-    if dev.shape != m.shape:
-        raise ContractError(f"shape mismatch {dev.shape} vs {m.shape}")
-    norm = float(np.real(np.einsum("ij,ji->", dev, dev)))
-    if norm <= 0:
-        raise ContractError("deviation normalization is zero")
-    return float(np.real(np.einsum("ij,ji->", dev, m))) / norm
 
 
 def _cycle_frame(timeline):
@@ -309,6 +285,8 @@ def propagate(spec, threads=1):
     The reduction order over realizations is fixed by index, so the result
     is bit-identical for any thread count.
     """
+    if threads < 1:
+        raise ContractError(f"threads must be >= 1, got {threads}")
     problems = validate_timeline(spec.timeline)
     if problems:
         raise TimelineError("; ".join(problems))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .operators import DEFAULT_MAX_BATH, OperatorSet, build_operator_set, require_hermitian
+from .operators import OperatorSet, build_operator_set, require_hermitian
 from .util import KHZ_TO_RAD_PER_US
 
 COUPLING_DISTRIBUTIONS = ("uniform_symmetric", "gaussian")
@@ -51,12 +51,11 @@ class SpinBathModel:
     ops: OperatorSet
 
 
-def build_model(b, d, max_bath=DEFAULT_MAX_BATH, ops=None):
+def build_model(b, d):
     """Validate couplings and assemble a SpinBathModel.
 
     `b` is the length-n vector of system-bath couplings; `d` the symmetric
-    intra-bath coupling matrix (zero diagonal). Pass an existing `ops` to
-    reuse cached operators of the right dimension.
+    intra-bath coupling matrix (zero diagonal).
     """
     b = np.asarray(b, dtype=float).copy()
     d = np.asarray(d, dtype=float).copy()
@@ -70,13 +69,9 @@ def build_model(b, d, max_bath=DEFAULT_MAX_BATH, ops=None):
         raise ContractError("d must be symmetric")
     if d.size and float(np.max(np.abs(np.diag(d)))) > 1e-12 * scale:
         raise ContractError("d must have zero diagonal")
-    if ops is None:
-        ops = build_operator_set(n, max_bath=max_bath)
-    elif ops.n_bath != n:
-        raise ContractError(f"operator set is for n_bath={ops.n_bath}, couplings for {n}")
     b.setflags(write=False)
     d.setflags(write=False)
-    return SpinBathModel(n_bath=n, b=b, d=d, ops=ops)
+    return SpinBathModel(n_bath=n, b=b, d=d, ops=build_operator_set(n))
 
 
 @dataclass(frozen=True)

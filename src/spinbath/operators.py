@@ -17,7 +17,6 @@ from .errors import ContractError, ResourceLimitError
 
 HERMITIAN_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
-DENSITY_ATOL = 1e-10
 DEFAULT_MAX_BATH = 12
 
 _SPIN_HALF = {
@@ -133,28 +132,6 @@ def require_hermitian(h, what="operator", atol=HERMITIAN_ATOL):
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """A physical state: Hermitian, unit trace, positive within tolerance."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        require_hermitian(m, "density operator", DENSITY_ATOL)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > DENSITY_ATOL:
-            raise ContractError(f"density operator trace {tr} is not 1 within {DENSITY_ATOL}")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -DENSITY_ATOL:
-            raise ContractError(f"density operator has eigenvalue {lo:.3e} below -{DENSITY_ATOL}")
-        object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class Propagator:
     """A unitary evolution operator together with the wall time it spans."""
 
@@ -206,28 +183,3 @@ def exp_propagators(h, times):
         return {}
     w, v = np.linalg.eigh(h)
     return {t: (v * np.exp(-1j * w * t)) @ v.conj().T for t in times}
-
-
-def partial_trace_bath(rho, n_bath):
-    """Trace out every bath spin, leaving the 2x2 system state.
-
-    Accepts a DensityOperator or a raw matrix of matching dimension and
-    returns a DensityOperator. Linear and trace preserving.
-    """
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    dim = 2 ** (int(n_bath) + 1)
-    if m.shape != (dim, dim):
-        raise ContractError(f"expected shape ({dim}, {dim}) for n_bath={n_bath}, got {m.shape}")
-    db = dim // 2
-    reduced = m.reshape(2, db, 2, db)
-    out = np.einsum("abcb->ac", reduced)
-    return DensityOperator(out)
-
-
-def overlap(a, rho):
-    """Tr(A rho) for an observable A and a state (or raw matrix) rho."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    if a.shape != m.shape:
-        raise ContractError(f"shape mismatch {a.shape} vs {m.shape}")
-    return complex(np.einsum("ij,ji->", a, m))

@@ -89,13 +89,6 @@ class PulseSpec:
                 )
 
     @classmethod
-    def from_rf(cls, axis, nominal_angle, rf_amplitude):
-        """Finite pulse of the given nominal angle at RF amplitude rad/us."""
-        if rf_amplitude <= 0:
-            raise ContractError("rf_amplitude must be > 0")
-        return cls(axis, nominal_angle, nominal_angle / rf_amplitude, rf_amplitude)
-
-    @classmethod
     def delta(cls, axis, nominal_angle):
         return cls(axis, nominal_angle, 0.0, 0.0)
 

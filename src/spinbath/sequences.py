@@ -60,10 +60,6 @@ class Timeline:
     def pulses_per_cycle(self):
         return len(self.events)
 
-    @property
-    def total_time(self):
-        return self.cycle_time * self.n_cycles
-
     def segments(self):
         """One cycle as ('free', dt) and ('pulse', event) pieces in time order.
 

@@ -105,6 +105,25 @@ def test_claim_registry():
         verify_claim("no-such-claim")
 
 
+@pytest.mark.parametrize("n_bath, expected", [(1, 0.31416), (3, 0.62832)])
+def test_error_generator_sum_of_a_same_axis_pair(n_bath, expected):
+    # a +y/+y pair adds its two flip-angle errors instead of cancelling
+    # them: 2 eps pi |S_y|, with |S_y| = sqrt(dim) / 2 on the full space
+    ops = build_operator_set(n_bath)
+    eps = 0.05
+    got = avgham._error_generator_sum(("y", "y"), eps, ops)
+    assert got == pytest.approx(2.0 * eps * np.pi * float(np.linalg.norm(ops.sy)), rel=1e-12)
+    assert got == pytest.approx(expected, abs=5e-6)
+    assert avgham._error_generator_sum(("y", "-y"), eps, ops) < 1e-14
+
+
+def test_residual_text_prints_round_off_as_a_bound():
+    assert avgham.residual_text(9.939e-16, ".3e") == "residual<1e-13"
+    assert avgham.residual_text(0.0, ".2e") == "residual<1e-13"
+    assert avgham.residual_text(2.5e-12, ".3e") == "residual=2.500e-12"
+    assert avgham.residual_text(0.125, ".2e") == "residual=1.25e-01"
+
+
 def test_claim_accepts_parameter_overrides():
     report = verify_claim("cpmg-flip-angle-zeroth-order",
                           {"tau": 14.0, "flip_angle_fraction": 0.02, "seed": 3})

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from spinbath import CLAIM_IDS
 from spinbath.cli import build_parser, main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -179,6 +180,9 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     report = json.loads(js.read_text())
     assert report["all_pass"] is True
     assert len(report["checks"]) >= 6
+    # every claim residual sits at round-off and prints as the bound
+    claims = [c for c in report["checks"] if c["check"] in CLAIM_IDS]
+    assert [c["detail"] for c in claims] == ["residual<1e-13 (tol=1e-10)"] * 3
 
 
 def test_verify_fails_on_wrong_pdd_cycle_time(monkeypatch, capsys):
@@ -255,6 +259,17 @@ def test_negative_seed_is_usage_error(tmp_path, command, capsys):
         main([command, "--config", cfg, "--seed", "-4"])
     assert exc.value.code == 2
     assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_is_usage_error(tmp_path, command, threads, capsys):
+    cfg = write_cfg(tmp_path, SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads: must be >= 1" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 

@@ -26,12 +26,10 @@ from spinbath import (
     estimate_tau_b,
     evolve,
     ideal_pulse,
-    prepare_initial_state,
     propagate,
     real_pulse,
     sample_couplings,
     sample_rf_scale,
-    survival_probability,
 )
 from spinbath.analysis import compile_family
 from spinbath.util import realization_rng
@@ -83,42 +81,47 @@ def test_hahn_echo_decays_with_flip_flops():
     assert trace.s[-1] < 0.9
 
 
+def _decoupled_two_pi_pulses(timeline, **kw):
+    # no couplings, and every pulse turns by 2 pi where the ideal frame
+    # expects pi
+    m = build_model(np.zeros(2), np.zeros((2, 2)))
+    return propagate(RunSpec(model=m, timeline=timeline,
+                             error_model=ErrorModel(flip_angle_fraction=1.0), **kw))
+
+
 def test_survival_probability_sign_convention():
-    m = dephasing_model(2)
-    rho0 = prepare_initial_state("x", m)
-    dev = rho0.matrix - m.ops.identity / m.ops.dim
-    assert survival_probability(rho0, dev) == pytest.approx(1.0)
-    flipped = m.ops.identity / m.ops.dim - dev
-    assert survival_probability(flipped, dev) == pytest.approx(-1.0)
+    # the 2 pi pulse leaves S_x in place while the ideal frame expects it
+    # flipped, so the echo reads -1
+    trace = _decoupled_two_pi_pulses(compile_hahn(10.0), initial_axis="x")
+    assert np.allclose(trace.s, [1.0, -1.0], atol=1e-12)
 
 
 def test_survival_probability_global_phase_immunity():
-    m = dephasing_model(3, seed=8)
-    rho0 = prepare_initial_state("y", m)
-    dev = rho0.matrix - m.ops.identity / m.ops.dim
-    u = np.exp(1j * 0.7) * np.eye(m.ops.dim)
-    assert survival_probability(u @ rho0.matrix @ u.conj().T, dev) == pytest.approx(1.0)
-
-
-def test_prepare_initial_state_structure():
-    m = dephasing_model(3)
-    rho = prepare_initial_state("x", m)
-    eps = 2.0 / m.ops.dim
-    assert np.allclose(rho.matrix, m.ops.identity / m.ops.dim + eps * m.ops.sx,
-                       atol=1e-14)
-    with pytest.raises(ContractError):
-        RunSpec(model=m, timeline=compile_free(10.0), initial_axis="w")
+    # each 2 pi pulse about y is the global phase -1
+    trace = _decoupled_two_pi_pulses(compile_cpmg(10.0, 0.0, 3), initial_axis="y",
+                                     record="every_pulse")
+    assert trace.s.size == 1 + 3 * 3
+    assert np.allclose(trace.s, 1.0, atol=1e-12)
 
 
 def test_runspec_validation():
     m = dephasing_model(2)
     tl = compile_free(10.0)
     with pytest.raises(ContractError):
+        RunSpec(model=m, timeline=tl, initial_axis="w")
+    with pytest.raises(ContractError):
         RunSpec(model=m, timeline=tl, n_realizations=0)
     with pytest.raises(ContractError):
         RunSpec(model=m, timeline=tl, record="sometimes")
     with pytest.raises(ContractError, match="master_seed"):
         RunSpec(model=m, timeline=tl, master_seed=-1)
+
+
+def test_thread_count_below_one_rejected():
+    spec = RunSpec(model=dephasing_model(2), timeline=compile_free(10.0))
+    for threads in (0, -1):
+        with pytest.raises(ContractError, match="threads"):
+            propagate(spec, threads=threads)
 
 
 def test_record_grids():

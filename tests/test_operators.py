@@ -5,13 +5,10 @@ import pytest
 
 from spinbath import (
     ContractError,
-    DensityOperator,
     Propagator,
     ResourceLimitError,
     build_operator_set,
     evolve,
-    overlap,
-    partial_trace_bath,
 )
 
 
@@ -107,37 +104,3 @@ def test_propagator_contract():
     with pytest.raises(ContractError):
         Propagator(np.eye(2), -1.0)
 
-
-def test_density_operator_contract():
-    with pytest.raises(ContractError):
-        DensityOperator(np.eye(2))  # trace 2
-    with pytest.raises(ContractError):
-        DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
-    rho = DensityOperator(np.diag([0.25, 0.75]))
-    assert rho.dim == 2
-
-
-def test_partial_trace_reduces_product_state():
-    ops = build_operator_set(2)
-    rho_sys = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
-    rho = np.kron(rho_sys, np.eye(4) / 4.0)
-    reduced = partial_trace_bath(rho, 2)
-    assert np.allclose(reduced.matrix, rho_sys, atol=1e-14)
-
-
-def test_partial_trace_keeps_system_coherence_under_bath_unitary():
-    # a bath-only rotation must not touch the reduced system state
-    ops = build_operator_set(2)
-    rho_sys = np.array([[0.6, 0.25], [0.25, 0.4]], dtype=complex)
-    rho = np.kron(rho_sys, np.eye(4) / 4.0)
-    u = evolve(1.3 * (ops.ix[0] + ops.iz[1]), 1.0).matrix
-    rho_t = u @ rho @ u.conj().T
-    assert np.allclose(partial_trace_bath(rho_t, 2).matrix, rho_sys, atol=1e-12)
-
-
-def test_overlap_and_shape_check():
-    ops = build_operator_set(0)
-    rho = DensityOperator(np.eye(2) / 2 + 0.3 * np.asarray(ops.sz))
-    assert overlap(ops.sz, rho).real == pytest.approx(0.15)
-    with pytest.raises(ContractError):
-        overlap(np.eye(4), rho)

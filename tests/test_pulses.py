@@ -64,7 +64,7 @@ def test_finite_pulse_approaches_delta_limit():
     m = default_model(n_bath=2, b_scale=0.0, d_scale=0.0)
     h0 = np.zeros((m.ops.dim, m.ops.dim))
     err = ErrorModel()
-    spec = PulseSpec.from_rf("y", np.pi, np.pi / 25.0)
+    spec = PulseSpec("y", np.pi, 25.0, np.pi / 25.0)
     u_fin = real_pulse(spec, 1.0, err, h0, m.ops).matrix
     u_ideal = ideal_pulse("y", np.pi, m.ops).matrix
     assert np.max(np.abs(u_fin - u_ideal)) < 1e-12
@@ -73,7 +73,7 @@ def test_finite_pulse_approaches_delta_limit():
 def test_finite_pulse_includes_bath_dynamics():
     m = default_model(n_bath=2)
     h_free = np.asarray(build_h_free(m), dtype=complex)
-    spec = PulseSpec.from_rf("y", np.pi, np.pi / 10.4)
+    spec = PulseSpec("y", np.pi, 10.4, np.pi / 10.4)
     u = real_pulse(spec, 1.0, ErrorModel(), h_free, m.ops).matrix
     u_ideal = ideal_pulse("y", np.pi, m.ops).matrix
     # the bath moves during 10.4 us, so the two must differ measurably

@@ -27,7 +27,6 @@ def test_free_timeline_has_no_events():
     assert tl.events == ()
     assert tl.cycle_time == 120.0
     assert tl.n_cycles == 3
-    assert tl.total_time == 360.0
     assert validate_timeline(tl) == []
 
 
