@@ -104,11 +104,22 @@ def test_survival_probability_global_phase_immunity():
     assert np.allclose(trace.s, 1.0, atol=1e-12)
 
 
+def test_prepare_initial_state_structure():
+    # the prepared deviation eps * S_axis is normalized to itself, so every
+    # axis starts at s = 1 and the trace carries the axis it was run on
+    m = dephasing_model(3)
+    for axis in ("x", "y", "z"):
+        trace = propagate(RunSpec(model=m, timeline=compile_free(10.0), initial_axis=axis))
+        assert trace.times[0] == 0.0
+        assert abs(trace.s[0] - 1.0) < 1e-14
+        assert trace.axis == axis
+    with pytest.raises(ContractError):
+        RunSpec(model=m, timeline=compile_free(10.0), initial_axis="w")
+
+
 def test_runspec_validation():
     m = dephasing_model(2)
     tl = compile_free(10.0)
-    with pytest.raises(ContractError):
-        RunSpec(model=m, timeline=tl, initial_axis="w")
     with pytest.raises(ContractError):
         RunSpec(model=m, timeline=tl, n_realizations=0)
     with pytest.raises(ContractError):
