@@ -219,8 +219,12 @@ def fit_order_relation(points, tau_b):
     pts = [(float(n), float(t)) for n, t in points]
     if len(pts) < 2:
         raise ContractError("order fit needs at least two points")
-    if tau_b <= 0:
-        raise ContractError("tau_b must be > 0")
+    if not (math.isfinite(tau_b) and tau_b > 0):
+        raise ContractError(f"tau_b must be finite and > 0, got {tau_b}")
+    for order, t in pts:
+        if not (math.isfinite(order) and math.isfinite(t) and t > 0):
+            raise ContractError(f"point ({order}, {t}) needs a finite order and a finite "
+                                "tau_opt > 0")
     x = np.array([math.log(t / tau_b) for _, t in pts])
     n = np.array([o for o, _ in pts])
     if float(np.ptp(x)) < 1e-12:

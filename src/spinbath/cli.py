@@ -295,8 +295,8 @@ def _read_points(path):
 def cmd_fit(args):
     if not args.points:
         raise ConfigError("fit needs --points CSV (columns: order,tau_opt_us)")
-    if args.tau_b is None or args.tau_b <= 0:
-        raise ConfigError("fit needs --tau-b > 0")
+    if args.tau_b is None:
+        raise ConfigError("fit needs --tau-b")
     points = _read_points(args.points)
     fit = fit_order_relation(points, args.tau_b)
     print(f"n = c + b ln(tau_opt / tau_B)")
@@ -319,7 +319,7 @@ def build_parser():
         "config": dict(required=True, help="experiment config file"),
         "seed": dict(type=int, default=None, help="override run.master_seed"),
         "threads": dict(type=int, default=1,
-                        help="worker threads (1 = reproducible order, default)"),
+                        help="worker threads (default 1); any count gives identical output"),
         "csv": dict(default="",
                     help="CSV output path (default: config [output], else stdout)"),
         "json": dict(default="", help="JSON output path (default: config [output])"),

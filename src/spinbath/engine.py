@@ -32,12 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, TimelineError
+from .errors import ContractError
 from .hamiltonians import build_h_e, build_h_free
 from .operators import exp_propagators
-from .pulses import (ErrorModel, PulseSpec, _conjugate, _left, delta_rotation, ideal_frame,
-                     real_pulse, sample_rf_scale)
-from .sequences import validate_timeline
+from .pulses import (ErrorModel, _conjugate, _driven_hamiltonian, _left, delta_rotation,
+                     ideal_frame, sample_rf_scale)
+from .sequences import _checked
 from .util import first_crossing, fmt, realization_rng
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
@@ -46,6 +46,9 @@ INITIAL_AXES = ("x", "y", "z")
 # below this many cycles a direct conjugation loop beats diagonalizing
 # the cycle propagator
 _POWER_MIN_CYCLES = 16
+
+# pulse ends closer than this are one recording instant
+_SAME_INSTANT = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,26 +121,15 @@ class TauBEstimate(NamedTuple):
     reached: bool
 
 
-def _cycle_frame(timeline):
-    """Net ideal frame of one cycle for detection, a 2x2 system rotation,
-    or None when it is a scalar (the common case)."""
-    frame = ideal_frame(timeline.events)
-    scalar = frame[0, 0]
-    if abs(abs(scalar) - 1.0) < 1e-12 and \
-            float(np.max(np.abs(frame - scalar * np.eye(2)))) < 1e-12:
-        return None
-    return frame
-
-
 class PropagatorCache:
-    """Segment propagators for one realization: the run's shared free
-    table {dt: exp(-i H_free dt)} plus pulse propagators.
+    """Propagators for one realization: the run's shared free table
+    {dt: exp(-i H_free dt)}, pulse propagators and their products.
 
     Delta pulses are 2x2 rotations of the system spin (see pulses._left);
     finite pulses are full-space propagators. With tilt jitter enabled
     every pulse is built fresh from a new tilt draw (in pulse application
     order, so runs are deterministic in the realization seed); without it
-    pulses are cached by shape.
+    pulses and products are cached by shape.
     """
 
     def __init__(self, h_free, ops, err, rf_scale, free_us, rng):
@@ -146,40 +138,91 @@ class PropagatorCache:
         self.err = err
         self.rf_scale = rf_scale
         self.rng = rng
+        self.jitter = err.tilt_jitter_sd > 0
         self._free = free_us
         self._pulse = {}
-
-    def segment(self, kind, payload):
-        return self._free[payload] if kind == "free" else self.pulse(payload)
+        self._product = {}
 
     def cycle(self, segments):
-        """Product of the segment propagators over one cycle."""
+        """Product of the segment propagators over `segments` in order."""
+        key = tuple(p if kind == "free" else _shape(p) for kind, p in segments)
+        u_cycle = self._product.get(key)
+        if u_cycle is not None:
+            return u_cycle
         u_cycle = self.ops.identity
         for i, (kind, payload) in enumerate(segments):
-            u = self.segment(kind, payload)
+            u = self._free[payload] if kind == "free" else self.pulse(payload)
             u_cycle = u if i == 0 and u.shape == u_cycle.shape else _left(u, u_cycle)
+        if not self.jitter:
+            self._product[key] = u_cycle
         return u_cycle
 
     def pulse(self, ev):
-        jitter = self.err.tilt_jitter_sd > 0
-        key = (ev.axis, ev.nominal_angle, ev.duration)
-        if not jitter:
-            u = self._pulse.get(key)
-            if u is not None:
-                return u
+        u = self._pulse.get(_shape(ev))
+        if u is not None:
+            return u
         tilt = None
-        if jitter:
+        if self.jitter:
             tilt = self.err.axis_tilt + self.rng.normal(0.0, self.err.tilt_jitter_sd)
         if ev.duration > 0:
-            spec = PulseSpec(ev.axis, ev.nominal_angle, ev.duration,
-                             ev.nominal_angle / ev.duration)
-            u = real_pulse(spec, self.rf_scale, self.err, self.h_free, self.ops,
-                           tilt=tilt).matrix
+            h = _driven_hamiltonian(self.h_free, ev.axis, ev.nominal_angle / ev.duration,
+                                    self.rf_scale, self.err, self.ops, tilt)
+            u = exp_propagators(h, (ev.duration,))[ev.duration]
         else:
             u = delta_rotation(ev.axis, ev.nominal_angle, self.rf_scale, self.err, tilt)
-        if not jitter:
-            self._pulse[key] = u
+        if not self.jitter:
+            self._pulse[_shape(ev)] = u
         return u
+
+
+def _shape(ev):
+    return ev.axis, ev.nominal_angle, ev.duration
+
+
+class _Interval(NamedTuple):
+    """Segments of a cycle up to the recording instant `end`, the cycle's
+    pulse count there, and the net ideal frame of its pulses (a 2x2 system
+    rotation, or None when it is a scalar)."""
+
+    segments: list
+    end: float
+    n_pulses: int
+    frame: object
+
+
+def _net_frame(segments):
+    frame = ideal_frame(p for kind, p in segments if kind == "pulse")
+    scalar = frame[0, 0]
+    if abs(abs(scalar) - 1.0) < 1e-12 and \
+            float(np.max(np.abs(frame - scalar * np.eye(2)))) < 1e-12:
+        return None
+    return frame
+
+
+def _recording_intervals(timeline, record):
+    """Timeline.segments() cut after each recording instant of the cycle.
+
+    Both modes record at the cycle end; every_pulse also records at the
+    end of each pulse. Pulses that end within 1e-12 of each other share
+    the instant of the last one, and a pulse ending at the cycle start is
+    no instant of its own, so s(0) stays the prepared state.
+    """
+    segments = timeline.segments()
+    # (index of the segment that closes it, time) per candidate instant
+    cuts = []
+    if record == "every_pulse":
+        cuts = [(i, p.end_time) for i, (kind, p) in enumerate(segments)
+                if kind == "pulse" and p.end_time > _SAME_INSTANT]
+    cuts.append((len(segments) - 1, timeline.cycle_time))
+    intervals, first, n = [], 0, 0
+    for (last, end), (_, next_end) in zip(cuts, cuts[1:] + [(None, np.inf)]):
+        if next_end - end <= _SAME_INSTANT:
+            continue
+        pieces = segments[first:last + 1]
+        n += sum(kind == "pulse" for kind, _ in pieces)
+        intervals.append(_Interval(pieces, end, n, _net_frame(pieces)))
+        first = last + 1
+    return intervals
 
 
 def _powered_overlaps(u_cycle, dev0, rho0, norm0, n_cycles):
@@ -210,73 +253,28 @@ def _powered_overlaps(u_cycle, dev0, rho0, norm0, n_cycles):
     return values
 
 
-def _realization_curve(spec, segments, h_free, dev0, norm0, k, cycle_frame, free_us):
-    """Survival values for realization k at the configured record instants."""
-    model, tl = spec.model, spec.timeline
+def _realization_curve(spec, intervals, h_free, dev0, norm0, k, free_us):
+    """Survival values for realization k at the recording instants."""
+    model, n_cycles = spec.model, spec.timeline.n_cycles
     rng = realization_rng(spec.master_seed, k)
     rf_scale = sample_rf_scale(spec.error_model, rng)
     cache = PropagatorCache(h_free, model.ops, spec.error_model, rf_scale, free_us, rng)
     rho = model.ops.identity / model.ops.dim + dev0
-    static_pulses = spec.error_model.tilt_jitter_sd == 0
-
-    if spec.record == "cycle_boundaries":
-        u_cycle = cache.cycle(segments)
-        if static_pulses and cycle_frame is None and tl.n_cycles >= _POWER_MIN_CYCLES:
-            return _powered_overlaps(u_cycle, dev0, rho, norm0, tl.n_cycles)
-        det = dev0
-        values = np.empty(tl.n_cycles + 1)
-        values[0] = 1.0
-        for m in range(1, tl.n_cycles + 1):
-            # jittered pulses draw fresh tilts, so every cycle is rebuilt;
-            # drop the previous propagator first so only one is alive
-            if m > 1 and not static_pulses:
-                del u_cycle
-                u_cycle = cache.cycle(segments)
-            rho = _conjugate(u_cycle, rho)
-            if cycle_frame is not None:
-                det = _conjugate(cycle_frame, det)
-            values[m] = np.real(np.einsum("ij,ji->", det, rho)) / norm0
-        return values
-
-    # every_pulse: step through all cycles, sampling after each pulse and
-    # at each cycle boundary. The recording grid is identical across
-    # realizations, so values align by index.
+    if (spec.record == "cycle_boundaries" and not cache.jitter
+            and intervals[0].frame is None and n_cycles >= _POWER_MIN_CYCLES):
+        return _powered_overlaps(cache.cycle(intervals[0].segments), dev0, rho, norm0,
+                                 n_cycles)
     det = dev0
     values = [1.0]
-    for _ in range(tl.n_cycles):
-        for kind, payload in segments:
-            rho = _conjugate(cache.segment(kind, payload), rho)
-            if kind == "pulse":
-                det = _conjugate(delta_rotation(payload.axis, payload.nominal_angle), det)
-                values.append(np.real(np.einsum("ij,ji->", det, rho)) / norm0)
-        values.append(np.real(np.einsum("ij,ji->", det, rho)) / norm0)
+    for _ in range(n_cycles):
+        for iv in intervals:
+            # jittered pulses draw fresh tilts, so each interval propagator
+            # is rebuilt; as a temporary it is freed before the next is built
+            rho = _conjugate(cache.cycle(iv.segments), rho)
+            if iv.frame is not None:
+                det = _conjugate(iv.frame, det)
+            values.append(np.real(np.einsum("ij,ji->", det, rho)) / norm0)
     return np.asarray(values)
-
-
-def _record_grid(timeline, record):
-    """(times, n_pulses) for the recording instants of the whole run."""
-    if record == "cycle_boundaries":
-        m = np.arange(timeline.n_cycles + 1)
-        return m * timeline.cycle_time, m * timeline.pulses_per_cycle
-    times, counts = [0.0], [0]
-    n = 0
-    for m in range(timeline.n_cycles):
-        shift = m * timeline.cycle_time
-        for ev in timeline.events:
-            n += 1
-            times.append(shift + ev.end_time)
-            counts.append(n)
-        times.append(shift + timeline.cycle_time)
-        counts.append(n)
-    return np.asarray(times), np.asarray(counts)
-
-
-def _dedupe_grid(times, counts, curves):
-    """Merge recording instants that coincide (back-to-back delta pulses),
-    keeping the last value at each time."""
-    keep = np.ones(times.size, dtype=bool)
-    keep[:-1] = np.diff(times) > 1e-12
-    return times[keep], counts[keep], curves[:, keep]
 
 
 def propagate(spec, threads=1):
@@ -287,42 +285,39 @@ def propagate(spec, threads=1):
     """
     if threads < 1:
         raise ContractError(f"threads must be >= 1, got {threads}")
-    problems = validate_timeline(spec.timeline)
-    if problems:
-        raise TimelineError("; ".join(problems))
-    model = spec.model
+    model, tl = spec.model, _checked(spec.timeline)
     h_free = build_h_free(model)
-    eps = 2.0 / model.ops.dim
-    dev0 = eps * model.ops.s(spec.initial_axis)
+    dev0 = 2.0 / model.ops.dim * model.ops.s(spec.initial_axis)
     norm0 = float(np.real(np.einsum("ij,ji->", dev0, dev0)))
-    segments = spec.timeline.segments()
-    cycle_frame = _cycle_frame(spec.timeline)
+    intervals = _recording_intervals(tl, spec.record)
     # free evolution does not depend on the pulse-error draw, so the
     # realizations share one table read-only
-    free_us = exp_propagators(h_free, {dt for kind, dt in segments if kind == "free"})
+    free_us = exp_propagators(h_free, {dt for iv in intervals
+                                       for kind, dt in iv.segments if kind == "free"})
+
+    def curve(k):
+        return _realization_curve(spec, intervals, h_free, dev0, norm0, k, free_us)
 
     ks = range(spec.n_realizations)
     if threads > 1 and spec.n_realizations > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = list(pool.map(
-                lambda k: _realization_curve(
-                    spec, segments, h_free, dev0, norm0, k, cycle_frame, free_us),
-                ks))
+            curves = np.vstack(list(pool.map(curve, ks)))
     else:
-        curves = [_realization_curve(spec, segments, h_free, dev0, norm0, k, cycle_frame,
-                                     free_us) for k in ks]
-    curves = np.vstack(curves)
+        curves = np.vstack([curve(k) for k in ks])
 
-    times, counts = _record_grid(spec.timeline, spec.record)
-    if spec.record == "every_pulse":
-        times, counts, curves = _dedupe_grid(times, counts, curves)
+    m = np.arange(tl.n_cycles)[:, None]
+    times = m * tl.cycle_time + np.array([iv.end for iv in intervals])
+    # a cycle ends at (m + 1) tau_c; m tau_c + tau_c can differ in the last bit
+    times[:, -1] = (m[:, 0] + 1) * tl.cycle_time
+    counts = m * intervals[-1].n_pulses + np.array([iv.n_pulses for iv in intervals])
     mean = curves.mean(axis=0)
     if curves.shape[0] > 1:
         stderr = curves.std(axis=0, ddof=1) / np.sqrt(curves.shape[0])
     else:
         stderr = np.zeros_like(mean)
-    return SurvivalTrace(times=times, n_pulses=counts, s=mean, stderr=stderr,
-                         axis=spec.initial_axis, label=spec.timeline.label)
+    return SurvivalTrace(times=np.concatenate(([0.0], times.ravel())),
+                         n_pulses=np.concatenate(([0], counts.ravel())), s=mean,
+                         stderr=stderr, axis=spec.initial_axis, label=tl.label)
 
 
 def bath_correlation(model, t_grid, which="ix_total", j=0):

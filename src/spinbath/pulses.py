@@ -247,12 +247,18 @@ def real_pulse(spec, rf_scale, err, h_free, ops, tilt=None):
     if spec.duration == 0.0:
         r2 = delta_rotation(spec.axis, spec.nominal_angle, rf_scale, err, tilt)
         return Propagator(_embedded(r2, ops), 0.0)
-    base, sign = split_axis(spec.axis)
-    ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
-    w_eff = spec.rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
-    drive = sign * w_eff * (ux * ops.sx + uy * ops.sy + uz * ops.sz)
-    h = np.asarray(h_free, dtype=complex) + drive
+    h = _driven_hamiltonian(h_free, spec.axis, spec.rf_amplitude, rf_scale, err, ops, tilt)
     return evolve(h, spec.duration)
+
+
+def _driven_hamiltonian(h_free, axis, rf_amplitude, rf_scale, err, ops, tilt):
+    """H_free + sign * w_eff * (u . S) of a finite pulse (see real_pulse),
+    unchecked; the engine exponentiates it directly."""
+    base, sign = split_axis(axis)
+    ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
+    w_eff = rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
+    drive = sign * w_eff * (ux * ops.sx + uy * ops.sy + uz * ops.sz)
+    return np.asarray(h_free, dtype=complex) + drive
 
 
 def error_factor(spec, rf_scale, err):

@@ -15,11 +15,13 @@ concatenated family with 4^n free periods and N_n = 4 N_{n-1} + 4 pulses.
 The variable-spacing family places pulse i at tau_c sin^2(pi i / (2N + 2)).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, TimelineError
+from .pulses import PULSE_AXES
 from .util import fmt
 
 TIME_ATOL = 1e-9
@@ -51,8 +53,8 @@ class Timeline:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if self.cycle_time <= 0:
-            raise TimelineError(f"cycle_time must be > 0, got {self.cycle_time}")
+        if not (math.isfinite(self.cycle_time) and self.cycle_time > 0):
+            raise TimelineError(f"cycle_time must be finite and > 0, got {self.cycle_time}")
         if self.n_cycles < 1:
             raise TimelineError(f"n_cycles must be >= 1, got {self.n_cycles}")
 
@@ -85,6 +87,13 @@ def validate_timeline(tl):
     problems = []
     cursor = -TIME_ATOL
     for i, ev in enumerate(tl.events):
+        if ev.axis not in PULSE_AXES:
+            problems.append(f"event {i} has unknown axis {ev.axis!r}")
+        bad = [name for name in ("start_time", "nominal_angle", "duration")
+               if not math.isfinite(getattr(ev, name))]
+        if bad:
+            problems.append(f"event {i} has non-finite {', '.join(bad)}")
+            continue
         if ev.start_time < -TIME_ATOL:
             problems.append(f"event {i} starts before 0 (t={ev.start_time})")
         if ev.duration < 0:

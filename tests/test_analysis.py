@@ -183,6 +183,13 @@ class TestOrderFit:
         with pytest.raises(ContractError):
             fit_order_relation([(1, 10.0), (2, 10.0)], 30.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0, math.nan, math.inf])
+    def test_non_finite_or_non_positive_delays(self, bad):
+        with pytest.raises(ContractError, match="tau_b"):
+            fit_order_relation([(1, 20.0), (2, 10.0)], bad)
+        with pytest.raises(ContractError, match="tau_opt"):
+            fit_order_relation([(1, 20.0), (2, bad)], 30.0)
+
 
 def test_hahn_decay_trace_shape_and_label():
     grid = [5.0, 10.0, 20.0]

@@ -100,6 +100,14 @@ def test_dump_timeline(tmp_path, capsys):
     assert "tau_c_us=40" in out
 
 
+def test_sweep_bytes_do_not_depend_on_thread_count(tmp_path):
+    cfg = write_cfg(tmp_path, SWEEP.replace("rf_sd = 0.1", "rf_sd = 0.1\ntilt_jitter_rad = 0.15"))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", "--config", cfg, "--csv", str(a), "--threads", "1"]) == 0
+    assert main(["sweep", "--config", cfg, "--csv", str(b), "--threads", "2"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_sweep_per_family_files_and_summary(tmp_path):
     cfg = write_cfg(tmp_path, SWEEP)
     csv = tmp_path / "sweep.csv"
@@ -217,6 +225,15 @@ def test_fit_usage_errors(tmp_path, capsys):
     assert main(["fit", "--tau-b", "30"]) == 2
     assert main(["fit", "--points", "nowhere.csv"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("row, tau_b", [("2,0", "30"), ("2,nan", "30"), ("2,5", "nan"),
+                                        ("2,5", "inf"), ("2,5", "-1")])
+def test_fit_rejects_bad_delays(tmp_path, capsys, row, tau_b):
+    points = tmp_path / "points.csv"
+    points.write_text(f"order,tau_opt_us\n1,20\n{row}\n", encoding="utf-8")
+    assert main(["fit", "--points", str(points), "--tau-b", tau_b]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_config_path_is_io_error(tmp_path, capsys):

@@ -12,8 +12,10 @@ from spinbath import (
     CouplingSpec,
     ErrorModel,
     GaussianRf,
+    PulseEvent,
     PulseSpec,
     RunSpec,
+    Timeline,
     bath_correlation,
     build_h_free,
     build_model,
@@ -165,6 +167,50 @@ def test_every_pulse_matches_cycle_boundaries():
     assert list(per.n_pulses[idx]) == list(cyc.n_pulses)
     assert np.max(np.abs(per.s[idx] - cyc.s)) < 1e-12
     assert np.max(np.abs(per.stderr[idx] - cyc.stderr)) < 1e-12
+
+
+def _events_walk_grid(timeline):
+    """every_pulse (times, n_pulses) from the event list: each pulse end and
+    each cycle end, with instants within 1e-12 merged into the last one."""
+    times, counts, n = [0.0], [0], 0
+    for m in range(timeline.n_cycles):
+        for ev in timeline.events:
+            n += 1
+            times.append(m * timeline.cycle_time + ev.end_time)
+            counts.append(n)
+        times.append(m * timeline.cycle_time + timeline.cycle_time)
+        counts.append(n)
+    keep = np.append(np.diff(times) > 1e-12, True)
+    return np.asarray(times)[keep], np.asarray(counts)[keep]
+
+
+@pytest.mark.parametrize("family, order", [
+    ("fid", 2), ("hahn", 2), ("cp", 2), ("cpmg", 2), ("cpmg2", 2), ("pdd", 2),
+    ("cdd", 1), ("cdd", 2), ("cdd", 3), ("udd", 2)])
+@pytest.mark.parametrize("tau_p", [0.0, 1.5])
+def test_every_pulse_grid_matches_an_events_walk(family, order, tau_p):
+    tl = compile_family(family, 13.0, tau_p, n_cycles=3, order=order, udd_pulses=3)
+    trace = propagate(RunSpec(model=dephasing_model(1), timeline=tl, record="every_pulse"))
+    times, counts = _events_walk_grid(tl)
+    assert trace.times.shape == times.shape
+    assert np.max(np.abs(trace.times - times)) < 1e-12
+    assert np.array_equal(trace.n_pulses, counts)
+
+
+def test_every_pulse_keeps_the_prepared_state_at_a_pulse_at_cycle_start():
+    # a pulse at t = 0 is no recording instant of its own: s(0) stays 1 and
+    # every cycle end reads the cycle_boundaries value
+    tl = Timeline((PulseEvent(0.0, "y", np.pi, 0.0), PulseEvent(4.0, "y", np.pi, 0.0)),
+                  10.0, 2)
+    spec = dict(model=default_model(n_bath=2), timeline=tl,
+                error_model=ErrorModel(flip_angle_fraction=0.1))
+    per = propagate(RunSpec(**spec, record="every_pulse"))
+    cyc = propagate(RunSpec(**spec))
+    assert list(per.times) == [0.0, 4.0, 10.0, 14.0, 20.0]
+    assert list(per.n_pulses) == [0, 2, 2, 4, 4]
+    assert per.s[0] == 1.0
+    assert np.max(np.abs(per.s[[0, 2, 4]] - cyc.s)) < 1e-12
+    assert cyc.s[1] == pytest.approx(0.809, abs=1e-3)
 
 
 def test_ensemble_stderr_and_mean():

@@ -9,6 +9,7 @@ from spinbath import (
     ErrorModel,
     FixedRf,
     GaussianRf,
+    PulseEvent,
     PulseSpec,
     build_h_free,
     build_operator_set,
@@ -18,6 +19,7 @@ from spinbath import (
     real_pulse,
     sample_rf_scale,
 )
+from spinbath.engine import PropagatorCache
 
 
 def _z_rotation(angle, ops):
@@ -78,6 +80,19 @@ def test_finite_pulse_includes_bath_dynamics():
     u_ideal = ideal_pulse("y", np.pi, m.ops).matrix
     # the bath moves during 10.4 us, so the two must differ measurably
     assert np.max(np.abs(u - u_ideal)) > 1e-3
+
+
+def test_engine_finite_pulse_equals_real_pulse():
+    # the engine exponentiates the same driven Hamiltonian without the
+    # public checks, so the matrices agree bit for bit
+    m = default_model(n_bath=2)
+    h_free = build_h_free(m)
+    err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=0.05)
+    cache = PropagatorCache(h_free, m.ops, err, 0.97, {}, None)
+    for axis in ("x", "-y"):
+        ev = PulseEvent(3.0, axis, np.pi, 1.5)
+        spec = PulseSpec(axis, np.pi, 1.5, np.pi / 1.5)
+        assert np.array_equal(cache.pulse(ev), real_pulse(spec, 0.97, err, h_free, m.ops).matrix)
 
 
 def test_flip_angle_fraction_scales_rotation(ops2):

@@ -17,7 +17,7 @@ from spinbath import (
     dump_timeline,
     validate_timeline,
 )
-from spinbath.sequences import TIME_ATOL
+from spinbath.sequences import TIME_ATOL, PulseEvent, Timeline
 
 TAU_P = 10.4
 
@@ -172,6 +172,25 @@ def test_rejects_unphysical_parameters():
     # pulses that would not fit into the delays
     with pytest.raises((ContractError, TimelineError)):
         compile_udd(6, 10.0, tau_p=5.0)
+
+
+def test_rejects_non_finite_timelines():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(TimelineError, match="cycle_time"):
+            Timeline((), bad)
+    with pytest.raises(TimelineError, match="cycle_time"):
+        compile_cpmg(np.nan, 0.0, 3)
+    tl = Timeline((PulseEvent(np.nan, "y", np.pi, 0.0), PulseEvent(20.0, "y", np.pi, np.inf),
+                   PulseEvent(40.0, "x", np.nan, 0.0)), 60.0, 3)
+    assert validate_timeline(tl) == ["event 0 has non-finite start_time",
+                                     "event 1 has non-finite duration",
+                                     "event 2 has non-finite nominal_angle"]
+
+
+def test_rejects_unknown_pulse_axes():
+    for axis in ("z", "q"):
+        tl = Timeline((PulseEvent(5.0, axis, np.pi, 1.0),), 20.0)
+        assert validate_timeline(tl) == [f"event 0 has unknown axis {axis!r}"]
 
 
 def test_dump_timeline_text():
