@@ -26,8 +26,7 @@ for ti, vi in zip(t, iz):
 print()
 model = default_model()
 t = np.linspace(0.0, 400.0, 9)
-iz_mean = np.mean([bath_correlation(model, t, which="iz", j=j)
-                   for j in range(model.n_bath)], axis=0)
+iz_mean = bath_correlation(model, t, which="iz_mean")
 ix = bath_correlation(model, t, which="ix_total")
 print(f"default bath ({model.n_bath} spins)")
 print("  t_us   mean iz   collective ix")

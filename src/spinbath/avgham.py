@@ -53,20 +53,16 @@ def rotation_generator(u):
     return 0.5 * (g + g.conj().T)
 
 
-def toggling_frames(timeline, h_free, ops, pulse_model="ideal", error_model=None):
+def toggling_frames(timeline, h_free, ops, error_model=None):
     """Toggling-frame segments of one delta-pulse cycle.
 
-    Returns a list of ToggledSegment whose durations sum to tau_c. With
-    pulse_model='errored' the error rotation following each pulse is folded
-    into the next free segment as its toggled generator (rf_scale fixed at
-    1, so only the deterministic flip-angle and tilt errors enter); a
-    trailing error with no following free period cannot be represented
-    this way and raises ContractError.
+    Returns a list of ToggledSegment whose durations sum to tau_c. Without
+    an error_model the pulses are ideal; with one, the error rotation
+    following each pulse is folded into the next free segment as its
+    toggled generator (rf_scale fixed at 1, so only the deterministic
+    flip-angle and tilt errors enter). A trailing error with no following
+    free period cannot be represented this way and raises ContractError.
     """
-    if pulse_model not in ("ideal", "errored"):
-        raise ContractError(f"pulse_model must be 'ideal' or 'errored', got {pulse_model!r}")
-    if pulse_model == "errored" and error_model is None:
-        raise ContractError("pulse_model='errored' needs an error_model")
     h_free = require_hermitian(h_free, "free Hamiltonian")
     # the ideal frame and the pulse-error kicks act on the system spin
     # alone, so both stay 2x2
@@ -87,7 +83,7 @@ def toggling_frames(timeline, h_free, ops, pulse_model="ideal", error_model=None
                 "handled through their error factors"
             )
         frame = delta_rotation(payload.axis, payload.nominal_angle) @ frame
-        if pulse_model == "errored":
+        if error_model is not None:
             g = rotation_generator(error_factor(payload, 1.0, error_model))
             # the error rotation acts after the ideal pulse, so toggle it
             # with the frame that includes this pulse
@@ -157,7 +153,7 @@ def _claim_cpmg_flip_angle(params):
     ops = model.ops
     tl = compile_cpmg(tau, 0.0)
     err = ErrorModel(flip_angle_fraction=eps)
-    segs = toggling_frames(tl, build_h_free(model), ops, "errored", err)
+    segs = toggling_frames(tl, build_h_free(model), ops, err)
     h0 = average_hamiltonian(segs, 0)
     # the bath-internal term rides along untouched by system pulses; the
     # claim concerns everything the central spin can feel
@@ -224,7 +220,7 @@ def _claim_pdd_cancels_coupling(params):
     h_err = build_h_error(a, b_u, model)
     h_e = build_h_e(model)
     tl = compile_pdd(tau, 0.0)
-    segs = toggling_frames(tl, h_err + h_e, model.ops, "ideal")
+    segs = toggling_frames(tl, h_err + h_e, model.ops)
     h0 = average_hamiltonian(segs, 0)
     ref = float(np.linalg.norm(h_err))
     residual = float(np.linalg.norm(h0 - h_e)) / ref
@@ -278,7 +274,7 @@ def magnus_defect(timeline, h_free, ops):
     Scales as the cube of the coupling strength, which is the standard
     convergence diagnostic for the truncated expansion.
     """
-    segs = toggling_frames(timeline, h_free, ops, "ideal")
+    segs = toggling_frames(timeline, h_free, ops)
     h01 = average_hamiltonian(segs, 0) + average_hamiltonian(segs, 1)
     u_avg = evolve(h01, timeline.cycle_time).matrix
     # the engine's cycle product; error-free pulses at unit RF scale are

@@ -161,8 +161,7 @@ def cmd_corr(args):
     horizon = cfg.time_budget if cfg.time_budget > 0 else 2000.0
     t_grid = np.linspace(0.0, horizon, 800)
     ix = bath_correlation(model, t_grid, which="ix_total")
-    iz = np.mean([bath_correlation(model, t_grid, which="iz", j=j)
-                  for j in range(model.n_bath)], axis=0)
+    iz = bath_correlation(model, t_grid, which="iz_mean")
     est = model_tau_b(model)
     fh, owned = _open_csv(args.csv or cfg.csv_path)
     try:
@@ -194,15 +193,15 @@ def cmd_avgham(args):
     model = model_from_config(cfg)
     tl = _compile_from_config(cfg, n_cycles=1)
     h_free = build_h_free(model)
-    pulse_model = "ideal" if cfg.error_model.is_trivial else "errored"
-    segs = toggling_frames(tl, h_free, model.ops, pulse_model,
-                           None if pulse_model == "ideal" else cfg.error_model)
+    err = None if cfg.error_model.is_trivial else cfg.error_model
+    segs = toggling_frames(tl, h_free, model.ops, err)
     h0 = average_hamiltonian(segs, 0)
     h1 = average_hamiltonian(segs, 1)
     h_e = build_h_e(model)
     report = {
         "command": "avgham", "fingerprint": cfg.fingerprint(),
-        "label": tl.label, "tau_c_us": tl.cycle_time, "pulse_model": pulse_model,
+        "label": tl.label, "tau_c_us": tl.cycle_time,
+        "pulse_model": "ideal" if err is None else "errored",
         "h0_norm": float(np.linalg.norm(h0)),
         "h1_norm": float(np.linalg.norm(h1)),
         "h0_minus_bath_norm": float(np.linalg.norm(h0 - h_e)),

@@ -14,9 +14,11 @@ draws one RF amplitude scale (static inhomogeneity) from the error model,
 with a generator seeded deterministically from (master_seed, k). When all
 errors are static within a realization, the cycle propagator is built
 once per realization; long runs then advance through its eigenphase
-powers instead of conjugating the state cycle by cycle, which costs
-O(dim^2) per cycle instead of O(dim^3). Pulse-to-pulse tilt jitter breaks
-that reuse, so jittered runs rebuild the cycle propagator every cycle.
+powers, at O(dim^2) per cycle instead of O(dim^3). These powers and the
+bath correlations are one eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t),
+which _spectral_series evaluates with no weight dropped. Pulse-to-pulse
+tilt jitter breaks the reuse, so jittered runs rebuild the cycle
+propagator every cycle.
 
 Detection follows the ideal pulse frame, the numerical analog of a
 receiver phase that tracks where a perfect sequence would have parked the
@@ -101,8 +103,10 @@ class SurvivalTrace:
             object.__setattr__(self, name, a)
         if not np.all(np.diff(self.times) > 0):
             raise ContractError("trace times must be strictly increasing")
-        if float(np.max(np.abs(self.s))) > 1.0 + 1e-9:
-            raise ContractError("survival probabilities must stay within [-1, 1] + 1e-9")
+        # written so that NaN fails the bound
+        if not (np.all(np.abs(self.s) <= 1.0 + 1e-9) and np.all(np.isfinite(self.stderr))):
+            raise ContractError("survival probabilities must be finite, within "
+                                "[-1, 1] + 1e-9, with a finite stderr")
 
     def to_csv(self, fh, meta=None):
         """Write `time_us,n_pulses,s,stderr` rows with `# key=value` headers."""
@@ -229,28 +233,33 @@ def _powered_overlaps(u_cycle, dev0, rho0, norm0, n_cycles):
     """Survival overlaps after 0..n_cycles applications of one propagator.
 
     In the eigenbasis of the cycle propagator the m-fold conjugation
-    collapses to phase powers, s(m) = sum_ij w_ij z_ij^m with |z_ij| = 1,
-    so each cycle costs an elementwise multiply instead of two matrix
-    products. Eigenvalue moduli are renormalized to 1 to stop roundoff
-    drift over long runs; agreement with the direct loop is at the
-    1e-13 level even for fully degenerate spectra.
+    collapses to phase powers, s(m) = sum_ij w_ij exp(i (f_i - f_j) m)
+    with f = -arg(lambda); taking the phase renormalizes |lambda| to 1,
+    which stops roundoff drift over long runs.
     """
     lam, p = np.linalg.eig(u_cycle)
-    lam = lam / np.abs(lam)
     pinv = np.linalg.inv(p)
     a = p.conj().T @ dev0 @ p
     b = pinv @ rho0 @ pinv.conj().T
-    w = (a * b.T).ravel()
-    z = (np.conj(lam)[:, None] * lam[None, :]).ravel()
-    keep = np.abs(w) > np.abs(w).sum() * 1e-16
-    w, z = w[keep], z[keep]
-    values = np.empty(n_cycles + 1)
-    values[0] = 1.0
-    cur = np.ones_like(z)
-    for m in range(1, n_cycles + 1):
-        cur *= z
-        values[m] = np.real(w @ cur) / norm0
-    return values
+    later = _spectral_series(a * b.T, -np.angle(lam), np.arange(1, n_cycles + 1))
+    return np.concatenate(([1.0], later / norm0))
+
+
+def _spectral_series(weights, freqs, times):
+    """Re sum_ab W_ab exp(i (f_a - f_b) t) for every t of `times`.
+
+    Evaluated as Re sum_a conj(E_a) (W E)_a with E = exp(-i f t), over
+    blocks of at most len(f) times, so memory stays O(dim^2) however long
+    the grid is.
+    """
+    times = np.asarray(times, dtype=float)
+    series = np.empty(times.size)
+    step = len(freqs)
+    for start in range(0, times.size, step):
+        phases = np.exp(-1j * np.outer(freqs, times[start:start + step]))
+        series[start:start + step] = np.real(
+            np.einsum("at,at->t", phases.conj(), weights @ phases))
+    return series
 
 
 def _realization_curve(spec, intervals, h_free, dev0, norm0, k, free_us):
@@ -326,40 +335,35 @@ def bath_correlation(model, t_grid, which="ix_total", j=0):
     which='ix_total' uses A = sum_j I_x^j (the transverse free-induction
     observable of the bath species); which='iz' uses A = I_z^j for the
     chosen bath index j. Baths with uneven couplings give genuinely
-    different per-j curves, so j is explicit.
+    different per-j curves, so j is explicit. which='iz_mean' is the mean
+    of the per-spin I_z^j curves over all j, the curve tau_B is read from.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     ops = model.ops
+    if which in ("ix_total", "iz_mean") and model.n_bath == 0:
+        raise ContractError(f"{which} correlation needs at least one bath spin")
     if which == "ix_total":
-        if model.n_bath == 0:
-            raise ContractError("ix_total correlation needs at least one bath spin")
-        a = np.sum(ops.ix, axis=0)
+        observables = [np.sum(ops.ix, axis=0)]
+    elif which == "iz_mean":
+        observables = ops.iz
     elif which == "iz":
         if not 0 <= j < model.n_bath:
             raise ContractError(f"bath index {j} out of range for n_bath={model.n_bath}")
-        a = ops.iz[j]
+        observables = [ops.iz[j]]
     else:
-        raise ContractError(f"which must be 'ix_total' or 'iz', got {which!r}")
-    return _correlation_series(np.linalg.eigh(build_h_e(model)), a, t_grid)
+        raise ContractError(f"which must be 'ix_total', 'iz' or 'iz_mean', got {which!r}")
+    return _correlation_series(np.linalg.eigh(build_h_e(model)), observables, t_grid)
 
 
-def _correlation_series(eig_h_e, a, t_grid):
-    """Tr{A(0) A(t)} / Tr{A A} on t_grid from the eigenpairs (w, v) of H_E."""
+def _correlation_series(eig_h_e, observables, t_grid):
+    """sum_j Tr{A_j(0) A_j(t)} / sum_j Tr{A_j A_j} on t_grid from the
+    eigenpairs (w, v) of H_E.
+
+    For observables of equal norm, such as the I_z^j, this is the mean of
+    their normalized curves.
+    """
     w, v = eig_h_e
-    a_eig = v.conj().T @ a @ v
-    weights = np.abs(a_eig) ** 2
-    norm = float(weights.sum())
-    if norm <= 0:
-        raise ContractError("correlation normalization is zero")
-    gaps = (w[:, None] - w[None, :]).ravel()
-    weights = weights.ravel()
-    # matrix elements between same-sector eigenstates dominate; drop the
-    # zero weights so the phase table stays small
-    keep = weights > norm * 1e-15
-    phases = np.outer(gaps[keep], t_grid)
-    np.cos(phases, out=phases)
-    series = (weights[keep] @ phases) / norm
-    return series
+    weights = sum(np.abs(v.conj().T @ a @ v) ** 2 for a in observables)
+    return _spectral_series(weights, w, t_grid) / weights.sum()
 
 
 def estimate_tau_b(series, times):
@@ -392,11 +396,7 @@ def model_tau_b(model, t_max=2000.0, n_points=800):
     horizon = float(t_max)
     for _ in range(4):
         t_grid = np.linspace(0.0, horizon, n_points)
-        mean = np.mean(
-            [_correlation_series(eig_h_e, iz, t_grid) for iz in model.ops.iz],
-            axis=0,
-        )
-        est = estimate_tau_b(mean, t_grid)
+        est = estimate_tau_b(_correlation_series(eig_h_e, model.ops.iz, t_grid), t_grid)
         if est.reached:
             return est
         horizon *= 2.0

@@ -64,6 +64,9 @@ def build_model(b, d):
     n = b.size
     if d.shape != (n, n):
         raise ContractError(f"d must have shape ({n}, {n}), got {d.shape}")
+    for name, a in (("b", b), ("d", d)):
+        if not np.all(np.isfinite(a)):
+            raise ContractError(f"{name} must be finite")
     scale = max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
     if d.size and float(np.max(np.abs(d - d.T))) > 1e-12 * scale:
         raise ContractError("d must be symmetric")

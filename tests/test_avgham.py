@@ -134,8 +134,8 @@ def test_errored_frames_see_the_flip_angle():
     m = small_model(seed=7)
     tl = compile_cpmg(16.0)
     err = ErrorModel(flip_angle_fraction=0.04)
-    ideal = toggling_frames(tl, build_h_free(m), m.ops, "ideal")
-    bad = toggling_frames(tl, build_h_free(m), m.ops, "errored", err)
+    ideal = toggling_frames(tl, build_h_free(m), m.ops)
+    bad = toggling_frames(tl, build_h_free(m), m.ops, err)
     h0_ideal = average_hamiltonian(ideal, 0)
     h0_bad = average_hamiltonian(bad, 0)
     assert np.max(np.abs(h0_ideal - h0_bad)) > 1e-4
@@ -149,7 +149,7 @@ def _full_space_error_generator(axis, angle, err, ops):
     return rotation_generator(real @ ideal_pulse(axis, angle, ops).matrix.conj().T)
 
 
-def _full_space_frames(timeline, h_free, ops, pulse_model="ideal", error_model=None):
+def _full_space_frames(timeline, h_free, ops, error_model=None):
     """toggling_frames with every frame and kick a full-space matrix:
     kron-embedded ideal pulses and full-space error generators."""
     frame = np.eye(ops.dim, dtype=complex)
@@ -162,7 +162,7 @@ def _full_space_frames(timeline, h_free, ops, pulse_model="ideal", error_model=N
             segments.append(ToggledSegment(payload, area / payload))
             continue
         frame = ideal_pulse(payload.axis, payload.nominal_angle, ops).matrix @ frame
-        if pulse_model == "errored":
+        if error_model is not None:
             key = (payload.axis, payload.nominal_angle)
             if key not in generators:
                 generators[key] = _full_space_error_generator(*key, error_model, ops)
@@ -208,15 +208,15 @@ def test_system_rotations_match_full_space_reference(family, order, udd_pulses, 
     tl = compile_family(family, 13.0, 0.0, 1, order, udd_pulses)
     err = ErrorModel(flip_angle_fraction=0.04, axis_tilt=0.03)
     refs = {}
-    for pulse_model in ("ideal", "errored"):
+    for pulse_model, error_model in (("ideal", None), ("errored", err)):
         try:
-            ref = refs[pulse_model] = _full_space_frames(tl, h, m.ops, pulse_model, err)
+            ref = refs[pulse_model] = _full_space_frames(tl, h, m.ops, error_model)
         except ContractError:
             # pdd and cdd end on a pulse, so an errored cycle is undefined
             with pytest.raises(ContractError, match="trailing"):
-                toggling_frames(tl, h, m.ops, pulse_model, err)
+                toggling_frames(tl, h, m.ops, error_model)
             continue
-        got = toggling_frames(tl, h, m.ops, pulse_model, err)
+        got = toggling_frames(tl, h, m.ops, error_model)
         assert [s.duration for s in got] == [s.duration for s in ref]
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.h_tilde - r.h_tilde)) < 1e-12

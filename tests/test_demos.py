@@ -1,0 +1,22 @@
+"""Every demo script runs to completion against the package source."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the full delay sweep of optimal_tau_sweep.py takes about 90 s
+SLOW = {"optimal_tau_sweep.py"}
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name not in SLOW)
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_cleanly(name, tmp_path):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -15,8 +15,10 @@ from spinbath import (
     PulseEvent,
     PulseSpec,
     RunSpec,
+    SurvivalTrace,
     Timeline,
     bath_correlation,
+    build_h_e,
     build_h_free,
     build_model,
     compile_cdd,
@@ -239,15 +241,34 @@ def test_thread_count_does_not_change_results():
 
 
 def test_eigenphase_powering_matches_direct_loop(monkeypatch):
-    m = default_model(n_bath=3)
-    err = ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03)
-    tl = compile_cpmg(12.0, 2.0, n_cycles=40)
-    spec = RunSpec(model=m, timeline=tl, error_model=err, initial_axis="y",
-                   n_realizations=3, master_seed=4)
-    fast = propagate(spec)
-    monkeypatch.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
-    slow = propagate(spec)
-    assert np.max(np.abs(fast.s - slow.s)) < 1e-12
+    noisy = ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03)
+    cases = [
+        (default_model(n_bath=3), noisy, compile_cpmg(12.0, 2.0, n_cycles=40), "y", 3),
+        # ideal pulses leave a fully degenerate cycle spectrum
+        (default_model(n_bath=0), ErrorModel(), compile_cpmg(12.0, 0.0, n_cycles=20), "x", 1),
+        (default_model(n_bath=1), ErrorModel(), compile_cpmg(12.0, 0.0, n_cycles=20), "y", 1),
+        # 101 recorded points against dim 32: four blocks, the last one partial
+        (default_model(n_bath=4), noisy, compile_cpmg(9.0, 0.0, n_cycles=100), "x", 2),
+    ]
+    powered, calls = engine._powered_overlaps, []
+
+    def counted(*args):
+        calls.append(args)
+        return powered(*args)
+
+    monkeypatch.setattr(engine, "_powered_overlaps", counted)
+    for m, err, tl, axis, n_real in cases:
+        spec = RunSpec(model=m, timeline=tl, error_model=err, initial_axis=axis,
+                       n_realizations=n_real, master_seed=4)
+        fast = propagate(spec)
+        assert len(calls) == n_real
+        calls.clear()
+        with monkeypatch.context() as direct:
+            direct.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+            slow = propagate(spec)
+        assert not calls
+        assert fast.s[0] == 1.0
+        assert np.max(np.abs(fast.s - slow.s)) < 1e-12
 
 
 def test_tilt_jitter_runs_are_deterministic_and_decay():
@@ -262,6 +283,14 @@ def test_tilt_jitter_runs_are_deterministic_and_decay():
     # the jittered axis performs a random walk that damages even the
     # component along the nominal pulse axis
     assert a.s[-1] < 0.5
+
+
+def test_survival_trace_rejects_non_finite_values():
+    times, n_pulses = np.array([0.0, 10.0]), np.array([0, 2])
+    for s, stderr in (([1.0, np.nan], [0.0, 0.0]), ([1.0, 0.5], [0.0, np.inf])):
+        with pytest.raises(ContractError, match="finite"):
+            SurvivalTrace(times=times, n_pulses=n_pulses, s=np.array(s),
+                          stderr=np.array(stderr), axis="x", label="fid")
 
 
 def test_trace_csv_roundtrip():
@@ -294,6 +323,40 @@ def test_bath_correlation_normalization_and_errors():
         bath_correlation(m, t, which="iz", j=5)
     with pytest.raises(ContractError):
         bath_correlation(m, t, which="parallel")
+    empty = build_model(np.zeros(0), np.zeros((0, 0)))
+    for which in ("ix_total", "iz_mean"):
+        with pytest.raises(ContractError, match="at least one bath spin"):
+            bath_correlation(empty, t, which=which)
+
+
+@pytest.mark.parametrize("seed", [37, 11])
+@pytest.mark.parametrize("n_bath", [2, 3, 4])
+def test_bath_correlation_matches_direct_trace(n_bath, seed):
+    # Tr{A U(t)^dag A U(t)} / Tr{A^2}, with U(t) = exp(-i H_E t) from evolve
+    m = default_model(seed=seed, n_bath=n_bath)
+    t = np.array([0.0, 3.0, 25.0, 110.0, 480.0, 2000.0])
+    us = [evolve(build_h_e(m), ti).matrix for ti in t]
+
+    def direct(a):
+        return np.array([np.real(np.trace(a @ u.conj().T @ a @ u)) for u in us]) \
+            / np.real(np.trace(a @ a))
+
+    iz = [direct(a) for a in m.ops.iz]
+    cases = [("ix_total", 0, direct(np.sum(m.ops.ix, axis=0))),
+             ("iz_mean", 0, np.mean(iz, axis=0))]
+    cases += [("iz", j, ref) for j, ref in enumerate(iz)]
+    for which, j, ref in cases:
+        got = bath_correlation(m, t, which=which, j=j)
+        assert np.max(np.abs(got - ref)) < 1e-12, (which, j)
+
+
+def test_model_tau_b_reads_the_iz_mean_crossing():
+    m = default_model()
+    t = np.linspace(0.0, 2000.0, 800)
+    crossing = estimate_tau_b(bath_correlation(m, t, which="iz_mean"), t)
+    est = engine.model_tau_b(m)
+    assert crossing.reached and est.reached
+    assert est.value == pytest.approx(crossing.value, rel=1e-12)
 
 
 def test_estimate_tau_b_synthetic():

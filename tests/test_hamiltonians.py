@@ -69,6 +69,15 @@ def test_build_model_validates_shapes():
         build_model(np.zeros(3), d_bad)
 
 
+def test_build_model_rejects_non_finite_couplings():
+    with pytest.raises(ContractError, match="b must be finite"):
+        build_model([np.nan, 0.1], np.zeros((2, 2)))
+    d = np.zeros((2, 2))
+    d[0, 1] = d[1, 0] = np.inf
+    with pytest.raises(ContractError, match="d must be finite"):
+        build_model(np.zeros(2), d)
+
+
 def test_h_se_structure():
     m = default_model(n_bath=3)
     h = build_h_se(m)
