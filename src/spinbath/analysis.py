@@ -197,8 +197,9 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
     if not summaries:
         raise ContractError(f"every sweep point failed: {failures}")
     ranking = [math.inf if not s.reached else s.decay_time for s in summaries]
-    best = summaries[int(np.argmax(ranking))]
-    return SweepResult(summaries=tuple(summaries), tau_opt=best.tau,
+    top = max(ranking)
+    tau_opt = min(s.tau for s, r in zip(summaries, ranking) if r == top)
+    return SweepResult(summaries=tuple(summaries), tau_opt=tau_opt,
                        failures=tuple(failures))
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PropagatorCache
+from .engine import PropagatorCache, _free_table, _sector_blocks
 from .errors import ContractError
-from .hamiltonians import build_h_e, build_h_error, build_h_free, default_model
-from .operators import build_operator_set, evolve, exp_propagators, require_hermitian
+from .hamiltonians import _sectors, build_h_e, build_h_error, build_h_free, default_model
+from .operators import build_operator_set, evolve, require_hermitian
 from .pulses import (ErrorModel, PulseSpec, _conjugate, _left, delta_rotation, error_factor,
                      ideal_frame)
 from .sequences import compile_cpmg, compile_pdd
@@ -268,20 +268,38 @@ def residual_text(residual, spec):
     return f"residual={residual:{spec}}"
 
 
+def _scattered(blocks, sectors):
+    """The full-space block-diagonal matrix with `blocks` on `sectors`."""
+    dim = sum(idx.size for idx in sectors)
+    a = np.zeros((dim, dim), dtype=complex)
+    for idx, block in zip(sectors, blocks):
+        a[np.ix_(idx, idx)] = block
+    return a
+
+
 def magnus_defect(timeline, h_free, ops):
     """Norm of U_exact(tau_c) - exp(-i (H0 + H1) tau_c) for one cycle.
 
     Scales as the cube of the coupling strength, which is the standard
-    convergence diagnostic for the truncated expansion.
+    convergence diagnostic for the truncated expansion. U_exact is the
+    engine's cycle product, built per bath-magnetization sector, so
+    h_free must conserve the total bath I_z.
     """
+    h_free = np.asarray(h_free, dtype=complex)
+    sectors = _sectors(ops.n_bath)
+    h_blocks = _sector_blocks(h_free, sectors)
+    off_sector = float(np.max(np.abs(h_free - _scattered(h_blocks, sectors))))
+    if off_sector > 1e-12 * max(1.0, float(np.max(np.abs(h_free)))):
+        raise ContractError(f"h_free couples bath-magnetization sectors (max off-sector "
+                            f"entry {off_sector:.3e})")
     segs = toggling_frames(timeline, h_free, ops)
     h01 = average_hamiltonian(segs, 0) + average_hamiltonian(segs, 1)
     u_avg = evolve(h01, timeline.cycle_time).matrix
-    # the engine's cycle product; error-free pulses at unit RF scale are
-    # exactly the ideal rotations
+    # error-free pulses at unit RF scale are exactly the ideal rotations
     pieces = timeline.segments()
-    free_us = exp_propagators(h_free, {dt for kind, dt in pieces if kind == "free"})
-    u_exact = PropagatorCache(h_free, ops, ErrorModel(), 1.0, free_us, None).cycle(pieces)
+    free_us = _free_table(h_blocks, {dt for kind, dt in pieces if kind == "free"})
+    u_exact = _scattered(PropagatorCache(h_blocks, ErrorModel(), 1.0, free_us, None)
+                         .cycle(pieces), sectors)
     # undo the ideal frame so both matrices live in the toggling frame at
     # the cycle end; for pi-pulse cycles the net frame is +-identity
     frame = ideal_frame(timeline.events)

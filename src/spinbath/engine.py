@@ -9,6 +9,14 @@ reported survival probability is the deviation overlap
 
 which equals 1 at t = 0 and is immune to global propagator phases.
 
+H_free, every pulse and the prepared state conserve the total bath I_z,
+so propagate works in the bath-magnetization sectors: sector k (k bath
+spins up) is C^2 (x) span{bath states with k up}, of size 2 C(n, k).
+Every propagator, state and eigenphase power is a list of sector blocks,
+and the survival overlap is the sum of the per-block traces. The
+diagonalizations then cost O(sum_k (2 C(n, k))^3) instead of
+O(2^(3(n+1))); at n = 7 the blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide.
+
 Ensemble averaging covers pulse-error realizations only: each realization
 draws one RF amplitude scale (static inhomogeneity) from the error model,
 with a generator seeded deterministically from (master_seed, k). When all
@@ -35,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .hamiltonians import build_h_e, build_h_free
+from .hamiltonians import _sectors, build_h_e, build_h_free
 from .operators import exp_propagators
 from .pulses import (ErrorModel, _conjugate, _driven_hamiltonian, _left, delta_rotation,
                      ideal_frame, sample_rf_scale)
@@ -126,40 +134,47 @@ class TauBEstimate(NamedTuple):
 
 
 class PropagatorCache:
-    """Propagators for one realization: the run's shared free table
-    {dt: exp(-i H_free dt)}, pulse propagators and their products.
+    """Propagators for one realization, as per-sector blocks: the run's
+    shared free table {dt: [exp(-i H_k dt) for each sector k]}, pulse
+    propagators and their products.
 
-    Delta pulses are 2x2 rotations of the system spin (see pulses._left);
-    finite pulses are full-space propagators. With tilt jitter enabled
-    every pulse is built fresh from a new tilt draw (in pulse application
-    order, so runs are deterministic in the realization seed); without it
-    pulses and products are cached by shape.
+    Every propagator is a list with one block per bath-magnetization
+    sector (hamiltonians._sectors); the blocks of one list act on the
+    sectors in order. A delta pulse is one 2x2 system rotation repeated
+    for every sector (see pulses._left); a finite pulse is one driven
+    Hamiltonian with one tilt draw, exponentiated per block, so each
+    diagonalization costs O(sum_k (2 C(n, k))^3) rather than O(dim^3).
+    With tilt jitter enabled every pulse is built fresh from a new tilt
+    draw (in pulse application order, so runs are deterministic in the
+    realization seed); without it pulses and products are cached by shape.
     """
 
-    def __init__(self, h_free, ops, err, rf_scale, free_us, rng):
-        self.h_free = h_free
-        self.ops = ops
+    def __init__(self, h_blocks, err, rf_scale, free_us, rng):
+        self.h_blocks = h_blocks
         self.err = err
         self.rf_scale = rf_scale
         self.rng = rng
         self.jitter = err.tilt_jitter_sd > 0
         self._free = free_us
+        self._eye = [np.eye(h.shape[0], dtype=complex) for h in h_blocks]
         self._pulse = {}
         self._product = {}
 
     def cycle(self, segments):
-        """Product of the segment propagators over `segments` in order."""
+        """Per-sector products of the segment propagators over `segments`
+        in order."""
         key = tuple(p if kind == "free" else _shape(p) for kind, p in segments)
-        u_cycle = self._product.get(key)
-        if u_cycle is not None:
-            return u_cycle
-        u_cycle = self.ops.identity
+        product = self._product.get(key)
+        if product is not None:
+            return product
+        product = self._eye
         for i, (kind, payload) in enumerate(segments):
             u = self._free[payload] if kind == "free" else self.pulse(payload)
-            u_cycle = u if i == 0 and u.shape == u_cycle.shape else _left(u, u_cycle)
+            product = [a if i == 0 and a.shape == b.shape else _left(a, b)
+                       for a, b in zip(u, product)]
         if not self.jitter:
-            self._product[key] = u_cycle
-        return u_cycle
+            self._product[key] = product
+        return product
 
     def pulse(self, ev):
         u = self._pulse.get(_shape(ev))
@@ -169,14 +184,33 @@ class PropagatorCache:
         if self.jitter:
             tilt = self.err.axis_tilt + self.rng.normal(0.0, self.err.tilt_jitter_sd)
         if ev.duration > 0:
-            h = _driven_hamiltonian(self.h_free, ev.axis, ev.nominal_angle / ev.duration,
-                                    self.rf_scale, self.err, self.ops, tilt)
-            u = exp_propagators(h, (ev.duration,))[ev.duration]
+            rate = ev.nominal_angle / ev.duration
+            u = [exp_propagators(_driven_hamiltonian(h, ev.axis, rate, self.rf_scale,
+                                                     self.err, tilt),
+                                 (ev.duration,))[ev.duration] for h in self.h_blocks]
         else:
-            u = delta_rotation(ev.axis, ev.nominal_angle, self.rf_scale, self.err, tilt)
+            r2 = delta_rotation(ev.axis, ev.nominal_angle, self.rf_scale, self.err, tilt)
+            u = [r2] * len(self.h_blocks)
         if not self.jitter:
             self._pulse[_shape(ev)] = u
         return u
+
+
+def _sector_blocks(a, sectors):
+    """The diagonal blocks of the full-space matrix `a` on `sectors`."""
+    return [a[np.ix_(idx, idx)] for idx in sectors]
+
+
+def _free_table(h_blocks, dts):
+    """{dt: [exp(-i H_k dt) for each block H_k]}, one diagonalization per
+    block."""
+    tables = [exp_propagators(h, dts) for h in h_blocks]
+    return {dt: [table[dt] for table in tables] for dt in dts}
+
+
+def _overlap(a, b):
+    """Re Tr{A B} of two block lists."""
+    return sum(float(np.real(np.einsum("ij,ji->", x, y))) for x, y in zip(a, b))
 
 
 def _shape(ev):
@@ -230,18 +264,23 @@ def _recording_intervals(timeline, record):
 
 
 def _powered_overlaps(u_cycle, dev0, rho0, norm0, n_cycles):
-    """Survival overlaps after 0..n_cycles applications of one propagator.
+    """Survival overlaps after 0..n_cycles applications of one propagator,
+    given as sector blocks.
 
-    In the eigenbasis of the cycle propagator the m-fold conjugation
-    collapses to phase powers, s(m) = sum_ij w_ij exp(i (f_i - f_j) m)
-    with f = -arg(lambda); taking the phase renormalizes |lambda| to 1,
-    which stops roundoff drift over long runs.
+    In the eigenbasis of each block of the cycle propagator the m-fold
+    conjugation collapses to phase powers, s(m) = sum_ij w_ij
+    exp(i (f_i - f_j) m) with f = -arg(lambda); the weights pair states
+    of one sector only, and the series of the sectors add up. Taking the
+    phase renormalizes |lambda| to 1, which stops roundoff drift over long
+    runs.
     """
-    lam, p = np.linalg.eig(u_cycle)
-    pinv = np.linalg.inv(p)
-    a = p.conj().T @ dev0 @ p
-    b = pinv @ rho0 @ pinv.conj().T
-    later = _spectral_series(a * b.T, -np.angle(lam), np.arange(1, n_cycles + 1))
+    later = np.zeros(n_cycles)
+    for u, dev, rho in zip(u_cycle, dev0, rho0):
+        lam, p = np.linalg.eig(u)
+        pinv = np.linalg.inv(p)
+        a = p.conj().T @ dev @ p
+        b = pinv @ rho @ pinv.conj().T
+        later += _spectral_series(a * b.T, -np.angle(lam), np.arange(1, n_cycles + 1))
     return np.concatenate(([1.0], later / norm0))
 
 
@@ -262,13 +301,13 @@ def _spectral_series(weights, freqs, times):
     return series
 
 
-def _realization_curve(spec, intervals, h_free, dev0, norm0, k, free_us):
+def _realization_curve(spec, intervals, h_blocks, dev0, norm0, k, free_us):
     """Survival values for realization k at the recording instants."""
-    model, n_cycles = spec.model, spec.timeline.n_cycles
+    n_cycles = spec.timeline.n_cycles
     rng = realization_rng(spec.master_seed, k)
     rf_scale = sample_rf_scale(spec.error_model, rng)
-    cache = PropagatorCache(h_free, model.ops, spec.error_model, rf_scale, free_us, rng)
-    rho = model.ops.identity / model.ops.dim + dev0
+    cache = PropagatorCache(h_blocks, spec.error_model, rf_scale, free_us, rng)
+    rho = [np.eye(d.shape[0]) / spec.model.ops.dim + d for d in dev0]
     if (spec.record == "cycle_boundaries" and not cache.jitter
             and intervals[0].frame is None and n_cycles >= _POWER_MIN_CYCLES):
         return _powered_overlaps(cache.cycle(intervals[0].segments), dev0, rho, norm0,
@@ -279,33 +318,37 @@ def _realization_curve(spec, intervals, h_free, dev0, norm0, k, free_us):
         for iv in intervals:
             # jittered pulses draw fresh tilts, so each interval propagator
             # is rebuilt; as a temporary it is freed before the next is built
-            rho = _conjugate(cache.cycle(iv.segments), rho)
+            rho = [_conjugate(u, r) for u, r in zip(cache.cycle(iv.segments), rho)]
             if iv.frame is not None:
-                det = _conjugate(iv.frame, det)
-            values.append(np.real(np.einsum("ij,ji->", det, rho)) / norm0)
+                det = [_conjugate(iv.frame, d) for d in det]
+            values.append(_overlap(det, rho) / norm0)
     return np.asarray(values)
 
 
 def propagate(spec, threads=1):
     """Run the ensemble and return the averaged SurvivalTrace.
 
-    The reduction order over realizations is fixed by index, so the result
-    is bit-identical for any thread count.
+    Every propagator and state is a list of bath-magnetization sector
+    blocks (hamiltonians._sectors), so the largest diagonalization is the
+    largest block. The reduction order over realizations is fixed by
+    index, so the result is bit-identical for any thread count.
     """
     if threads < 1:
         raise ContractError(f"threads must be >= 1, got {threads}")
     model, tl = spec.model, _checked(spec.timeline)
-    h_free = build_h_free(model)
-    dev0 = 2.0 / model.ops.dim * model.ops.s(spec.initial_axis)
-    norm0 = float(np.real(np.einsum("ij,ji->", dev0, dev0)))
+    sectors = _sectors(model.n_bath)
+    h_blocks = _sector_blocks(build_h_free(model), sectors)
+    dev0 = [2.0 / model.ops.dim * s for s in
+            _sector_blocks(model.ops.s(spec.initial_axis), sectors)]
+    norm0 = _overlap(dev0, dev0)
     intervals = _recording_intervals(tl, spec.record)
     # free evolution does not depend on the pulse-error draw, so the
     # realizations share one table read-only
-    free_us = exp_propagators(h_free, {dt for iv in intervals
-                                       for kind, dt in iv.segments if kind == "free"})
+    free_us = _free_table(h_blocks, {dt for iv in intervals
+                                     for kind, dt in iv.segments if kind == "free"})
 
     def curve(k):
-        return _realization_curve(spec, intervals, h_free, dev0, norm0, k, free_us)
+        return _realization_curve(spec, intervals, h_blocks, dev0, norm0, k, free_us)
 
     ks = range(spec.n_realizations)
     if threads > 1 and spec.n_realizations > 1:

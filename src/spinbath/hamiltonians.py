@@ -147,6 +147,19 @@ def _basis_z(n_sites):
     return 0.5 - ((np.arange(2**n_sites) >> shifts[:, None]) & 1)
 
 
+def _sectors(n_bath):
+    """Basis indices of the bath-magnetization sectors, k = 0 .. n_bath
+    bath spins up, as ascending arrays.
+
+    H_free, every pulse and the prepared state conserve the total bath
+    I_z, so they are block-diagonal in these sectors. Sector k is
+    C^2 (x) span{bath states with k up}, of size 2 C(n_bath, k); the system
+    spin is the top bit, so it stays a tensor factor of every block.
+    """
+    up = np.sum(_basis_z(n_bath + 1)[1:] > 0, axis=0)
+    return [np.flatnonzero(up == k) for k in range(n_bath + 1)]
+
+
 def build_h_se(model):
     """System-bath pure-dephasing coupling S_z * sum_j b_j I_z^j.
 

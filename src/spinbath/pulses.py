@@ -247,18 +247,23 @@ def real_pulse(spec, rf_scale, err, h_free, ops, tilt=None):
     if spec.duration == 0.0:
         r2 = delta_rotation(spec.axis, spec.nominal_angle, rf_scale, err, tilt)
         return Propagator(_embedded(r2, ops), 0.0)
-    h = _driven_hamiltonian(h_free, spec.axis, spec.rf_amplitude, rf_scale, err, ops, tilt)
+    h = _driven_hamiltonian(h_free, spec.axis, spec.rf_amplitude, rf_scale, err, tilt)
     return evolve(h, spec.duration)
 
 
-def _driven_hamiltonian(h_free, axis, rf_amplitude, rf_scale, err, ops, tilt):
+def _driven_hamiltonian(h_free, axis, rf_amplitude, rf_scale, err, tilt):
     """H_free + sign * w_eff * (u . S) of a finite pulse (see real_pulse),
-    unchecked; the engine exponentiates it directly."""
+    unchecked; the engine exponentiates it directly.
+
+    `h_free` may be the full space or one bath-magnetization sector: the
+    drive acts on the system factor of either, (u . S) (x) 1.
+    """
     base, sign = split_axis(axis)
     ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
     w_eff = rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
-    drive = sign * w_eff * (ux * ops.sx + uy * ops.sy + uz * ops.sz)
-    return np.asarray(h_free, dtype=complex) + drive
+    drive = sign * w_eff * (0.5 * (ux * _PAULI["x"] + uy * _PAULI["y"] + uz * _PAULI["z"]))
+    h_free = np.asarray(h_free, dtype=complex)
+    return h_free + np.kron(drive, np.eye(h_free.shape[0] // 2))
 
 
 def error_factor(spec, rf_scale, err):

@@ -130,6 +130,14 @@ class TestSweep:
         assert res.tau_opt == 4.0
         assert res.failures == ()
 
+    def test_ties_resolve_to_the_smallest_delay_in_any_grid_order(self):
+        # the grid is not ascending, so the first point in grid order is
+        # not the smallest delay
+        model = build_model([0.0, 0.0], np.zeros((2, 2)))
+        res = sweep_tau("cpmg", [20.0, 5.0, 10.0], model, ErrorModel(), "y", 200.0)
+        assert all(not s.reached for s in res.summaries)
+        assert res.tau_opt == 5.0
+
     def test_jitter_ranking_prefers_sparse_pulses(self):
         # with a bathless model and per-pulse axis noise each pulse costs a
         # fixed fidelity, so the decay time is proportional to the delay and

@@ -92,6 +92,15 @@ def test_magnus_defect_shrinks_cubically():
     assert 5.0 < float(np.mean(ratios)) < 12.0
 
 
+def test_magnus_defect_refuses_a_hamiltonian_that_couples_sectors():
+    # the exact cycle is built per bath-magnetization sector, so a bath
+    # field along x, which flips bath spins, cannot be represented
+    m = small_model(seed=3)
+    h = build_h_free(m) + 0.01 * np.sum(m.ops.ix, axis=0)
+    with pytest.raises(ContractError, match="couples bath-magnetization sectors"):
+        magnus_defect(compile_pdd(10.0), h, m.ops)
+
+
 def test_claim_registry():
     for cid in ("cpmg-flip-angle-zeroth-order",
                 "cpmg2-error-sum-vanishes",

@@ -249,6 +249,10 @@ def test_eigenphase_powering_matches_direct_loop(monkeypatch):
         (default_model(n_bath=1), ErrorModel(), compile_cpmg(12.0, 0.0, n_cycles=20), "y", 1),
         # 101 recorded points against dim 32: four blocks, the last one partial
         (default_model(n_bath=4), noisy, compile_cpmg(9.0, 0.0, n_cycles=100), "x", 2),
+        # sectors k and n - k are isospectral, which a full-space eig mixes
+        (default_model(n_bath=6), ErrorModel(), compile_cpmg(12.0, 0.0, n_cycles=20), "x", 1),
+        (default_model(n_bath=6), ErrorModel(flip_angle_fraction=0.03),
+         compile_cpmg(12.0, 0.0, n_cycles=100), "y", 1),
     ]
     powered, calls = engine._powered_overlaps, []
 

@@ -1,11 +1,15 @@
 """Model construction and the physical structure of the Hamiltonians."""
 
+import math
+
 import numpy as np
 import pytest
 
 from spinbath import (
     ContractError,
     CouplingSpec,
+    ErrorModel,
+    PulseSpec,
     build_h_e,
     build_h_error,
     build_h_free,
@@ -14,8 +18,10 @@ from spinbath import (
     build_operator_set,
     default_model,
     model_tau_b,
+    real_pulse,
     sample_couplings,
 )
+from spinbath.hamiltonians import _sectors
 
 
 def _total_iz(ops):
@@ -153,6 +159,37 @@ def test_h_e_conserves_total_iz_and_ignores_system():
     assert np.max(np.abs(h @ iz_tot - iz_tot @ h)) < 1e-13
     for s in (ops.sx, ops.sy, ops.sz):
         assert np.max(np.abs(h @ s - s @ h)) < 1e-13
+
+
+@pytest.mark.parametrize("n_bath", range(8))
+def test_sectors_block_h_free_system_operators_and_pulses(n_bath):
+    m = default_model(seed=5 + n_bath, n_bath=n_bath)
+    ops = m.ops
+    sectors = _sectors(n_bath)
+    # ordered by k, ascending, a partition of the basis, sizes 2 C(n, k)
+    assert [idx.size for idx in sectors] == [2 * math.comb(n_bath, k)
+                                             for k in range(n_bath + 1)]
+    assert all(np.all(np.diff(idx) > 0) for idx in sectors)
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(ops.dim))
+    label = np.empty(ops.dim, dtype=int)
+    for k, idx in enumerate(sectors):
+        label[idx] = k
+        # sector k holds the states with total bath I_z = k - n/2
+        if n_bath:
+            assert np.array_equal(np.diag(_total_iz(ops)).real[idx],
+                                  np.full(idx.size, k - n_bath / 2))
+    off = label[:, None] != label[None, :]
+    assert np.all(build_h_free(m)[off] == 0.0)
+    for axis, s in (("x", ops.sx), ("y", ops.sy), ("z", ops.sz)):
+        half = build_operator_set(0).s(axis)
+        for idx in sectors:
+            assert np.array_equal(s[np.ix_(idx, idx)], np.kron(half, np.eye(idx.size // 2)))
+    # a finite pulse with flip error, static tilt and a jitter-sized tilt
+    # draw conserves the bath I_z too
+    err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=0.05)
+    spec = PulseSpec("-x", np.pi, 1.5, np.pi / 1.5)
+    u = real_pulse(spec, 0.97, err, build_h_free(m), ops, tilt=0.05 + 0.15).matrix
+    assert np.max(np.abs(u[off]), initial=0.0) < 1e-13
 
 
 def test_h_free_is_hermitian_and_traceless():
