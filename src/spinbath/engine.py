@@ -22,8 +22,12 @@ draws one RF amplitude scale (static inhomogeneity) from the error model,
 with a generator seeded deterministically from (master_seed, k). When all
 errors are static within a realization, the cycle propagator is built
 once per realization; long runs then advance through its eigenphase
-powers, at O(dim^2) per cycle instead of O(dim^3). These powers and the
-bath correlations are one eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t),
+powers, at O(dim^2) per cycle instead of O(dim^3). A cycle propagator is
+unitary, so each block is diagonalized in a unitary eigenbasis taken from
+a Hermitian eigh (_unitary_eig); a block whose basis leaves an
+off-diagonal residual above 1e-13 sends the realization down the direct
+conjugation loop that short runs take. These powers and the bath
+correlations are one eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t),
 which _spectral_series evaluates with no weight dropped. Pulse-to-pulse
 tilt jitter breaks the reuse, so jittered runs rebuild the cycle
 propagator every cycle.
@@ -59,6 +63,13 @@ _POWER_MIN_CYCLES = 16
 
 # pulse ends closer than this are one recording instant
 _SAME_INSTANT = 1e-12
+
+# _unitary_eig: the generic phase of its Hermitian part, the gap below
+# which eigenvalues form one cluster and get no first-order correction,
+# and the largest off-diagonal residual it accepts
+_EIG_PHASE = 0.5 * (np.sqrt(5.0) - 1.0)
+_EIG_CLUSTER_GAP = 1e-6
+_EIG_RESIDUAL_MAX = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,35 +276,84 @@ def _recording_intervals(timeline, record):
 
 def _powered_overlaps(u_cycle, dev0, rho0, norm0, n_cycles):
     """Survival overlaps after 0..n_cycles applications of one propagator,
-    given as sector blocks.
+    given as sector blocks, or None when a block has no accurate unitary
+    eigenbasis (see _unitary_eig).
 
-    In the eigenbasis of each block of the cycle propagator the m-fold
-    conjugation collapses to phase powers, s(m) = sum_ij w_ij
-    exp(i (f_i - f_j) m) with f = -arg(lambda); the weights pair states
-    of one sector only, and the series of the sectors add up. Taking the
-    phase renormalizes |lambda| to 1, which stops roundoff drift over long
-    runs.
+    In the unitary eigenbasis P of each block of the cycle propagator the
+    m-fold conjugation collapses to phase powers, s(m) = sum_ij w_ij
+    exp(i (f_i - f_j) m) with f = -theta, w = (P^dag dev P) * (P^dag rho P)^T;
+    the weights pair states of one sector only, and the series of the
+    sectors add up. Only the eigenphases enter, so |lambda| is 1 exactly
+    and roundoff does not drift over long runs.
     """
     later = np.zeros(n_cycles)
     for u, dev, rho in zip(u_cycle, dev0, rho0):
-        lam, p = np.linalg.eig(u)
-        pinv = np.linalg.inv(p)
-        a = p.conj().T @ dev @ p
-        b = pinv @ rho @ pinv.conj().T
-        later += _spectral_series(a * b.T, -np.angle(lam), np.arange(1, n_cycles + 1))
+        eig = _unitary_eig(u)
+        if eig is None:
+            return None
+        theta, p = eig
+        ph = p.conj().T
+        a = ph @ dev @ p
+        b = ph @ rho @ p
+        later += _spectral_series(a * b.T, -theta, np.arange(1, n_cycles + 1))
     return np.concatenate(([1.0], later / norm0))
+
+
+def _hermitian_part(u, phase):
+    """(exp(-i phase) U + h.c.) / 2, whose eigenvalues are cos(theta - phase)
+    for the eigenphases theta of a unitary U."""
+    h = np.exp(-1j * phase) * u
+    return 0.5 * (h + h.conj().T)
+
+
+def _unitary_eig(u):
+    """(theta, P) with U = P diag(exp(i theta)) P^dag and P unitary, for one
+    unitary block U, or None when the basis found leaves an off-diagonal
+    residual max|P^dag U P - diag| above _EIG_RESIDUAL_MAX.
+
+    The eigenvectors of the Hermitian part at the generic phase _EIG_PHASE
+    diagonalize U except within clusters of near-equal cos(theta - phase):
+    eigenphase pairs mirrored about the phase, and eigenphases near the
+    phase or opposite it, where cos is flat. Each cluster is diagonalized
+    again through its Hermitian part at the phase + pi/2. One first-order
+    correction X_ij = D_ij / (lambda_j - lambda_i) over the gaps above
+    _EIG_CLUSTER_GAP, with D = P^dag U P, and one Newton-Schulz step
+    P(3 - P^dag P)/2 back to a unitary P then bring the residual to
+    roundoff.
+    """
+    w, p = np.linalg.eigh(_hermitian_part(u, _EIG_PHASE))
+    d = p.conj().T @ u @ p
+    edges = np.flatnonzero(np.diff(w) > _EIG_CLUSTER_GAP) + 1
+    if edges.size + 1 < w.size:
+        for lo, hi in zip([0, *edges], [*edges, w.size]):
+            if hi - lo > 1:
+                _, q = np.linalg.eigh(
+                    _hermitian_part(d[lo:hi, lo:hi], _EIG_PHASE + 0.5 * np.pi))
+                p[:, lo:hi] = p[:, lo:hi] @ q
+        d = p.conj().T @ u @ p
+    lam = np.diag(d)
+    gap = lam[None, :] - lam[:, None]
+    far = np.abs(gap) > _EIG_CLUSTER_GAP
+    p = p + p @ (np.where(far, d, 0.0) / np.where(far, gap, 1.0))
+    p = p @ (1.5 * np.eye(w.size) - 0.5 * (p.conj().T @ p))
+    d = p.conj().T @ u @ p
+    theta = np.angle(np.diag(d))
+    np.fill_diagonal(d, 0.0)
+    if np.max(np.abs(d)) > _EIG_RESIDUAL_MAX:
+        return None
+    return theta, p
 
 
 def _spectral_series(weights, freqs, times):
     """Re sum_ab W_ab exp(i (f_a - f_b) t) for every t of `times`.
 
     Evaluated as Re sum_a conj(E_a) (W E)_a with E = exp(-i f t), over
-    blocks of at most len(f) times, so memory stays O(dim^2) however long
-    the grid is.
+    blocks of at least 256 times, so memory stays O(dim max(dim, 256))
+    however long the grid is.
     """
     times = np.asarray(times, dtype=float)
     series = np.empty(times.size)
-    step = len(freqs)
+    step = max(len(freqs), 256)
     for start in range(0, times.size, step):
         phases = np.exp(-1j * np.outer(freqs, times[start:start + step]))
         series[start:start + step] = np.real(
@@ -310,8 +370,10 @@ def _realization_curve(spec, intervals, h_blocks, dev0, norm0, k, free_us):
     rho = [np.eye(d.shape[0]) / spec.model.ops.dim + d for d in dev0]
     if (spec.record == "cycle_boundaries" and not cache.jitter
             and intervals[0].frame is None and n_cycles >= _POWER_MIN_CYCLES):
-        return _powered_overlaps(cache.cycle(intervals[0].segments), dev0, rho, norm0,
-                                 n_cycles)
+        powered = _powered_overlaps(cache.cycle(intervals[0].segments), dev0, rho, norm0,
+                                    n_cycles)
+        if powered is not None:
+            return powered
     det = dev0
     values = [1.0]
     for _ in range(n_cycles):

@@ -21,6 +21,7 @@ embed it as R (x) 1_bath. Its 2x2 error factor E gives U_real =
 (E (x) 1_bath) @ U_ideal, which the average-Hamiltonian analysis consumes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +119,8 @@ class BimodalRf:
     kind: str = field(default="bimodal", init=False, repr=False)
 
     def __post_init__(self):
-        if self.s1 <= 0 or self.s2 <= 0:
-            raise ContractError("RF scale factors must be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (self.s1, self.s2)):
+            raise ContractError("RF scale factors must be finite and > 0")
         if not 0.0 <= self.weight <= 1.0:
             raise ContractError("weight must lie in [0, 1]")
 
@@ -136,8 +137,9 @@ class GaussianRf:
     kind: str = field(default="gaussian", init=False, repr=False)
 
     def __post_init__(self):
-        if self.mean <= 0 or self.sd < 0:
-            raise ContractError("GaussianRf needs mean > 0 and sd >= 0")
+        if not (math.isfinite(self.mean) and math.isfinite(self.sd)
+                and self.mean > 0 and self.sd >= 0):
+            raise ContractError("GaussianRf needs a finite mean > 0 and a finite sd >= 0")
 
     def sample(self, rng):
         return max(float(rng.normal(self.mean, self.sd)), 1e-6)
@@ -159,6 +161,13 @@ class ErrorModel:
     flip_angle_fraction: float = 0.0
     axis_tilt: float = 0.0
     tilt_jitter_sd: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.flip_angle_fraction) and math.isfinite(self.axis_tilt)):
+            raise ContractError("flip_angle_fraction and axis_tilt must be finite")
+        if not (math.isfinite(self.tilt_jitter_sd) and self.tilt_jitter_sd >= 0):
+            raise ContractError(
+                f"tilt_jitter_sd must be finite and >= 0, got {self.tilt_jitter_sd}")
 
     @property
     def is_trivial(self):
@@ -194,9 +203,10 @@ def delta_rotation(axis, angle, rf_scale=1.0, err=None, tilt=None):
     base, sign = split_axis(axis)
     ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
     half = 0.5 * (sign * angle * (rf_scale * (1.0 + err.flip_angle_fraction)))
-    return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * (
-        ux * _PAULI["x"] + uy * _PAULI["y"] + uz * _PAULI["z"]
-    )
+    c, s = np.cos(half), np.sin(half)
+    # cos(half) 1 - i sin(half) (u . sigma), entry by entry
+    return np.array([[complex(c, -s * uz), complex(-s * uy, -s * ux)],
+                     [complex(s * uy, -s * ux), complex(c, s * uz)]])
 
 
 def ideal_frame(events):

@@ -137,6 +137,14 @@ def test_sweep_checks_family_names_before_running(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+def test_bad_error_channels_are_errors(tmp_path, capsys):
+    for line in ("tilt_jitter_rad = -0.15", "rf_sd = -0.1"):
+        cfg = write_cfg(tmp_path, SIM + "\n[errors]\nrf_distribution = gaussian\n"
+                        + line + "\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_requires_grid_and_budget(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SIM)
     assert main(["sweep", "--config", cfg]) == 2

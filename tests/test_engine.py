@@ -253,6 +253,9 @@ def test_eigenphase_powering_matches_direct_loop(monkeypatch):
         (default_model(n_bath=6), ErrorModel(), compile_cpmg(12.0, 0.0, n_cycles=20), "x", 1),
         (default_model(n_bath=6), ErrorModel(flip_angle_fraction=0.03),
          compile_cpmg(12.0, 0.0, n_cycles=100), "y", 1),
+        # long static-error runs on the largest blocks, 70 and 140 wide
+        (default_model(n_bath=7), noisy, compile_cpmg(10.0, 0.0, n_cycles=200), "x", 2),
+        (default_model(n_bath=8), noisy, compile_cpmg(10.0, 0.0, n_cycles=200), "x", 1),
     ]
     powered, calls = engine._powered_overlaps, []
 
@@ -273,6 +276,100 @@ def test_eigenphase_powering_matches_direct_loop(monkeypatch):
         assert not calls
         assert fast.s[0] == 1.0
         assert np.max(np.abs(fast.s - slow.s)) < 1e-12
+
+
+def _random_unitary(n, rng):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _with_eigenphases(theta, rng):
+    q = _random_unitary(len(theta), rng)
+    return (q * np.exp(1j * np.asarray(theta))) @ q.conj().T
+
+
+def _assert_unitary_eigenbasis(u):
+    eig = engine._unitary_eig(u)
+    assert eig is not None
+    theta, p = eig
+    n = u.shape[0]
+    assert np.max(np.abs(p.conj().T @ p - np.eye(n))) < 1e-13
+    assert np.max(np.abs(p.conj().T @ u @ p - np.diag(np.exp(1j * theta)))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 14, 42, 70, 112, 140])
+def test_unitary_eig_on_random_unitaries(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        _assert_unitary_eigenbasis(_random_unitary(n, rng))
+
+
+def test_unitary_eig_on_degenerate_spectra(monkeypatch):
+    for n in (1, 2, 14, 70):
+        _assert_unitary_eigenbasis(np.eye(n, dtype=complex))
+    # ideal pulses leave a fully degenerate cycle spectrum
+    blocks, kernel = [], engine._unitary_eig
+
+    def collect(u):
+        blocks.append(u)
+        return kernel(u)
+
+    monkeypatch.setattr(engine, "_unitary_eig", collect)
+    for n_bath in (0, 1):
+        propagate(RunSpec(model=default_model(n_bath=n_bath),
+                          timeline=compile_cpmg(12.0, 0.0, n_cycles=20)))
+    assert len(blocks) == 3
+    monkeypatch.undo()
+    for u in blocks:
+        _assert_unitary_eigenbasis(u)
+
+
+@pytest.mark.parametrize("n", [2, 6, 40])
+def test_unitary_eig_where_the_hermitian_part_is_degenerate(n):
+    rng = np.random.default_rng(n)
+    phi = engine._EIG_PHASE
+    # theta_i + theta_j = 2 phi: cos(theta - phi) is equal for the pair
+    theta = rng.uniform(-np.pi, np.pi, n)
+    theta[:2] = phi + 0.3, phi - 0.3
+    _assert_unitary_eigenbasis(_with_eigenphases(theta, rng))
+    # near phi and phi + pi cos(theta - phi) is flat
+    theta = rng.uniform(-np.pi, np.pi, n)
+    theta[0], theta[-1] = phi + 1e-9, phi + np.pi - 1e-9
+    if n > 2:
+        theta[1] = phi - 1e-9
+    _assert_unitary_eigenbasis(_with_eigenphases(theta, rng))
+
+
+def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
+    spec = RunSpec(model=default_model(n_bath=4),
+                   timeline=compile_cpmg(9.0, 0.0, n_cycles=40),
+                   error_model=ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03),
+                   initial_axis="y", n_realizations=2, master_seed=4)
+    with monkeypatch.context() as direct:
+        direct.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+        slow = propagate(spec)
+    powered, results = engine._powered_overlaps, []
+
+    def recorded(*args):
+        results.append(powered(*args))
+        return results[-1]
+
+    conjugate, conjugations = engine._conjugate, []
+
+    def counted(u, a):
+        conjugations.append(1)
+        return conjugate(u, a)
+
+    monkeypatch.setattr(engine, "_powered_overlaps", recorded)
+    monkeypatch.setattr(engine, "_conjugate", counted)
+    monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
+    fell_back = propagate(spec)
+    assert results == [None, None]
+    # 40 cycles x 5 sectors x 2 realizations
+    assert len(conjugations) == 400
+    assert np.array_equal(fell_back.s, slow.s)
+    assert np.array_equal(fell_back.stderr, slow.stderr)
 
 
 def test_tilt_jitter_runs_are_deterministic_and_decay():

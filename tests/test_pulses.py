@@ -20,6 +20,7 @@ from spinbath import (
     sample_rf_scale,
 )
 from spinbath.engine import PropagatorCache, _sector_blocks
+from spinbath.pulses import axis_vector, delta_rotation, split_axis
 from spinbath.hamiltonians import _sectors
 
 
@@ -191,3 +192,44 @@ def test_error_model_trivial_flag():
     assert not ErrorModel(axis_tilt=0.05).is_trivial
     assert not ErrorModel(tilt_jitter_sd=0.1).is_trivial
     assert not ErrorModel(rf=GaussianRf()).is_trivial
+
+
+def test_error_model_rejects_negative_or_non_finite_channels():
+    for kwargs in ({"tilt_jitter_sd": -0.1}, {"tilt_jitter_sd": np.nan},
+                   {"tilt_jitter_sd": np.inf}, {"flip_angle_fraction": np.nan},
+                   {"flip_angle_fraction": -np.inf}, {"axis_tilt": np.nan},
+                   {"axis_tilt": np.inf}):
+        with pytest.raises(ContractError):
+            ErrorModel(**kwargs)
+    for mean, sd in ((1.0, np.nan), (np.nan, 0.1), (np.inf, 0.1), (1.0, np.inf)):
+        with pytest.raises(ContractError, match="finite"):
+            GaussianRf(mean, sd)
+    for s1, s2 in ((np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(ContractError, match="finite"):
+            BimodalRf(s1, s2)
+
+
+def _pauli_sum_rotation(axis, angle, rf_scale, err, tilt):
+    """delta_rotation written as cos(half) 1 - i sin(half) (u . sigma)."""
+    pauli = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+             np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+             np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+    base, sign = split_axis(axis)
+    ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
+    half = 0.5 * (sign * angle * (rf_scale * (1.0 + err.flip_angle_fraction)))
+    return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * (
+        ux * pauli[0] + uy * pauli[1] + uz * pauli[2])
+
+
+def test_delta_rotation_equals_the_pauli_sum():
+    for axis in ("x", "y", "-x", "-y", "z", "-z"):
+        transverse = axis[-1] != "z"
+        for angle in (np.pi, 0.5 * np.pi, -0.3, 2.0 * np.pi, 0.0, 7.1):
+            for rf_scale in (1.0, 0.93, 1.07):
+                for eps in (0.0, 0.03, -0.05):
+                    err = ErrorModel(flip_angle_fraction=eps,
+                                     axis_tilt=0.01 if transverse else 0.0)
+                    for tilt in (None, 0.0, 0.02, -0.4) if transverse else (None,):
+                        r = delta_rotation(axis, angle, rf_scale, err, tilt)
+                        assert np.array_equal(
+                            r, _pauli_sum_rotation(axis, angle, rf_scale, err, tilt))
