@@ -175,8 +175,8 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
     tau_grid = [float(t) for t in tau_grid]
     if not tau_grid:
         raise ContractError("tau_grid must not be empty")
-    if time_budget <= 0:
-        raise ContractError("time_budget must be > 0")
+    if not (math.isfinite(time_budget) and time_budget > 0):
+        raise ContractError(f"time_budget must be finite and > 0, got {time_budget}")
     summaries, failures = [], []
     for tau in tau_grid:
         try:

@@ -9,6 +9,11 @@ reported survival probability is the deviation overlap
 
 which equals 1 at t = 0 and is immune to global propagator phases.
 
+Only the deviation eps S_u is propagated: no unitary changes the 1/d part,
+and S_u (x) 1 is traceless in every sector below, so s_u is exactly the
+deviation autocorrelation, the quantity bath_correlation computes for a
+bath observable; one kernel, _autocorrelation, reads both.
+
 H_free, every pulse and the prepared state conserve the total bath I_z,
 so propagate works in the bath-magnetization sectors: sector k (k bath
 spins up) is C^2 (x) span{bath states with k up}, of size 2 C(n, k).
@@ -27,10 +32,10 @@ unitary, so each block is diagonalized in a unitary eigenbasis taken from
 a Hermitian eigh (_unitary_eig); a block whose basis leaves an
 off-diagonal residual above 1e-13 sends the realization down the direct
 conjugation loop that short runs take. These powers and the bath
-correlations are one eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t),
-which _spectral_series evaluates with no weight dropped. Pulse-to-pulse
-tilt jitter breaks the reuse, so jittered runs rebuild the cycle
-propagator every cycle.
+correlations are one eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t)
+with W = |V^dag A V|^2, which _autocorrelation forms and _spectral_series
+evaluates with no weight dropped. Pulse-to-pulse tilt jitter breaks the
+reuse, so jittered runs rebuild the cycle propagator every cycle.
 
 Detection follows the ideal pulse frame, the numerical analog of a
 receiver phase that tracks where a perfect sequence would have parked the
@@ -41,6 +46,7 @@ an alternating sign.
 """
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,7 +54,7 @@ import numpy as np
 
 from .errors import ContractError
 from .hamiltonians import _sectors, build_h_e, build_h_free
-from .operators import exp_propagators
+from .operators import _SPIN_HALF, exp_propagators
 from .pulses import (ErrorModel, _conjugate, _driven_hamiltonian, _left, delta_rotation,
                      ideal_frame, sample_rf_scale)
 from .sequences import _checked
@@ -274,29 +280,25 @@ def _recording_intervals(timeline, record):
     return intervals
 
 
-def _powered_overlaps(u_cycle, dev0, rho0, norm0, n_cycles):
+def _powered_overlaps(u_cycle, dev0, n_cycles):
     """Survival overlaps after 0..n_cycles applications of one propagator,
     given as sector blocks, or None when a block has no accurate unitary
     eigenbasis (see _unitary_eig).
 
-    In the unitary eigenbasis P of each block of the cycle propagator the
-    m-fold conjugation collapses to phase powers, s(m) = sum_ij w_ij
-    exp(i (f_i - f_j) m) with f = -theta, w = (P^dag dev P) * (P^dag rho P)^T;
-    the weights pair states of one sector only, and the series of the
-    sectors add up. Only the eigenphases enter, so |lambda| is 1 exactly
-    and roundoff does not drift over long runs.
+    With U = P diag(exp(i theta)) P^dag per block, the m-fold conjugation
+    of the deviation collapses to phase powers of theta; s(m) is then the
+    deviation autocorrelation of _autocorrelation at cycle count m, with
+    frequencies -theta. Only the eigenphases enter, so |lambda| is 1
+    exactly and roundoff does not drift over long runs.
     """
-    later = np.zeros(n_cycles)
-    for u, dev, rho in zip(u_cycle, dev0, rho0):
+    blocks = []
+    for u, dev in zip(u_cycle, dev0):
         eig = _unitary_eig(u)
         if eig is None:
             return None
         theta, p = eig
-        ph = p.conj().T
-        a = ph @ dev @ p
-        b = ph @ rho @ p
-        later += _spectral_series(a * b.T, -theta, np.arange(1, n_cycles + 1))
-    return np.concatenate(([1.0], later / norm0))
+        blocks.append((-theta, p, [dev]))
+    return np.concatenate(([1.0], _autocorrelation(blocks, np.arange(1, n_cycles + 1))))
 
 
 def _hermitian_part(u, phase):
@@ -367,23 +369,21 @@ def _realization_curve(spec, intervals, h_blocks, dev0, norm0, k, free_us):
     rng = realization_rng(spec.master_seed, k)
     rf_scale = sample_rf_scale(spec.error_model, rng)
     cache = PropagatorCache(h_blocks, spec.error_model, rf_scale, free_us, rng)
-    rho = [np.eye(d.shape[0]) / spec.model.ops.dim + d for d in dev0]
     if (spec.record == "cycle_boundaries" and not cache.jitter
             and intervals[0].frame is None and n_cycles >= _POWER_MIN_CYCLES):
-        powered = _powered_overlaps(cache.cycle(intervals[0].segments), dev0, rho, norm0,
-                                    n_cycles)
+        powered = _powered_overlaps(cache.cycle(intervals[0].segments), dev0, n_cycles)
         if powered is not None:
             return powered
-    det = dev0
+    dev, det = dev0, dev0
     values = [1.0]
     for _ in range(n_cycles):
         for iv in intervals:
             # jittered pulses draw fresh tilts, so each interval propagator
             # is rebuilt; as a temporary it is freed before the next is built
-            rho = [_conjugate(u, r) for u, r in zip(cache.cycle(iv.segments), rho)]
+            dev = [_conjugate(u, d) for u, d in zip(cache.cycle(iv.segments), dev)]
             if iv.frame is not None:
                 det = [_conjugate(iv.frame, d) for d in det]
-            values.append(_overlap(det, rho) / norm0)
+            values.append(_overlap(det, dev) / norm0)
     return np.asarray(values)
 
 
@@ -400,8 +400,8 @@ def propagate(spec, threads=1):
     model, tl = spec.model, _checked(spec.timeline)
     sectors = _sectors(model.n_bath)
     h_blocks = _sector_blocks(build_h_free(model), sectors)
-    dev0 = [2.0 / model.ops.dim * s for s in
-            _sector_blocks(model.ops.s(spec.initial_axis), sectors)]
+    s_u = _SPIN_HALF[spec.initial_axis]
+    dev0 = [2.0 / model.ops.dim * np.kron(s_u, np.eye(idx.size // 2)) for idx in sectors]
     norm0 = _overlap(dev0, dev0)
     intervals = _recording_intervals(tl, spec.record)
     # free evolution does not depend on the pulse-error draw, so the
@@ -456,19 +456,27 @@ def bath_correlation(model, t_grid, which="ix_total", j=0):
         observables = [ops.iz[j]]
     else:
         raise ContractError(f"which must be 'ix_total', 'iz' or 'iz_mean', got {which!r}")
-    return _correlation_series(np.linalg.eigh(build_h_e(model)), observables, t_grid)
+    w, v = np.linalg.eigh(build_h_e(model))
+    return _autocorrelation([(w, v, observables)], t_grid)
 
 
-def _correlation_series(eig_h_e, observables, t_grid):
-    """sum_j Tr{A_j(0) A_j(t)} / sum_j Tr{A_j A_j} on t_grid from the
-    eigenpairs (w, v) of H_E.
+def _autocorrelation(blocks, times):
+    """sum_j Tr{A_j(0) A_j(t)} / sum_j Tr{A_j A_j} for every t of `times`.
 
-    For observables of equal norm, such as the I_z^j, this is the mean of
-    their normalized curves.
+    Each block is (f, V, observables) on one invariant subspace: the
+    eigenfrequencies f and unitary eigenbasis V of the evolution there, and
+    the Hermitian A_j restricted to it. The weights sum_j |V^dag A_j V|^2
+    of every block go through _spectral_series; the series are summed and
+    divided by the total weight. For A_j of equal norm, such as the I_z^j,
+    this is the mean of their normalized curves.
     """
-    w, v = eig_h_e
-    weights = sum(np.abs(v.conj().T @ a @ v) ** 2 for a in observables)
-    return _spectral_series(weights, w, t_grid) / weights.sum()
+    series, total = 0.0, 0.0
+    for freqs, v, observables in blocks:
+        vh = v.conj().T
+        weights = sum(np.abs(vh @ a @ v) ** 2 for a in observables)
+        series = series + _spectral_series(weights, freqs, times)
+        total = total + weights.sum()
+    return series / total
 
 
 def estimate_tau_b(series, times):
@@ -497,11 +505,14 @@ def model_tau_b(model, t_max=2000.0, n_points=800):
     """
     if model.n_bath == 0:
         raise ContractError("tau_B needs at least one bath spin")
-    eig_h_e = np.linalg.eigh(build_h_e(model))
+    if not (math.isfinite(t_max) and t_max > 0 and n_points >= 2):
+        raise ContractError(f"model_tau_b needs a finite t_max > 0 and n_points >= 2, "
+                            f"got t_max={t_max}, n_points={n_points}")
+    w, v = np.linalg.eigh(build_h_e(model))
     horizon = float(t_max)
     for _ in range(4):
         t_grid = np.linspace(0.0, horizon, n_points)
-        est = estimate_tau_b(_correlation_series(eig_h_e, model.ops.iz, t_grid), t_grid)
+        est = estimate_tau_b(_autocorrelation([(w, v, model.ops.iz)], t_grid), t_grid)
         if est.reached:
             return est
         horizon *= 2.0

@@ -230,7 +230,7 @@ def build_h_error(a, b_u, model):
     ops = model.ops
     h = np.zeros((ops.dim, ops.dim), dtype=complex)
     for u, s_u in enumerate((ops.sx, ops.sy, ops.sz)):
-        field = a[u] * ops.identity
+        field = a[u] * np.eye(ops.dim, dtype=complex)
         for j in range(model.n_bath):
             if b_u[u, j] != 0.0:
                 field = field + b_u[u, j] * ops.iz[j]

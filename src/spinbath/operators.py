@@ -32,16 +32,13 @@ def _frozen(a):
     return a
 
 
-def _site_operator(op2, site, n_sites):
-    """Embed a single-spin operator at tensor position `site` of `n_sites`."""
-    left = np.eye(2**site, dtype=complex)
-    right = np.eye(2 ** (n_sites - site - 1), dtype=complex)
-    return np.kron(np.kron(left, op2), right)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """Embedded spin operators for one system spin plus a bath.
+
+    Only the sizes are fields. Every operator is a dense dim x dim matrix,
+    built on first access and cached; the engine fills its sector blocks
+    from the basis bits and reads only `dim`, so propagate builds none.
 
     Attributes
     ----------
@@ -51,30 +48,33 @@ class OperatorSet:
         Total Hilbert-space dimension, 2**(n_bath + 1).
     sx, sy, sz : ndarray
         System spin components S_u acting on the full space.
-    identity : ndarray
-        The full-space identity.
     ix, iy, iz : tuple of ndarray
-        Bath spin components I_u^j, indexed 0 .. n_bath - 1. Each tuple is
-        built on first access and cached; the engine never needs them.
+        Bath spin components I_u^j, indexed 0 .. n_bath - 1.
     """
 
     n_bath: int
     dim: int
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    identity: np.ndarray
 
-    def s(self, axis):
-        """System spin component along 'x', 'y' or 'z'."""
-        try:
-            return {"x": self.sx, "y": self.sy, "z": self.sz}[axis]
-        except KeyError:
-            raise ContractError(f"unknown axis {axis!r}; expected 'x', 'y' or 'z'") from None
+    def _site(self, axis, site):
+        """S_axis of tensor position `site` (0 is the system spin), read-only."""
+        left = np.eye(2**site, dtype=complex)
+        right = np.eye(2 ** (self.n_bath - site), dtype=complex)
+        return _frozen(np.kron(np.kron(left, _SPIN_HALF[axis]), right))
 
     def _bath(self, axis):
-        return tuple(_frozen(_site_operator(_SPIN_HALF[axis], j + 1, self.n_bath + 1))
-                     for j in range(self.n_bath))
+        return tuple(self._site(axis, j + 1) for j in range(self.n_bath))
+
+    @functools.cached_property
+    def sx(self):
+        return self._site("x", 0)
+
+    @functools.cached_property
+    def sy(self):
+        return self._site("y", 0)
+
+    @functools.cached_property
+    def sz(self):
+        return self._site("z", 0)
 
     @functools.cached_property
     def ix(self):
@@ -89,34 +89,24 @@ class OperatorSet:
         return self._bath("z")
 
 
-def build_operator_set(n_bath, max_bath=DEFAULT_MAX_BATH):
-    """Construct the system spin operators for `n_bath` bath spins.
+def build_operator_set(n_bath):
+    """The operator set for `n_bath` bath spins; no operator is built yet.
 
     Raises
     ------
     ResourceLimitError
-        When n_bath exceeds `max_bath`; the message names the dense
+        When n_bath exceeds DEFAULT_MAX_BATH; the message names the dense
         dimension the request would have needed.
     """
     n_bath = int(n_bath)
     if n_bath < 0:
         raise ContractError(f"n_bath must be >= 0, got {n_bath}")
-    if n_bath > max_bath:
+    if n_bath > DEFAULT_MAX_BATH:
         raise ResourceLimitError(
             f"n_bath={n_bath} needs dense dimension 2**{n_bath + 1} = {2 ** (n_bath + 1)}, "
-            f"above the cap 2**{max_bath + 1} (max_bath={max_bath})"
+            f"above the cap 2**{DEFAULT_MAX_BATH + 1} (DEFAULT_MAX_BATH={DEFAULT_MAX_BATH})"
         )
-    n_sites = n_bath + 1
-    dim = 2**n_sites
-    sys_ops = {u: _frozen(_site_operator(_SPIN_HALF[u], 0, n_sites)) for u in "xyz"}
-    return OperatorSet(
-        n_bath=n_bath,
-        dim=dim,
-        sx=sys_ops["x"],
-        sy=sys_ops["y"],
-        sz=sys_ops["z"],
-        identity=_frozen(np.eye(dim, dtype=complex)),
-    )
+    return OperatorSet(n_bath=n_bath, dim=2 ** (n_bath + 1))
 
 
 def require_hermitian(h, what="operator", atol=HERMITIAN_ATOL):

@@ -27,16 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .operators import Propagator, evolve
+from .operators import _SPIN_HALF, Propagator, evolve
 
 PULSE_AXES = ("x", "y", "-x", "-y")
 PULSE_AREA_ATOL = 1e-9
-
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 def split_axis(axis):
@@ -98,8 +92,6 @@ class PulseSpec:
 class FixedRf:
     """RF amplitude scale pinned to exactly 1."""
 
-    kind: str = field(default="fixed", init=False, repr=False)
-
     def sample(self, rng):
         return 1.0
 
@@ -116,7 +108,6 @@ class BimodalRf:
     s1: float = 0.95
     s2: float = 1.05
     weight: float = 0.5
-    kind: str = field(default="bimodal", init=False, repr=False)
 
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0 for x in (self.s1, self.s2)):
@@ -134,7 +125,6 @@ class GaussianRf:
 
     mean: float = 1.0
     sd: float = 0.10
-    kind: str = field(default="gaussian", init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and math.isfinite(self.sd)
@@ -172,7 +162,7 @@ class ErrorModel:
     @property
     def is_trivial(self):
         return (
-            getattr(self.rf, "kind", None) == "fixed"
+            isinstance(self.rf, FixedRf)
             and self.flip_angle_fraction == 0.0
             and self.axis_tilt == 0.0
             and self.tilt_jitter_sd == 0.0
@@ -271,7 +261,7 @@ def _driven_hamiltonian(h_free, axis, rf_amplitude, rf_scale, err, tilt):
     base, sign = split_axis(axis)
     ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
     w_eff = rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
-    drive = sign * w_eff * (0.5 * (ux * _PAULI["x"] + uy * _PAULI["y"] + uz * _PAULI["z"]))
+    drive = sign * w_eff * (ux * _SPIN_HALF["x"] + uy * _SPIN_HALF["y"] + uz * _SPIN_HALF["z"])
     h_free = np.asarray(h_free, dtype=complex)
     return h_free + np.kron(drive, np.eye(h_free.shape[0] // 2))
 

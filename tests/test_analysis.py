@@ -169,6 +169,11 @@ class TestSweep:
         with pytest.raises(ContractError):
             sweep_tau("cpmg", [5.0], static_model(), ErrorModel(), "x", 0.0)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget(self, budget):
+        with pytest.raises(ContractError, match="time_budget"):
+            sweep_tau("cpmg", [5.0], static_model(), ErrorModel(), "x", budget)
+
 
 class TestOrderFit:
     def test_round_trip(self):

@@ -1,6 +1,7 @@
 """Propagation engine: exact oracles, determinism, and trace bookkeeping."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -474,6 +475,13 @@ def test_estimate_tau_b_synthetic():
         estimate_tau_b(0.5 * np.ones_like(t), t)
 
 
+@pytest.mark.parametrize("t_max, n_points", [(-2000.0, 800), (0.0, 800), (math.nan, 800),
+                                             (math.inf, 800), (2000.0, 1)])
+def test_model_tau_b_rejects_a_bad_horizon(t_max, n_points):
+    with pytest.raises(ContractError, match="t_max"):
+        engine.model_tau_b(default_model(n_bath=3), t_max=t_max, n_points=n_points)
+
+
 def test_model_tau_b_frozen_default():
     est = engine.model_tau_b(default_model())
     assert est.reached
@@ -561,13 +569,13 @@ def _dense_kron_curves(spec):
     model, tl, err = spec.model, spec.timeline, spec.error_model
     ops = model.ops
     h_free = build_h_free(model)
-    dev0 = 2.0 / ops.dim * ops.s(spec.initial_axis)
+    dev0 = 2.0 / ops.dim * getattr(ops, "s" + spec.initial_axis)
     norm0 = np.real(np.trace(dev0 @ dev0))
     curves = []
     for k in range(spec.n_realizations):
         rng = realization_rng(spec.master_seed, k)
         rf_scale = sample_rf_scale(err, rng)
-        rho = ops.identity / ops.dim + dev0
+        rho = np.eye(ops.dim) / ops.dim + dev0
         det = dev0
         times, values = [0.0], [1.0]
         for m in range(tl.n_cycles):
@@ -629,4 +637,5 @@ def test_propagate_never_builds_bath_operators():
     m = default_model(n_bath=8)
     tl = compile_cpmg(20.0, 0.0, n_cycles=2)
     propagate(RunSpec(model=m, timeline=tl, error_model=_STATIC, n_realizations=2))
-    assert not {"ix", "iy", "iz"} & set(m.ops.__dict__)
+    # neither the model nor propagate builds a full-space operator
+    assert not {"sx", "sy", "sz", "ix", "iy", "iz"} & set(m.ops.__dict__)

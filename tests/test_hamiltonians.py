@@ -181,7 +181,7 @@ def test_sectors_block_h_free_system_operators_and_pulses(n_bath):
     off = label[:, None] != label[None, :]
     assert np.all(build_h_free(m)[off] == 0.0)
     for axis, s in (("x", ops.sx), ("y", ops.sy), ("z", ops.sz)):
-        half = build_operator_set(0).s(axis)
+        half = getattr(build_operator_set(0), "s" + axis)
         for idx in sectors:
             assert np.array_equal(s[np.ix_(idx, idx)], np.kron(half, np.eye(idx.size // 2)))
     # a finite pulse with flip error, static tilt and a jitter-sized tilt
