@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PropagatorCache, _free_table, _sector_blocks
+from .engine import _free_table, _interval_products, _sector_blocks
 from .errors import ContractError
 from .hamiltonians import _sectors, build_h_e, build_h_error, build_h_free, default_model
 from .operators import build_operator_set, evolve, require_hermitian
-from .pulses import (ErrorModel, PulseSpec, _conjugate, _left, delta_rotation, error_factor,
+from .pulses import (ErrorModel, _conjugate, _left, delta_rotation, error_factor,
                      ideal_frame)
 from .sequences import compile_cpmg, compile_pdd
 
@@ -175,27 +175,17 @@ def _claim_cpmg_flip_angle(params):
     }
 
 
-def _error_generator_sum(axes, eps, ops):
-    """Full-space norm of the zeroth-order error generator that hard pi
-    pulses about `axes`, applied in order with flip-angle error eps,
-    accumulate in the toggling frame."""
-    err = ErrorModel(flip_angle_fraction=eps)
-    frame = np.eye(2, dtype=complex)
-    acc = np.zeros((2, 2), dtype=complex)
-    for axis in axes:
-        g = rotation_generator(error_factor(PulseSpec.delta(axis, np.pi), 1.0, err))
-        frame = delta_rotation(axis, np.pi) @ frame
-        acc += frame.conj().T @ g @ frame
-    # the full-space generator is acc (x) 1_bath, of norm |acc| sqrt(dim / 2)
-    return float(np.linalg.norm(acc) * np.sqrt(ops.dim // 2))
-
-
 def _claim_cpmg2_cancellation(params):
     """Alternating +y/-y pair: for hard pulses and vanishing delays the
     accumulated zeroth-order error generator cancels exactly."""
     eps = params.get("flip_angle_fraction", 0.05)
     ops = build_operator_set(params.get("n_bath", 1))
-    generator_sum = _error_generator_sum(("y", "-y"), eps, ops)
+    # with H_free = 0 the toggled segments carry only the error kicks, so
+    # tau_c H0 is their accumulated generator whatever the delays
+    tl = compile_cpmg(1.0, 0.0, variant="cpmg2")
+    err = ErrorModel(flip_angle_fraction=eps)
+    h0 = average_hamiltonian(toggling_frames(tl, np.zeros((ops.dim, ops.dim)), ops, err), 0)
+    generator_sum = tl.cycle_time * float(np.linalg.norm(h0))
     ref = abs(eps) * np.pi * float(np.linalg.norm(ops.sy))
     residual = generator_sum / ref
     return {
@@ -298,8 +288,8 @@ def magnus_defect(timeline, h_free, ops):
     # error-free pulses at unit RF scale are exactly the ideal rotations
     pieces = timeline.segments()
     free_us = _free_table(h_blocks, {dt for kind, dt in pieces if kind == "free"})
-    u_exact = _scattered(PropagatorCache(h_blocks, ErrorModel(), 1.0, free_us, None)
-                         .cycle(pieces), sectors)
+    (blocks,) = _interval_products([pieces], h_blocks, free_us, ErrorModel(), 1.0)
+    u_exact = _scattered(blocks, sectors)
     # undo the ideal frame so both matrices live in the toggling frame at
     # the cycle end; for pi-pulse cycles the net frame is +-identity
     frame = ideal_frame(timeline.events)

@@ -13,7 +13,7 @@ configuration error.
 
 import argparse
 import json
-import math
+import os
 import sys
 
 import numpy as np
@@ -31,7 +31,14 @@ from .sequences import (compile_cdd, compile_cpmg, compile_hahn, compile_pdd, co
 from .util import fmt
 
 
-def _write_json(path, payload):
+def _write_json(path, command, payload, cfg=None):
+    """Write `payload` with its `command`, and the fingerprint of `cfg` when
+    one is given, to `path`; an empty path writes nothing."""
+    if not path:
+        return
+    payload = dict(payload, command=command)
+    if cfg is not None:
+        payload["fingerprint"] = cfg.fingerprint()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -76,15 +83,12 @@ def cmd_simulate(args):
     finally:
         if owned:
             fh.close()
-    json_path = args.json or cfg.json_path
-    if json_path:
-        _write_json(json_path, {
-            "command": "simulate", "fingerprint": cfg.fingerprint(),
-            "label": tl.label, "axis": cfg.initial_axis,
-            "tau_c_us": tl.cycle_time, "n_cycles": tl.n_cycles,
-            "pulses_per_cycle": tl.pulses_per_cycle, "master_seed": seed,
-            "final_time_us": float(trace.times[-1]), "final_s": float(trace.s[-1]),
-        })
+    _write_json(args.json or cfg.json_path, "simulate", {
+        "label": tl.label, "axis": cfg.initial_axis,
+        "tau_c_us": tl.cycle_time, "n_cycles": tl.n_cycles,
+        "pulses_per_cycle": tl.pulses_per_cycle, "master_seed": seed,
+        "final_time_us": float(trace.times[-1]), "final_s": float(trace.s[-1]),
+    }, cfg)
     if owned:
         print(f"simulate: {tl.label} axis={cfg.initial_axis} "
               f"final s={trace.s[-1]:.6f} at t={trace.times[-1]:.3f} us")
@@ -103,8 +107,8 @@ def _sweep_one(cfg, family, seed, fair, threads):
 def _family_path(path, family, many):
     if not (path and many):
         return path
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}.{family}.{ext}" if dot else f"{path}.{family}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.{family}{ext}"
 
 
 def cmd_sweep(args):
@@ -123,8 +127,7 @@ def cmd_sweep(args):
     fair = args.fair or cfg.fair
     seed = _resolved_seed(cfg, args)
     many = len(families) > 1
-    summary = {"command": "sweep", "fingerprint": cfg.fingerprint(),
-               "fair": fair, "master_seed": seed, "families": {}}
+    summary = {"fair": fair, "master_seed": seed, "families": {}}
     for family in families:
         result = _sweep_one(cfg, family, seed, fair, args.threads)
         csv_path = _family_path(args.csv or cfg.csv_path, family, many)
@@ -149,9 +152,7 @@ def cmd_sweep(args):
         if owned:
             print(f"sweep: {family} tau_opt={result.tau_opt:g} us "
                   f"({len(result.failures)} failed points)")
-    json_path = args.json or cfg.json_path
-    if json_path:
-        _write_json(json_path, summary)
+    _write_json(args.json or cfg.json_path, "sweep", summary, cfg)
     return 0
 
 
@@ -174,13 +175,9 @@ def cmd_corr(args):
     finally:
         if owned:
             fh.close()
-    json_path = args.json or cfg.json_path
-    if json_path:
-        _write_json(json_path, {
-            "command": "corr", "fingerprint": cfg.fingerprint(),
-            "tau_b_us": est.value, "tau_b_reached": est.reached,
-            "horizon_us": horizon,
-        })
+    _write_json(args.json or cfg.json_path, "corr", {
+        "tau_b_us": est.value, "tau_b_reached": est.reached, "horizon_us": horizon,
+    }, cfg)
     if owned:
         print(f"corr: tau_B={est.value:.3f} us (reached={est.reached})")
     return 0
@@ -199,7 +196,6 @@ def cmd_avgham(args):
     h1 = average_hamiltonian(segs, 1)
     h_e = build_h_e(model)
     report = {
-        "command": "avgham", "fingerprint": cfg.fingerprint(),
         "label": tl.label, "tau_c_us": tl.cycle_time,
         "pulse_model": "ideal" if err is None else "errored",
         "h0_norm": float(np.linalg.norm(h0)),
@@ -209,9 +205,7 @@ def cmd_avgham(args):
     }
     for key in ("h0_norm", "h1_norm", "h0_minus_bath_norm", "h_free_norm"):
         print(f"{key} = {report[key]:.6e}")
-    json_path = args.json or cfg.json_path
-    if json_path:
-        _write_json(json_path, report)
+    _write_json(args.json or cfg.json_path, "avgham", report, cfg)
     return 0
 
 
@@ -266,9 +260,7 @@ def cmd_verify(args):
     for r in rows:
         mark = "PASS" if r["pass"] else "FAIL"
         print(f"{mark}  {r['check']:<{width}}  {r['detail']}")
-    if args.json:
-        _write_json(args.json, {"command": "verify", "all_pass": all_ok,
-                                "checks": rows})
+    _write_json(args.json, "verify", {"all_pass": all_ok, "checks": rows})
     return 0 if all_ok else 1
 
 
@@ -301,11 +293,10 @@ def cmd_fit(args):
     print(f"n = c + b ln(tau_opt / tau_B)")
     print(f"c = {fit.c:.6g} +- {fit.c_sd:.3g}")
     print(f"b = {fit.b:.6g} +- {fit.b_sd:.3g}")
-    if args.json:
-        _write_json(args.json, {
-            "command": "fit", "c": fit.c, "b": fit.b, "c_sd": fit.c_sd,
-            "b_sd": fit.b_sd, "n_points": fit.n_points, "tau_b_us": args.tau_b,
-        })
+    _write_json(args.json, "fit", {
+        "c": fit.c, "b": fit.b, "c_sd": fit.c_sd, "b_sd": fit.b_sd,
+        "n_points": fit.n_points, "tau_b_us": args.tau_b,
+    })
     return 0
 
 
@@ -318,7 +309,9 @@ def build_parser():
         "config": dict(required=True, help="experiment config file"),
         "seed": dict(type=int, default=None, help="override run.master_seed"),
         "threads": dict(type=int, default=1,
-                        help="worker threads (default 1); any count gives identical output"),
+                        help="worker threads (default 1); any count gives identical "
+                             "output; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) "
+                             "when using more than 1"),
         "csv": dict(default="",
                     help="CSV output path (default: config [output], else stdout)"),
         "json": dict(default="", help="JSON output path (default: config [output])"),

@@ -255,9 +255,9 @@ def parse_config(text):
 
     tau_p = pulses["tau_p_us"]
     rf_khz = pulses["rf_khz"]
-    if tau_p < 0:
-        line_no = line_of["pulses"].get("tau_p_us", "?")
-        raise ConfigError(f"line {line_no}: tau_p_us must be >= 0")
+    for key in ("tau_p_us", "rf_khz"):
+        if pulses[key] < 0:
+            raise ConfigError(f"line {line_of['pulses'].get(key, '?')}: {key} must be >= 0")
     # Resolution order for the pulse shape: an explicit duration wins;
     # rf_khz alone derives the duration of a pi pulse; neither means delta
     # pulses.

@@ -150,67 +150,56 @@ class TauBEstimate(NamedTuple):
     reached: bool
 
 
-class PropagatorCache:
-    """Propagators for one realization, as per-sector blocks: the run's
-    shared free table {dt: [exp(-i H_k dt) for each sector k]}, pulse
-    propagators and their products.
+def _pulse_blocks(ev, h_blocks, err, rf_scale, tilt=None):
+    """Per-sector blocks of one pulse event; `tilt` overrides err.axis_tilt.
 
-    Every propagator is a list with one block per bath-magnetization
-    sector (hamiltonians._sectors); the blocks of one list act on the
-    sectors in order. A delta pulse is one 2x2 system rotation repeated
-    for every sector (see pulses._left); a finite pulse is one driven
-    Hamiltonian with one tilt draw, exponentiated per block, so each
-    diagonalization costs O(sum_k (2 C(n, k))^3) rather than O(dim^3).
-    With tilt jitter enabled every pulse is built fresh from a new tilt
-    draw (in pulse application order, so runs are deterministic in the
-    realization seed); without it pulses and products are cached by shape.
+    A delta pulse is one 2x2 system rotation repeated for every sector
+    (see pulses._left); a finite pulse is one driven Hamiltonian
+    exponentiated per block, so each diagonalization costs
+    O(sum_k (2 C(n, k))^3) rather than O(dim^3).
     """
+    if ev.duration > 0:
+        rate = ev.nominal_angle / ev.duration
+        return [exp_propagators(_driven_hamiltonian(h, ev.axis, rate, rf_scale, err, tilt),
+                                (ev.duration,))[ev.duration] for h in h_blocks]
+    return [delta_rotation(ev.axis, ev.nominal_angle, rf_scale, err, tilt)] * len(h_blocks)
 
-    def __init__(self, h_blocks, err, rf_scale, free_us, rng):
-        self.h_blocks = h_blocks
-        self.err = err
-        self.rf_scale = rf_scale
-        self.rng = rng
-        self.jitter = err.tilt_jitter_sd > 0
-        self._free = free_us
-        self._eye = [np.eye(h.shape[0], dtype=complex) for h in h_blocks]
-        self._pulse = {}
-        self._product = {}
 
-    def cycle(self, segments):
-        """Per-sector products of the segment propagators over `segments`
-        in order."""
+def _interval_products(pieces, h_blocks, free_us, err, rf_scale, rng=None):
+    """Yield, for each segment list of `pieces` in order, the per-sector
+    product of its segment propagators.
+
+    Free segments are read from the shared table free_us (_free_table) and
+    pulses built by _pulse_blocks. Given an rng, every pulse draws a fresh
+    tilt err.axis_tilt + N(0, tilt_jitter_sd) in application order, so runs
+    are deterministic in the realization seed. Without one the errors are
+    static: each pulse shape is built once, and segment lists of equal
+    shape yield one shared product.
+    """
+    eye = [np.eye(h.shape[0], dtype=complex) for h in h_blocks]
+
+    def product(segments, pulse):
+        out = eye
+        for i, (kind, p) in enumerate(segments):
+            u = free_us[p] if kind == "free" else pulse(p)
+            out = [a if i == 0 and a.shape == b.shape else _left(a, b)
+                   for a, b in zip(u, out)]
+        return out
+
+    if rng is not None:
+        for segments in pieces:
+            yield product(segments, lambda ev: _pulse_blocks(
+                ev, h_blocks, err, rf_scale,
+                err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd)))
+        return
+    events = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
+    pulses = {key: _pulse_blocks(ev, h_blocks, err, rf_scale) for key, ev in events.items()}
+    shared = {}
+    for segments in pieces:
         key = tuple(p if kind == "free" else _shape(p) for kind, p in segments)
-        product = self._product.get(key)
-        if product is not None:
-            return product
-        product = self._eye
-        for i, (kind, payload) in enumerate(segments):
-            u = self._free[payload] if kind == "free" else self.pulse(payload)
-            product = [a if i == 0 and a.shape == b.shape else _left(a, b)
-                       for a, b in zip(u, product)]
-        if not self.jitter:
-            self._product[key] = product
-        return product
-
-    def pulse(self, ev):
-        u = self._pulse.get(_shape(ev))
-        if u is not None:
-            return u
-        tilt = None
-        if self.jitter:
-            tilt = self.err.axis_tilt + self.rng.normal(0.0, self.err.tilt_jitter_sd)
-        if ev.duration > 0:
-            rate = ev.nominal_angle / ev.duration
-            u = [exp_propagators(_driven_hamiltonian(h, ev.axis, rate, self.rf_scale,
-                                                     self.err, tilt),
-                                 (ev.duration,))[ev.duration] for h in self.h_blocks]
-        else:
-            r2 = delta_rotation(ev.axis, ev.nominal_angle, self.rf_scale, self.err, tilt)
-            u = [r2] * len(self.h_blocks)
-        if not self.jitter:
-            self._pulse[_shape(ev)] = u
-        return u
+        if key not in shared:
+            shared[key] = product(segments, lambda ev: pulses[_shape(ev)])
+        yield shared[key]
 
 
 def _sector_blocks(a, sectors):
@@ -365,22 +354,27 @@ def _spectral_series(weights, freqs, times):
 
 def _realization_curve(spec, intervals, h_blocks, dev0, norm0, k, free_us):
     """Survival values for realization k at the recording instants."""
-    n_cycles = spec.timeline.n_cycles
+    n_cycles, err = spec.timeline.n_cycles, spec.error_model
     rng = realization_rng(spec.master_seed, k)
-    rf_scale = sample_rf_scale(spec.error_model, rng)
-    cache = PropagatorCache(h_blocks, spec.error_model, rf_scale, free_us, rng)
-    if (spec.record == "cycle_boundaries" and not cache.jitter
-            and intervals[0].frame is None and n_cycles >= _POWER_MIN_CYCLES):
-        powered = _powered_overlaps(cache.cycle(intervals[0].segments), dev0, n_cycles)
-        if powered is not None:
-            return powered
+    rf_scale = sample_rf_scale(err, rng)
+    pieces = [iv.segments for iv in intervals]
+    static = None
+    if err.tilt_jitter_sd == 0:
+        static = list(_interval_products(pieces, h_blocks, free_us, err, rf_scale))
+        if (spec.record == "cycle_boundaries" and intervals[0].frame is None
+                and n_cycles >= _POWER_MIN_CYCLES):
+            powered = _powered_overlaps(static[0], dev0, n_cycles)
+            if powered is not None:
+                return powered
     dev, det = dev0, dev0
     values = [1.0]
     for _ in range(n_cycles):
+        # jittered pulses draw fresh tilts, so each cycle rebuilds its
+        # interval products, one at a time
+        products = iter(static) if static is not None else _interval_products(
+            pieces, h_blocks, free_us, err, rf_scale, rng)
         for iv in intervals:
-            # jittered pulses draw fresh tilts, so each interval propagator
-            # is rebuilt; as a temporary it is freed before the next is built
-            dev = [_conjugate(u, d) for u, d in zip(cache.cycle(iv.segments), dev)]
+            dev = [_conjugate(u, d) for u, d in zip(next(products), dev)]
             if iv.frame is not None:
                 det = [_conjugate(iv.frame, d) for d in det]
             values.append(_overlap(det, dev) / norm0)

@@ -117,13 +117,20 @@ def test_claim_registry():
 @pytest.mark.parametrize("n_bath, expected", [(1, 0.31416), (3, 0.62832)])
 def test_error_generator_sum_of_a_same_axis_pair(n_bath, expected):
     # a +y/+y pair adds its two flip-angle errors instead of cancelling
-    # them: 2 eps pi |S_y|, with |S_y| = sqrt(dim) / 2 on the full space
+    # them: 2 eps pi |S_y|, with |S_y| = sqrt(dim) / 2 on the full space.
+    # With H_free = 0 the toggled segments carry only the error kicks, so
+    # tau_c |H0| is the norm of their sum, as in the cpmg2 claim
     ops = build_operator_set(n_bath)
     eps = 0.05
-    got = avgham._error_generator_sum(("y", "y"), eps, ops)
+    tl = compile_cpmg(1.0, 0.0, variant="cpmg")
+    segs = toggling_frames(tl, np.zeros((ops.dim, ops.dim)), ops,
+                           ErrorModel(flip_angle_fraction=eps))
+    got = tl.cycle_time * float(np.linalg.norm(average_hamiltonian(segs, 0)))
     assert got == pytest.approx(2.0 * eps * np.pi * float(np.linalg.norm(ops.sy)), rel=1e-12)
     assert got == pytest.approx(expected, abs=5e-6)
-    assert avgham._error_generator_sum(("y", "-y"), eps, ops) < 1e-14
+    report = verify_claim("cpmg2-error-sum-vanishes",
+                          {"n_bath": n_bath, "flip_angle_fraction": eps})
+    assert report["norms"]["generator_sum"] < 1e-14
 
 
 def test_residual_text_prints_round_off_as_a_bound():

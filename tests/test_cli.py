@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from spinbath import CLAIM_IDS
-from spinbath.cli import build_parser, main
+from spinbath.cli import _family_path, build_parser, main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -126,6 +126,17 @@ def test_sweep_per_family_files_and_summary(tmp_path):
         info = summary["families"][family]
         assert info["tau_opt_us"] in (10.0, 20.0)
         assert info["failures"] == []
+
+
+@pytest.mark.parametrize("path, expected", [
+    ("sweep.csv", "sweep.cpmg.csv"),
+    ("./sweep", "./sweep.cpmg"),
+    ("out/run.v2/sweep", "out/run.v2/sweep.cpmg"),
+    ("out/run.v2/sweep.csv", "out/run.v2/sweep.cpmg.csv"),
+])
+def test_family_path_tags_the_file_name_only(path, expected):
+    assert _family_path(path, "cpmg", True) == expected
+    assert _family_path(path, "cpmg", False) == path
 
 
 def test_sweep_checks_family_names_before_running(tmp_path, capsys):

@@ -250,6 +250,11 @@ class TestPulseResolution:
         with pytest.raises(ConfigError, match="tau_p_us must be >= 0"):
             parse_config("[pulses]\ntau_p_us = -1\n")
 
+    def test_negative_rf_reports_line(self):
+        # a negative amplitude would otherwise fall through to delta pulses
+        with pytest.raises(ConfigError, match="line 3: rf_khz must be >= 0"):
+            parse_config("[pulses]\ntau_p_us = 0\nrf_khz = -25\n")
+
 
 def test_fingerprint_tracks_resolved_values():
     base = parse_config("[sequence]\ntau_us = 30\n")

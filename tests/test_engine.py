@@ -639,3 +639,42 @@ def test_propagate_never_builds_bath_operators():
     propagate(RunSpec(model=m, timeline=tl, error_model=_STATIC, n_realizations=2))
     # neither the model nor propagate builds a full-space operator
     assert not {"sx", "sy", "sz", "ix", "iy", "iz"} & set(m.ops.__dict__)
+
+
+def _counted_pulse_builds(monkeypatch):
+    shapes = []
+    build = engine._pulse_blocks
+
+    def counted(ev, *args, **kwargs):
+        shapes.append(engine._shape(ev))
+        return build(ev, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_pulse_blocks", counted)
+    return shapes
+
+
+def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
+    shapes = _counted_pulse_builds(monkeypatch)
+    m = default_model(seed=4, n_bath=3)
+    tl = compile_cdd(2, 10.0, 0.0, n_cycles=3)
+    propagate(RunSpec(model=m, timeline=tl, error_model=_STATIC, record="every_pulse"))
+    assert sorted(shapes) == sorted({engine._shape(ev) for ev in tl.events})
+
+    pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
+    h_blocks = engine._sector_blocks(build_h_free(m), engine._sectors(m.n_bath))
+    free_us = engine._free_table(h_blocks, {p for segs in pieces
+                                            for kind, p in segs if kind == "free"})
+    products = list(engine._interval_products(pieces, h_blocks, free_us, _STATIC, 1.0))
+    keys = [tuple(p if kind == "free" else engine._shape(p) for kind, p in segs)
+            for segs in pieces]
+    for key, product in zip(keys, products):
+        assert product is products[keys.index(key)]
+    assert len({id(p) for p in products}) == len(set(keys)) < len(pieces)
+
+
+def test_jittered_runs_build_every_pulse_application(monkeypatch):
+    shapes = _counted_pulse_builds(monkeypatch)
+    tl = compile_cpmg(4.0, 0.0, n_cycles=7)
+    propagate(RunSpec(model=dephasing_model(2), timeline=tl, error_model=_JITTER,
+                      n_realizations=2, record="every_pulse"))
+    assert len(shapes) == 2 * tl.n_cycles * tl.pulses_per_cycle

@@ -19,7 +19,7 @@ from spinbath import (
     real_pulse,
     sample_rf_scale,
 )
-from spinbath.engine import PropagatorCache, _sector_blocks
+from spinbath.engine import _pulse_blocks, _sector_blocks
 from spinbath.pulses import axis_vector, delta_rotation, split_axis
 from spinbath.hamiltonians import _sectors
 
@@ -91,12 +91,12 @@ def test_engine_finite_pulse_matches_real_pulse_per_sector():
     h_free = build_h_free(m)
     sectors = _sectors(m.n_bath)
     err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=0.05)
-    cache = PropagatorCache(_sector_blocks(h_free, sectors), err, 0.97, {}, None)
+    h_blocks = _sector_blocks(h_free, sectors)
     for axis in ("x", "-y"):
         ev = PulseEvent(3.0, axis, np.pi, 1.5)
         spec = PulseSpec(axis, np.pi, 1.5, np.pi / 1.5)
         dense = real_pulse(spec, 0.97, err, h_free, m.ops).matrix
-        blocks = cache.pulse(ev)
+        blocks = _pulse_blocks(ev, h_blocks, err, 0.97)
         assert len(blocks) == len(sectors)
         for idx, block in zip(sectors, blocks):
             assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-12
