@@ -252,6 +252,8 @@ def hahn_decay_trace(model, tau_grid, error_model=None, axis="x", tau_p=0.0,
     series against echo time (2 tau + tau_p) is packaged as a SurvivalTrace
     so the standard decay extraction applies.
     """
+    if not np.all(np.diff(np.asarray(tau_grid, dtype=float)) > 0):
+        raise ContractError("tau_grid must be strictly increasing")
     err = error_model or ErrorModel()
     times, values, errs, counts = [0.0], [1.0], [0.0], [0]
     for tau in tau_grid:

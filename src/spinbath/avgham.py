@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _free_table, _interval_products, _sector_blocks
+from .engine import _free_table, _interval_products, _unitary_eig
 from .errors import ContractError
-from .hamiltonians import _sectors, build_h_e, build_h_error, build_h_free, default_model
-from .operators import build_operator_set, evolve, require_hermitian
-from .pulses import (ErrorModel, _conjugate, _left, delta_rotation, error_factor,
-                     ideal_frame)
+from .hamiltonians import (_sector_blocks, _sectors, build_h_e, build_h_error, build_h_free,
+                           default_model)
+from .operators import UNITARY_ATOL, build_operator_set, exp_propagators, require_hermitian
+from .pulses import (ErrorModel, _conjugate, _embedded, _left, delta_rotation,
+                     error_factor, ideal_frame)
 from .sequences import compile_cpmg, compile_pdd
 
 CLAIM_TOL = 1e-10
@@ -47,10 +48,14 @@ class ToggledSegment:
 
 
 def rotation_generator(u):
-    """Hermitian G with u = exp(-i G), principal branch per eigenvalue."""
-    w, v = np.linalg.eig(np.asarray(u, dtype=complex))
-    g = (v * (-np.angle(w))) @ np.linalg.inv(v)
-    return 0.5 * (g + g.conj().T)
+    """Hermitian G = P diag(-theta) P^dag with u = exp(-i G), principal branch
+    per eigenphase, from engine._unitary_eig of a u unitary within UNITARY_ATOL."""
+    u = np.asarray(u, dtype=complex)
+    eig = _unitary_eig(u)
+    if eig is None or np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) > UNITARY_ATOL:
+        raise ContractError("rotation_generator needs a unitary u with an accurate eigenbasis")
+    theta, p = eig
+    return (p * -theta) @ p.conj().T
 
 
 def toggling_frames(timeline, h_free, ops, error_model=None):
@@ -68,13 +73,13 @@ def toggling_frames(timeline, h_free, ops, error_model=None):
     # alone, so both stay 2x2
     segments = []
     frame = np.eye(2, dtype=complex)
-    pending = None
+    pending = np.zeros((2, 2), dtype=complex)
     for kind, payload in timeline.segments():
         if kind == "free":
             area = _conjugate(frame.conj().T, h_free) * payload
-            if pending is not None:
-                area = area + np.kron(pending, np.eye(ops.dim // 2))
-                pending = None
+            if error_model is not None:
+                area = area + _embedded(pending, ops)
+                pending = np.zeros((2, 2), dtype=complex)
             segments.append(ToggledSegment(payload, area / payload))
             continue
         if payload.duration != 0.0:
@@ -87,9 +92,8 @@ def toggling_frames(timeline, h_free, ops, error_model=None):
             g = rotation_generator(error_factor(payload, 1.0, error_model))
             # the error rotation acts after the ideal pulse, so toggle it
             # with the frame that includes this pulse
-            kick = frame.conj().T @ g @ frame
-            pending = kick if pending is None else pending + kick
-    if pending is not None and float(np.max(np.abs(pending))) > 1e-15:
+            pending = pending + frame.conj().T @ g @ frame
+    if float(np.max(np.abs(pending))) > 1e-15:
         raise ContractError(
             "a trailing pulse-error rotation has no following free period to absorb it"
         )
@@ -113,13 +117,10 @@ def average_hamiltonian(segments, order):
     if not segments:
         raise ContractError("need at least one toggled segment")
     tau_c = sum(s.duration for s in segments)
-    if order == 0:
-        acc = sum(s.h_tilde * s.duration for s in segments)
-        return acc / tau_c
     areas = [s.h_tilde * s.duration for s in segments]
-    dim = areas[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    running = np.zeros((dim, dim), dtype=complex)
+    if order == 0:
+        return sum(areas) / tau_c
+    acc, running = np.zeros_like(areas[0]), np.zeros_like(areas[0])
     for area in areas:
         acc += area @ running - running @ area
         running += area
@@ -135,24 +136,29 @@ def _component_table(h, ops):
         basis = [(f"s{name}", s_u)]
         basis += [(f"s{name}.iz{j}", s_u @ ops.iz[j]) for j in range(ops.n_bath)]
         for key, op in basis:
-            norm = float(np.real(np.einsum("ij,ji->", op.conj().T, op)))
-            c = complex(np.einsum("ij,ji->", op.conj().T, h)) / norm
-            comps[key] = c
+            comps[key] = c = complex(np.vdot(op, h)) / np.vdot(op, op).real
             rest -= c * op
     return comps, float(np.linalg.norm(rest))
+
+
+def _flip_angle_error(params):
+    eps = params.get("flip_angle_fraction", 0.05)
+    if eps == 0:
+        raise ContractError("flip_angle_fraction must be nonzero: the flip-angle claims "
+                            "measure their residual relative to it")
+    return eps, ErrorModel(flip_angle_fraction=eps)
 
 
 def _claim_cpmg_flip_angle(params):
     """Plain two-pulse train with flip-angle error: the zeroth-order average
     Hamiltonian is a pure S_y field of strength 2 eps pi / tau_c."""
     tau = params.get("tau", 30.0)
-    eps = params.get("flip_angle_fraction", 0.05)
+    eps, err = _flip_angle_error(params)
     model = params.get("model") or default_model(
         seed=params.get("seed", 11), n_bath=params.get("n_bath", 2),
         b_scale=0.05, d_scale=0.05)
     ops = model.ops
     tl = compile_cpmg(tau, 0.0)
-    err = ErrorModel(flip_angle_fraction=eps)
     segs = toggling_frames(tl, build_h_free(model), ops, err)
     h0 = average_hamiltonian(segs, 0)
     # the bath-internal term rides along untouched by system pulses; the
@@ -160,10 +166,9 @@ def _claim_cpmg_flip_angle(params):
     comps, rest = _component_table(h0 - build_h_e(model), ops)
     expected = 2.0 * eps * np.pi / tl.cycle_time
     got = comps["sy"].real
-    scale = abs(expected)
     off_axis = max(abs(comps["sx"]), abs(comps["sz"]))
-    se_terms = max(abs(v) for k, v in comps.items() if ".iz" in k)
-    residual = max(abs(got - expected), off_axis, se_terms, rest) / scale
+    se_terms = max((abs(v) for k, v in comps.items() if ".iz" in k), default=0.0)
+    residual = max(abs(got - expected), off_axis, se_terms, rest) / abs(expected)
     return {
         "claim": "cpmg-flip-angle-zeroth-order",
         "statement": "flip-angle error leaves a pure S_y zeroth-order field "
@@ -178,22 +183,20 @@ def _claim_cpmg_flip_angle(params):
 def _claim_cpmg2_cancellation(params):
     """Alternating +y/-y pair: for hard pulses and vanishing delays the
     accumulated zeroth-order error generator cancels exactly."""
-    eps = params.get("flip_angle_fraction", 0.05)
+    eps, err = _flip_angle_error(params)
     ops = build_operator_set(params.get("n_bath", 1))
     # with H_free = 0 the toggled segments carry only the error kicks, so
     # tau_c H0 is their accumulated generator whatever the delays
     tl = compile_cpmg(1.0, 0.0, variant="cpmg2")
-    err = ErrorModel(flip_angle_fraction=eps)
     h0 = average_hamiltonian(toggling_frames(tl, np.zeros((ops.dim, ops.dim)), ops, err), 0)
     generator_sum = tl.cycle_time * float(np.linalg.norm(h0))
     ref = abs(eps) * np.pi * float(np.linalg.norm(ops.sy))
-    residual = generator_sum / ref
     return {
         "claim": "cpmg2-error-sum-vanishes",
         "statement": "with hard pulses and vanishing delays the +y/-y pair "
                      "accumulates no zeroth-order error generator",
         "norms": {"generator_sum": generator_sum, "reference": ref},
-        "residual": residual,
+        "residual": generator_sum / ref,
     }
 
 
@@ -212,14 +215,13 @@ def _claim_pdd_cancels_coupling(params):
     tl = compile_pdd(tau, 0.0)
     segs = toggling_frames(tl, h_err + h_e, model.ops)
     h0 = average_hamiltonian(segs, 0)
-    ref = float(np.linalg.norm(h_err))
-    residual = float(np.linalg.norm(h0 - h_e)) / ref
+    rest, ref = float(np.linalg.norm(h0 - h_e)), float(np.linalg.norm(h_err))
     return {
         "claim": "pdd-cancels-system-bath-coupling",
         "statement": "the four-pulse block averages any S_u (a_u + sum_j "
                      "b_uj I_z^j) coupling to zero at leading order",
-        "norms": {"h0_minus_bath": float(np.linalg.norm(h0 - h_e)), "reference": ref},
-        "residual": residual,
+        "norms": {"h0_minus_bath": rest, "reference": ref},
+        "residual": rest / ref,
     }
 
 
@@ -258,39 +260,33 @@ def residual_text(residual, spec):
     return f"residual={residual:{spec}}"
 
 
-def _scattered(blocks, sectors):
-    """The full-space block-diagonal matrix with `blocks` on `sectors`."""
-    dim = sum(idx.size for idx in sectors)
-    a = np.zeros((dim, dim), dtype=complex)
-    for idx, block in zip(sectors, blocks):
-        a[np.ix_(idx, idx)] = block
-    return a
-
-
 def magnus_defect(timeline, h_free, ops):
     """Norm of U_exact(tau_c) - exp(-i (H0 + H1) tau_c) for one cycle.
 
     Scales as the cube of the coupling strength, which is the standard
     convergence diagnostic for the truncated expansion. U_exact is the
-    engine's cycle product, built per bath-magnetization sector, so
-    h_free must conserve the total bath I_z.
+    engine's cycle product; both propagators are built per bath-magnetization
+    sector, so h_free must conserve the total bath I_z.
     """
     h_free = np.asarray(h_free, dtype=complex)
     sectors = _sectors(ops.n_bath)
-    h_blocks = _sector_blocks(h_free, sectors)
-    off_sector = float(np.max(np.abs(h_free - _scattered(h_blocks, sectors))))
-    if off_sector > 1e-12 * max(1.0, float(np.max(np.abs(h_free)))):
+    off = np.abs(h_free)
+    for idx in sectors:
+        off[np.ix_(idx, idx)] = 0.0
+    if np.max(off) > 1e-12 * max(1.0, float(np.max(np.abs(h_free)))):
         raise ContractError(f"h_free couples bath-magnetization sectors (max off-sector "
-                            f"entry {off_sector:.3e})")
-    segs = toggling_frames(timeline, h_free, ops)
-    h01 = average_hamiltonian(segs, 0) + average_hamiltonian(segs, 1)
-    u_avg = evolve(h01, timeline.cycle_time).matrix
+                            f"entry {np.max(off):.3e})")
+    segs, tau_c = toggling_frames(timeline, h_free, ops), timeline.cycle_time
     # error-free pulses at unit RF scale are exactly the ideal rotations
+    h_blocks = _sector_blocks(h_free, sectors)
     pieces = timeline.segments()
     free_us = _free_table(h_blocks, {dt for kind, dt in pieces if kind == "free"})
-    (blocks,) = _interval_products([pieces], h_blocks, free_us, ErrorModel(), 1.0)
-    u_exact = _scattered(blocks, sectors)
-    # undo the ideal frame so both matrices live in the toggling frame at
-    # the cycle end; for pi-pulse cycles the net frame is +-identity
-    frame = ideal_frame(timeline.events)
-    return float(np.linalg.norm(_left(frame.conj().T, u_exact) - u_avg))
+    (u_exact,) = _interval_products([pieces], h_blocks, free_us, ErrorModel(), 1.0)
+    # the ideal frames rotate the system spin alone, so the toggled segments
+    # are block-diagonal like h_free; U_exact goes to the toggling frame
+    frame, norms = ideal_frame(timeline.events).conj().T, []
+    for idx, u in zip(sectors, u_exact):
+        block = [ToggledSegment(s.duration, s.h_tilde[np.ix_(idx, idx)]) for s in segs]
+        h01 = average_hamiltonian(block, 0) + average_hamiltonian(block, 1)
+        norms.append(np.linalg.norm(_left(frame, u) - exp_propagators(h01, (tau_c,))[tau_c]))
+    return float(np.linalg.norm(norms))

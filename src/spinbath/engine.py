@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .hamiltonians import _sectors, build_h_e, build_h_free
+from .hamiltonians import _sector_blocks, _sectors, build_h_e, build_h_free
 from .operators import _SPIN_HALF, exp_propagators
 from .pulses import (ErrorModel, _conjugate, _driven_hamiltonian, _left, delta_rotation,
                      ideal_frame, sample_rf_scale)
@@ -200,11 +200,6 @@ def _interval_products(pieces, h_blocks, free_us, err, rf_scale, rng=None):
         if key not in shared:
             shared[key] = product(segments, lambda ev: pulses[_shape(ev)])
         yield shared[key]
-
-
-def _sector_blocks(a, sectors):
-    """The diagonal blocks of the full-space matrix `a` on `sectors`."""
-    return [a[np.ix_(idx, idx)] for idx in sectors]
 
 
 def _free_table(h_blocks, dts):

@@ -160,6 +160,11 @@ def _sectors(n_bath):
     return [np.flatnonzero(up == k) for k in range(n_bath + 1)]
 
 
+def _sector_blocks(a, sectors):
+    """The diagonal blocks of the full-space matrix `a` on `sectors`."""
+    return [a[np.ix_(idx, idx)] for idx in sectors]
+
+
 def build_h_se(model):
     """System-bath pure-dephasing coupling S_z * sum_j b_j I_z^j.
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import spinbath.analysis as analysis
 from spinbath import (
     ContractError,
     ErrorModel,
@@ -213,3 +214,13 @@ def test_hahn_decay_trace_shape_and_label():
     assert np.allclose(trace.times[1:], [2 * g for g in grid])
     # a static bath refocuses perfectly at every echo time
     assert np.allclose(trace.s, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", [[10.0, 5.0], [5.0, 5.0]])
+def test_hahn_decay_trace_refuses_a_grid_that_does_not_increase(grid, monkeypatch):
+    runs = []
+    monkeypatch.setattr(analysis, "propagate", lambda spec: runs.append(spec))
+    with pytest.raises(ContractError, match="tau_grid must be strictly increasing"):
+        hahn_decay_trace(static_model(), grid)
+    # the grid is checked before the first echo is run
+    assert runs == []

@@ -11,6 +11,7 @@ from spinbath import (
     PulseSpec,
     build_model,
     build_operator_set,
+    compile_cdd,
     compile_cpmg,
     compile_pdd,
     default_model,
@@ -29,6 +30,7 @@ from spinbath.avgham import (
     verify_claim,
 )
 from spinbath.operators import evolve
+from spinbath.pulses import delta_rotation
 
 
 def small_model(seed=0, n_bath=3, scale=0.05):
@@ -76,6 +78,41 @@ def test_rotation_generator_inverts_evolve():
     h = 0.3 * build_h_free(m) / np.max(np.abs(np.linalg.eigvalsh(build_h_free(m))))
     g = rotation_generator(evolve(h, 1.0).matrix)
     assert np.max(np.abs(g - h)) < 1e-10
+
+
+def test_rotation_generator_is_hermitian_and_exact():
+    rng = np.random.default_rng(4)
+    for dim in (2, 8, 16):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        u = evolve(a + a.conj().T, 1.0).matrix
+        g = rotation_generator(u)
+        assert np.max(np.abs(g - g.conj().T)) < 1e-14
+        w, v = np.linalg.eigh(g)
+        assert np.max(np.abs((v * np.exp(-1j * w)) @ v.conj().T - u)) < 1e-13
+
+
+@pytest.mark.parametrize("u", [np.diag([1.0, 2.0]), np.array([[1.0, 0.1], [0.0, 1.0]]),
+                               1.001 * delta_rotation("x", 0.3)],
+                         ids=["normal", "defective", "scaled-rotation"])
+def test_rotation_generator_refuses_a_non_unitary(u):
+    with pytest.raises(ContractError, match="unitary"):
+        rotation_generator(u)
+
+
+def test_magnus_defect_stays_within_the_sector_blocks(monkeypatch):
+    m = default_model(seed=37, n_bath=7)
+    h = build_h_free(m)
+    widths = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for order in (1, 2):
+        assert magnus_defect(compile_cdd(order, 5.0), h, m.ops) > 0
+    assert widths and max(widths) == 70
 
 
 def test_magnus_defect_shrinks_cubically():
@@ -138,6 +175,18 @@ def test_residual_text_prints_round_off_as_a_bound():
     assert avgham.residual_text(0.0, ".2e") == "residual<1e-13"
     assert avgham.residual_text(2.5e-12, ".3e") == "residual=2.500e-12"
     assert avgham.residual_text(0.125, ".2e") == "residual=1.25e-01"
+
+
+@pytest.mark.parametrize("cid", ["cpmg-flip-angle-zeroth-order", "cpmg2-error-sum-vanishes"])
+def test_flip_angle_claims_refuse_a_zero_flip_angle(cid):
+    with pytest.raises(ContractError, match="flip_angle_fraction"):
+        verify_claim(cid, {"flip_angle_fraction": 0.0})
+
+
+def test_flip_angle_claim_on_an_empty_bath():
+    report = verify_claim("cpmg-flip-angle-zeroth-order", {"n_bath": 0})
+    assert report["pass"]
+    assert report["norms"]["system_bath_max"] == 0.0
 
 
 def test_claim_accepts_parameter_overrides():

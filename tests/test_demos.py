@@ -8,9 +8,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# the full delay sweep of optimal_tau_sweep.py takes about 90 s
-SLOW = {"optimal_tau_sweep.py"}
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name not in SLOW)
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", DEMOS)

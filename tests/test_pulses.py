@@ -19,9 +19,9 @@ from spinbath import (
     real_pulse,
     sample_rf_scale,
 )
-from spinbath.engine import _pulse_blocks, _sector_blocks
+from spinbath.engine import _pulse_blocks
 from spinbath.pulses import axis_vector, delta_rotation, split_axis
-from spinbath.hamiltonians import _sectors
+from spinbath.hamiltonians import _sector_blocks, _sectors
 
 
 def _z_rotation(angle, ops):
