@@ -67,6 +67,7 @@ def toggling_frames(timeline, h_free, ops, error_model=None):
     toggled generator (rf_scale fixed at 1, so only the deterministic
     flip-angle and tilt errors enter). A trailing error with no following
     free period cannot be represented this way and raises ContractError.
+    Without one, h_free may be a sector block: its top bit is the system spin.
     """
     h_free = require_hermitian(h_free, "free Hamiltonian")
     # the ideal frame and the pulse-error kicks act on the system spin
@@ -276,17 +277,15 @@ def magnus_defect(timeline, h_free, ops):
     if np.max(off) > 1e-12 * max(1.0, float(np.max(np.abs(h_free)))):
         raise ContractError(f"h_free couples bath-magnetization sectors (max off-sector "
                             f"entry {np.max(off):.3e})")
-    segs, tau_c = toggling_frames(timeline, h_free, ops), timeline.cycle_time
     # error-free pulses at unit RF scale are exactly the ideal rotations
     h_blocks = _sector_blocks(h_free, sectors)
     pieces = timeline.segments()
     free_us = _free_table(h_blocks, {dt for kind, dt in pieces if kind == "free"})
     (u_exact,) = _interval_products([pieces], h_blocks, free_us, ErrorModel(), 1.0)
-    # the ideal frames rotate the system spin alone, so the toggled segments
-    # are block-diagonal like h_free; U_exact goes to the toggling frame
-    frame, norms = ideal_frame(timeline.events).conj().T, []
-    for idx, u in zip(sectors, u_exact):
-        block = [ToggledSegment(s.duration, s.h_tilde[np.ix_(idx, idx)]) for s in segs]
-        h01 = average_hamiltonian(block, 0) + average_hamiltonian(block, 1)
+    # the frames rotate the system spin alone, so each sector block is toggled alone
+    frame, norms, tau_c = ideal_frame(timeline.events).conj().T, [], timeline.cycle_time
+    for h, u in zip(h_blocks, u_exact):
+        segs = toggling_frames(timeline, h, ops)
+        h01 = average_hamiltonian(segs, 0) + average_hamiltonian(segs, 1)
         norms.append(np.linalg.norm(_left(frame, u) - exp_propagators(h01, (tau_c,))[tau_c]))
     return float(np.linalg.norm(norms))

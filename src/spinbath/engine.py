@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .hamiltonians import _sector_blocks, _sectors, build_h_e, build_h_free
+from .hamiltonians import _basis_z, _h_e_blocks, _sector_blocks, _sectors, build_h_free
 from .operators import _SPIN_HALF, exp_propagators
 from .pulses import (ErrorModel, _conjugate, _driven_hamiltonian, _left, delta_rotation,
                      ideal_frame, sample_rf_scale)
@@ -280,8 +280,8 @@ def _powered_overlaps(u_cycle, dev0, n_cycles):
         eig = _unitary_eig(u)
         if eig is None:
             return None
-        theta, p = eig
-        blocks.append((-theta, p, [dev]))
+        eig = (-eig[0], eig[1])
+        blocks.append((eig, eig, [dev]))
     return np.concatenate(([1.0], _autocorrelation(blocks, np.arange(1, n_cycles + 1))))
 
 
@@ -330,20 +330,19 @@ def _unitary_eig(u):
     return theta, p
 
 
-def _spectral_series(weights, freqs, times):
-    """Re sum_ab W_ab exp(i (f_a - f_b) t) for every t of `times`.
-
-    Evaluated as Re sum_a conj(E_a) (W E)_a with E = exp(-i f t), over
-    blocks of at least 256 times, so memory stays O(dim max(dim, 256))
-    however long the grid is.
+def _spectral_series(weights, rows, cols, times):
+    """Re sum_ab W_ab exp(i (f_a - g_b) t) for every t of `times`, with row and
+    column frequencies f = `rows`, g = `cols` (one array on a diagonal block),
+    as Re sum_a conj(E_a) (W G)_a with E = exp(-i f t), G = exp(-i g t), over
+    blocks of at least 256 times, so memory stays O(dim max(dim, 256)).
     """
     times = np.asarray(times, dtype=float)
     series = np.empty(times.size)
-    step = max(len(freqs), 256)
+    step = max(*weights.shape, 256)
     for start in range(0, times.size, step):
-        phases = np.exp(-1j * np.outer(freqs, times[start:start + step]))
-        series[start:start + step] = np.real(
-            np.einsum("at,at->t", phases.conj(), weights @ phases))
+        e = np.exp(-1j * np.outer(rows, times[start:start + step]))
+        g = e if cols is rows else np.exp(-1j * np.outer(cols, times[start:start + step]))
+        series[start:start + step] = np.real(np.einsum("at,at->t", e.conj(), weights @ g))
     return series
 
 
@@ -432,38 +431,48 @@ def bath_correlation(model, t_grid, which="ix_total", j=0):
     different per-j curves, so j is explicit. which='iz_mean' is the mean
     of the per-spin I_z^j curves over all j, the curve tau_B is read from.
     """
-    ops = model.ops
-    if which in ("ix_total", "iz_mean") and model.n_bath == 0:
-        raise ContractError(f"{which} correlation needs at least one bath spin")
-    if which == "ix_total":
-        observables = [np.sum(ops.ix, axis=0)]
-    elif which == "iz_mean":
-        observables = ops.iz
-    elif which == "iz":
-        if not 0 <= j < model.n_bath:
-            raise ContractError(f"bath index {j} out of range for n_bath={model.n_bath}")
-        observables = [ops.iz[j]]
-    else:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
+        raise ContractError(f"t_grid must be 1-D and finite, got shape {t_grid.shape}")
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise ContractError(f"bath index j must be an integer, got {j!r}")
+    if which not in ("ix_total", "iz", "iz_mean"):
         raise ContractError(f"which must be 'ix_total', 'iz' or 'iz_mean', got {which!r}")
-    w, v = np.linalg.eigh(build_h_e(model))
-    return _autocorrelation([(w, v, observables)], t_grid)
+    if which != "iz" and model.n_bath == 0:
+        raise ContractError(f"{which} correlation needs at least one bath spin")
+    if which == "iz" and not 0 <= j < model.n_bath:
+        raise ContractError(f"bath index {j} out of range for n_bath={model.n_bath}")
+    spins = None if which == "ix_total" else [j] if which == "iz" else range(model.n_bath)
+    return _autocorrelation(_bath_blocks(model, spins), t_grid)
+
+
+def _bath_blocks(model, spins):
+    """_autocorrelation blocks under H_E, one eigh per bath-space sector, of the
+    I_z^j of `spins` by their diagonals, or of sum_j I_x^j when spins is None:
+    its (k, k + 1) blocks only, as their transposes add the conjugate series."""
+    sectors, eigs = zip(*[(idx, np.linalg.eigh(h)) for idx, h in _h_e_blocks(model)])
+    if spins is None:
+        return [(a, b, [0.5 * (np.bitwise_count(ka[:, None] ^ kb) == 1)])
+                for a, b, ka, kb in zip(eigs, eigs[1:], sectors, sectors[1:])]
+    z = _basis_z(model.n_bath)[list(spins)]
+    return [(eig, eig, list(z[:, idx])) for eig, idx in zip(eigs, sectors)]
 
 
 def _autocorrelation(blocks, times):
     """sum_j Tr{A_j(0) A_j(t)} / sum_j Tr{A_j A_j} for every t of `times`.
 
-    Each block is (f, V, observables) on one invariant subspace: the
-    eigenfrequencies f and unitary eigenbasis V of the evolution there, and
-    the Hermitian A_j restricted to it. The weights sum_j |V^dag A_j V|^2
-    of every block go through _spectral_series; the series are summed and
-    divided by the total weight. For A_j of equal norm, such as the I_z^j,
-    this is the mean of their normalized curves.
+    Each block is ((f, V), (g, U), observables): the eigenpairs of the
+    evolution on two invariant subspaces (one twice for a diagonal block) and
+    the block of each Hermitian A_j between them, or its diagonal. The weights
+    sum_j |V^dag A_j U|^2 of every block go through _spectral_series; the
+    series are summed and divided by the total weight. For A_j of equal norm,
+    such as the I_z^j, this is the mean of their normalized curves.
     """
     series, total = 0.0, 0.0
-    for freqs, v, observables in blocks:
+    for (f, v), (g, u), observables in blocks:
         vh = v.conj().T
-        weights = sum(np.abs(vh @ a @ v) ** 2 for a in observables)
-        series = series + _spectral_series(weights, freqs, times)
+        weights = sum(np.abs((vh * a if a.ndim == 1 else vh @ a) @ u) ** 2 for a in observables)
+        series = series + _spectral_series(weights, f, g, times)
         total = total + weights.sum()
     return series / total
 
@@ -471,13 +480,15 @@ def _autocorrelation(blocks, times):
 def estimate_tau_b(series, times):
     """First 1/e crossing of a correlation series, linearly interpolated.
 
-    The series must start at 1 (within 1e-6). When it never reaches 1/e the
-    estimate is flagged unreached and reports the end of the grid.
+    The series must start at 1 (within 1e-6) on strictly increasing times. When
+    it never reaches 1/e the estimate is flagged unreached at the end of the grid.
     """
     series = np.asarray(series, dtype=float)
     times = np.asarray(times, dtype=float)
     if series.size < 2:
         raise ContractError("need at least two samples")
+    if times.ndim != 1 or times.shape != series.shape or not np.all(np.diff(times) > 0):
+        raise ContractError(f"times must increase strictly, one per sample, got {times.shape}")
     if abs(series[0] - 1.0) > 1e-6:
         raise ContractError(f"correlation series must start at 1, got {series[0]}")
     t = first_crossing(times, series, 1.0 / np.e)
@@ -490,18 +501,18 @@ def model_tau_b(model, t_max=2000.0, n_points=800):
     """Bath correlation time from the per-spin I_z curves, averaged over j.
 
     Doubles the grid (up to 8x) when the mean curve has not crossed 1/e;
-    H_E is diagonalized once for all spins and horizons.
+    each H_E sector block is diagonalized once for all spins and horizons.
     """
     if model.n_bath == 0:
         raise ContractError("tau_B needs at least one bath spin")
     if not (math.isfinite(t_max) and t_max > 0 and n_points >= 2):
         raise ContractError(f"model_tau_b needs a finite t_max > 0 and n_points >= 2, "
                             f"got t_max={t_max}, n_points={n_points}")
-    w, v = np.linalg.eigh(build_h_e(model))
+    blocks = _bath_blocks(model, range(model.n_bath))
     horizon = float(t_max)
     for _ in range(4):
         t_grid = np.linspace(0.0, horizon, n_points)
-        est = estimate_tau_b(_autocorrelation([(w, v, model.ops.iz)], t_grid), t_grid)
+        est = estimate_tau_b(_autocorrelation(blocks, t_grid), t_grid)
         if est.reached:
             return est
         horizon *= 2.0

@@ -178,30 +178,49 @@ def build_h_se(model):
     return np.diag((z[0] * field).astype(complex))
 
 
+def _flip_flops(model):
+    """H_E on the 2**n_bath bath states from the basis bits: its diagonal (the
+    Ising part) and the (rows, columns, values) of its flip-flop entries,
+    -d_ij / 2 between states that differ by swapping opposite spins i and j."""
+    n = model.n_bath
+    z = _basis_z(n)
+    i, j = np.nonzero(np.triu(model.d, 1))
+    dij = model.d[i, j]
+    # summed over the pairs in order, as a loop over i < j would
+    diag = np.sum(dij[:, None] * (2.0 * z[i] * z[j]), axis=0)
+    pair, cols = np.nonzero(z[i] != z[j])
+    rows = cols ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))[pair]
+    return diag, rows, cols, -0.5 * dij[pair]
+
+
+def _h_e_blocks(model):
+    """H_E on the bath space as (indices, block) per sector k = 0 .. n_bath:
+    the ascending bath states with k spins up and their real block."""
+    diag, rows, cols, vals = _flip_flops(model)
+    up = model.n_bath - np.bitwise_count(np.arange(diag.size))
+    pos, blocks = np.empty(diag.size, dtype=int), []
+    for k in range(model.n_bath + 1):
+        idx, mine = np.flatnonzero(up == k), up[cols] == k
+        pos[idx] = np.arange(idx.size)
+        block = np.diag(diag[idx])
+        block[pos[rows[mine]], pos[cols[mine]]] = vals[mine]
+        blocks.append((idx, block))
+    return blocks
+
+
 def build_h_e(model):
-    """Secular dipolar bath Hamiltonian.
+    """Secular dipolar bath Hamiltonian, 1_system (x) H_E from _flip_flops.
 
     sum_{i<j} d_ij [2 I_z^i I_z^j - (I_x^i I_x^j + I_y^i I_y^j)]; the
     flip-flop part exchanges polarization while conserving total I_z.
-    Built from the basis bits: the Ising part is diagonal, and the
-    flip-flop part puts -d_ij / 2 between basis states that differ by
-    swapping opposite spins i and j.
     """
-    n, dim = model.n_bath, model.ops.dim
-    z = _basis_z(n + 1)[1:]
-    index = np.arange(dim)
-    diag = np.zeros(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = model.d[i, j]
-            if dij == 0.0:
-                continue
-            diag += dij * (2.0 * z[i] * z[j])
-            flip = index[z[i] != z[j]]
-            h[flip ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))), flip] = -0.5 * dij
-    h[index, index] = diag
-    return h
+    diag, rows, cols, vals = _flip_flops(model)
+    # indexed (system, bath) for rows and for columns
+    h = np.zeros((2, diag.size, 2, diag.size), dtype=complex)
+    for s in (0, 1):
+        h[s, rows, s, cols] = vals
+        h[s, np.arange(diag.size), s, np.arange(diag.size)] = diag
+    return h.reshape(2 * diag.size, -1)
 
 
 def build_h_free(model):

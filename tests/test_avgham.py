@@ -102,17 +102,24 @@ def test_rotation_generator_refuses_a_non_unitary(u):
 def test_magnus_defect_stays_within_the_sector_blocks(monkeypatch):
     m = default_model(seed=37, n_bath=7)
     h = build_h_free(m)
-    widths = []
-    eigh = np.linalg.eigh
+    widths, toggled = [], []
+    eigh, toggle = np.linalg.eigh, avgham.toggling_frames
 
     def counted(a, *args, **kwargs):
         widths.append(np.shape(a)[-1])
         return eigh(a, *args, **kwargs)
 
+    def recorded(timeline, h_free, *args, **kwargs):
+        toggled.append(np.shape(h_free)[-1])
+        return toggle(timeline, h_free, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(avgham, "toggling_frames", recorded)
     for order in (1, 2):
         assert magnus_defect(compile_cdd(order, 5.0), h, m.ops) > 0
     assert widths and max(widths) == 70
+    # the frames toggle each sector block, never the full space
+    assert toggled and max(toggled) == 70
 
 
 def test_magnus_defect_shrinks_cubically():

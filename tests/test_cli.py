@@ -7,10 +7,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from spinbath import CLAIM_IDS
+from spinbath import CLAIM_IDS, build_h_e, estimate_tau_b, evolve
 from spinbath.cli import _family_path, build_parser, main
+from spinbath.config import load_config, model_from_config
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -178,6 +180,32 @@ def test_corr_outputs_tau_b(tmp_path):
     assert float(first[1]) == pytest.approx(1.0)
     report = json.loads(js.read_text())
     assert report["tau_b_us"] > 0
+
+
+def test_corr_matches_the_dense_oracle(tmp_path):
+    # Tr{A U^dag A U} / Tr{A^2} with U = exp(-i H_E t) from evolve on the
+    # full space; corr's grid is also model_tau_b's first grid
+    cfg = write_cfg(tmp_path, SMALL_BATH.replace("n_bath = 3", "n_bath = 4"))
+    csv = tmp_path / "corr.csv"
+    assert main(["corr", "--config", cfg, "--csv", str(csv),
+                 "--json", str(tmp_path / "corr.json")]) == 0
+    lines = csv.read_text().splitlines()
+    tau_b = float(next(l for l in lines if l.startswith("# tau_b_us=")).split("=")[1])
+    rows = np.array([[float(x) for x in l.split(",")] for l in lines if l[0].isdigit()])
+    m = model_from_config(load_config(cfg))
+    h_e, ops = build_h_e(m), m.ops
+    observables = [np.sum(ops.ix, axis=0), *ops.iz]
+    oracle = np.empty((rows.shape[0], len(observables)))
+    for row, t in zip(oracle, rows[:, 0]):
+        u = evolve(h_e, t).matrix
+        row[:] = [np.real(np.trace(a @ u.conj().T @ a @ u) / np.trace(a @ a))
+                  for a in observables]
+    iz_mean = oracle[:, 1:].mean(axis=1)
+    assert np.max(np.abs(rows[:, 1] - oracle[:, 0])) < 1e-12
+    assert np.max(np.abs(rows[:, 2] - iz_mean)) < 1e-12
+    est = estimate_tau_b(iz_mean, rows[:, 0])
+    assert est.reached and "# tau_b_reached=True" in lines
+    assert tau_b == pytest.approx(est.value, rel=1e-12)
 
 
 def test_avgham_reports_norms(tmp_path, capsys):

@@ -452,6 +452,60 @@ def test_bath_correlation_matches_direct_trace(n_bath, seed):
         assert np.max(np.abs(got - ref)) < 1e-12, (which, j)
 
 
+def test_bath_correlations_of_one_bath_spin_are_exactly_one():
+    # 1-wide sector blocks and no flip-flop partner: nothing decays
+    m = default_model(n_bath=1)
+    t = np.linspace(0.0, 500.0, 7)
+    for which in ("ix_total", "iz", "iz_mean"):
+        assert np.all(bath_correlation(m, t, which=which) == 1.0), which
+
+
+def test_bath_correlations_diagonalize_bath_space_sector_blocks(monkeypatch):
+    m = default_model(n_bath=7)
+    widths = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    t = np.linspace(0.0, 400.0, 9)
+    for which in ("ix_total", "iz", "iz_mean"):
+        bath_correlation(m, t, which=which, j=3)
+    assert engine.model_tau_b(m).reached
+    # the widest bath-space block is C(7, 3) = 35
+    assert widths and max(widths) == 35
+
+
+@pytest.mark.parametrize("t_grid", [5.0, np.ones((2, 3)), [0.0, math.nan, 2.0],
+                                    [0.0, math.inf]], ids=["scalar", "2-D", "nan", "inf"])
+def test_bath_correlation_rejects_a_bad_grid(t_grid):
+    with pytest.raises(ContractError, match="t_grid"):
+        bath_correlation(default_model(n_bath=2), t_grid)
+
+
+@pytest.mark.parametrize("j", [1.5, True, "0", None])
+def test_bath_correlation_rejects_a_non_integer_index(j):
+    with pytest.raises(ContractError, match="bath index j"):
+        bath_correlation(default_model(n_bath=2), [0.0, 1.0], which="iz", j=j)
+
+
+def test_bath_correlation_accepts_a_numpy_index():
+    m = default_model(n_bath=2)
+    t = [0.0, 30.0]
+    assert np.array_equal(bath_correlation(m, t, which="iz", j=np.int64(1)),
+                          bath_correlation(m, t, which="iz", j=1))
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 4), np.linspace(1.0, 0.0, 5),
+                                   [0.0, 1.0, 1.0, 2.0, 3.0], np.ones((1, 5))],
+                         ids=["short", "decreasing", "repeated", "2-D"])
+def test_estimate_tau_b_rejects_a_bad_time_grid(times):
+    with pytest.raises(ContractError, match="times must increase strictly"):
+        estimate_tau_b(np.exp(-np.arange(5.0)), times)
+
+
 def test_model_tau_b_reads_the_iz_mean_crossing():
     m = default_model()
     t = np.linspace(0.0, 2000.0, 800)

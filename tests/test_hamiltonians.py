@@ -21,7 +21,7 @@ from spinbath import (
     real_pulse,
     sample_couplings,
 )
-from spinbath.hamiltonians import _sectors
+from spinbath.hamiltonians import _h_e_blocks, _sectors
 
 
 def _total_iz(ops):
@@ -149,6 +149,27 @@ def test_basis_bit_kernels_skip_zero_couplings_like_dense_products():
     assert np.array_equal(build_h_se(m), h_se)
     assert np.array_equal(build_h_e(m), h_e)
     assert np.array_equal(build_h_free(m), h_se + h_e)
+
+
+@pytest.mark.parametrize("n_bath", range(7))
+def test_h_e_blocks_scatter_to_build_h_e(n_bath):
+    spec = CouplingSpec(b_scale=0.3, d_scale=0.2, seed=20 + n_bath)
+    b, d = sample_couplings(spec, n_bath)
+    # every third pair uncoupled, so zero entries of d are skipped
+    iu = np.triu_indices(n_bath, k=1)
+    d[iu[0][::3], iu[1][::3]] = d[iu[1][::3], iu[0][::3]] = 0.0
+    m = build_model(b, d)
+    blocks = _h_e_blocks(m)
+    # the bath halves of the full-space sectors, with blocks C(n, k) wide
+    assert [idx.tolist() for idx, _ in blocks] == [
+        idx[: idx.size // 2].tolist() for idx in _sectors(n_bath)]
+    assert [blk.shape for _, blk in blocks] == [(math.comb(n_bath, k),) * 2
+                                                for k in range(n_bath + 1)]
+    assert all(blk.dtype == float for _, blk in blocks)
+    bath = np.zeros((2**n_bath, 2**n_bath), dtype=complex)
+    for idx, blk in blocks:
+        bath[np.ix_(idx, idx)] = blk
+    assert np.array_equal(np.kron(np.eye(2), bath), build_h_e(m))
 
 
 def test_h_e_conserves_total_iz_and_ignores_system():
