@@ -28,9 +28,7 @@ model = build_model(b, d + d.T)
 h_free = build_h_free(model)
 
 tl = compile_pdd(15.0)
-segs = toggling_frames(tl, h_free, model.ops)
-h0 = average_hamiltonian(segs, 0)
-h1 = average_hamiltonian(segs, 1)
+h0, h1 = average_hamiltonian(toggling_frames(tl, h_free))
 
 print("four-pulse block, tau = 15 us")
 print(f"|H_free|        = {np.linalg.norm(h_free):.4e}")

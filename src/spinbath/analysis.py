@@ -140,12 +140,13 @@ def compile_family(family, tau, tau_p=0.0, n_cycles=1, order=2, udd_pulses=4):
     return compile_udd(udd_pulses, udd_pulses * (tau + tau_p), tau_p, n_cycles)
 
 
-def fair_tau(family, tau, tau_p=0.0, order=2, udd_pulses=4):
+def fair_tau(family, tau, order=2):
     """Delay that matches the two-pulse train's pulse rate at delay tau.
 
     The matched rate is 1 pulse per (tau + tau_p). Equidistant families
     already satisfy it at the same tau; the echo runs at half the delay and
-    concatenated cycles need tau scaled by N_n / 4^n.
+    concatenated cycles need tau scaled by N_n / 4^n. The pulse width tau_p
+    cancels in the match, so the delay does not depend on it.
     """
     if family == "hahn":
         return 0.5 * tau
@@ -180,7 +181,7 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
     summaries, failures = [], []
     for tau in tau_grid:
         try:
-            tau_eff = fair_tau(family, tau, tau_p, order, udd_pulses) if fair else tau
+            tau_eff = fair_tau(family, tau, order) if fair else tau
             tl = compile_family(family, tau_eff, tau_p, 1, order, udd_pulses)
             n_cycles = max(1, int(round(time_budget / tl.cycle_time)))
             tl = compile_family(family, tau_eff, tau_p, n_cycles, order, udd_pulses)

@@ -24,8 +24,7 @@ from .errors import ContractError
 from .hamiltonians import (_sector_blocks, _sectors, build_h_e, build_h_error, build_h_free,
                            default_model)
 from .operators import UNITARY_ATOL, build_operator_set, exp_propagators, require_hermitian
-from .pulses import (ErrorModel, _conjugate, _embedded, _left, delta_rotation,
-                     error_factor, ideal_frame)
+from .pulses import ErrorModel, _conjugate, _left, delta_rotation, error_factor, ideal_frame
 from .sequences import compile_cpmg, compile_pdd
 
 CLAIM_TOL = 1e-10
@@ -58,7 +57,7 @@ def rotation_generator(u):
     return (p * -theta) @ p.conj().T
 
 
-def toggling_frames(timeline, h_free, ops, error_model=None):
+def toggling_frames(timeline, h_free, error_model=None):
     """Toggling-frame segments of one delta-pulse cycle.
 
     Returns a list of ToggledSegment whose durations sum to tau_c. Without
@@ -67,7 +66,8 @@ def toggling_frames(timeline, h_free, ops, error_model=None):
     toggled generator (rf_scale fixed at 1, so only the deterministic
     flip-angle and tilt errors enter). A trailing error with no following
     free period cannot be represented this way and raises ContractError.
-    Without one, h_free may be a sector block: its top bit is the system spin.
+    h_free may be the full space or a sector block: its top bit is the
+    system spin, and the kicks take their width from it.
     """
     h_free = require_hermitian(h_free, "free Hamiltonian")
     # the ideal frame and the pulse-error kicks act on the system spin
@@ -79,7 +79,7 @@ def toggling_frames(timeline, h_free, ops, error_model=None):
         if kind == "free":
             area = _conjugate(frame.conj().T, h_free) * payload
             if error_model is not None:
-                area = area + _embedded(pending, ops)
+                area = area + np.kron(pending, np.eye(len(h_free) // 2))
                 pending = np.zeros((2, 2), dtype=complex)
             segments.append(ToggledSegment(payload, area / payload))
             continue
@@ -106,26 +106,23 @@ def toggling_frames(timeline, h_free, ops, error_model=None):
     return segments
 
 
-def average_hamiltonian(segments, order):
-    """Magnus term of the requested order (0 or 1) for one cycle.
+def average_hamiltonian(segments):
+    """Leading Magnus terms (H0, H1) of one cycle from one walk over the segments.
 
-    Order 0 is the duration-weighted mean of the frame Hamiltonians; order
-    1 is the antisymmetrized commutator sum, which vanishes whenever all
-    segments commute and flips sign under time reversal of the cycle.
+    H0 is the duration-weighted mean of the frame Hamiltonians, the running
+    area sum over tau_c; H1 is the antisymmetrized commutator sum, which
+    vanishes whenever all segments commute and flips sign under time
+    reversal of the cycle.
     """
-    if order not in (0, 1):
-        raise ContractError(f"order must be 0 or 1, got {order}")
     if not segments:
         raise ContractError("need at least one toggled segment")
     tau_c = sum(s.duration for s in segments)
-    areas = [s.h_tilde * s.duration for s in segments]
-    if order == 0:
-        return sum(areas) / tau_c
-    acc, running = np.zeros_like(areas[0]), np.zeros_like(areas[0])
-    for area in areas:
+    acc, running = np.zeros_like(segments[0].h_tilde), np.zeros_like(segments[0].h_tilde)
+    for s in segments:
+        area = s.h_tilde * s.duration
         acc += area @ running - running @ area
         running += area
-    return acc * (-1j / (2.0 * tau_c))
+    return running / tau_c, acc * (-1j / (2.0 * tau_c))
 
 
 def _component_table(h, ops):
@@ -158,13 +155,11 @@ def _claim_cpmg_flip_angle(params):
     model = params.get("model") or default_model(
         seed=params.get("seed", 11), n_bath=params.get("n_bath", 2),
         b_scale=0.05, d_scale=0.05)
-    ops = model.ops
     tl = compile_cpmg(tau, 0.0)
-    segs = toggling_frames(tl, build_h_free(model), ops, err)
-    h0 = average_hamiltonian(segs, 0)
+    h0, _ = average_hamiltonian(toggling_frames(tl, build_h_free(model), err))
     # the bath-internal term rides along untouched by system pulses; the
     # claim concerns everything the central spin can feel
-    comps, rest = _component_table(h0 - build_h_e(model), ops)
+    comps, rest = _component_table(h0 - build_h_e(model), model.ops)
     expected = 2.0 * eps * np.pi / tl.cycle_time
     got = comps["sy"].real
     off_axis = max(abs(comps["sx"]), abs(comps["sz"]))
@@ -189,7 +184,7 @@ def _claim_cpmg2_cancellation(params):
     # with H_free = 0 the toggled segments carry only the error kicks, so
     # tau_c H0 is their accumulated generator whatever the delays
     tl = compile_cpmg(1.0, 0.0, variant="cpmg2")
-    h0 = average_hamiltonian(toggling_frames(tl, np.zeros((ops.dim, ops.dim)), ops, err), 0)
+    h0, _ = average_hamiltonian(toggling_frames(tl, np.zeros((ops.dim, ops.dim)), err))
     generator_sum = tl.cycle_time * float(np.linalg.norm(h0))
     ref = abs(eps) * np.pi * float(np.linalg.norm(ops.sy))
     return {
@@ -214,8 +209,7 @@ def _claim_pdd_cancels_coupling(params):
     h_err = build_h_error(a, b_u, model)
     h_e = build_h_e(model)
     tl = compile_pdd(tau, 0.0)
-    segs = toggling_frames(tl, h_err + h_e, model.ops)
-    h0 = average_hamiltonian(segs, 0)
+    h0, _ = average_hamiltonian(toggling_frames(tl, h_err + h_e))
     rest, ref = float(np.linalg.norm(h0 - h_e)), float(np.linalg.norm(h_err))
     return {
         "claim": "pdd-cancels-system-bath-coupling",
@@ -285,7 +279,6 @@ def magnus_defect(timeline, h_free, ops):
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, norms, tau_c = ideal_frame(timeline.events).conj().T, [], timeline.cycle_time
     for h, u in zip(h_blocks, u_exact):
-        segs = toggling_frames(timeline, h, ops)
-        h01 = average_hamiltonian(segs, 0) + average_hamiltonian(segs, 1)
-        norms.append(np.linalg.norm(_left(frame, u) - exp_propagators(h01, (tau_c,))[tau_c]))
+        h0, h1 = average_hamiltonian(toggling_frames(timeline, h))
+        norms.append(np.linalg.norm(_left(frame, u) - exp_propagators(h0 + h1, (tau_c,))[tau_c]))
     return float(np.linalg.norm(norms))

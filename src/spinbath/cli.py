@@ -191,9 +191,7 @@ def cmd_avgham(args):
     tl = _compile_from_config(cfg, n_cycles=1)
     h_free = build_h_free(model)
     err = None if cfg.error_model.is_trivial else cfg.error_model
-    segs = toggling_frames(tl, h_free, model.ops, err)
-    h0 = average_hamiltonian(segs, 0)
-    h1 = average_hamiltonian(segs, 1)
+    h0, h1 = average_hamiltonian(toggling_frames(tl, h_free, err))
     h_e = build_h_e(model)
     report = {
         "label": tl.label, "tau_c_us": tl.cycle_time,

@@ -149,12 +149,13 @@ def _coerce(section, key, value, line_no):
 
 
 def _choice(value, choices, section, key, line_of):
-    """value if it is one of choices, else a ConfigError at its line."""
-    if value not in choices:
+    """value lowercased if that is one of choices, else a ConfigError at its line."""
+    choice = value.lower()
+    if choice not in choices:
         raise ConfigError(
             f"line {line_of[section].get(key, '?')}: {section}.{key} must be one of "
             f"{', '.join(choices)}, got {value!r}")
-    return value
+    return choice
 
 
 def _parse_floats(text, what, line_no):
@@ -192,7 +193,7 @@ def _parse_grid(text, line_no):
 
 
 def _build_error_model(settings, line_of):
-    dist = _choice(settings["rf_distribution"].lower(), ("fixed", "bimodal", "gaussian"),
+    dist = _choice(settings["rf_distribution"], ("fixed", "bimodal", "gaussian"),
                    "errors", "rf_distribution", line_of)
     if dist == "fixed":
         rf = FixedRf()
@@ -284,16 +285,14 @@ def parse_config(text):
         explicit_d=explicit_d,
         tau_p=tau_p,
         error_model=_build_error_model(errors, line_of),
-        family=_choice(seq["family"].lower(), SEQUENCE_FAMILIES, "sequence", "family",
-                       line_of),
+        family=_choice(seq["family"], SEQUENCE_FAMILIES, "sequence", "family", line_of),
         tau=seq["tau_us"],
         order=seq["order"],
         udd_pulses=seq["udd_pulses"],
         n_cycles=seq["n_cycles"],
         tau_grid=tau_grid,
         time_budget=seq["time_budget_us"],
-        initial_axis=_choice(run["initial_axis"].lower(), INITIAL_AXES, "run",
-                             "initial_axis", line_of),
+        initial_axis=_choice(run["initial_axis"], INITIAL_AXES, "run", "initial_axis", line_of),
         n_realizations=run["n_realizations"],
         master_seed=run["master_seed"],
         record=_choice(run["record"], RECORD_MODES, "run", "record", line_of),

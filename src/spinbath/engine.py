@@ -57,7 +57,6 @@ from .hamiltonians import _basis_z, _h_e_blocks, _sector_blocks, _sectors, build
 from .operators import _SPIN_HALF, exp_propagators
 from .pulses import (ErrorModel, _conjugate, _driven_hamiltonian, _left, delta_rotation,
                      ideal_frame, sample_rf_scale)
-from .sequences import _checked
 from .util import first_crossing, fmt, realization_rng
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
@@ -385,7 +384,7 @@ def propagate(spec, threads=1):
     """
     if threads < 1:
         raise ContractError(f"threads must be >= 1, got {threads}")
-    model, tl = spec.model, _checked(spec.timeline)
+    model, tl = spec.model, spec.timeline
     sectors = _sectors(model.n_bath)
     h_blocks = _sector_blocks(build_h_free(model), sectors)
     s_u = _SPIN_HALF[spec.initial_axis]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .operators import OperatorSet, build_operator_set, require_hermitian
+from .operators import OperatorSet, _checked_n_bath, build_operator_set, require_hermitian
 from .util import KHZ_TO_RAD_PER_US
 
 COUPLING_DISTRIBUTIONS = ("uniform_symmetric", "gaussian")
@@ -105,11 +105,9 @@ def sample_couplings(spec, n_bath):
 
     Deterministic in spec.seed. Returns b of shape (n,) and a symmetric
     zero-diagonal d of shape (n, n) with max|b| <= b_scale and
-    max|d| <= d_scale.
+    max|d| <= d_scale. The n_bath cap is checked before anything is drawn.
     """
-    n = int(n_bath)
-    if n < 0:
-        raise ContractError(f"n_bath must be >= 0, got {n}")
+    n = _checked_n_bath(n_bath)
     rng = np.random.default_rng(spec.seed)
 
     def draw(scale, size):

@@ -89,8 +89,8 @@ class OperatorSet:
         return self._bath("z")
 
 
-def build_operator_set(n_bath):
-    """The operator set for `n_bath` bath spins; no operator is built yet.
+def _checked_n_bath(n_bath):
+    """int(n_bath), checked before anything of that size is allocated.
 
     Raises
     ------
@@ -106,6 +106,13 @@ def build_operator_set(n_bath):
             f"n_bath={n_bath} needs dense dimension 2**{n_bath + 1} = {2 ** (n_bath + 1)}, "
             f"above the cap 2**{DEFAULT_MAX_BATH + 1} (DEFAULT_MAX_BATH={DEFAULT_MAX_BATH})"
         )
+    return n_bath
+
+
+def build_operator_set(n_bath):
+    """The operator set for `n_bath` bath spins (see _checked_n_bath); no
+    operator is built yet."""
+    n_bath = _checked_n_bath(n_bath)
     return OperatorSet(n_bath=n_bath, dim=2 ** (n_bath + 1))
 
 

@@ -44,7 +44,8 @@ class PulseEvent:
 
 @dataclass(frozen=True, eq=False)
 class Timeline:
-    """One compiled cycle and its repetition count."""
+    """One compiled cycle and its repetition count, valid once built: an
+    unsound cycle (see validate_timeline) raises TimelineError."""
 
     events: tuple
     cycle_time: float
@@ -57,6 +58,9 @@ class Timeline:
             raise TimelineError(f"cycle_time must be finite and > 0, got {self.cycle_time}")
         if self.n_cycles < 1:
             raise TimelineError(f"n_cycles must be >= 1, got {self.n_cycles}")
+        problems = validate_timeline(self)
+        if problems:
+            raise TimelineError("; ".join(problems))
 
     @property
     def pulses_per_cycle(self):
@@ -110,16 +114,9 @@ def validate_timeline(tl):
     return problems
 
 
-def _checked(timeline):
-    problems = validate_timeline(timeline)
-    if problems:
-        raise TimelineError("; ".join(problems))
-    return timeline
-
-
 def compile_free(cycle_time, n_cycles=1, label="fid"):
     """Free evolution: an empty cycle of the given duration."""
-    return _checked(Timeline((), float(cycle_time), int(n_cycles), label))
+    return Timeline((), float(cycle_time), int(n_cycles), label)
 
 
 def compile_hahn(tau, tau_p=0.0, n_cycles=1):
@@ -131,7 +128,7 @@ def compile_hahn(tau, tau_p=0.0, n_cycles=1):
     if tau <= 0:
         raise ContractError(f"tau must be > 0, got {tau}")
     events = (PulseEvent(tau, "y", np.pi, tau_p),)
-    return _checked(Timeline(events, 2.0 * tau + tau_p, int(n_cycles), "hahn"))
+    return Timeline(events, 2.0 * tau + tau_p, int(n_cycles), "hahn")
 
 
 def compile_cpmg(tau, tau_p=0.0, n_cycles=1, variant="cpmg"):
@@ -151,7 +148,7 @@ def compile_cpmg(tau, tau_p=0.0, n_cycles=1, variant="cpmg"):
         PulseEvent(0.5 * tau, axes[0], np.pi, tau_p),
         PulseEvent(1.5 * tau + tau_p, axes[1], np.pi, tau_p),
     )
-    return _checked(Timeline(events, 2.0 * tau + 2.0 * tau_p, int(n_cycles), variant))
+    return Timeline(events, 2.0 * tau + 2.0 * tau_p, int(n_cycles), variant)
 
 
 def _four_block(symbols):
@@ -180,7 +177,7 @@ def compile_pdd(tau, tau_p=0.0, n_cycles=1):
     if tau <= 0:
         raise ContractError(f"tau must be > 0, got {tau}")
     events, total = _events_from_symbols(_four_block(["f"]), tau, tau_p)
-    return _checked(Timeline(events, total, int(n_cycles), "pdd"))
+    return Timeline(events, total, int(n_cycles), "pdd")
 
 
 def compile_cdd(order, tau, tau_p=0.0, n_cycles=1):
@@ -201,7 +198,7 @@ def compile_cdd(order, tau, tau_p=0.0, n_cycles=1):
     for _ in range(order):
         symbols = _four_block(symbols)
     events, total = _events_from_symbols(symbols, tau, tau_p)
-    return _checked(Timeline(events, total, int(n_cycles), f"cdd{order}"))
+    return Timeline(events, total, int(n_cycles), f"cdd{order}")
 
 
 def compile_udd(n_pulses, cycle_time, tau_p=0.0, n_cycles=1):
@@ -224,7 +221,7 @@ def compile_udd(n_pulses, cycle_time, tau_p=0.0, n_cycles=1):
     i = np.arange(1, n_pulses + 1)
     starts = cycle_time * np.sin(np.pi * i / (2.0 * n_pulses + 2.0)) ** 2
     events = tuple(PulseEvent(float(t), "y", np.pi, tau_p) for t in starts)
-    return _checked(Timeline(events, cycle_time, int(n_cycles), f"udd{n_pulses}"))
+    return Timeline(events, cycle_time, int(n_cycles), f"udd{n_pulses}")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from spinbath.avgham import (
     toggling_frames,
     verify_claim,
 )
+from spinbath.hamiltonians import _sector_blocks, _sectors
 from spinbath.operators import evolve
 from spinbath.pulses import delta_rotation
 
@@ -45,7 +46,7 @@ def small_model(seed=0, n_bath=3, scale=0.05):
 def test_toggling_frames_partition_the_cycle():
     m = small_model()
     tl = compile_pdd(12.0)
-    segs = toggling_frames(tl, build_h_free(m), m.ops)
+    segs = toggling_frames(tl, build_h_free(m))
     assert len(segs) == 4
     assert sum(s.duration for s in segs) == pytest.approx(tl.cycle_time)
     ref = np.linalg.eigvalsh(build_h_free(m))
@@ -57,20 +58,27 @@ def test_toggling_frames_partition_the_cycle():
 
 def test_pdd_zeroth_order_is_bath_only():
     m = small_model(seed=5)
-    segs = toggling_frames(compile_pdd(9.0), build_h_free(m), m.ops)
-    h0 = average_hamiltonian(segs, 0)
+    h0, _ = average_hamiltonian(toggling_frames(compile_pdd(9.0), build_h_free(m)))
     assert np.max(np.abs(h0 - build_h_e(m))) < 1e-12
 
 
 def test_average_hamiltonian_orders():
     m = small_model(seed=1)
-    segs = toggling_frames(compile_cpmg(10.0), build_h_free(m), m.ops)
-    h0 = average_hamiltonian(segs, 0)
-    h1 = average_hamiltonian(segs, 1)
+    # the four-pulse block is not time-symmetric, so its H1 does not vanish
+    segs = toggling_frames(compile_pdd(10.0), build_h_free(m))
+    h0, h1 = average_hamiltonian(segs)
+    assert np.linalg.norm(h1) > 1e-3
     assert np.allclose(h0, h0.conj().T, atol=1e-12)
     assert np.allclose(h1, h1.conj().T, atol=1e-12)
+    areas = [s.h_tilde * s.duration for s in segs]
+    tau_c = sum(s.duration for s in segs)
+    assert np.array_equal(h0, sum(areas) / tau_c)
+    # (-i / 2 tau_c) sum_{k<l} [A_l, A_k], k earlier in time
+    ref = sum(areas[l] @ areas[k] - areas[k] @ areas[l]
+              for l in range(len(areas)) for k in range(l))
+    assert np.max(np.abs(h1 - ref * (-1j / (2.0 * tau_c)))) < 1e-12
     with pytest.raises(ContractError):
-        average_hamiltonian(segs, 2)
+        average_hamiltonian([])
 
 
 def test_rotation_generator_inverts_evolve():
@@ -167,9 +175,8 @@ def test_error_generator_sum_of_a_same_axis_pair(n_bath, expected):
     ops = build_operator_set(n_bath)
     eps = 0.05
     tl = compile_cpmg(1.0, 0.0, variant="cpmg")
-    segs = toggling_frames(tl, np.zeros((ops.dim, ops.dim)), ops,
-                           ErrorModel(flip_angle_fraction=eps))
-    got = tl.cycle_time * float(np.linalg.norm(average_hamiltonian(segs, 0)))
+    segs = toggling_frames(tl, np.zeros((ops.dim, ops.dim)), ErrorModel(flip_angle_fraction=eps))
+    got = tl.cycle_time * float(np.linalg.norm(average_hamiltonian(segs)[0]))
     assert got == pytest.approx(2.0 * eps * np.pi * float(np.linalg.norm(ops.sy)), rel=1e-12)
     assert got == pytest.approx(expected, abs=5e-6)
     report = verify_claim("cpmg2-error-sum-vanishes",
@@ -206,10 +213,8 @@ def test_errored_frames_see_the_flip_angle():
     m = small_model(seed=7)
     tl = compile_cpmg(16.0)
     err = ErrorModel(flip_angle_fraction=0.04)
-    ideal = toggling_frames(tl, build_h_free(m), m.ops)
-    bad = toggling_frames(tl, build_h_free(m), m.ops, err)
-    h0_ideal = average_hamiltonian(ideal, 0)
-    h0_bad = average_hamiltonian(bad, 0)
+    h0_ideal, _ = average_hamiltonian(toggling_frames(tl, build_h_free(m)))
+    h0_bad, _ = average_hamiltonian(toggling_frames(tl, build_h_free(m), err))
     assert np.max(np.abs(h0_ideal - h0_bad)) > 1e-4
 
 
@@ -221,9 +226,11 @@ def _full_space_error_generator(axis, angle, err, ops):
     return rotation_generator(real @ ideal_pulse(axis, angle, ops).matrix.conj().T)
 
 
-def _full_space_frames(timeline, h_free, ops, error_model=None):
+def _full_space_frames(timeline, h_free, error_model=None):
     """toggling_frames with every frame and kick a full-space matrix:
-    kron-embedded ideal pulses and full-space error generators."""
+    kron-embedded ideal pulses and full-space error generators, at the
+    width of the full-space h_free."""
+    ops = build_operator_set(len(h_free).bit_length() - 2)
     frame = np.eye(ops.dim, dtype=complex)
     segments, pending, generators = [], None, {}
     for kind, payload in timeline.segments():
@@ -248,8 +255,8 @@ def _full_space_frames(timeline, h_free, ops, error_model=None):
 def _full_space_magnus_defect(timeline, h_free, ops, segs):
     """magnus_defect from the ideal full-space frames `segs`, with the exact
     cycle built from kron-embedded ideal pulses."""
-    h01 = average_hamiltonian(segs, 0) + average_hamiltonian(segs, 1)
-    u_avg = evolve(h01, timeline.cycle_time).matrix
+    h0, h1 = average_hamiltonian(segs)
+    u_avg = evolve(h0 + h1, timeline.cycle_time).matrix
     u_exact = np.eye(ops.dim, dtype=complex)
     frame = np.eye(ops.dim, dtype=complex)
     free = {}
@@ -279,19 +286,25 @@ def test_system_rotations_match_full_space_reference(family, order, udd_pulses, 
     h = build_h_free(m)
     tl = compile_family(family, 13.0, 0.0, 1, order, udd_pulses)
     err = ErrorModel(flip_angle_fraction=0.04, axis_tilt=0.03)
+    sectors = _sectors(n_bath)
     refs = {}
     for pulse_model, error_model in (("ideal", None), ("errored", err)):
         try:
-            ref = refs[pulse_model] = _full_space_frames(tl, h, m.ops, error_model)
+            ref = refs[pulse_model] = _full_space_frames(tl, h, error_model)
         except ContractError:
             # pdd and cdd end on a pulse, so an errored cycle is undefined
             with pytest.raises(ContractError, match="trailing"):
-                toggling_frames(tl, h, m.ops, error_model)
+                toggling_frames(tl, h, error_model)
             continue
-        got = toggling_frames(tl, h, m.ops, error_model)
+        got = toggling_frames(tl, h, error_model)
         assert [s.duration for s in got] == [s.duration for s in ref]
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.h_tilde - r.h_tilde)) < 1e-12
+        # each sector block toggles alone, with its kicks at the block's width
+        for idx, block in zip(sectors, _sector_blocks(h, sectors)):
+            got = toggling_frames(tl, block, error_model)
+            for g, r in zip(got, ref, strict=True):
+                assert np.max(np.abs(g.h_tilde - r.h_tilde[np.ix_(idx, idx)])) < 1e-12
     expected = _full_space_magnus_defect(tl, h, m.ops, refs["ideal"])
     assert abs(magnus_defect(tl, h, m.ops) - expected) <= 1e-10 * expected
 

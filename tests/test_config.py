@@ -154,8 +154,12 @@ class TestDiagnostics:
             parse_config(f"# bad value\n[{section}]\n{key} = {value}\n")
 
     def test_enumerated_values_checked_after_lowercasing(self):
-        cfg = parse_config("[sequence]\nfamily = PDD\n[run]\ninitial_axis = X\n")
-        assert cfg.family == "pdd" and cfg.initial_axis == "x"
+        cfg = parse_config("[bath]\ndistribution = Gaussian\n[errors]\nrf_distribution = Bimodal\n"
+                           "[sequence]\nfamily = PDD\n[run]\ninitial_axis = X\n"
+                           "record = Every_Pulse\nmethod = EXP_FIT\n")
+        assert (cfg.distribution, cfg.family, cfg.initial_axis, cfg.record, cfg.method) == (
+            "gaussian", "pdd", "x", "every_pulse", "exp_fit")
+        assert isinstance(cfg.error_model.rf, BimodalRf)
 
 
     @pytest.mark.parametrize("section, key, value", [

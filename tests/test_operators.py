@@ -5,11 +5,14 @@ import pytest
 
 from spinbath import (
     ContractError,
+    CouplingSpec,
     Propagator,
     ResourceLimitError,
     build_operator_set,
     evolve,
+    sample_couplings,
 )
+from spinbath.operators import DEFAULT_MAX_BATH
 
 
 def test_operator_set_shapes_and_dim():
@@ -55,11 +58,16 @@ def test_operator_arrays_are_read_only():
 def test_bath_cap_enforced():
     with pytest.raises(ResourceLimitError):
         build_operator_set(13)
+    # the couplings are checked against the same cap before any is drawn
+    with pytest.raises(ResourceLimitError):
+        sample_couplings(CouplingSpec(), DEFAULT_MAX_BATH + 1)
 
 
 def test_negative_bath_count_rejected():
     with pytest.raises(ContractError):
         build_operator_set(-1)
+    with pytest.raises(ContractError):
+        sample_couplings(CouplingSpec(), -1)
 
 
 def test_evolve_matches_closed_form_rotation():

@@ -180,17 +180,19 @@ def test_rejects_non_finite_timelines():
             Timeline((), bad)
     with pytest.raises(TimelineError, match="cycle_time"):
         compile_cpmg(np.nan, 0.0, 3)
-    tl = Timeline((PulseEvent(np.nan, "y", np.pi, 0.0), PulseEvent(20.0, "y", np.pi, np.inf),
-                   PulseEvent(40.0, "x", np.nan, 0.0)), 60.0, 3)
-    assert validate_timeline(tl) == ["event 0 has non-finite start_time",
-                                     "event 1 has non-finite duration",
-                                     "event 2 has non-finite nominal_angle"]
+    with pytest.raises(TimelineError) as exc:
+        Timeline((PulseEvent(np.nan, "y", np.pi, 0.0), PulseEvent(20.0, "y", np.pi, np.inf),
+                  PulseEvent(40.0, "x", np.nan, 0.0)), 60.0, 3)
+    assert str(exc.value) == ("event 0 has non-finite start_time; "
+                              "event 1 has non-finite duration; "
+                              "event 2 has non-finite nominal_angle")
 
 
 def test_rejects_unknown_pulse_axes():
     for axis in ("z", "q"):
-        tl = Timeline((PulseEvent(5.0, axis, np.pi, 1.0),), 20.0)
-        assert validate_timeline(tl) == [f"event 0 has unknown axis {axis!r}"]
+        with pytest.raises(TimelineError) as exc:
+            Timeline((PulseEvent(5.0, axis, np.pi, 1.0),), 20.0)
+        assert str(exc.value) == f"event 0 has unknown axis {axis!r}"
 
 
 def test_dump_timeline_text():
