@@ -261,16 +261,23 @@ def magnus_defect(timeline, h_free, ops):
     Scales as the cube of the coupling strength, which is the standard
     convergence diagnostic for the truncated expansion. U_exact is the
     engine's cycle product; both propagators are built per bath-magnetization
-    sector, so h_free must conserve the total bath I_z.
+    sector, and its free steps per system S_z half of each sector, so h_free
+    must conserve the total bath I_z and the system S_z, as H_SE + H_E does.
     """
     h_free = np.asarray(h_free, dtype=complex)
     sectors = _sectors(ops.n_bath)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(h_free))))
     off = np.abs(h_free)
     for idx in sectors:
         off[np.ix_(idx, idx)] = 0.0
-    if np.max(off) > 1e-12 * max(1.0, float(np.max(np.abs(h_free)))):
+    if np.max(off) > tol:
         raise ContractError(f"h_free couples bath-magnetization sectors (max off-sector "
                             f"entry {np.max(off):.3e})")
+    # the system spin is the top bit, so its S_z halves are the quadrants
+    flips = np.max(np.abs(h_free[:ops.dim // 2, ops.dim // 2:]))
+    if flips > tol:
+        raise ContractError(f"h_free couples the system spin's up and down halves (max "
+                            f"entry {flips:.3e})")
     # error-free pulses at unit RF scale are exactly the ideal rotations
     h_blocks = _sector_blocks(h_free, sectors)
     pieces = timeline.segments()

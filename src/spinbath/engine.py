@@ -9,18 +9,20 @@ reported survival probability is the deviation overlap
 
 which equals 1 at t = 0 and is immune to global propagator phases.
 
-Only the deviation eps S_u is propagated: no unitary changes the 1/d part,
-and S_u (x) 1 is traceless in every sector below, so s_u is exactly the
-deviation autocorrelation, the quantity bath_correlation computes for a
-bath observable; one kernel, _autocorrelation, reads both.
+Only the deviation eps S_u matters: no unitary changes the 1/d part, and
+S_u (x) 1 is traceless in every sector below, so s_u is exactly the
+deviation autocorrelation Re Tr{S_u W S_u W^dag} / Tr{S_u^2} of the
+propagator W, the quantity bath_correlation computes for a bath
+observable; one kernel, _autocorrelation, reads both.
 
 H_free, every pulse and the prepared state conserve the total bath I_z,
 so propagate works in the bath-magnetization sectors: sector k (k bath
 spins up) is C^2 (x) span{bath states with k up}, of size 2 C(n, k).
-Every propagator, state and eigenphase power is a list of sector blocks,
-and the survival overlap is the sum of the per-block traces. The
-diagonalizations then cost O(sum_k (2 C(n, k))^3) instead of
-O(2^(3(n+1))); at n = 7 the blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide.
+Every propagator and eigenphase power is a list of sector blocks, and the
+survival overlap is the sum of the per-block traces. The diagonalizations
+then cost O(sum_k (2 C(n, k))^3) instead of O(2^(3(n+1))); at n = 7 the
+blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide. H_free also conserves the
+system S_z, so a free step is two (C, C) halves per sector (_free_table).
 
 Ensemble averaging covers pulse-error realizations only: each realization
 draws one RF amplitude scale (static inhomogeneity) from the error model,
@@ -31,11 +33,13 @@ powers, at O(dim^2) per cycle instead of O(dim^3). A cycle propagator is
 unitary, so each block is diagonalized in a unitary eigenbasis taken from
 a Hermitian eigh (_unitary_eig); a block whose basis leaves an
 off-diagonal residual above 1e-13 sends the realization down the direct
-conjugation loop that short runs take. These powers and the bath
-correlations are one eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t)
-with W = |V^dag A V|^2, which _autocorrelation forms and _spectral_series
-evaluates with no weight dropped. Pulse-to-pulse tilt jitter breaks the
-reuse, so jittered runs rebuild the cycle propagator every cycle.
+loop that short runs take. These powers and the bath correlations are one
+eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2,
+which _autocorrelation forms and _spectral_series evaluates with no weight
+dropped. Pulse-to-pulse tilt jitter breaks the reuse: the direct loop
+carries every sector's accumulated propagator in one buffer
+(_Accumulated), a static run applies its interval products to it, and a
+jittered run applies each free step and each freshly drawn pulse.
 
 Detection follows the ideal pulse frame, the numerical analog of a
 receiver phase that tracks where a perfect sequence would have parked the
@@ -55,8 +59,8 @@ import numpy as np
 from .errors import ContractError
 from .hamiltonians import _basis_z, _h_e_blocks, _sector_blocks, _sectors, build_h_free
 from .operators import _SPIN_HALF, exp_propagators
-from .pulses import (ErrorModel, _conjugate, _driven_hamiltonian, _left, delta_rotation,
-                     ideal_frame, sample_rf_scale)
+from .pulses import (ErrorModel, _driven_hamiltonian, delta_rotation, ideal_frame,
+                     sample_rf_scale)
 from .util import first_crossing, fmt, realization_rng
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
@@ -152,65 +156,103 @@ class TauBEstimate(NamedTuple):
 def _pulse_blocks(ev, h_blocks, err, rf_scale, tilt=None):
     """Per-sector blocks of one pulse event; `tilt` overrides err.axis_tilt.
 
-    A delta pulse is one 2x2 system rotation repeated for every sector
-    (see pulses._left); a finite pulse is one driven Hamiltonian
-    exponentiated per block, so each diagonalization costs
-    O(sum_k (2 C(n, k))^3) rather than O(dim^3).
+    A delta pulse is one 2x2 system rotation, returned alone as it acts the
+    same on every sector (see _Accumulated.advance); a finite pulse is a
+    list of one driven Hamiltonian exponentiated per block, so each
+    diagonalization costs O(sum_k (2 C(n, k))^3) rather than O(dim^3).
     """
     if ev.duration > 0:
         rate = ev.nominal_angle / ev.duration
         return [exp_propagators(_driven_hamiltonian(h, ev.axis, rate, rf_scale, err, tilt),
                                 (ev.duration,))[ev.duration] for h in h_blocks]
-    return [delta_rotation(ev.axis, ev.nominal_angle, rf_scale, err, tilt)] * len(h_blocks)
+    return delta_rotation(ev.axis, ev.nominal_angle, rf_scale, err, tilt)
 
 
-def _interval_products(pieces, h_blocks, free_us, err, rf_scale, rng=None):
+def _advance(u, w, out):
+    """out = U W for one sector's blocks w, out of shape (2, 2, C, C) (see
+    _Accumulated): U is a free step's (2, C, C) system-diagonal halves
+    (_free_table) or a full (2C, 2C) block, a finite pulse or an interval
+    product."""
+    if u.ndim == 3:
+        np.matmul(u, w, out=out)
+    else:
+        out[...] = (u @ w.reshape(2, len(u), -1)).reshape(out.shape)
+
+
+class _Accumulated:
+    """The accumulated propagators W of every sector, from the identity.
+
+    They share one buffer of shape (2, 2, sum_k C_k^2), system-major: row
+    [t, s] holds the (C, C) blocks <s|W|t> between column system state t and
+    row system state s of each sector in turn, and blocks[k] views sector k
+    as (2, 2, C, C). A delta pulse and the survival Gram then take one matmul
+    for all sectors; each free step or full block takes one per sector. Each
+    step writes the second of two buffers and swaps them.
+    """
+
+    def __init__(self, widths):
+        offsets = np.cumsum([0] + [c * c for c in widths])
+        self._buffers = [np.zeros((2, 2, offsets[-1]), dtype=complex) for _ in range(2)]
+        self._blocks = [[b[:, :, o:o + c * c].reshape(2, 2, c, c)
+                         for o, c in zip(offsets, widths)] for b in self._buffers]
+        for block in self.blocks:
+            block[0, 0] = block[1, 1] = np.eye(len(block[0, 0]))
+
+    @property
+    def blocks(self):
+        return self._blocks[0]
+
+    def advance(self, us):
+        """W <- U W for one 2x2 rotation `us` of the system spin, or a list
+        of one operator per sector (see _advance)."""
+        if isinstance(us, list):
+            for u, w, out in zip(us, *self._blocks):
+                _advance(u, w, out)
+        else:
+            np.matmul(us, self._buffers[0], out=self._buffers[1])
+        self._buffers.reverse()
+        self._blocks.reverse()
+
+    def gram(self):
+        """The 4x4 Gram matrix of the [t, s] rows, summed over sectors."""
+        x = self._buffers[0].reshape(4, -1)
+        return x @ x.conj().T
+
+
+def _interval_products(pieces, h_blocks, free_us, err, rf_scale):
     """Yield, for each segment list of `pieces` in order, the per-sector
-    product of its segment propagators.
+    product of its segment propagators as full (2C, 2C) blocks.
 
     Free segments are read from the shared table free_us (_free_table) and
-    pulses built by _pulse_blocks. Given an rng, every pulse draws a fresh
-    tilt err.axis_tilt + N(0, tilt_jitter_sd) in application order, so runs
-    are deterministic in the realization seed. Without one the errors are
-    static: each pulse shape is built once, and segment lists of equal
-    shape yield one shared product.
+    pulses built by _pulse_blocks. The errors are static: each pulse shape is
+    built once, and segment lists of equal shape yield one shared product.
     """
-    eye = [np.eye(h.shape[0], dtype=complex) for h in h_blocks]
-
-    def product(segments, pulse):
-        out = eye
-        for i, (kind, p) in enumerate(segments):
-            u = free_us[p] if kind == "free" else pulse(p)
-            out = [a if i == 0 and a.shape == b.shape else _left(a, b)
-                   for a, b in zip(u, out)]
-        return out
-
-    if rng is not None:
-        for segments in pieces:
-            yield product(segments, lambda ev: _pulse_blocks(
-                ev, h_blocks, err, rf_scale,
-                err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd)))
-        return
     events = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
     pulses = {key: _pulse_blocks(ev, h_blocks, err, rf_scale) for key, ev in events.items()}
     shared = {}
     for segments in pieces:
         key = tuple(p if kind == "free" else _shape(p) for kind, p in segments)
         if key not in shared:
-            shared[key] = product(segments, lambda ev: pulses[_shape(ev)])
+            w = _Accumulated([len(h) // 2 for h in h_blocks])
+            for kind, p in segments:
+                w.advance(free_us[p] if kind == "free" else pulses[_shape(p)])
+            shared[key] = [b.transpose(1, 2, 0, 3).reshape(2 * len(b[0, 0]), -1)
+                           for b in w.blocks]
         yield shared[key]
 
 
 def _free_table(h_blocks, dts):
-    """{dt: [exp(-i H_k dt) for each block H_k]}, one diagonalization per
-    block."""
-    tables = [exp_propagators(h, dts) for h in h_blocks]
+    """{dt: [exp(-i H_k dt) for each block H_k]}, each as its (2, C, C)
+    system-diagonal halves, from one eigh of both halves per block.
+
+    H_k must conserve the system S_z, as H_free does, so that it is
+    diag(H_E,k + D_k/2, H_E,k - D_k/2) with D = sum_j b_j I_z^j.
+    """
+    tables = []
+    for h in h_blocks:
+        c = len(h) // 2
+        tables.append(exp_propagators(np.stack((h[:c, :c], h[c:, c:])), dts))
     return {dt: [table[dt] for table in tables] for dt in dts}
-
-
-def _overlap(a, b):
-    """Re Tr{A B} of two block lists."""
-    return sum(float(np.real(np.einsum("ij,ji->", x, y))) for x, y in zip(a, b))
 
 
 def _shape(ev):
@@ -263,24 +305,24 @@ def _recording_intervals(timeline, record):
     return intervals
 
 
-def _powered_overlaps(u_cycle, dev0, n_cycles):
+def _powered_overlaps(u_cycle, s_u, n_cycles):
     """Survival overlaps after 0..n_cycles applications of one propagator,
     given as sector blocks, or None when a block has no accurate unitary
     eigenbasis (see _unitary_eig).
 
     With U = P diag(exp(i theta)) P^dag per block, the m-fold conjugation
-    of the deviation collapses to phase powers of theta; s(m) is then the
-    deviation autocorrelation of _autocorrelation at cycle count m, with
-    frequencies -theta. Only the eigenphases enter, so |lambda| is 1
+    of the deviation S_u (x) 1 collapses to phase powers of theta; s(m) is
+    then the deviation autocorrelation of _autocorrelation at cycle count m,
+    with frequencies -theta. Only the eigenphases enter, so |lambda| is 1
     exactly and roundoff does not drift over long runs.
     """
     blocks = []
-    for u, dev in zip(u_cycle, dev0):
+    for u in u_cycle:
         eig = _unitary_eig(u)
         if eig is None:
             return None
         eig = (-eig[0], eig[1])
-        blocks.append((eig, eig, [dev]))
+        blocks.append((eig, eig, [np.kron(s_u, np.eye(len(u) // 2))]))
     return np.concatenate(([1.0], _autocorrelation(blocks, np.arange(1, n_cycles + 1))))
 
 
@@ -345,32 +387,48 @@ def _spectral_series(weights, rows, cols, times):
     return series
 
 
-def _realization_curve(spec, intervals, h_blocks, dev0, norm0, k, free_us):
-    """Survival values for realization k at the recording instants."""
+def _realization_curve(spec, intervals, h_blocks, s_u, k, free_us):
+    """Survival values for realization k at the recording instants.
+
+    The direct loop carries the accumulated propagators W (_Accumulated) and
+    reads s = Re Tr{(d (x) 1) W (S_u (x) 1) W^dag} / Tr{(S_u (x) 1)^2}, with d
+    the prepared S_u in the detection frame, as the sum of the 4x4 Gram
+    against kron(S_u^T, d). A static run applies its interval products, a
+    jittered run each segment.
+    """
     n_cycles, err = spec.timeline.n_cycles, spec.error_model
     rng = realization_rng(spec.master_seed, k)
     rf_scale = sample_rf_scale(err, rng)
     pieces = [iv.segments for iv in intervals]
-    static = None
     if err.tilt_jitter_sd == 0:
         static = list(_interval_products(pieces, h_blocks, free_us, err, rf_scale))
         if (spec.record == "cycle_boundaries" and intervals[0].frame is None
                 and n_cycles >= _POWER_MIN_CYCLES):
-            powered = _powered_overlaps(static[0], dev0, n_cycles)
+            powered = _powered_overlaps(static[0], s_u, n_cycles)
             if powered is not None:
                 return powered
-    dev, det = dev0, dev0
+
+        def operators(i):
+            return [static[i]]
+    else:
+        def operators(i):
+            # every pulse application draws a fresh tilt, in time order
+            return (free_us[p] if kind == "free" else _pulse_blocks(
+                p, h_blocks, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
+                for kind, p in pieces[i])
+
+    w = _Accumulated([len(h) // 2 for h in h_blocks])
+    d, key = s_u, np.kron(s_u.T, s_u)
+    norm0 = 0.25 * sum(len(h) for h in h_blocks)
     values = [1.0]
     for _ in range(n_cycles):
-        # jittered pulses draw fresh tilts, so each cycle rebuilds its
-        # interval products, one at a time
-        products = iter(static) if static is not None else _interval_products(
-            pieces, h_blocks, free_us, err, rf_scale, rng)
-        for iv in intervals:
-            dev = [_conjugate(u, d) for u, d in zip(next(products), dev)]
+        for i, iv in enumerate(intervals):
+            for us in operators(i):
+                w.advance(us)
             if iv.frame is not None:
-                det = [_conjugate(iv.frame, d) for d in det]
-            values.append(_overlap(det, dev) / norm0)
+                d = iv.frame @ d @ iv.frame.conj().T
+                key = np.kron(s_u.T, d)
+            values.append(float(np.real(np.vdot(key, w.gram()))) / norm0)
     return np.asarray(values)
 
 
@@ -388,8 +446,6 @@ def propagate(spec, threads=1):
     sectors = _sectors(model.n_bath)
     h_blocks = _sector_blocks(build_h_free(model), sectors)
     s_u = _SPIN_HALF[spec.initial_axis]
-    dev0 = [2.0 / model.ops.dim * np.kron(s_u, np.eye(idx.size // 2)) for idx in sectors]
-    norm0 = _overlap(dev0, dev0)
     intervals = _recording_intervals(tl, spec.record)
     # free evolution does not depend on the pulse-error draw, so the
     # realizations share one table read-only
@@ -397,7 +453,7 @@ def propagate(spec, threads=1):
                                      for kind, dt in iv.segments if kind == "free"})
 
     def curve(k):
-        return _realization_curve(spec, intervals, h_blocks, dev0, norm0, k, free_us)
+        return _realization_curve(spec, intervals, h_blocks, s_u, k, free_us)
 
     ks = range(spec.n_realizations)
     if threads > 1 and spec.n_realizations > 1:

@@ -175,8 +175,10 @@ def evolve(h, t):
 
 def exp_propagators(h, times):
     """{t: exp(-i H t)} as raw arrays for every t in `times`, from one
-    diagonalization of the Hermitian H (not checked here), none if no times."""
+    diagonalization of the Hermitian H (not checked here), none if no times.
+    A stack of matrices, shape (..., n, n), is exponentiated matrix by matrix."""
     if not times:
         return {}
     w, v = np.linalg.eigh(h)
-    return {t: (v * np.exp(-1j * w * t)) @ v.conj().T for t in times}
+    return {t: (v * np.exp(-1j * w[..., None, :] * t)) @ v.conj().swapaxes(-1, -2)
+            for t in times}

@@ -16,8 +16,9 @@ damage the spin component along the pulse axis.
 
 A delta pulse touches the system spin only: it stays a 2x2 rotation
 (delta_rotation) that _left and _conjugate apply to the system factor of a
-full-space matrix, and only the public builders ideal_pulse and real_pulse
-embed it as R (x) 1_bath. Its 2x2 error factor E gives U_real =
+full-space or sector matrix, and the engine to all its sectors at once;
+only the public builders ideal_pulse and real_pulse embed it as
+R (x) 1_bath. Its 2x2 error factor E gives U_real =
 (E (x) 1_bath) @ U_ideal, which the average-Hamiltonian analysis consumes.
 """
 

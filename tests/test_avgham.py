@@ -153,6 +153,15 @@ def test_magnus_defect_refuses_a_hamiltonian_that_couples_sectors():
         magnus_defect(compile_pdd(10.0), h, m.ops)
 
 
+def test_magnus_defect_refuses_a_hamiltonian_that_flips_the_system_spin():
+    # the free steps are built per system S_z half of each sector, so a
+    # term S_x I_z^0, which conserves the bath I_z, cannot be represented
+    m = small_model(seed=3)
+    h = build_h_free(m) + 0.01 * m.ops.sx @ m.ops.iz[0]
+    with pytest.raises(ContractError, match="couples the system spin's up and down halves"):
+        magnus_defect(compile_pdd(10.0), h, m.ops)
+
+
 def test_claim_registry():
     for cid in ("cpmg-flip-angle-zeroth-order",
                 "cpmg2-error-sum-vanishes",

@@ -37,6 +37,7 @@ from spinbath import (
     sample_rf_scale,
 )
 from spinbath.analysis import compile_family
+from spinbath.operators import exp_propagators
 from spinbath.util import realization_rng
 
 
@@ -356,19 +357,22 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
         results.append(powered(*args))
         return results[-1]
 
-    conjugate, conjugations = engine._conjugate, []
+    advance, steps = engine._advance, []
 
-    def counted(u, a):
-        conjugations.append(1)
-        return conjugate(u, a)
+    def counted(u, w, out):
+        # the products of a delta-pulse train are built from free halves and
+        # whole-buffer rotations, so only the direct loop applies a full
+        # (2C, 2C) block: one interval product per sector and cycle
+        steps.append(u.ndim == 2)
+        return advance(u, w, out)
 
     monkeypatch.setattr(engine, "_powered_overlaps", recorded)
-    monkeypatch.setattr(engine, "_conjugate", counted)
+    monkeypatch.setattr(engine, "_advance", counted)
     monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
     fell_back = propagate(spec)
     assert results == [None, None]
     # 40 cycles x 5 sectors x 2 realizations
-    assert len(conjugations) == 400
+    assert sum(steps) == 400
     assert np.array_equal(fell_back.s, slow.s)
     assert np.array_equal(fell_back.stderr, slow.stderr)
 
@@ -705,6 +709,25 @@ def _counted_pulse_builds(monkeypatch):
 
     monkeypatch.setattr(engine, "_pulse_blocks", counted)
     return shapes
+
+
+@pytest.mark.parametrize("n_bath", [0, 3, 7])
+def test_free_table_halves_match_the_full_width_propagator(n_bath):
+    # H_free conserves the system S_z, so exp(-i H_k t) is block-diagonal
+    # in the system's up and down halves of each sector block
+    m = default_model(seed=6, n_bath=n_bath)
+    h_blocks = engine._sector_blocks(build_h_free(m), engine._sectors(n_bath))
+    dts = (0.7, 12.0, 95.0)
+    table = engine._free_table(h_blocks, dts)
+    for dt in dts:
+        assert len(table[dt]) == len(h_blocks)
+        for h, halves in zip(h_blocks, table[dt]):
+            c = len(h) // 2
+            full = exp_propagators(h, (dt,))[dt]
+            assert halves.shape == (2, c, c)
+            assert np.max(np.abs(halves[0] - full[:c, :c])) < 1e-12
+            assert np.max(np.abs(halves[1] - full[c:, c:])) < 1e-12
+            assert max(np.max(np.abs(full[:c, c:])), np.max(np.abs(full[c:, :c]))) < 1e-14
 
 
 def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
