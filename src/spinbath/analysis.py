@@ -253,11 +253,14 @@ def hahn_decay_trace(model, tau_grid, error_model=None, axis="x", tau_p=0.0,
     series against echo time (2 tau + tau_p) is packaged as a SurvivalTrace
     so the standard decay extraction applies.
     """
-    if not np.all(np.diff(np.asarray(tau_grid, dtype=float)) > 0):
+    grid = np.asarray(tau_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ContractError(f"tau_grid must be a non-empty 1-D grid, got shape {grid.shape}")
+    if not np.all(np.diff(grid) > 0):
         raise ContractError("tau_grid must be strictly increasing")
     err = error_model or ErrorModel()
     times, values, errs, counts = [0.0], [1.0], [0.0], [0]
-    for tau in tau_grid:
+    for tau in grid:
         tl = compile_hahn(float(tau), tau_p)
         spec = RunSpec(model=model, timeline=tl, error_model=err, initial_axis=axis,
                        n_realizations=n_realizations, master_seed=master_seed)

@@ -21,8 +21,11 @@ spins up) is C^2 (x) span{bath states with k up}, of size 2 C(n, k).
 Every propagator and eigenphase power is a list of sector blocks, and the
 survival overlap is the sum of the per-block traces. The diagonalizations
 then cost O(sum_k (2 C(n, k))^3) instead of O(2^(3(n+1))); at n = 7 the
-blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide. H_free also conserves the
+blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide. build_h_free fills these
+blocks from the basis bits, with no dense matrix. H_free also conserves the
 system S_z, so a free step is two (C, C) halves per sector (_free_table).
+Their eigenpairs are kept for the last model seen, so a sweep over delays
+on one bath diagonalizes H_free once.
 
 Ensemble averaging covers pulse-error realizations only: each realization
 draws one RF amplitude scale (static inhomogeneity) from the error model,
@@ -57,11 +60,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .hamiltonians import _basis_z, _h_e_blocks, _sector_blocks, _sectors, build_h_free
-from .operators import _SPIN_HALF, exp_propagators
+from .hamiltonians import _basis_z, _h_e_blocks, _sectors, build_h_free
+from .operators import _SPIN_HALF, eig_propagators, exp_propagators
 from .pulses import (ErrorModel, _driven_hamiltonian, delta_rotation, ideal_frame,
                      sample_rf_scale)
-from .util import first_crossing, fmt, realization_rng
+from .util import first_crossing, fmt, realization_rng, require_int
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
 INITIAL_AXES = ("x", "y", "z")
@@ -100,6 +103,8 @@ class RunSpec:
     def __post_init__(self):
         if self.initial_axis not in INITIAL_AXES:
             raise ContractError(f"initial_axis must be x, y or z, got {self.initial_axis!r}")
+        require_int(self.n_realizations, "n_realizations")
+        require_int(self.master_seed, "master_seed")
         if self.n_realizations < 1:
             raise ContractError("n_realizations must be >= 1")
         if self.master_seed < 0:
@@ -241,17 +246,38 @@ def _interval_products(pieces, h_blocks, free_us, err, rf_scale):
         yield shared[key]
 
 
+# (halves, eigenpairs) of the last blocks _free_table diagonalized, replaced
+# whole on a miss; at n_bath 7 each of the two takes about 110 KB
+_free_eigs = None
+
+
 def _free_table(h_blocks, dts):
     """{dt: [exp(-i H_k dt) for each block H_k]}, each as its (2, C, C)
     system-diagonal halves, from one eigh of both halves per block.
 
     H_k must conserve the system S_z, as H_free does, so that it is
     diag(H_E,k + D_k/2, H_E,k - D_k/2) with D = sum_j b_j I_z^j.
+
+    The eigenpairs of the last halves diagonalized stay in one slot: a call
+    whose halves are np.array_equal to them, such as the next delay of a
+    sweep on one model, skips every eigh. eigh is deterministic, so a hit
+    gives the same bits as a miss.
     """
-    tables = []
+    global _free_eigs
+    if not dts:
+        return {}
+    halves = []
     for h in h_blocks:
         c = len(h) // 2
-        tables.append(exp_propagators(np.stack((h[:c, :c], h[c:, c:])), dts))
+        halves.append(np.stack((h[:c, :c], h[c:, c:])))
+    slot = _free_eigs
+    if slot is not None and len(slot[0]) == len(halves) and all(
+            np.array_equal(a, b) for a, b in zip(slot[0], halves)):
+        eigs = slot[1]
+    else:
+        eigs = [np.linalg.eigh(x) for x in halves]
+        _free_eigs = (halves, eigs)
+    tables = [eig_propagators(eig, dts) for eig in eigs]
     return {dt: [table[dt] for table in tables] for dt in dts}
 
 
@@ -440,11 +466,10 @@ def propagate(spec, threads=1):
     largest block. The reduction order over realizations is fixed by
     index, so the result is bit-identical for any thread count.
     """
-    if threads < 1:
+    if require_int(threads, "threads") < 1:
         raise ContractError(f"threads must be >= 1, got {threads}")
     model, tl = spec.model, spec.timeline
-    sectors = _sectors(model.n_bath)
-    h_blocks = _sector_blocks(build_h_free(model), sectors)
+    h_blocks = build_h_free(model, _sectors(model.n_bath))
     s_u = _SPIN_HALF[spec.initial_axis]
     intervals = _recording_intervals(tl, spec.record)
     # free evolution does not depend on the pulse-error draw, so the
@@ -489,8 +514,7 @@ def bath_correlation(model, t_grid, which="ix_total", j=0):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
         raise ContractError(f"t_grid must be 1-D and finite, got shape {t_grid.shape}")
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-        raise ContractError(f"bath index j must be an integer, got {j!r}")
+    require_int(j, "bath index j")
     if which not in ("ix_total", "iz", "iz_mean"):
         raise ContractError(f"which must be 'ix_total', 'iz' or 'iz_mean', got {which!r}")
     if which != "iz" and model.n_bath == 0:

@@ -163,17 +163,20 @@ def _sector_blocks(a, sectors):
     return [a[np.ix_(idx, idx)] for idx in sectors]
 
 
-def build_h_se(model):
-    """System-bath pure-dephasing coupling S_z * sum_j b_j I_z^j.
-
-    Diagonal on the product basis, so it is filled in from the basis bits.
-    """
+def _h_se_diagonal(model):
+    """The diagonal of H_SE = S_z * sum_j b_j I_z^j on the product basis, from
+    the basis bits; H_SE has no other entries."""
     z = _basis_z(model.n_bath + 1)
     field = np.zeros(model.ops.dim)
     for j in range(model.n_bath):
         if model.b[j] != 0.0:
             field += model.b[j] * z[j + 1]
-    return np.diag((z[0] * field).astype(complex))
+    return z[0] * field
+
+
+def build_h_se(model):
+    """System-bath pure-dephasing coupling S_z * sum_j b_j I_z^j."""
+    return np.diag(_h_se_diagonal(model).astype(complex))
 
 
 def _flip_flops(model):
@@ -191,19 +194,29 @@ def _flip_flops(model):
     return diag, rows, cols, -0.5 * dij[pair]
 
 
+def _diagonal_blocks(diag, rows, cols, vals, sectors):
+    """The diagonal blocks on the ascending index arrays `sectors` of the
+    matrix with diagonal `diag` and off-diagonal entries `vals` at (rows,
+    cols), none of which couples two sectors; the blocks take diag's dtype."""
+    label, pos = np.full(diag.size, -1), np.empty(diag.size, dtype=int)
+    for k, idx in enumerate(sectors):
+        label[idx], pos[idx] = k, np.arange(idx.size)
+    blocks = []
+    for k, idx in enumerate(sectors):
+        mine = label[cols] == k
+        block = np.diag(diag[idx])
+        block[pos[rows[mine]], pos[cols[mine]]] = vals[mine]
+        blocks.append(block)
+    return blocks
+
+
 def _h_e_blocks(model):
     """H_E on the bath space as (indices, block) per sector k = 0 .. n_bath:
     the ascending bath states with k spins up and their real block."""
     diag, rows, cols, vals = _flip_flops(model)
     up = model.n_bath - np.bitwise_count(np.arange(diag.size))
-    pos, blocks = np.empty(diag.size, dtype=int), []
-    for k in range(model.n_bath + 1):
-        idx, mine = np.flatnonzero(up == k), up[cols] == k
-        pos[idx] = np.arange(idx.size)
-        block = np.diag(diag[idx])
-        block[pos[rows[mine]], pos[cols[mine]]] = vals[mine]
-        blocks.append((idx, block))
-    return blocks
+    sectors = [np.flatnonzero(up == k) for k in range(model.n_bath + 1)]
+    return list(zip(sectors, _diagonal_blocks(diag, rows, cols, vals, sectors)))
 
 
 def build_h_e(model):
@@ -221,9 +234,30 @@ def build_h_e(model):
     return h.reshape(2 * diag.size, -1)
 
 
-def build_h_free(model):
-    """Full free Hamiltonian H_SE + H_E."""
-    return build_h_se(model) + build_h_e(model)
+def build_h_free(model, sectors=None):
+    """Free Hamiltonian H_SE + H_E, filled from the basis bits.
+
+    Given `sectors`, the bath-magnetization sectors of _sectors(model.n_bath),
+    it returns the list of its complex diagonal blocks on them, and no dense
+    matrix is formed. Without, it returns the dense 2**(n_bath + 1) matrix,
+    scattered from the same blocks.
+    """
+    dense = sectors is None
+    if dense:
+        sectors = _sectors(model.n_bath)
+    diag, rows, cols, vals = _flip_flops(model)
+    n = diag.size
+    # the system spin is the top bit, and H_E acts alike on both its halves
+    blocks = _diagonal_blocks(
+        (_h_se_diagonal(model) + np.tile(diag, 2)).astype(complex),
+        np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n)),
+        np.tile(vals, 2), sectors)
+    if not dense:
+        return blocks
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    for idx, block in zip(sectors, blocks):
+        h[np.ix_(idx, idx)] = block
+    return h
 
 
 def build_h_error(a, b_u, model):

@@ -1,8 +1,10 @@
-"""Small shared helpers: seeding, crossings, hashing, stable float text."""
+"""Small shared helpers: seeding, integer checks, crossings, hashing, stable float text."""
 
 import hashlib
 
 import numpy as np
+
+from .errors import ContractError
 
 # kHz (technical frequency) to angular frequency in rad/us.
 KHZ_TO_RAD_PER_US = 2.0 * np.pi * 1e-3
@@ -11,6 +13,14 @@ KHZ_TO_RAD_PER_US = 2.0 * np.pi * 1e-3
 def realization_rng(master_seed, k):
     """Deterministic per-realization generator derived from (master_seed, k)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(master_seed), int(k))))
+
+
+def require_int(value, name):
+    """`value` if it is an integer, a numpy integer included, else a
+    ContractError naming `name`; a bool is no integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def first_crossing(times, values, level):

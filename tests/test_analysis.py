@@ -224,3 +224,12 @@ def test_hahn_decay_trace_refuses_a_grid_that_does_not_increase(grid, monkeypatc
         hahn_decay_trace(static_model(), grid)
     # the grid is checked before the first echo is run
     assert runs == []
+
+
+@pytest.mark.parametrize("grid", [[], [[5.0, 6.0]], 5.0])
+def test_hahn_decay_trace_refuses_an_empty_or_non_vector_grid(grid, monkeypatch):
+    runs = []
+    monkeypatch.setattr(analysis, "propagate", lambda spec: runs.append(spec))
+    with pytest.raises(ContractError, match="tau_grid must be a non-empty 1-D grid"):
+        hahn_decay_trace(static_model(), grid)
+    assert runs == []

@@ -1,7 +1,9 @@
 """Propagation engine: exact oracles, determinism, and trace bookkeeping."""
 
+import concurrent.futures
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +141,27 @@ def test_thread_count_below_one_rejected():
     for threads in (0, -1):
         with pytest.raises(ContractError, match="threads"):
             propagate(spec, threads=threads)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
+def test_counts_and_seeds_must_be_integers(bad):
+    m, tl = dephasing_model(2), compile_free(10.0)
+    for field in ("n_realizations", "master_seed"):
+        with pytest.raises(ContractError, match=f"{field} must be an integer"):
+            RunSpec(model=m, timeline=tl, **{field: bad})
+    with pytest.raises(ContractError, match="threads must be an integer"):
+        propagate(RunSpec(model=m, timeline=tl), threads=bad)
+
+
+def test_numpy_integer_counts_and_seeds_run_as_python_ints():
+    m, tl = default_model(seed=2, n_bath=3), compile_cpmg(10.0, 0.0, n_cycles=3)
+    err = ErrorModel(rf=GaussianRf(sd=0.05))
+    a = propagate(RunSpec(model=m, timeline=tl, error_model=err, n_realizations=2,
+                          master_seed=5), threads=2)
+    b = propagate(RunSpec(model=m, timeline=tl, error_model=err, n_realizations=np.int64(2),
+                          master_seed=np.uint32(5)), threads=np.int32(2))
+    np.testing.assert_array_equal(a.s, b.s)
+    np.testing.assert_array_equal(a.stderr, b.stderr)
 
 
 def test_record_grids():
@@ -716,7 +739,7 @@ def test_free_table_halves_match_the_full_width_propagator(n_bath):
     # H_free conserves the system S_z, so exp(-i H_k t) is block-diagonal
     # in the system's up and down halves of each sector block
     m = default_model(seed=6, n_bath=n_bath)
-    h_blocks = engine._sector_blocks(build_h_free(m), engine._sectors(n_bath))
+    h_blocks = build_h_free(m, engine._sectors(n_bath))
     dts = (0.7, 12.0, 95.0)
     table = engine._free_table(h_blocks, dts)
     for dt in dts:
@@ -730,6 +753,92 @@ def test_free_table_halves_match_the_full_width_propagator(n_bath):
             assert max(np.max(np.abs(full[:c, c:])), np.max(np.abs(full[c:, :c]))) < 1e-14
 
 
+def _counted_eigh(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
+def test_runs_on_one_model_diagonalize_each_sector_once(monkeypatch):
+    m = default_model(n_bath=7)
+    shapes = _counted_eigh(monkeypatch)
+    for tl in (compile_cpmg(10.0, 0.0, n_cycles=4), compile_hahn(25.0),
+               compile_cdd(2, 7.0, 0.0, n_cycles=2)):
+        propagate(RunSpec(model=m, timeline=tl, error_model=_STATIC))
+    # one stacked eigh of both system halves per sector, C(7, k) wide
+    assert shapes == [(2, math.comb(7, k), math.comb(7, k)) for k in range(8)]
+
+
+def _runs(model, timelines):
+    return [propagate(RunSpec(model=model, timeline=tl, error_model=_STATIC, n_realizations=2))
+            for tl in timelines]
+
+
+def test_cached_runs_equal_uncached_runs_alternating_two_models():
+    models = [default_model(seed=37, n_bath=5), default_model(seed=11, n_bath=5)]
+    timelines = [compile_cpmg(12.0, 0.0, n_cycles=20), compile_hahn(40.0),
+                 compile_cdd(2, 9.0, 0.8, n_cycles=3)]
+    uncached = []
+    for m in models:
+        runs = []
+        for tl in timelines:
+            engine._free_eigs = None
+            runs += _runs(m, [tl])
+        uncached.append(runs)
+    for i in (0, 0, 1, 0, 1, 1):
+        for cached, fresh in zip(_runs(models[i], timelines), uncached[i]):
+            assert np.array_equal(cached.s, fresh.s)
+            assert np.array_equal(cached.stderr, fresh.stderr)
+
+
+def test_threads_sharing_the_cache_see_whole_entries():
+    models = [default_model(seed=37, n_bath=3), default_model(seed=11, n_bath=3)]
+    tl = compile_cpmg(12.0, 0.0, n_cycles=3)
+    expected = []
+    for m in models:
+        engine._free_eigs = None
+        expected.append(_runs(m, [tl])[0].s)
+
+    def work(first):
+        # alternating models, so threads keep replacing each other's entry
+        for i in range(40):
+            k = (first + i) % 2
+            if not np.array_equal(_runs(models[k], [tl])[0].s, expected[k]):
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+            results = [f.result(timeout=120) for f in
+                       [pool.submit(work, first) for first in range(6)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 6
+
+
+def test_a_model_one_coupling_away_misses_the_cache(monkeypatch):
+    m = default_model(seed=4, n_bath=4)
+    d = m.d.copy()
+    d[1, 2] = d[2, 1] = np.nextafter(d[1, 2], np.inf)
+    near = build_model(m.b, d)
+    tl = compile_cpmg(15.0, 0.0, n_cycles=3)
+    engine._free_eigs = None
+    (fresh,) = _runs(near, [tl])
+    _runs(m, [tl])
+    shapes = _counted_eigh(monkeypatch)
+    (cached,) = _runs(near, [tl])
+    assert len(shapes) == near.n_bath + 1
+    assert np.array_equal(cached.s, fresh.s)
+
+
 def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
     shapes = _counted_pulse_builds(monkeypatch)
     m = default_model(seed=4, n_bath=3)
@@ -738,7 +847,7 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
     assert sorted(shapes) == sorted({engine._shape(ev) for ev in tl.events})
 
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
-    h_blocks = engine._sector_blocks(build_h_free(m), engine._sectors(m.n_bath))
+    h_blocks = build_h_free(m, engine._sectors(m.n_bath))
     free_us = engine._free_table(h_blocks, {p for segs in pieces
                                             for kind, p in segs if kind == "free"})
     products = list(engine._interval_products(pieces, h_blocks, free_us, _STATIC, 1.0))

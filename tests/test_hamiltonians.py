@@ -21,7 +21,7 @@ from spinbath import (
     real_pulse,
     sample_couplings,
 )
-from spinbath.hamiltonians import _h_e_blocks, _sectors
+from spinbath.hamiltonians import _h_e_blocks, _sector_blocks, _sectors
 
 
 def _total_iz(ops):
@@ -170,6 +170,31 @@ def test_h_e_blocks_scatter_to_build_h_e(n_bath):
     for idx, blk in blocks:
         bath[np.ix_(idx, idx)] = blk
     assert np.array_equal(np.kron(np.eye(2), bath), build_h_e(m))
+
+
+def _h_free_blocks_equal_the_dense_slices(m):
+    sectors = _sectors(m.n_bath)
+    blocks = build_h_free(m, sectors)
+    dense = build_h_free(m)
+    # the dense scatter against the sum of the two separately built pieces
+    assert np.array_equal(dense, build_h_se(m) + build_h_e(m))
+    assert len(blocks) == len(sectors)
+    for block, sliced in zip(blocks, _sector_blocks(dense, sectors)):
+        assert block.dtype == complex
+        assert np.array_equal(block, sliced)
+
+
+@pytest.mark.parametrize("seed", [37, 11, 3])
+@pytest.mark.parametrize("n_bath", range(10))
+def test_h_free_sector_blocks_equal_the_dense_slices(n_bath, seed):
+    _h_free_blocks_equal_the_dense_slices(default_model(seed=seed, n_bath=n_bath))
+
+
+@pytest.mark.parametrize("n_bath", range(10))
+def test_h_free_sector_blocks_of_an_uncoupled_bath(n_bath):
+    m = build_model(np.zeros(n_bath), np.zeros((n_bath, n_bath)))
+    _h_free_blocks_equal_the_dense_slices(m)
+    assert not np.any(build_h_free(m))
 
 
 def test_h_e_conserves_total_iz_and_ignores_system():
