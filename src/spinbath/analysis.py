@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RunSpec, SurvivalTrace, propagate
+from .engine import RunSpec, SurvivalTrace, check_run_options, propagate
 from .errors import ContractError, SpinBathError
 from .pulses import ErrorModel
 from .sequences import (compile_cdd, compile_cpmg, compile_free, compile_hahn,
@@ -171,13 +171,17 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
     domain errors (SpinBathError, LinAlgError) are recorded and the sweep
     continues; any other exception propagates. The returned tau_opt is
     the grid delay maximizing the decay time, with unreached decays ranked
-    above any finite value (ties resolve to the smallest delay).
+    above any finite value (ties resolve to the smallest delay). The run
+    options and the method are checked once, before the first point.
     """
     tau_grid = [float(t) for t in tau_grid]
     if not tau_grid:
         raise ContractError("tau_grid must not be empty")
     if not (math.isfinite(time_budget) and time_budget > 0):
         raise ContractError(f"time_budget must be finite and > 0, got {time_budget}")
+    check_run_options(axis, n_realizations, master_seed, threads=threads)
+    if method not in DECAY_METHODS:
+        raise ContractError(f"unknown decay-time method {method!r}")
     summaries, failures = [], []
     for tau in tau_grid:
         try:

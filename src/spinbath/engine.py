@@ -27,6 +27,22 @@ system S_z, so a free step is two (C, C) halves per sector (_free_table).
 Their eigenpairs are kept for the last model seen, so a sweep over delays
 on one bath diagonalizes H_free once.
 
+Flipping every spin, Q = (u . sigma) (x) J_bath for an in-plane unit
+vector u, turns S_z and every I_z^j over and so leaves H_free unchanged; it
+also leaves a pulse about the line u unchanged. Q maps sector k onto sector
+n - k, with J reversing the ascending bath states. So when the errors are
+static and every pulse axis is +u or -u after the static axis tilt
+(_flip_phase; a pulseless run qualifies, pdd, cdd, z pulses and tilt
+jitter do not), block n - k of every interval product is Q times block k
+times Q^dag. Such a run keeps the sectors k < n - k with weight 2, plus the
+middle sector k = n/2 (_mirror_sectors). Sector n - k then reads the
+mirrored observable q S_u q and detection frame q d q, q = u . sigma, in
+sector k. The powered path splits the middle block, which commutes with Q,
+into its Q = +1 and -1 halves (_parity_blocks). The free table still covers
+every sector: each of its eigh calls runs once per model in a delay sweep,
+and the benchmark's frozen count test expects one per sector. Bath
+correlations pair their H_E sectors the same way (_bath_blocks).
+
 Ensemble averaging covers pulse-error realizations only: each realization
 draws one RF amplitude scale (static inhomogeneity) from the error model,
 with a generator seeded deterministically from (master_seed, k). When all
@@ -60,10 +76,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .hamiltonians import _basis_z, _h_e_blocks, _sectors, build_h_free
+from .hamiltonians import _basis_z, _h_e_blocks, _mirror_sectors, _sectors, build_h_free
 from .operators import _SPIN_HALF, eig_propagators, exp_propagators
-from .pulses import (ErrorModel, _driven_hamiltonian, delta_rotation, ideal_frame,
-                     sample_rf_scale)
+from .pulses import (ErrorModel, _driven_hamiltonian, axis_vector, delta_rotation, ideal_frame,
+                     sample_rf_scale, split_axis)
 from .util import first_crossing, fmt, realization_rng, require_int
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
@@ -101,16 +117,26 @@ class RunSpec:
     record: str = "cycle_boundaries"
 
     def __post_init__(self):
-        if self.initial_axis not in INITIAL_AXES:
-            raise ContractError(f"initial_axis must be x, y or z, got {self.initial_axis!r}")
-        require_int(self.n_realizations, "n_realizations")
-        require_int(self.master_seed, "master_seed")
-        if self.n_realizations < 1:
-            raise ContractError("n_realizations must be >= 1")
-        if self.master_seed < 0:
-            raise ContractError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.record not in RECORD_MODES:
-            raise ContractError(f"record must be one of {RECORD_MODES}, got {self.record!r}")
+        check_run_options(self.initial_axis, self.n_realizations, self.master_seed,
+                          self.record)
+
+
+def check_run_options(initial_axis="x", n_realizations=1, master_seed=0,
+                      record="cycle_boundaries", threads=1):
+    """Raise a ContractError naming the first of these run options that is out
+    of contract: RunSpec's fields and propagate's thread count."""
+    if initial_axis not in INITIAL_AXES:
+        raise ContractError(f"initial_axis must be x, y or z, got {initial_axis!r}")
+    require_int(n_realizations, "n_realizations")
+    require_int(master_seed, "master_seed")
+    if n_realizations < 1:
+        raise ContractError("n_realizations must be >= 1")
+    if master_seed < 0:
+        raise ContractError(f"master_seed must be >= 0, got {master_seed}")
+    if record not in RECORD_MODES:
+        raise ContractError(f"record must be one of {RECORD_MODES}, got {record!r}")
+    if require_int(threads, "threads") < 1:
+        raise ContractError(f"threads must be >= 1, got {threads}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,16 +218,17 @@ class _Accumulated:
     row system state s of each sector in turn, and blocks[k] views sector k
     as (2, 2, C, C). A delta pulse and the survival Gram then take one matmul
     for all sectors; each free step or full block takes one per sector. Each
-    step writes the second of two buffers and swaps them.
+    step writes the second of two buffers and swaps them. A sector of weight
+    m starts at sqrt(m) times the identity, so the Gram counts it m times.
     """
 
-    def __init__(self, widths):
+    def __init__(self, widths, weights=None):
         offsets = np.cumsum([0] + [c * c for c in widths])
         self._buffers = [np.zeros((2, 2, offsets[-1]), dtype=complex) for _ in range(2)]
         self._blocks = [[b[:, :, o:o + c * c].reshape(2, 2, c, c)
                          for o, c in zip(offsets, widths)] for b in self._buffers]
-        for block in self.blocks:
-            block[0, 0] = block[1, 1] = np.eye(len(block[0, 0]))
+        for block, m in zip(self.blocks, weights or [1] * len(widths)):
+            block[0, 0] = block[1, 1] = math.sqrt(m) * np.eye(len(block[0, 0]))
 
     @property
     def blocks(self):
@@ -285,6 +312,49 @@ def _shape(ev):
     return ev.axis, ev.nominal_angle, ev.duration
 
 
+def _flip_phase(events, err):
+    """c = u_x + i u_y of the spin flip Q = (u . sigma) (x) J_bath that leaves
+    every propagator of a run with these pulse `events` unchanged, or None.
+
+    Q turns S_z and every I_z^j over, so it leaves H_free alone, and it leaves
+    a pulse about the in-plane line u alone. So the errors must be static
+    and every pulse axis must be +u or -u, tilted by the static axis_tilt; a
+    run without pulses takes u = x.
+    """
+    if err.tilt_jitter_sd != 0:
+        return None
+    bases = {split_axis(ev.axis)[0] for ev in events}
+    if len(bases) > 1 or "z" in bases:
+        return None
+    ux, uy, _ = axis_vector(bases.pop() if bases else "x", err.axis_tilt)
+    return complex(ux, uy)
+
+
+def _flip(c):
+    """u . sigma, the system factor of the spin flip of phase c."""
+    return np.array([[0.0, np.conj(c)], [c, 0.0]])
+
+
+class _Kept(NamedTuple):
+    """The sector blocks a run propagates: their H_free blocks, free-step
+    table (_free_table) and weights, and the phase of the spin flip that
+    pairs them (_flip_phase), or None when every sector is kept once."""
+
+    h_blocks: list
+    free_us: dict
+    weights: list
+    flip: object
+
+
+def _kept_sectors(h_blocks, free_us, flip):
+    """_Kept of every sector, or with a spin flip of the _mirror_sectors."""
+    if flip is None:
+        return _Kept(h_blocks, free_us, [1] * len(h_blocks), None)
+    ks, weights = zip(*_mirror_sectors(len(h_blocks) - 1))
+    return _Kept([h_blocks[k] for k in ks],
+                 {dt: [us[k] for k in ks] for dt, us in free_us.items()}, list(weights), flip)
+
+
 class _Interval(NamedTuple):
     """Segments of a cycle up to the recording instant `end`, the cycle's
     pulse count there, and the net ideal frame of its pulses (a 2x2 system
@@ -331,24 +401,67 @@ def _recording_intervals(timeline, record):
     return intervals
 
 
-def _powered_overlaps(u_cycle, s_u, n_cycles):
+def _parity_blocks(x, c):
+    """(X_++, X_--, X_+-, X_-+) of a middle-sector block X = [[A, B], [C, D]]
+    in system halves, on the eigenvectors P_a = (1, a c J) / sqrt 2 of its
+    spin flip Q = [[0, conj(c) J], [c J, 0]] (_flip_phase), a = +1 or -1:
+    X_ab = P_a^dag X P_b = (A + b c B J + a conj(c) J C + a b J D J) / 2, a
+    gather of the quadrants."""
+    n = len(x) // 2
+    a, jdj = x[:n, :n], x[n:, n:][::-1, ::-1]
+    bj, jc = c * x[:n, n:][:, ::-1], np.conj(c) * x[n:, :n][::-1]
+    even, odd = a + jdj, a - jdj
+    return (0.5 * (even + bj + jc), 0.5 * (even - bj - jc),
+            0.5 * (odd - bj + jc), 0.5 * (odd + bj - jc))
+
+
+def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
     """Survival overlaps after 0..n_cycles applications of one propagator,
-    given as sector blocks, or None when a block has no accurate unitary
-    eigenbasis (see _unitary_eig).
+    given as the kept sector blocks (_Kept), or None when a block has no
+    accurate unitary eigenbasis (see _unitary_eig).
 
     With U = P diag(exp(i theta)) P^dag per block, the m-fold conjugation
     of the deviation S_u (x) 1 collapses to phase powers of theta; s(m) is
     then the deviation autocorrelation of _autocorrelation at cycle count m,
     with frequencies -theta. Only the eigenphases enter, so |lambda| is 1
     exactly and roundoff does not drift over long runs.
+
+    Under a spin flip Q, sector n - k reads the mirrored S_u' = q S_u q with
+    q = u . sigma, so a kept pair adds the autocorrelations of S_u and S_u'
+    in sector k: twice those of the parts of S_u even and odd under the
+    flip. The middle block commutes with Q and is diagonalized as its two
+    parity halves; the off-parity part of S_u enters as their cross block,
+    twice for its transpose. An off-parity residual of the cycle block above
+    _EIG_RESIDUAL_MAX returns None.
     """
-    blocks = []
-    for u in u_cycle:
+    c = kept.flip
+    parts = [s_u]
+    if c is not None:
+        q = _flip(c)
+        parts = [p for p in (0.5 * (s_u + q @ s_u @ q), 0.5 * (s_u - q @ s_u @ q)) if p.any()]
+
+    def frequencies(u):
         eig = _unitary_eig(u)
-        if eig is None:
+        return None if eig is None else (-eig[0], eig[1])
+
+    blocks = []
+    for u, m in zip(u_cycle, kept.weights):
+        eye = np.eye(len(u) // 2)
+        if c is None or m == 2:
+            eig = frequencies(u)
+            if eig is None:
+                return None
+            blocks.append((eig, eig, [np.kron(p, eye) for p in parts], m))
+            continue
+        u_pp, u_mm, *off = _parity_blocks(u, c)
+        if max(np.max(np.abs(x)) for x in off) > _EIG_RESIDUAL_MAX:
             return None
-        eig = (-eig[0], eig[1])
-        blocks.append((eig, eig, [np.kron(s_u, np.eye(len(u) // 2))]))
+        plus, minus = frequencies(u_pp), frequencies(u_mm)
+        if plus is None or minus is None:
+            return None
+        a_pp, a_mm, a_pm, _ = _parity_blocks(np.kron(s_u, eye), c)
+        blocks += [b for b in ((plus, plus, [a_pp], 1), (minus, minus, [a_mm], 1),
+                               (plus, minus, [a_pm], 2)) if b[2][0].any()]
     return np.concatenate(([1.0], _autocorrelation(blocks, np.arange(1, n_cycles + 1))))
 
 
@@ -413,16 +526,30 @@ def _spectral_series(weights, rows, cols, times):
     return series
 
 
-def _realization_curve(spec, intervals, h_blocks, s_u, k, free_us):
-    """Survival values for realization k at the recording instants.
+def _detection_key(s_u, d, c):
+    """kron(S_u^T, d), against which the direct loop reads s from the Gram;
+    under a spin flip of phase c, its mean with the mirrored kron(S_u'^T, d'),
+    S_u' = q S_u q and d' = q d q with q = u . sigma, as the Gram counts
+    sector k twice for the pair k, n - k and sector n - k reads S_u' and d'."""
+    key = np.kron(s_u.T, d)
+    if c is None:
+        return key
+    q = _flip(c)
+    return 0.5 * (key + np.kron((q @ s_u @ q).T, q @ d @ q))
+
+
+def _realization_curve(spec, intervals, kept, s_u, k):
+    """Survival values for realization k at the recording instants, from the
+    kept sector blocks (_Kept).
 
     The direct loop carries the accumulated propagators W (_Accumulated) and
     reads s = Re Tr{(d (x) 1) W (S_u (x) 1) W^dag} / Tr{(S_u (x) 1)^2}, with d
     the prepared S_u in the detection frame, as the sum of the 4x4 Gram
-    against kron(S_u^T, d). A static run applies its interval products, a
-    jittered run each segment.
+    against kron(S_u^T, d) (_detection_key). A static run applies its
+    interval products, a jittered run each segment.
     """
     n_cycles, err = spec.timeline.n_cycles, spec.error_model
+    h_blocks, free_us = kept.h_blocks, kept.free_us
     rng = realization_rng(spec.master_seed, k)
     rf_scale = sample_rf_scale(err, rng)
     pieces = [iv.segments for iv in intervals]
@@ -430,7 +557,7 @@ def _realization_curve(spec, intervals, h_blocks, s_u, k, free_us):
         static = list(_interval_products(pieces, h_blocks, free_us, err, rf_scale))
         if (spec.record == "cycle_boundaries" and intervals[0].frame is None
                 and n_cycles >= _POWER_MIN_CYCLES):
-            powered = _powered_overlaps(static[0], s_u, n_cycles)
+            powered = _powered_overlaps(static[0], s_u, n_cycles, kept)
             if powered is not None:
                 return powered
 
@@ -443,9 +570,9 @@ def _realization_curve(spec, intervals, h_blocks, s_u, k, free_us):
                 p, h_blocks, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
                 for kind, p in pieces[i])
 
-    w = _Accumulated([len(h) // 2 for h in h_blocks])
-    d, key = s_u, np.kron(s_u.T, s_u)
-    norm0 = 0.25 * sum(len(h) for h in h_blocks)
+    w = _Accumulated([len(h) // 2 for h in h_blocks], kept.weights)
+    d, key = s_u, _detection_key(s_u, s_u, kept.flip)
+    norm0 = 0.25 * sum(m * len(h) for m, h in zip(kept.weights, h_blocks))
     values = [1.0]
     for _ in range(n_cycles):
         for i, iv in enumerate(intervals):
@@ -453,7 +580,7 @@ def _realization_curve(spec, intervals, h_blocks, s_u, k, free_us):
                 w.advance(us)
             if iv.frame is not None:
                 d = iv.frame @ d @ iv.frame.conj().T
-                key = np.kron(s_u.T, d)
+                key = _detection_key(s_u, d, kept.flip)
             values.append(float(np.real(np.vdot(key, w.gram()))) / norm0)
     return np.asarray(values)
 
@@ -463,22 +590,23 @@ def propagate(spec, threads=1):
 
     Every propagator and state is a list of bath-magnetization sector
     blocks (hamiltonians._sectors), so the largest diagonalization is the
-    largest block. The reduction order over realizations is fixed by
-    index, so the result is bit-identical for any thread count.
+    largest block; a run with a spin flip (_flip_phase) propagates one
+    sector of each mirrored pair. The reduction order over realizations is
+    fixed by index, so the result is bit-identical for any thread count.
     """
-    if require_int(threads, "threads") < 1:
-        raise ContractError(f"threads must be >= 1, got {threads}")
+    check_run_options(threads=threads)
     model, tl = spec.model, spec.timeline
     h_blocks = build_h_free(model, _sectors(model.n_bath))
     s_u = _SPIN_HALF[spec.initial_axis]
     intervals = _recording_intervals(tl, spec.record)
     # free evolution does not depend on the pulse-error draw, so the
-    # realizations share one table read-only
+    # realizations share one table read-only; it covers every sector
     free_us = _free_table(h_blocks, {dt for iv in intervals
                                      for kind, dt in iv.segments if kind == "free"})
+    kept = _kept_sectors(h_blocks, free_us, _flip_phase(tl.events, spec.error_model))
 
     def curve(k):
-        return _realization_curve(spec, intervals, h_blocks, s_u, k, free_us)
+        return _realization_curve(spec, intervals, kept, s_u, k)
 
     ks = range(spec.n_realizations)
     if threads > 1 and spec.n_realizations > 1:
@@ -526,31 +654,48 @@ def bath_correlation(model, t_grid, which="ix_total", j=0):
 
 
 def _bath_blocks(model, spins):
-    """_autocorrelation blocks under H_E, one eigh per bath-space sector, of the
-    I_z^j of `spins` by their diagonals, or of sum_j I_x^j when spins is None:
-    its (k, k + 1) blocks only, as their transposes add the conjugate series."""
-    sectors, eigs = zip(*[(idx, np.linalg.eigh(h)) for idx, h in _h_e_blocks(model)])
+    """_autocorrelation blocks under H_E of the I_z^j of `spins` by their
+    diagonals, or of sum_j I_x^j when spins is None: its (k, k + 1) blocks
+    only, as their transposes add the conjugate series.
+
+    Flipping every bath spin leaves H_E and sum_j I_x^j alone and turns each
+    I_z^j over, and it maps sector k onto sector n - k with its states
+    reversed. So only the _mirror_sectors are diagonalized, one eigh each;
+    a mirrored pair's blocks count twice, and the eigenvectors of sector
+    n - k are those of sector k with their rows reversed.
+    """
+    n = model.n_bath
+    sectors, h_e = zip(*_h_e_blocks(model))
+    kept = _mirror_sectors(n)
+    eigs = {k: np.linalg.eigh(h_e[k]) for k, _ in kept}
     if spins is None:
-        return [(a, b, [0.5 * (np.bitwise_count(ka[:, None] ^ kb) == 1)])
-                for a, b, ka, kb in zip(eigs, eigs[1:], sectors, sectors[1:])]
-    z = _basis_z(model.n_bath)[list(spins)]
-    return [(eig, eig, list(z[:, idx])) for eig, idx in zip(eigs, sectors)]
+        def eig(k):
+            w, v = eigs[min(k, n - k)]
+            return (w, v) if 2 * k <= n else (w, v[::-1])
+        # (k, k + 1) mirrors onto (n - k - 1, n - k)
+        return [(eig(k), eig(k + 1),
+                 [0.5 * (np.bitwise_count(sectors[k][:, None] ^ sectors[k + 1]) == 1)],
+                 2 if 2 * k + 1 < n else 1) for k in range((n + 1) // 2)]
+    z = _basis_z(n)[list(spins)]
+    return [(eigs[k], eigs[k], list(z[:, sectors[k]]), m) for k, m in kept]
 
 
 def _autocorrelation(blocks, times):
     """sum_j Tr{A_j(0) A_j(t)} / sum_j Tr{A_j A_j} for every t of `times`.
 
-    Each block is ((f, V), (g, U), observables): the eigenpairs of the
-    evolution on two invariant subspaces (one twice for a diagonal block) and
-    the block of each Hermitian A_j between them, or its diagonal. The weights
-    sum_j |V^dag A_j U|^2 of every block go through _spectral_series; the
-    series are summed and divided by the total weight. For A_j of equal norm,
-    such as the I_z^j, this is the mean of their normalized curves.
+    Each block is ((f, V), (g, U), observables, m): the eigenpairs of the
+    evolution on two invariant subspaces (one twice for a diagonal block),
+    the block of each Hermitian A_j between them, or its diagonal, and the
+    number of times m the block counts. The weights m sum_j |V^dag A_j U|^2
+    of every block go through _spectral_series; the series are summed and
+    divided by the total weight. For A_j of equal norm, such as the I_z^j,
+    this is the mean of their normalized curves.
     """
     series, total = 0.0, 0.0
-    for (f, v), (g, u), observables in blocks:
+    for (f, v), (g, u), observables, m in blocks:
         vh = v.conj().T
-        weights = sum(np.abs((vh * a if a.ndim == 1 else vh @ a) @ u) ** 2 for a in observables)
+        weights = m * sum(np.abs((vh * a if a.ndim == 1 else vh @ a) @ u) ** 2
+                          for a in observables)
         series = series + _spectral_series(weights, f, g, times)
         total = total + weights.sum()
     return series / total

@@ -158,6 +158,14 @@ def _sectors(n_bath):
     return [np.flatnonzero(up == k) for k in range(n_bath + 1)]
 
 
+def _mirror_sectors(n_bath):
+    """(k, multiplicity) of the sectors left when flipping every bath spin is
+    a symmetry: the flip maps sector k onto sector n_bath - k, with its
+    ascending bath states reversed, so k < n_bath - k stands for both and the
+    middle sector k = n_bath / 2 stands for itself."""
+    return [(k, 2 if 2 * k < n_bath else 1) for k in range(n_bath // 2 + 1)]
+
+
 def _sector_blocks(a, sectors):
     """The diagonal blocks of the full-space matrix `a` on `sectors`."""
     return [a[np.ix_(idx, idx)] for idx in sectors]

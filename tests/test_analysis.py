@@ -170,6 +170,21 @@ class TestSweep:
         with pytest.raises(ContractError):
             sweep_tau("cpmg", [5.0], static_model(), ErrorModel(), "x", 0.0)
 
+    @pytest.mark.parametrize("argument, bad", [
+        ("axis", "w"), ("n_realizations", 2.5), ("n_realizations", 0),
+        ("master_seed", -1), ("master_seed", 1.0), ("threads", 0), ("threads", "2"),
+        ("method", "median")])
+    def test_bad_run_options_fail_before_any_point_runs(self, monkeypatch, argument, bad):
+        def never(*args, **kwargs):
+            raise AssertionError("propagate ran")
+
+        monkeypatch.setattr(analysis, "propagate", never)
+        kwargs = {"axis": "x", argument: bad}
+        name = "initial_axis" if argument == "axis" else argument
+        with pytest.raises(ContractError, match=name):
+            sweep_tau("cpmg", [5.0, 10.0], static_model(), ErrorModel(),
+                      time_budget=100.0, **kwargs)
+
     @pytest.mark.parametrize("budget", [math.nan, math.inf])
     def test_non_finite_budget(self, budget):
         with pytest.raises(ContractError, match="time_budget"):

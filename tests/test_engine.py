@@ -394,10 +394,97 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
     monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
     fell_back = propagate(spec)
     assert results == [None, None]
-    # 40 cycles x 5 sectors x 2 realizations
-    assert sum(steps) == 400
+    # 40 cycles x 3 sectors x 2 realizations: cpmg pairs sectors {0, 4} and
+    # {1, 3} and keeps the middle sector 2 whole
+    assert sum(steps) == 240
     assert np.array_equal(fell_back.s, slow.s)
     assert np.array_equal(fell_back.stderr, slow.stderr)
+
+
+def _cycle_blocks(model, timeline, err, rf_scale=1.02):
+    """The cycle product on every sector, built without the pairing."""
+    h_blocks = build_h_free(model, engine._sectors(model.n_bath))
+    pieces = [timeline.segments()]
+    free_us = engine._free_table(h_blocks, {dt for kind, dt in pieces[0] if kind == "free"})
+    (u,) = engine._interval_products(pieces, h_blocks, free_us, err, rf_scale)
+    return u
+
+
+def _flip_operator(c, width):
+    """Q = (u . sigma) (x) J on a sector block `width` wide."""
+    return np.kron(engine._flip(c), np.eye(width // 2)[::-1])
+
+
+@pytest.mark.parametrize("n_bath", [4, 5])
+@pytest.mark.parametrize("tau_p", [0.0, 1.5])
+@pytest.mark.parametrize("axis_tilt", [0.0, 0.1])
+@pytest.mark.parametrize("family", ["cpmg", "hahn", "udd"])
+def test_paired_timelines_have_mirrored_cycle_blocks(family, axis_tilt, tau_p, n_bath):
+    err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=axis_tilt)
+    tl = compile_family(family, 12.0, tau_p, order=2, udd_pulses=4)
+    c = engine._flip_phase(tl.events, err)
+    assert c is not None
+    u = _cycle_blocks(default_model(seed=6, n_bath=n_bath), tl, err)
+    for k, block in enumerate(u):
+        q = _flip_operator(c, len(block))
+        assert np.max(np.abs(q @ block @ q.conj().T - u[n_bath - k])) < 1e-12
+    if n_bath % 2 == 0:
+        # the middle block commutes with Q: no entry between its parity halves
+        *_, pm, mp = engine._parity_blocks(u[n_bath // 2], c)
+        assert max(np.max(np.abs(pm)), np.max(np.abs(mp))) < 1e-13
+
+
+@pytest.mark.parametrize("events, err", [
+    (compile_pdd(12.0).events, ErrorModel()),
+    (compile_cdd(2, 12.0).events, ErrorModel()),
+    ((PulseEvent(5.0, "z", np.pi, 0.0),), ErrorModel()),
+    ((PulseEvent(5.0, "y", np.pi, 0.0), PulseEvent(9.0, "-z", np.pi, 0.0)), ErrorModel()),
+    (compile_cpmg(12.0).events, ErrorModel(tilt_jitter_sd=0.1)),
+], ids=["pdd", "cdd2", "z", "y-and-z", "jitter"])
+def test_runs_without_one_static_pulse_line_do_not_pair(events, err):
+    assert engine._flip_phase(events, err) is None
+
+
+def test_pdd_cycle_blocks_are_not_mirrored():
+    # x and y pulses: neither in-plane flip maps sector k onto n - k
+    u = _cycle_blocks(default_model(seed=6, n_bath=4), compile_pdd(12.0), ErrorModel())
+    for c in (1.0, 1j):
+        qs = [_flip_operator(c, len(b)) for b in u]
+        assert max(np.max(np.abs(q @ b @ q.conj().T - u[4 - k]))
+                   for k, (q, b) in enumerate(zip(qs, u))) > 1e-3
+
+
+@pytest.mark.parametrize("record", ["cycle_boundaries", "every_pulse"])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("n_bath, family, tau_p, n_cycles", [
+    (4, "cpmg", 0.0, 20),  # powered at cycle boundaries, the middle sector split
+    (5, "udd", 1.5, 16),  # powered, every sector paired
+    (0, "cp", 0.0, 20),  # the middle sector alone, one state per parity
+    (4, "hahn", 1.5, 3),  # the direct loop only
+])
+def test_paired_runs_match_dense_kron_reference(monkeypatch, n_bath, family, tau_p,
+                                                n_cycles, axis, record):
+    # the static tilt moves the pulse line off x and y, so that S_x and S_y
+    # are neither even nor odd under the flip
+    err = ErrorModel(rf=BimodalRf(), flip_angle_fraction=0.03, axis_tilt=0.05)
+    tl = compile_family(family, 17.0, tau_p, n_cycles=n_cycles, udd_pulses=4)
+    assert engine._flip_phase(tl.events, err) is not None
+    powered, results = engine._powered_overlaps, []
+
+    def recorded(*args):
+        results.append(powered(*args))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "_powered_overlaps", recorded)
+    spec = RunSpec(model=default_model(seed=4, n_bath=n_bath), timeline=tl, error_model=err,
+                   initial_axis=axis, n_realizations=2, master_seed=8, record=record)
+    trace = propagate(spec)
+    expect_powered = record == "cycle_boundaries" and n_cycles >= engine._POWER_MIN_CYCLES
+    assert len(results) == (2 if expect_powered else 0)
+    assert all(r is not None for r in results)
+    ref = _dense_kron_curves(spec).mean(axis=0)
+    assert trace.s.shape == ref.shape
+    assert np.max(np.abs(trace.s - ref)) < 1e-12
 
 
 def test_tilt_jitter_runs_are_deterministic_and_decay():
@@ -459,7 +546,7 @@ def test_bath_correlation_normalization_and_errors():
 
 
 @pytest.mark.parametrize("seed", [37, 11])
-@pytest.mark.parametrize("n_bath", [2, 3, 4])
+@pytest.mark.parametrize("n_bath", [1, 2, 3, 4, 5, 6])
 def test_bath_correlation_matches_direct_trace(n_bath, seed):
     # Tr{A U(t)^dag A U(t)} / Tr{A^2}, with U(t) = exp(-i H_E t) from evolve
     m = default_model(seed=seed, n_bath=n_bath)
@@ -864,3 +951,13 @@ def test_jittered_runs_build_every_pulse_application(monkeypatch):
     propagate(RunSpec(model=dephasing_model(2), timeline=tl, error_model=_JITTER,
                       n_realizations=2, record="every_pulse"))
     assert len(shapes) == 2 * tl.n_cycles * tl.pulses_per_cycle
+
+
+@pytest.mark.parametrize("n_bath", [1, 2, 5, 6])
+def test_bath_correlations_diagonalize_one_sector_of_each_mirrored_pair(monkeypatch, n_bath):
+    m = default_model(seed=9, n_bath=n_bath)
+    t = np.linspace(0.0, 400.0, 9)
+    shapes = _counted_eigh(monkeypatch)
+    for which in ("ix_total", "iz_mean"):
+        bath_correlation(m, t, which=which)
+    assert shapes == 2 * [(math.comb(n_bath, k),) * 2 for k in range(n_bath // 2 + 1)]

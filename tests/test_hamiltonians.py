@@ -21,7 +21,7 @@ from spinbath import (
     real_pulse,
     sample_couplings,
 )
-from spinbath.hamiltonians import _h_e_blocks, _sector_blocks, _sectors
+from spinbath.hamiltonians import _h_e_blocks, _mirror_sectors, _sector_blocks, _sectors
 
 
 def _total_iz(ops):
@@ -195,6 +195,22 @@ def test_h_free_sector_blocks_of_an_uncoupled_bath(n_bath):
     m = build_model(np.zeros(n_bath), np.zeros((n_bath, n_bath)))
     _h_free_blocks_equal_the_dense_slices(m)
     assert not np.any(build_h_free(m))
+
+
+@pytest.mark.parametrize("n_bath", range(10))
+def test_flipping_every_spin_mirrors_the_sector_blocks(n_bath):
+    m = default_model(seed=5 + n_bath, n_bath=n_bath)
+    kept = _mirror_sectors(n_bath)
+    assert [k for k, _ in kept] == list(range(n_bath // 2 + 1))
+    assert sum(weight for _, weight in kept) == n_bath + 1
+    # flipping every bath spin reverses the ascending states of sector k
+    # into those of sector n - k; on H_free the system spin flips too, which
+    # reverses the whole sector block
+    h_e = [block for _, block in _h_e_blocks(m)]
+    h_free = build_h_free(m, _sectors(n_bath))
+    for k in range(n_bath + 1):
+        assert np.array_equal(h_e[n_bath - k], h_e[k][::-1, ::-1])
+        assert np.array_equal(h_free[n_bath - k], h_free[k][::-1, ::-1])
 
 
 def test_h_e_conserves_total_iz_and_ignores_system():
