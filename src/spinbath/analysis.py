@@ -125,8 +125,7 @@ def compile_family(family, tau, tau_p=0.0, n_cycles=1, order=2, udd_pulses=4):
     rate at the same tau. 'fid' ignores tau_p and yields free evolution
     with cycle time 2 tau.
     """
-    if family not in SEQUENCE_FAMILIES:
-        raise ContractError(f"unknown family {family!r}; known: {SEQUENCE_FAMILIES}")
+    _check_family(family)
     if family == "fid":
         return compile_free(2.0 * tau, n_cycles)
     if family == "hahn":
@@ -148,6 +147,7 @@ def fair_tau(family, tau, order=2):
     concatenated cycles need tau scaled by N_n / 4^n. The pulse width tau_p
     cancels in the match, so the delay does not depend on it.
     """
+    _check_family(family, fair=True)
     if family == "hahn":
         return 0.5 * tau
     if family == "cdd":
@@ -156,9 +156,16 @@ def fair_tau(family, tau, order=2):
         for _ in range(order):
             n_pulses = 4 * n_pulses + 4
         return tau * n_pulses / n_free
-    if family == "fid":
-        raise ContractError("free evolution has no pulse rate to match")
     return tau
+
+
+def _check_family(family, fair=False):
+    """Raise a ContractError for an unknown family, or for 'fid' when its
+    delay is to be matched by pulse rate (fair_tau)."""
+    if family not in SEQUENCE_FAMILIES:
+        raise ContractError(f"unknown family {family!r}; known: {SEQUENCE_FAMILIES}")
+    if fair and family == "fid":
+        raise ContractError("free evolution has no pulse rate to match")
 
 
 def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
@@ -172,7 +179,8 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
     continues; any other exception propagates. The returned tau_opt is
     the grid delay maximizing the decay time, with unreached decays ranked
     above any finite value (ties resolve to the smallest delay). The run
-    options and the method are checked once, before the first point.
+    options, the method and the family (with `fair`) are checked once,
+    before the first point.
     """
     tau_grid = [float(t) for t in tau_grid]
     if not tau_grid:
@@ -182,6 +190,7 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
     check_run_options(axis, n_realizations, master_seed, threads=threads)
     if method not in DECAY_METHODS:
         raise ContractError(f"unknown decay-time method {method!r}")
+    _check_family(family, fair)
     summaries, failures = [], []
     for tau in tau_grid:
         try:

@@ -56,9 +56,20 @@ loop that short runs take. These powers and the bath correlations are one
 eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2,
 which _autocorrelation forms and _spectral_series evaluates with no weight
 dropped. Pulse-to-pulse tilt jitter breaks the reuse: the direct loop
-carries every sector's accumulated propagator in one buffer
+carries every sector's accumulated propagator W in one buffer
 (_Accumulated), a static run applies its interval products to it, and a
 jittered run applies each free step and each freshly drawn pulse.
+
+The direct loop needs W only on the prepared state's system column |+u>,
+S_u = |+u><+u| - 1/2: W is unitary and the detection operator d is
+traceless, so Tr{(d (x) 1) W W^dag} = 0 and reading |+u><+u| (x) 1 gives
+the same s as reading S_u (x) 1. So it carries W (|+u> (x) 1), half the
+columns of W, at half the flops of every step (_initial_columns). A paired
+sector n - k reads q S_u q; when that is +-S_u, |+u> serves it through the
+key (_detection_key), otherwise (a static axis tilt, with S_u in-plane)
+q|+u> rides along as a second column. The interval products are still
+built from the identity's two columns, as the powered path and
+avgham.magnus_defect need whole products.
 
 Detection follows the ideal pulse frame, the numerical analog of a
 receiver phase that tracks where a perfect sequence would have parked the
@@ -78,8 +89,8 @@ import numpy as np
 from .errors import ContractError
 from .hamiltonians import _basis_z, _h_e_blocks, _mirror_sectors, _sectors, build_h_free
 from .operators import _SPIN_HALF, eig_propagators, exp_propagators
-from .pulses import (ErrorModel, _driven_hamiltonian, axis_vector, delta_rotation, ideal_frame,
-                     sample_rf_scale, split_axis)
+from .pulses import (ErrorModel, _driven_hamiltonian, axis_vector, delta_rotation,
+                     delta_rotations, ideal_frame, sample_rf_scale, split_axis)
 from .util import first_crossing, fmt, realization_rng, require_int
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
@@ -88,6 +99,10 @@ INITIAL_AXES = ("x", "y", "z")
 # below this many cycles a direct conjugation loop beats diagonalizing
 # the cycle propagator
 _POWER_MIN_CYCLES = 16
+
+# |+u>, the system state of the prepared S_u along each initial axis
+_PLUS = {"x": np.array([1.0, 1.0]) * math.sqrt(0.5), "y": np.array([1.0, 1j]) * math.sqrt(0.5),
+         "z": np.array([1.0, 0.0])}
 
 # pulse ends closer than this are one recording instant
 _SAME_INSTANT = 1e-12
@@ -199,36 +214,65 @@ def _pulse_blocks(ev, h_blocks, err, rf_scale, tilt=None):
     return delta_rotation(ev.axis, ev.nominal_angle, rf_scale, err, tilt)
 
 
+def _jittered_cycles(pieces, h_blocks, free_us, err, rf_scale, rng):
+    """A function that returns the operators of each interval of the next
+    jittered cycle, in the order _Accumulated.advance applies them: free
+    steps from the table free_us, and each pulse built at a fresh axis tilt.
+    A cycle's tilts come from one rng.normal call in time order, the same
+    stream as one draw per pulse, and its delta rotations from one call of
+    pulses.delta_rotations."""
+    events = [p for segments in pieces for kind, p in segments if kind == "pulse"]
+    delta = [i for i, ev in enumerate(events) if ev.duration == 0]
+    if delta:
+        rotations = delta_rotations([events[i].axis for i in delta],
+                                    [events[i].nominal_angle for i in delta], rf_scale, err)
+
+    def cycle():
+        tilts = rng.normal(err.axis_tilt, err.tilt_jitter_sd, size=len(events))
+        rotated = iter(rotations(tilts[delta]) if delta else ())
+        pulses = iter([next(rotated) if ev.duration == 0 else
+                       _pulse_blocks(ev, h_blocks, err, rf_scale, tilt)
+                       for ev, tilt in zip(events, tilts)])
+        return [[free_us[p] if kind == "free" else next(pulses) for kind, p in segments]
+                for segments in pieces]
+
+    return cycle
+
+
 def _advance(u, w, out):
-    """out = U W for one sector's blocks w, out of shape (2, 2, C, C) (see
+    """out = U W for one sector's blocks w, out of shape (T, 2, C, C) (see
     _Accumulated): U is a free step's (2, C, C) system-diagonal halves
     (_free_table) or a full (2C, 2C) block, a finite pulse or an interval
     product."""
     if u.ndim == 3:
         np.matmul(u, w, out=out)
     else:
-        out[...] = (u @ w.reshape(2, len(u), -1)).reshape(out.shape)
+        out[...] = (u @ w.reshape(len(w), len(u), -1)).reshape(out.shape)
 
 
 class _Accumulated:
-    """The accumulated propagators W of every sector, from the identity.
+    """The accumulated propagators W of every sector applied to T initial
+    system columns psi_t, W (psi_t (x) 1): the full W for the columns of
+    the identity, one column of it for a prepared state.
 
-    They share one buffer of shape (2, 2, sum_k C_k^2), system-major: row
-    [t, s] holds the (C, C) blocks <s|W|t> between column system state t and
-    row system state s of each sector in turn, and blocks[k] views sector k
-    as (2, 2, C, C). A delta pulse and the survival Gram then take one matmul
-    for all sectors; each free step or full block takes one per sector. Each
-    step writes the second of two buffers and swaps them. A sector of weight
-    m starts at sqrt(m) times the identity, so the Gram counts it m times.
+    They share one buffer of shape (T, 2, sum_k C_k^2), column-major: row
+    [t, s] holds the (C, C) blocks <s|W|psi_t> of row system state s of each
+    sector in turn, and blocks[k] views sector k as (T, 2, C, C). A delta
+    pulse and the survival Gram then take one matmul for all sectors; each
+    free step or full block takes one per sector. Each step writes the
+    second of two buffers and swaps them. A sector of weight m starts at
+    sqrt(m) psi_t (x) 1, so the Gram counts it m times.
     """
 
-    def __init__(self, widths, weights=None):
+    def __init__(self, widths, columns, weights=None):
         offsets = np.cumsum([0] + [c * c for c in widths])
-        self._buffers = [np.zeros((2, 2, offsets[-1]), dtype=complex) for _ in range(2)]
-        self._blocks = [[b[:, :, o:o + c * c].reshape(2, 2, c, c)
+        t = columns.shape[1]
+        self._buffers = [np.zeros((t, 2, offsets[-1]), dtype=complex) for _ in range(2)]
+        self._blocks = [[b[..., o:o + c * c].reshape(t, 2, c, c)
                          for o, c in zip(offsets, widths)] for b in self._buffers]
         for block, m in zip(self.blocks, weights or [1] * len(widths)):
-            block[0, 0] = block[1, 1] = math.sqrt(m) * np.eye(len(block[0, 0]))
+            diagonal = np.arange(len(block[0, 0]))
+            block[:, :, diagonal, diagonal] = math.sqrt(m) * columns.T[:, :, None]
 
     @property
     def blocks(self):
@@ -246,8 +290,8 @@ class _Accumulated:
         self._blocks.reverse()
 
     def gram(self):
-        """The 4x4 Gram matrix of the [t, s] rows, summed over sectors."""
-        x = self._buffers[0].reshape(4, -1)
+        """The (2T, 2T) Gram matrix of the [t, s] rows, summed over sectors."""
+        x = self._buffers[0].reshape(2 * len(self._buffers[0]), -1)
         return x @ x.conj().T
 
 
@@ -265,7 +309,7 @@ def _interval_products(pieces, h_blocks, free_us, err, rf_scale):
     for segments in pieces:
         key = tuple(p if kind == "free" else _shape(p) for kind, p in segments)
         if key not in shared:
-            w = _Accumulated([len(h) // 2 for h in h_blocks])
+            w = _Accumulated([len(h) // 2 for h in h_blocks], np.eye(2))
             for kind, p in segments:
                 w.advance(free_us[p] if kind == "free" else pulses[_shape(p)])
             shared[key] = [b.transpose(1, 2, 0, 3).reshape(2 * len(b[0, 0]), -1)
@@ -526,27 +570,58 @@ def _spectral_series(weights, rows, cols, times):
     return series
 
 
-def _detection_key(s_u, d, c):
-    """kron(S_u^T, d), against which the direct loop reads s from the Gram;
-    under a spin flip of phase c, its mean with the mirrored kron(S_u'^T, d'),
-    S_u' = q S_u q and d' = q d q with q = u . sigma, as the Gram counts
-    sector k twice for the pair k, n - k and sector n - k reads S_u' and d'."""
-    key = np.kron(s_u.T, d)
+def _initial_columns(axis, c):
+    """(columns, sign): the direct loop's initial system columns, (2, T), for
+    the prepared S_u along `axis`, and how sector n - k of a spin flip of
+    phase c reads them (_detection_key).
+
+    The first column is |+u>. Sector n - k reads the mirrored S_u' = q S_u q,
+    q = u . sigma, through q|+u>. When S_u' = sign S_u (every axis when u is
+    along x or y, the z axis for any in-plane u), |+u> serves it too and T
+    is 1; otherwise q|+u> is the second column and sign is 0.
+    """
+    plus = _PLUS[axis][:, None]
     if c is None:
-        return key
+        return plus, 1
+    q, s_u = _flip(c), _SPIN_HALF[axis]
+    for sign in (1, -1):
+        # |u| is 1 only to rounding, so q S_z q = -S_z only to rounding
+        if np.max(np.abs(q @ s_u @ q - sign * s_u)) <= 1e-15:
+            return plus, sign
+    return np.hstack((plus, q @ plus)), 0
+
+
+def _detection_key(d, c, sign):
+    """The (2T, 2T) key against which the direct loop reads s from the Gram
+    of its T columns (_initial_columns), for the detection operator d.
+
+    W is unitary and d traceless, so Tr{(d (x) 1) W W^dag} = 0 and reading
+    |+u><+u| = S_u + 1/2 gives the same s as reading S_u: the key of one
+    column is d. Under a spin flip of phase c the Gram counts sector k twice
+    for the pair k, n - k, and sector n - k reads d' = q d q, so the key is
+    the mean of both reads: (d + sign d') / 2 on one column, and d and d' on
+    the diagonal blocks of the two columns |+u> and q|+u>.
+    """
+    if c is None:
+        return d
     q = _flip(c)
-    return 0.5 * (key + np.kron((q @ s_u @ q).T, q @ d @ q))
+    if sign:
+        return 0.5 * (d + sign * (q @ d @ q))
+    key = np.zeros((4, 4), dtype=complex)
+    key[:2, :2], key[2:, 2:] = d, q @ d @ q
+    return 0.5 * key
 
 
 def _realization_curve(spec, intervals, kept, s_u, k):
     """Survival values for realization k at the recording instants, from the
     kept sector blocks (_Kept).
 
-    The direct loop carries the accumulated propagators W (_Accumulated) and
-    reads s = Re Tr{(d (x) 1) W (S_u (x) 1) W^dag} / Tr{(S_u (x) 1)^2}, with d
-    the prepared S_u in the detection frame, as the sum of the 4x4 Gram
-    against kron(S_u^T, d) (_detection_key). A static run applies its
-    interval products, a jittered run each segment.
+    The direct loop carries the accumulated propagators W applied to the
+    prepared state's system column |+u> (_Accumulated, _initial_columns),
+    and reads s = Re Tr{(d (x) 1) W (S_u (x) 1) W^dag} / Tr{(S_u (x) 1)^2},
+    with d the prepared S_u in the detection frame, as the sum of the Gram of
+    those columns against the key of d (_detection_key). A static run
+    applies its interval products, a jittered run each segment.
     """
     n_cycles, err = spec.timeline.n_cycles, spec.error_model
     h_blocks, free_us = kept.h_blocks, kept.free_us
@@ -561,26 +636,23 @@ def _realization_curve(spec, intervals, kept, s_u, k):
             if powered is not None:
                 return powered
 
-        def operators(i):
-            return [static[i]]
+        def cycle():
+            return [[u] for u in static]
     else:
-        def operators(i):
-            # every pulse application draws a fresh tilt, in time order
-            return (free_us[p] if kind == "free" else _pulse_blocks(
-                p, h_blocks, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
-                for kind, p in pieces[i])
+        cycle = _jittered_cycles(pieces, h_blocks, free_us, err, rf_scale, rng)
 
-    w = _Accumulated([len(h) // 2 for h in h_blocks], kept.weights)
-    d, key = s_u, _detection_key(s_u, s_u, kept.flip)
+    columns, sign = _initial_columns(spec.initial_axis, kept.flip)
+    w = _Accumulated([len(h) // 2 for h in h_blocks], columns, kept.weights)
+    d, key = s_u, _detection_key(s_u, kept.flip, sign)
     norm0 = 0.25 * sum(m * len(h) for m, h in zip(kept.weights, h_blocks))
     values = [1.0]
     for _ in range(n_cycles):
-        for i, iv in enumerate(intervals):
-            for us in operators(i):
+        for iv, operators in zip(intervals, cycle()):
+            for us in operators:
                 w.advance(us)
             if iv.frame is not None:
                 d = iv.frame @ d @ iv.frame.conj().T
-                key = _detection_key(s_u, d, kept.flip)
+                key = _detection_key(d, kept.flip, sign)
             values.append(float(np.real(np.vdot(key, w.gram()))) / norm0)
     return np.asarray(values)
 

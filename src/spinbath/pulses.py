@@ -16,7 +16,8 @@ damage the spin component along the pulse axis.
 
 A delta pulse touches the system spin only: it stays a 2x2 rotation
 (delta_rotation) that _left and _conjugate apply to the system factor of a
-full-space or sector matrix, and the engine to all its sectors at once;
+full-space or sector matrix, and the engine to all its sectors at once; a
+jittered cycle builds all its rotations in one delta_rotations call;
 only the public builders ideal_pulse and real_pulse embed it as
 R (x) 1_bath. Its 2x2 error factor E gives U_real =
 (E (x) 1_bath) @ U_ideal, which the average-Hamiltonian analysis consumes.
@@ -198,6 +199,40 @@ def delta_rotation(axis, angle, rf_scale=1.0, err=None, tilt=None):
     # cos(half) 1 - i sin(half) (u . sigma), entry by entry
     return np.array([[complex(c, -s * uz), complex(-s * uy, -s * ux)],
                      [complex(s * uy, -s * ux), complex(c, s * uz)]])
+
+
+def delta_rotations(axes, angles, rf_scale, err):
+    """A function of transverse tilts (t_1 .. t_n) that returns the
+    delta_rotation of each delta pulse (axes[i], angles[i], t_i), stacked as
+    (n, 2, 2): entry for entry the same floats as n delta_rotation calls.
+
+    Only the off-diagonal entries depend on the tilt: -i s (u_x -+ i u_y),
+    with s = sin(half) and (u_x, u_y) = (cos t, sin t) about x and
+    (-sin t, cos t) about y. So each call takes one cos, one sin, one select
+    and one product for the whole stack.
+    """
+    bases, signs = zip(*map(split_axis, axes))
+    if "z" in bases:
+        raise ContractError("axis tilt applies to transverse axes only")
+    half = 0.5 * (np.array(signs) * np.array(angles, dtype=float)
+                  * (rf_scale * (1.0 + err.flip_angle_fraction)))
+    c, s = np.cos(half), np.sin(half)
+    diagonal = np.zeros((len(c), 2, 2), dtype=complex)
+    diagonal.real[:, 0, 0] = diagonal.real[:, 1, 1] = c
+    diagonal.imag[:, 0, 0], diagonal.imag[:, 1, 1] = -s * 0.0, s * 0.0
+    # (re, im) of entries [0, 1] and [1, 0]: about x -s sin, -s cos, s sin,
+    # -s cos; about y -s cos, s sin, s cos, s sin
+    on_x = np.array([[b == "x"] for b in bases])
+    takes_cos = np.where(on_x, [False, True, False, True], [True, False, True, False])
+    factor = np.where(on_x, [-1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, 1.0]) * s[:, None]
+
+    def rotations(tilts):
+        r = diagonal.copy()
+        r.view(float).reshape(len(c), 8)[:, 2:6] = factor * np.where(
+            takes_cos, np.cos(tilts)[:, None], np.sin(tilts)[:, None])
+        return r
+
+    return rotations
 
 
 def ideal_frame(events):

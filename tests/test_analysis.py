@@ -185,6 +185,19 @@ class TestSweep:
             sweep_tau("cpmg", [5.0, 10.0], static_model(), ErrorModel(),
                       time_budget=100.0, **kwargs)
 
+    @pytest.mark.parametrize("family, fair, message", [
+        ("cpmgx", False, "unknown family"), ("cpmgx", True, "unknown family"),
+        ("fid", True, "no pulse rate")])
+    def test_bad_family_fails_before_any_point_runs(self, monkeypatch, family, fair, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(analysis, "propagate", never)
+        monkeypatch.setattr(analysis, "compile_family", never)
+        with pytest.raises(ContractError, match=message):
+            sweep_tau(family, [5.0, 10.0], static_model(), ErrorModel(), "x",
+                      time_budget=100.0, fair=fair)
+
     @pytest.mark.parametrize("budget", [math.nan, math.inf])
     def test_non_finite_budget(self, budget):
         with pytest.raises(ContractError, match="time_budget"):

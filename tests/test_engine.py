@@ -39,7 +39,7 @@ from spinbath import (
     sample_rf_scale,
 )
 from spinbath.analysis import compile_family
-from spinbath.operators import exp_propagators
+from spinbath.operators import _SPIN_HALF, exp_propagators
 from spinbath.util import realization_rng
 
 
@@ -801,6 +801,110 @@ def test_system_factor_pulses_match_dense_kron_reference(family, tau_p, err, n_c
     assert np.max(np.abs(trace.s - ref)) < 1e-12
 
 
+_PAIRED = ErrorModel(rf=BimodalRf(), flip_angle_fraction=0.03)
+
+
+def _full_propagator_key(axis):
+    """The detection key of the full W over the identity's two columns,
+    kron(S_u^T, d), and under a spin flip its mean with the mirrored
+    kron(S_u'^T, d'), S_u' = q S_u q and d' = q d q."""
+    s_u = _SPIN_HALF[axis]
+
+    def key(d, c, sign):
+        full = np.kron(s_u.T, d)
+        if c is None:
+            return full
+        q = engine._flip(c)
+        return 0.5 * (full + np.kron((q @ s_u @ q).T, q @ d @ q))
+
+    return key
+
+
+@pytest.mark.parametrize("record", ["cycle_boundaries", "every_pulse"])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("n_bath", [0, 3, 5])
+@pytest.mark.parametrize("family, tau_p, err, n_cycles", [
+    ("cpmg", 0.0, _JITTER, 3),
+    ("udd", 1.5, _JITTER, 2),
+    ("pdd", 0.0, _STATIC, 3),
+    ("cdd", 1.5, _STATIC, 2),
+    ("cpmg", 1.5, _PAIRED, 3),  # paired on the x or y line: one column
+    ("hahn", 0.0, _STATIC, 4),  # paired on a tilted line: two columns for x and y
+    ("udd", 1.5, _STATIC, 2),
+], ids=["jitter", "jitter-finite", "pdd", "cdd2", "paired", "paired-tilted",
+        "paired-tilted-finite"])
+def test_one_column_loop_matches_full_propagator_and_dense_kron(monkeypatch, family, tau_p,
+                                                                 err, n_cycles, n_bath, axis,
+                                                                 record):
+    tl = compile_family(family, 17.0, tau_p, n_cycles=n_cycles, order=2, udd_pulses=3)
+    spec = RunSpec(model=default_model(seed=4, n_bath=n_bath), timeline=tl, error_model=err,
+                   initial_axis=axis, n_realizations=2, master_seed=8, record=record)
+    c = engine._flip_phase(tl.events, err)
+    columns, _ = engine._initial_columns(axis, c)
+    tilted_pair = c is not None and err.axis_tilt != 0 and axis != "z"
+    assert columns.shape == (2, 2 if tilted_pair else 1)
+    one = propagate(spec).s
+    monkeypatch.setattr(engine, "_initial_columns", lambda axis, c: (np.eye(2), None))
+    monkeypatch.setattr(engine, "_detection_key", _full_propagator_key(axis))
+    full = propagate(spec).s
+    assert np.max(np.abs(one - full)) < 1e-12
+    assert np.max(np.abs(one - _dense_kron_curves(spec).mean(axis=0))) < 1e-12
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_prepared_columns_are_the_plus_states(axis):
+    s_u = _SPIN_HALF[axis]
+    plus = engine._PLUS[axis]
+    assert np.max(np.abs(s_u @ plus - 0.5 * plus)) < 1e-16
+    assert abs(np.vdot(plus, plus) - 1.0) < 1e-15
+
+
+def _per_pulse_cycles(pieces, h_blocks, free_us, err, rf_scale, rng):
+    """engine._jittered_cycles with one scalar tilt draw and one
+    _pulse_blocks build per pulse, in time order."""
+    def cycle():
+        return [[free_us[p] if kind == "free" else engine._pulse_blocks(
+            p, h_blocks, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
+            for kind, p in segments] for segments in pieces]
+
+    return cycle
+
+
+@pytest.mark.parametrize("family, order, tau_p, record", [
+    ("cdd", 3, 0.0, "cycle_boundaries"),
+    ("pdd", 2, 0.0, "every_pulse"),
+    ("udd", 2, 1.5, "cycle_boundaries"),
+])
+def test_jittered_cycles_equal_one_draw_and_one_build_per_pulse(monkeypatch, family, order,
+                                                                tau_p, record):
+    err = ErrorModel(rf=GaussianRf(1.0, 0.1), flip_angle_fraction=0.02, axis_tilt=-0.03,
+                     tilt_jitter_sd=0.15)
+    tl = compile_family(family, 9.0, tau_p, n_cycles=3, order=order, udd_pulses=5)
+    spec = RunSpec(model=default_model(seed=4, n_bath=3), timeline=tl, error_model=err,
+                   initial_axis="y", n_realizations=3, master_seed=5, record=record)
+    vectorized = propagate(spec)
+    monkeypatch.setattr(engine, "_jittered_cycles", _per_pulse_cycles)
+    per_pulse = propagate(spec)
+    assert np.array_equal(vectorized.s, per_pulse.s)
+    assert np.array_equal(vectorized.stderr, per_pulse.stderr)
+
+
+def test_jittered_runs_carry_one_system_column(monkeypatch):
+    shapes = []
+
+    class Spy(engine._Accumulated):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shapes.append(self._buffers[0].shape)
+
+    monkeypatch.setattr(engine, "_Accumulated", Spy)
+    propagate(RunSpec(model=default_model(seed=4, n_bath=3),
+                      timeline=compile_cpmg(8.0, 0.0, n_cycles=3), error_model=_JITTER,
+                      n_realizations=2))
+    # one (1, 2, sum_k C_k^2) buffer per realization and no interval product
+    assert shapes == 2 * [(1, 2, sum(math.comb(3, k) ** 2 for k in range(4)))]
+
+
 def test_propagate_never_builds_bath_operators():
     m = default_model(n_bath=8)
     tl = compile_cpmg(20.0, 0.0, n_cycles=2)
@@ -947,10 +1051,27 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
 
 def test_jittered_runs_build_every_pulse_application(monkeypatch):
     shapes = _counted_pulse_builds(monkeypatch)
-    tl = compile_cpmg(4.0, 0.0, n_cycles=7)
-    propagate(RunSpec(model=dephasing_model(2), timeline=tl, error_model=_JITTER,
-                      n_realizations=2, record="every_pulse"))
+    calls = []
+    rotations = engine.delta_rotations
+
+    def counted(*args):
+        build = rotations(*args)
+
+        def rotate(tilts):
+            calls.append(len(tilts))
+            return build(tilts)
+
+        return rotate
+
+    monkeypatch.setattr(engine, "delta_rotations", counted)
+    for tau_p in (0.0, 1.5):
+        tl = compile_cpmg(4.0, tau_p, n_cycles=7)
+        propagate(RunSpec(model=dephasing_model(2), timeline=tl, error_model=_JITTER,
+                          n_realizations=2, record="every_pulse"))
+    # delta pulses: one vectorized call per cycle, one rotation per
+    # application; finite pulses: one _pulse_blocks build per application
     assert len(shapes) == 2 * tl.n_cycles * tl.pulses_per_cycle
+    assert calls == [tl.pulses_per_cycle] * (2 * tl.n_cycles)
 
 
 @pytest.mark.parametrize("n_bath", [1, 2, 5, 6])

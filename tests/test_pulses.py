@@ -20,7 +20,7 @@ from spinbath import (
     sample_rf_scale,
 )
 from spinbath.engine import _pulse_blocks
-from spinbath.pulses import axis_vector, delta_rotation, split_axis
+from spinbath.pulses import axis_vector, delta_rotation, delta_rotations, split_axis
 from spinbath.hamiltonians import _sector_blocks, _sectors
 
 
@@ -233,3 +233,20 @@ def test_delta_rotation_equals_the_pauli_sum():
                         r = delta_rotation(axis, angle, rf_scale, err, tilt)
                         assert np.array_equal(
                             r, _pauli_sum_rotation(axis, angle, rf_scale, err, tilt))
+
+
+def test_delta_rotations_equal_one_delta_rotation_per_pulse():
+    rng = np.random.default_rng(3)
+    axes = ["x", "y", "-x", "-y", "y", "x"]
+    angles = [np.pi, 0.5 * np.pi, -0.3, 7.1, 0.0, -np.pi]
+    for eps in (0.0, 0.03, -0.05):
+        err = ErrorModel(flip_angle_fraction=eps, axis_tilt=0.02)
+        for rf_scale in (1.0, 1.07):
+            tilts = rng.normal(0.02, 0.3, size=len(axes))
+            tilts[0] = 0.0
+            stack = delta_rotations(axes, angles, rf_scale, err)(tilts)
+            assert stack.shape == (len(axes), 2, 2)
+            for r, axis, angle, tilt in zip(stack, axes, angles, tilts):
+                assert np.array_equal(r, delta_rotation(axis, angle, rf_scale, err, tilt))
+    with pytest.raises(ContractError, match="transverse"):
+        delta_rotations(["y", "z"], [np.pi, np.pi], 1.0, err)
