@@ -8,15 +8,8 @@ shrinks as the cube of the couplings.
 
 import numpy as np
 
-from spinbath import build_model, compile_pdd, verify_claim
-from spinbath.avgham import (
-    average_hamiltonian,
-    build_h_e,
-    build_h_free,
-    magnus_defect,
-    residual_text,
-    toggling_frames,
-)
+from spinbath import build_h_e, build_h_free, build_model, compile_pdd, verify_claim
+from spinbath.avgham import average_hamiltonian, magnus_defect, residual_text, toggling_frames
 
 rng = np.random.default_rng(4)
 n = 4

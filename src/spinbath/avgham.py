@@ -21,9 +21,10 @@ import numpy as np
 
 from .engine import _free_table, _interval_products, _unitary_eig
 from .errors import ContractError
-from .hamiltonians import (_sector_blocks, _sectors, build_h_e, build_h_error, build_h_free,
-                           default_model)
-from .operators import UNITARY_ATOL, build_operator_set, exp_propagators, require_hermitian
+from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _scattered, _sector_blocks,
+                           _sectors, build_h_free, default_model)
+from .operators import (_SPIN_HALF, UNITARY_ATOL, _checked_n_bath, exp_propagators,
+                        require_hermitian)
 from .pulses import ErrorModel, _conjugate, _left, delta_rotation, error_factor, ideal_frame
 from .sequences import compile_cpmg, compile_pdd
 
@@ -79,7 +80,9 @@ def toggling_frames(timeline, h_free, error_model=None):
         if kind == "free":
             area = _conjugate(frame.conj().T, h_free) * payload
             if error_model is not None:
-                area = area + np.kron(pending, np.eye(len(h_free) // 2))
+                # pending (x) 1, without np.kron's overhead on small blocks
+                area = area + np.einsum("st,bc->sbtc", pending, np.eye(len(h_free) // 2)
+                                        ).reshape(area.shape)
                 pending = np.zeros((2, 2), dtype=complex)
             segments.append(ToggledSegment(payload, area / payload))
             continue
@@ -125,18 +128,50 @@ def average_hamiltonian(segments):
     return running / tau_c, acc * (-1j / (2.0 * tau_c))
 
 
-def _component_table(h, ops):
-    """Coefficients of H on the orthogonal basis {S_u, S_u I_z^j} plus the
-    Frobenius norm of what is left over."""
-    comps = {}
-    rest = np.asarray(h, dtype=complex).copy()
-    for name, s_u in (("x", ops.sx), ("y", ops.sy), ("z", ops.sz)):
-        basis = [(f"s{name}", s_u)]
-        basis += [(f"s{name}.iz{j}", s_u @ ops.iz[j]) for j in range(ops.n_bath)]
-        for key, op in basis:
-            comps[key] = c = complex(np.vdot(op, h)) / np.vdot(op, op).real
-            rest -= c * op
-    return comps, float(np.linalg.norm(rest))
+def _sector_averages(timeline, blocks, error_model=None):
+    """(H0, H1) of one cycle for each sector block of a Hamiltonian, each
+    block toggled alone and yielded in turn."""
+    for h in blocks:
+        yield average_hamiltonian(toggling_frames(timeline, h, error_model))
+
+
+def _norm(blocks):
+    """Frobenius norm of the block-diagonal matrix with these blocks."""
+    return float(np.linalg.norm([np.linalg.norm(b) for b in blocks]))
+
+
+def _component_table(blocks, n_bath):
+    """Coefficients of H, given as its list of blocks on _sectors(n_bath), on
+    the orthogonal basis {S_u, S_u I_z^j}, plus the Frobenius norm of what is
+    left over. The coefficients come from the diagonals of the four system
+    quadrants of each block; the rest is subtracted block by block, where
+    ||H||^2 - sum |c|^2 ||op||^2 would cancel at round-off."""
+    sectors, z = _sectors(n_bath), _basis_z(n_bath + 1)[1:]
+    spin = np.stack([_SPIN_HALF[u] for u in "xyz"])
+    overlaps = 0.0
+    for idx, h in zip(sectors, blocks):
+        m = idx.size // 2
+        quadrants = np.diagonal(h.reshape(2, m, 2, m), axis1=1, axis2=3)
+        weights = np.vstack((np.ones(m), z[:, idx[:m]]))
+        overlaps = overlaps + np.einsum("ust,stb,jb->uj", spin.conj(), quadrants, weights)
+    # Tr(S_u^2) = dim / 4 and Tr((S_u I_z^j)^2) = dim / 16
+    c = overlaps / (2.0 ** (n_bath + 1) / np.array([4.0] + [16.0] * n_bath))
+    comps = {f"s{u}" + (f".iz{j - 1}" if j else ""): complex(c[i, j])
+             for i, u in enumerate("xyz") for j in range(n_bath + 1)}
+    fitted = _coupling_blocks(c[:, 0], c[:, 1:], n_bath, sectors)
+    return comps, _norm(map(np.subtract, blocks, fitted))
+
+
+def _cycle_norms(timeline, model, error_model=None):
+    """Frobenius norms of H0, H1, H0 - 1 (x) H_E and H_free over one cycle
+    of `timeline`, toggled per sector block and summed in quadrature."""
+    h_free = build_h_free(model, _sectors(model.n_bath))
+    # map, unlike a loop, holds no block of the previous sector
+    norms = map(lambda t, h_e: [np.linalg.norm(a) for a in (*t, t[0] - h_e)],
+                _sector_averages(timeline, h_free, error_model), _h_e_sectors(model))
+    h0, h1, rest = np.linalg.norm(list(norms), axis=0)
+    return {"h0_norm": float(h0), "h1_norm": float(h1), "h0_minus_bath_norm": float(rest),
+            "h_free_norm": _norm(h_free)}
 
 
 def _flip_angle_error(params):
@@ -156,10 +191,11 @@ def _claim_cpmg_flip_angle(params):
         seed=params.get("seed", 11), n_bath=params.get("n_bath", 2),
         b_scale=0.05, d_scale=0.05)
     tl = compile_cpmg(tau, 0.0)
-    h0, _ = average_hamiltonian(toggling_frames(tl, build_h_free(model), err))
+    terms = _sector_averages(tl, build_h_free(model, _sectors(model.n_bath)), err)
     # the bath-internal term rides along untouched by system pulses; the
     # claim concerns everything the central spin can feel
-    comps, rest = _component_table(h0 - build_h_e(model), model.ops)
+    h0 = list(map(lambda t, h_e: t[0] - h_e, terms, _h_e_sectors(model)))
+    comps, rest = _component_table(h0, model.n_bath)
     expected = 2.0 * eps * np.pi / tl.cycle_time
     got = comps["sy"].real
     off_axis = max(abs(comps["sx"]), abs(comps["sz"]))
@@ -180,13 +216,14 @@ def _claim_cpmg2_cancellation(params):
     """Alternating +y/-y pair: for hard pulses and vanishing delays the
     accumulated zeroth-order error generator cancels exactly."""
     eps, err = _flip_angle_error(params)
-    ops = build_operator_set(params.get("n_bath", 1))
+    n_bath = _checked_n_bath(params.get("n_bath", 1))
     # with H_free = 0 the toggled segments carry only the error kicks, so
     # tau_c H0 is their accumulated generator whatever the delays
     tl = compile_cpmg(1.0, 0.0, variant="cpmg2")
-    h0, _ = average_hamiltonian(toggling_frames(tl, np.zeros((ops.dim, ops.dim)), err))
-    generator_sum = tl.cycle_time * float(np.linalg.norm(h0))
-    ref = abs(eps) * np.pi * float(np.linalg.norm(ops.sy))
+    zero = (np.zeros((idx.size, idx.size)) for idx in _sectors(n_bath))
+    generator_sum = tl.cycle_time * _norm(h0 for h0, _ in _sector_averages(tl, zero, err))
+    # |S_y| = sqrt(dim) / 2 on the full space
+    ref = abs(eps) * np.pi * float(np.sqrt(2 ** (n_bath + 1))) / 2.0
     return {
         "claim": "cpmg2-error-sum-vanishes",
         "statement": "with hard pulses and vanishing delays the +y/-y pair "
@@ -206,11 +243,11 @@ def _claim_pdd_cancels_coupling(params):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-0.05, 0.05, 3)
     b_u = rng.uniform(-0.05, 0.05, (3, model.n_bath))
-    h_err = build_h_error(a, b_u, model)
-    h_e = build_h_e(model)
-    tl = compile_pdd(tau, 0.0)
-    h0, _ = average_hamiltonian(toggling_frames(tl, h_err + h_e))
-    rest, ref = float(np.linalg.norm(h0 - h_e)), float(np.linalg.norm(h_err))
+    h_err = _coupling_blocks(a, b_u, model.n_bath, _sectors(model.n_bath))
+    terms = _sector_averages(compile_pdd(tau, 0.0), map(np.add, _h_e_sectors(model), h_err))
+    rest = _norm(map(lambda t, h_e: t[0] - h_e, terms, _h_e_sectors(model)))
+    # |S_u|^2 = dim / 4 and |S_u I_z^j|^2 = dim / 16, all orthogonal
+    ref = float(np.sqrt(2 ** (model.n_bath + 1) * (a @ a + np.sum(b_u**2) / 4.0) / 4.0))
     return {
         "claim": "pdd-cancels-system-bath-coupling",
         "statement": "the four-pulse block averages any S_u (a_u + sum_j "
@@ -266,26 +303,22 @@ def magnus_defect(timeline, h_free, ops):
     """
     h_free = np.asarray(h_free, dtype=complex)
     sectors = _sectors(ops.n_bath)
+    h_blocks = _sector_blocks(h_free, sectors)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(h_free))))
-    off = np.abs(h_free)
-    for idx in sectors:
-        off[np.ix_(idx, idx)] = 0.0
-    if np.max(off) > tol:
+    off = float(np.max(np.abs(h_free - _scattered(h_blocks, sectors))))
+    if off > tol:
         raise ContractError(f"h_free couples bath-magnetization sectors (max off-sector "
-                            f"entry {np.max(off):.3e})")
+                            f"entry {off:.3e})")
     # the system spin is the top bit, so its S_z halves are the quadrants
     flips = np.max(np.abs(h_free[:ops.dim // 2, ops.dim // 2:]))
     if flips > tol:
         raise ContractError(f"h_free couples the system spin's up and down halves (max "
                             f"entry {flips:.3e})")
     # error-free pulses at unit RF scale are exactly the ideal rotations
-    h_blocks = _sector_blocks(h_free, sectors)
     pieces = timeline.segments()
     free_us = _free_table(h_blocks, {dt for kind, dt in pieces if kind == "free"})
     (u_exact,) = _interval_products([pieces], h_blocks, free_us, ErrorModel(), 1.0)
     # the frames rotate the system spin alone, so each sector block is toggled alone
-    frame, norms, tau_c = ideal_frame(timeline.events).conj().T, [], timeline.cycle_time
-    for h, u in zip(h_blocks, u_exact):
-        h0, h1 = average_hamiltonian(toggling_frames(timeline, h))
-        norms.append(np.linalg.norm(_left(frame, u) - exp_propagators(h0 + h1, (tau_c,))[tau_c]))
-    return float(np.linalg.norm(norms))
+    frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
+    return _norm([_left(frame, u) - exp_propagators(h0 + h1, (tau_c,))[tau_c]
+                  for (h0, h1), u in zip(_sector_averages(timeline, h_blocks), u_exact)])

@@ -19,13 +19,10 @@ import sys
 import numpy as np
 
 from .analysis import SEQUENCE_FAMILIES, compile_family, fit_order_relation, sweep_tau
-from .avgham import (CLAIM_IDS, average_hamiltonian, residual_text, toggling_frames,
-                     verify_claim)
-from .config import ExperimentConfig, load_config, model_from_config
+from .avgham import CLAIM_IDS, _cycle_norms, residual_text, verify_claim
+from .config import load_config, model_from_config
 from .engine import RunSpec, bath_correlation, model_tau_b, propagate
 from .errors import ConfigError, ContractError, SpinBathError
-from .hamiltonians import build_h_e, build_h_free
-from .pulses import ErrorModel
 from .sequences import (compile_cdd, compile_cpmg, compile_hahn, compile_pdd, compile_udd,
                         dump_timeline)
 from .util import fmt
@@ -189,17 +186,11 @@ def cmd_avgham(args):
         raise ConfigError("avgham needs delta pulses; set pulses.tau_p_us=0")
     model = model_from_config(cfg)
     tl = _compile_from_config(cfg, n_cycles=1)
-    h_free = build_h_free(model)
     err = None if cfg.error_model.is_trivial else cfg.error_model
-    h0, h1 = average_hamiltonian(toggling_frames(tl, h_free, err))
-    h_e = build_h_e(model)
     report = {
         "label": tl.label, "tau_c_us": tl.cycle_time,
         "pulse_model": "ideal" if err is None else "errored",
-        "h0_norm": float(np.linalg.norm(h0)),
-        "h1_norm": float(np.linalg.norm(h1)),
-        "h0_minus_bath_norm": float(np.linalg.norm(h0 - h_e)),
-        "h_free_norm": float(np.linalg.norm(h_free)),
+        **_cycle_norms(tl, model, err),
     }
     for key in ("h0_norm", "h1_norm", "h0_minus_bath_norm", "h_free_norm"):
         print(f"{key} = {report[key]:.6e}")

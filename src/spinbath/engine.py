@@ -32,8 +32,8 @@ vector u, turns S_z and every I_z^j over and so leaves H_free unchanged; it
 also leaves a pulse about the line u unchanged. Q maps sector k onto sector
 n - k, with J reversing the ascending bath states. So when the errors are
 static and every pulse axis is +u or -u after the static axis tilt
-(_flip_phase; a pulseless run qualifies, pdd, cdd, z pulses and tilt
-jitter do not), block n - k of every interval product is Q times block k
+(_flip_phase; a pulseless run qualifies, pdd, cdd and tilt jitter do
+not), block n - k of every interval product is Q times block k
 times Q^dag. Such a run keeps the sectors k < n - k with weight 2, plus the
 middle sector k = n/2 (_mirror_sectors). Sector n - k then reads the
 mirrored observable q S_u q and detection frame q d q, q = u . sigma, in
@@ -368,9 +368,9 @@ def _flip_phase(events, err):
     if err.tilt_jitter_sd != 0:
         return None
     bases = {split_axis(ev.axis)[0] for ev in events}
-    if len(bases) > 1 or "z" in bases:
+    if len(bases) > 1:
         return None
-    ux, uy, _ = axis_vector(bases.pop() if bases else "x", err.axis_tilt)
+    ux, uy = axis_vector(bases.pop() if bases else "x", err.axis_tilt)
     return complex(ux, uy)
 
 

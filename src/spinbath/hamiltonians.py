@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .operators import OperatorSet, _checked_n_bath, build_operator_set, require_hermitian
+from .operators import _SPIN_HALF, OperatorSet, _checked_n_bath, build_operator_set
 from .util import KHZ_TO_RAD_PER_US
 
 COUPLING_DISTRIBUTIONS = ("uniform_symmetric", "gaussian")
@@ -31,7 +31,7 @@ DEFAULT_COUPLING_SEED = 37
 
 @dataclass(frozen=True, eq=False)
 class SpinBathModel:
-    """Immutable bundle of couplings plus the matching operator set.
+    """Immutable bundle of couplings plus the matching sizes.
 
     Attributes
     ----------
@@ -42,7 +42,7 @@ class SpinBathModel:
     d : ndarray, shape (n_bath, n_bath)
         Symmetric intra-bath dipolar couplings with zero diagonal, rad/us.
     ops : OperatorSet
-        Embedded operators for this dimension.
+        n_bath and the full-space dimension.
     """
 
     n_bath: int
@@ -171,6 +171,15 @@ def _sector_blocks(a, sectors):
     return [a[np.ix_(idx, idx)] for idx in sectors]
 
 
+def _scattered(blocks, sectors):
+    """The dense complex matrix with `blocks` on `sectors` and zeros off them."""
+    dim = sum(idx.size for idx in sectors)
+    h = np.zeros((dim, dim), dtype=complex)
+    for idx, block in zip(sectors, blocks):
+        h[np.ix_(idx, idx)] = block
+    return h
+
+
 def _h_se_diagonal(model):
     """The diagonal of H_SE = S_z * sum_j b_j I_z^j on the product basis, from
     the basis bits; H_SE has no other entries."""
@@ -227,19 +236,21 @@ def _h_e_blocks(model):
     return list(zip(sectors, _diagonal_blocks(diag, rows, cols, vals, sectors)))
 
 
+def _h_e_sectors(model):
+    """1_system (x) H_E on each sector of _sectors(model.n_bath), in turn."""
+    # np.kron(np.eye(2), block), without np.kron's overhead on small blocks
+    return (np.einsum("st,bc->sbtc", np.eye(2), block).reshape(2 * len(block), -1)
+            for _, block in _h_e_blocks(model))
+
+
 def build_h_e(model):
-    """Secular dipolar bath Hamiltonian, 1_system (x) H_E from _flip_flops.
+    """Secular dipolar bath Hamiltonian, 1_system (x) H_E, scattered from
+    _h_e_sectors.
 
     sum_{i<j} d_ij [2 I_z^i I_z^j - (I_x^i I_x^j + I_y^i I_y^j)]; the
     flip-flop part exchanges polarization while conserving total I_z.
     """
-    diag, rows, cols, vals = _flip_flops(model)
-    # indexed (system, bath) for rows and for columns
-    h = np.zeros((2, diag.size, 2, diag.size), dtype=complex)
-    for s in (0, 1):
-        h[s, rows, s, cols] = vals
-        h[s, np.arange(diag.size), s, np.arange(diag.size)] = diag
-    return h.reshape(2 * diag.size, -1)
+    return _scattered(_h_e_sectors(model), _sectors(model.n_bath))
 
 
 def build_h_free(model, sectors=None):
@@ -260,12 +271,21 @@ def build_h_free(model, sectors=None):
         (_h_se_diagonal(model) + np.tile(diag, 2)).astype(complex),
         np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n)),
         np.tile(vals, 2), sectors)
-    if not dense:
-        return blocks
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    for idx, block in zip(sectors, blocks):
-        h[np.ix_(idx, idx)] = block
-    return h
+    return _scattered(blocks, sectors) if dense else blocks
+
+
+def _coupling_blocks(a, b_u, n_bath, sectors):
+    """sum_u S_u (x) diag(a_u + sum_j b_uj z_j) on each of `sectors` in turn,
+    with z_j the I_z^j eigenvalue of each bath state of the sector
+    (_basis_z); `a`, shape (3,), and `b_u`, shape (3, n_bath), may be
+    complex."""
+    z, spin = _basis_z(n_bath + 1)[1:], np.stack([_SPIN_HALF[u] for u in "xyz"])
+    for idx in sectors:
+        # the system spin is the top bit, so the first half of idx is the
+        # sector's bath states with the system spin up
+        m = idx.size // 2
+        fields = a[:, None] + b_u @ z[:, idx[:m]]
+        yield np.einsum("ust,ub,bc->sbtc", spin, fields, np.eye(m)).reshape(2 * m, 2 * m)
 
 
 def build_h_error(a, b_u, model):
@@ -282,8 +302,9 @@ def build_h_error(a, b_u, model):
     Returns
     -------
     ndarray
-        A Hermitian, traceless matrix. Reduces to build_h_se(model) for
-        a = 0 and b_u rows (0, 0, b).
+        A Hermitian, traceless matrix, scattered from its sector blocks
+        (_coupling_blocks) as build_h_free(model) is. Reduces to
+        build_h_se(model) for a = 0 and b_u rows (0, 0, b).
     """
     a = np.asarray(a, dtype=float)
     b_u = np.asarray(b_u, dtype=float)
@@ -291,13 +312,5 @@ def build_h_error(a, b_u, model):
         raise ContractError(f"a must have shape (3,), got {a.shape}")
     if b_u.shape != (3, model.n_bath):
         raise ContractError(f"b_u must have shape (3, {model.n_bath}), got {b_u.shape}")
-    ops = model.ops
-    h = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for u, s_u in enumerate((ops.sx, ops.sy, ops.sz)):
-        field = a[u] * np.eye(ops.dim, dtype=complex)
-        for j in range(model.n_bath):
-            if b_u[u, j] != 0.0:
-                field = field + b_u[u, j] * ops.iz[j]
-        if a[u] != 0.0 or np.any(b_u[u] != 0.0):
-            h += s_u @ field
-    return require_hermitian(h, "error Hamiltonian")
+    sectors = _sectors(model.n_bath)
+    return _scattered(_coupling_blocks(a, b_u, model.n_bath, sectors), sectors)

@@ -1,4 +1,4 @@
-"""Dense spin-1/2 operator algebra on a system (+) bath Hilbert space.
+"""Sizes, spin-1/2 matrices and exact propagators on a system (+) bath space.
 
 One central spin-1/2 occupies the first tensor factor; ``n_bath`` further
 spin-1/2 particles follow in index order. All operators use the eigenvalue
@@ -8,12 +8,12 @@ goes through an exact Hermitian eigendecomposition, never through splitting
 approximations.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
+from .util import require_int
 
 HERMITIAN_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
@@ -26,71 +26,19 @@ _SPIN_HALF = {
 }
 
 
-def _frozen(a):
-    a = np.ascontiguousarray(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Embedded spin operators for one system spin plus a bath.
-
-    Only the sizes are fields. Every operator is a dense dim x dim matrix,
-    built on first access and cached; the engine fills its sector blocks
-    from the basis bits and reads only `dim`, so propagate builds none.
-
-    Attributes
-    ----------
-    n_bath : int
-        Number of bath spins.
-    dim : int
-        Total Hilbert-space dimension, 2**(n_bath + 1).
-    sx, sy, sz : ndarray
-        System spin components S_u acting on the full space.
-    ix, iy, iz : tuple of ndarray
-        Bath spin components I_u^j, indexed 0 .. n_bath - 1.
-    """
+    """The sizes of one system spin plus a bath: n_bath bath spins and the
+    full-space dimension dim = 2**(n_bath + 1). It holds no operator; the
+    Hamiltonians are filled per sector from the basis bits (hamiltonians)."""
 
     n_bath: int
     dim: int
 
-    def _site(self, axis, site):
-        """S_axis of tensor position `site` (0 is the system spin), read-only."""
-        left = np.eye(2**site, dtype=complex)
-        right = np.eye(2 ** (self.n_bath - site), dtype=complex)
-        return _frozen(np.kron(np.kron(left, _SPIN_HALF[axis]), right))
-
-    def _bath(self, axis):
-        return tuple(self._site(axis, j + 1) for j in range(self.n_bath))
-
-    @functools.cached_property
-    def sx(self):
-        return self._site("x", 0)
-
-    @functools.cached_property
-    def sy(self):
-        return self._site("y", 0)
-
-    @functools.cached_property
-    def sz(self):
-        return self._site("z", 0)
-
-    @functools.cached_property
-    def ix(self):
-        return self._bath("x")
-
-    @functools.cached_property
-    def iy(self):
-        return self._bath("y")
-
-    @functools.cached_property
-    def iz(self):
-        return self._bath("z")
-
 
 def _checked_n_bath(n_bath):
-    """int(n_bath), checked before anything of that size is allocated.
+    """n_bath, an integer (util.require_int), checked before anything of that
+    size is allocated.
 
     Raises
     ------
@@ -98,7 +46,7 @@ def _checked_n_bath(n_bath):
         When n_bath exceeds DEFAULT_MAX_BATH; the message names the dense
         dimension the request would have needed.
     """
-    n_bath = int(n_bath)
+    n_bath = int(require_int(n_bath, "n_bath"))
     if n_bath < 0:
         raise ContractError(f"n_bath must be >= 0, got {n_bath}")
     if n_bath > DEFAULT_MAX_BATH:
@@ -110,8 +58,7 @@ def _checked_n_bath(n_bath):
 
 
 def build_operator_set(n_bath):
-    """The operator set for `n_bath` bath spins (see _checked_n_bath); no
-    operator is built yet."""
+    """The operator set for `n_bath` bath spins (see _checked_n_bath)."""
     n_bath = _checked_n_bath(n_bath)
     return OperatorSet(n_bath=n_bath, dim=2 ** (n_bath + 1))
 
@@ -136,7 +83,7 @@ class Propagator:
     duration: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.ascontiguousarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractError(f"propagator must be square, got shape {m.shape}")
         dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
@@ -144,7 +91,8 @@ class Propagator:
             raise ContractError(f"propagator is not unitary: max deviation {dev:.3e}")
         if self.duration < 0:
             raise ContractError(f"propagator duration must be >= 0, got {self.duration}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "duration", float(self.duration))
 
     @property

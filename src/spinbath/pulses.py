@@ -37,24 +37,19 @@ PULSE_AREA_ATOL = 1e-9
 
 def split_axis(axis):
     """('-y') -> ('y', -1.0); the sign folds into the rotation angle."""
-    if axis in ("x", "y", "z"):
-        return axis, 1.0
-    if axis in ("-x", "-y", "-z"):
-        return axis[1], -1.0
-    raise ContractError(f"unknown pulse axis {axis!r}")
+    if axis not in PULSE_AXES:
+        raise ContractError(f"unknown pulse axis {axis!r}; PULSE_AXES are {PULSE_AXES}")
+    return axis[-1], -1.0 if axis[0] == "-" else 1.0
 
 
 def axis_vector(base, tilt):
-    """Unit vector of a transverse axis tilted by `tilt` rad within the plane."""
+    """(u_x, u_y) of the transverse unit vector of base axis 'x' or 'y'
+    tilted by `tilt` rad within the plane."""
     if base == "x":
-        return np.cos(tilt), np.sin(tilt), 0.0
+        return np.cos(tilt), np.sin(tilt)
     if base == "y":
-        return -np.sin(tilt), np.cos(tilt), 0.0
-    if base == "z":
-        if tilt != 0.0:
-            raise ContractError("axis tilt applies to transverse axes only")
-        return 0.0, 0.0, 1.0
-    raise ContractError(f"unknown base axis {base!r}")
+        return -np.sin(tilt), np.cos(tilt)
+    raise ContractError(f"unknown base axis {base!r}; PULSE_AXES are {PULSE_AXES}")
 
 
 @dataclass(frozen=True)
@@ -193,12 +188,12 @@ def delta_rotation(axis, angle, rf_scale=1.0, err=None, tilt=None):
     """
     err = _IDEAL if err is None else err
     base, sign = split_axis(axis)
-    ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
+    ux, uy = axis_vector(base, err.axis_tilt if tilt is None else tilt)
     half = 0.5 * (sign * angle * (rf_scale * (1.0 + err.flip_angle_fraction)))
     c, s = np.cos(half), np.sin(half)
     # cos(half) 1 - i sin(half) (u . sigma), entry by entry
-    return np.array([[complex(c, -s * uz), complex(-s * uy, -s * ux)],
-                     [complex(s * uy, -s * ux), complex(c, s * uz)]])
+    return np.array([[c, complex(-s * uy, -s * ux)],
+                     [complex(s * uy, -s * ux), c]])
 
 
 def delta_rotations(axes, angles, rf_scale, err):
@@ -212,14 +207,11 @@ def delta_rotations(axes, angles, rf_scale, err):
     and one product for the whole stack.
     """
     bases, signs = zip(*map(split_axis, axes))
-    if "z" in bases:
-        raise ContractError("axis tilt applies to transverse axes only")
     half = 0.5 * (np.array(signs) * np.array(angles, dtype=float)
                   * (rf_scale * (1.0 + err.flip_angle_fraction)))
     c, s = np.cos(half), np.sin(half)
     diagonal = np.zeros((len(c), 2, 2), dtype=complex)
     diagonal.real[:, 0, 0] = diagonal.real[:, 1, 1] = c
-    diagonal.imag[:, 0, 0], diagonal.imag[:, 1, 1] = -s * 0.0, s * 0.0
     # (re, im) of entries [0, 1] and [1, 0]: about x -s sin, -s cos, s sin,
     # -s cos; about y -s cos, s sin, s cos, s sin
     on_x = np.array([[b == "x"] for b in bases])
@@ -295,9 +287,9 @@ def _driven_hamiltonian(h_free, axis, rf_amplitude, rf_scale, err, tilt):
     drive acts on the system factor of either, (u . S) (x) 1.
     """
     base, sign = split_axis(axis)
-    ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
+    ux, uy = axis_vector(base, err.axis_tilt if tilt is None else tilt)
     w_eff = rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
-    drive = sign * w_eff * (ux * _SPIN_HALF["x"] + uy * _SPIN_HALF["y"] + uz * _SPIN_HALF["z"])
+    drive = sign * w_eff * (ux * _SPIN_HALF["x"] + uy * _SPIN_HALF["y"])
     h_free = np.asarray(h_free, dtype=complex)
     return h_free + np.kron(drive, np.eye(h_free.shape[0] // 2))
 

@@ -1,14 +1,18 @@
 """Toggling frames, leading-order averages, and the claim registry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import kron_oracle as oracle
 import spinbath.avgham as avgham
 from spinbath import (
     CLAIM_IDS,
     ContractError,
     ErrorModel,
-    PulseSpec,
+    build_h_e,
+    build_h_free,
     build_model,
     build_operator_set,
     compile_cdd,
@@ -16,14 +20,11 @@ from spinbath import (
     compile_pdd,
     default_model,
     ideal_pulse,
-    real_pulse,
 )
 from spinbath.analysis import compile_family
+from spinbath.cli import main
 from spinbath.avgham import (
-    ToggledSegment,
     average_hamiltonian,
-    build_h_e,
-    build_h_free,
     magnus_defect,
     rotation_generator,
     toggling_frames,
@@ -54,12 +55,6 @@ def test_toggling_frames_partition_the_cycle():
         assert np.allclose(s.h_tilde, s.h_tilde.conj().T, atol=1e-12)
         # frame changes are unitary, so each toggled piece keeps the spectrum
         assert np.allclose(np.linalg.eigvalsh(s.h_tilde), ref, atol=1e-10)
-
-
-def test_pdd_zeroth_order_is_bath_only():
-    m = small_model(seed=5)
-    h0, _ = average_hamiltonian(toggling_frames(compile_pdd(9.0), build_h_free(m)))
-    assert np.max(np.abs(h0 - build_h_e(m))) < 1e-12
 
 
 def test_average_hamiltonian_orders():
@@ -148,7 +143,7 @@ def test_magnus_defect_refuses_a_hamiltonian_that_couples_sectors():
     # the exact cycle is built per bath-magnetization sector, so a bath
     # field along x, which flips bath spins, cannot be represented
     m = small_model(seed=3)
-    h = build_h_free(m) + 0.01 * np.sum(m.ops.ix, axis=0)
+    h = build_h_free(m) + 0.01 * np.sum(oracle.full_space(m.n_bath).ix, axis=0)
     with pytest.raises(ContractError, match="couples bath-magnetization sectors"):
         magnus_defect(compile_pdd(10.0), h, m.ops)
 
@@ -157,7 +152,8 @@ def test_magnus_defect_refuses_a_hamiltonian_that_flips_the_system_spin():
     # the free steps are built per system S_z half of each sector, so a
     # term S_x I_z^0, which conserves the bath I_z, cannot be represented
     m = small_model(seed=3)
-    h = build_h_free(m) + 0.01 * m.ops.sx @ m.ops.iz[0]
+    ops = oracle.full_space(m.n_bath)
+    h = build_h_free(m) + 0.01 * ops.sx @ ops.iz[0]
     with pytest.raises(ContractError, match="couples the system spin's up and down halves"):
         magnus_defect(compile_pdd(10.0), h, m.ops)
 
@@ -186,7 +182,8 @@ def test_error_generator_sum_of_a_same_axis_pair(n_bath, expected):
     tl = compile_cpmg(1.0, 0.0, variant="cpmg")
     segs = toggling_frames(tl, np.zeros((ops.dim, ops.dim)), ErrorModel(flip_angle_fraction=eps))
     got = tl.cycle_time * float(np.linalg.norm(average_hamiltonian(segs)[0]))
-    assert got == pytest.approx(2.0 * eps * np.pi * float(np.linalg.norm(ops.sy)), rel=1e-12)
+    sy = oracle.full_space(n_bath).sy
+    assert got == pytest.approx(2.0 * eps * np.pi * float(np.linalg.norm(sy)), rel=1e-12)
     assert got == pytest.approx(expected, abs=5e-6)
     report = verify_claim("cpmg2-error-sum-vanishes",
                           {"n_bath": n_bath, "flip_angle_fraction": eps})
@@ -216,49 +213,6 @@ def test_claim_accepts_parameter_overrides():
     report = verify_claim("cpmg-flip-angle-zeroth-order",
                           {"tau": 14.0, "flip_angle_fraction": 0.02, "seed": 3})
     assert report["pass"]
-
-
-def test_errored_frames_see_the_flip_angle():
-    m = small_model(seed=7)
-    tl = compile_cpmg(16.0)
-    err = ErrorModel(flip_angle_fraction=0.04)
-    h0_ideal, _ = average_hamiltonian(toggling_frames(tl, build_h_free(m)))
-    h0_bad, _ = average_hamiltonian(toggling_frames(tl, build_h_free(m), err))
-    assert np.max(np.abs(h0_ideal - h0_bad)) > 1e-4
-
-
-def _full_space_error_generator(axis, angle, err, ops):
-    """Generator of the full-space error factor real @ ideal^dag, with the
-    real pulse built under a zero Hamiltonian."""
-    zero = np.zeros((ops.dim, ops.dim), dtype=complex)
-    real = real_pulse(PulseSpec.delta(axis, angle), 1.0, err, zero, ops).matrix
-    return rotation_generator(real @ ideal_pulse(axis, angle, ops).matrix.conj().T)
-
-
-def _full_space_frames(timeline, h_free, error_model=None):
-    """toggling_frames with every frame and kick a full-space matrix:
-    kron-embedded ideal pulses and full-space error generators, at the
-    width of the full-space h_free."""
-    ops = build_operator_set(len(h_free).bit_length() - 2)
-    frame = np.eye(ops.dim, dtype=complex)
-    segments, pending, generators = [], None, {}
-    for kind, payload in timeline.segments():
-        if kind == "free":
-            area = frame.conj().T @ h_free @ frame * payload
-            if pending is not None:
-                area, pending = area + pending, None
-            segments.append(ToggledSegment(payload, area / payload))
-            continue
-        frame = ideal_pulse(payload.axis, payload.nominal_angle, ops).matrix @ frame
-        if error_model is not None:
-            key = (payload.axis, payload.nominal_angle)
-            if key not in generators:
-                generators[key] = _full_space_error_generator(*key, error_model, ops)
-            kick = frame.conj().T @ generators[key] @ frame
-            pending = kick if pending is None else pending + kick
-    if pending is not None and np.max(np.abs(pending)) > 1e-15:
-        raise ContractError("trailing pulse error")
-    return segments
 
 
 def _full_space_magnus_defect(timeline, h_free, ops, segs):
@@ -299,7 +253,7 @@ def test_system_rotations_match_full_space_reference(family, order, udd_pulses, 
     refs = {}
     for pulse_model, error_model in (("ideal", None), ("errored", err)):
         try:
-            ref = refs[pulse_model] = _full_space_frames(tl, h, error_model)
+            ref = refs[pulse_model] = oracle.toggling_frames(tl, h, error_model)
         except ContractError:
             # pdd and cdd end on a pulse, so an errored cycle is undefined
             with pytest.raises(ContractError, match="trailing"):
@@ -318,27 +272,63 @@ def test_system_rotations_match_full_space_reference(family, order, udd_pulses, 
     assert abs(magnus_defect(tl, h, m.ops) - expected) <= 1e-10 * expected
 
 
-@pytest.mark.parametrize("n_bath", [3, 7])
-def test_claims_match_full_space_reference(n_bath, monkeypatch):
-    params = {"n_bath": n_bath}
-    got = {cid: verify_claim(cid, params)["norms"] for cid in CLAIM_IDS}
-    monkeypatch.setattr(avgham, "toggling_frames", _full_space_frames)
-    ref = {cid: verify_claim(cid, params)["norms"] for cid in CLAIM_IDS}
-    ops = build_operator_set(n_bath)
-    eps = 0.05
-    frame = np.eye(ops.dim, dtype=complex)
-    acc = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for axis in ("y", "-y"):
-        g = _full_space_error_generator(axis, np.pi, ErrorModel(flip_angle_fraction=eps), ops)
-        frame = ideal_pulse(axis, np.pi, ops).matrix @ frame
-        acc += frame.conj().T @ g @ frame
-    ref["cpmg2-error-sum-vanishes"] = {
-        "generator_sum": float(np.linalg.norm(acc)),
+def _dense_claim_norms(n_bath, eps=0.05):
+    """The norms of each claim at its defaults, from full-space kron
+    products, full-space frames and full-space error generators."""
+    ops, err = oracle.full_space(n_bath), ErrorModel(flip_angle_fraction=eps)
+    m = default_model(seed=11, n_bath=n_bath, b_scale=0.05, d_scale=0.05)
+    tl, h_e = compile_cpmg(30.0, 0.0), oracle.h_e(m)
+    h0, _ = average_hamiltonian(oracle.toggling_frames(tl, oracle.h_se(m) + h_e, err))
+    rest, comps = h0 - h_e, {}
+    for u, s_u in zip("xyz", (ops.sx, ops.sy, ops.sz)):
+        basis = [(f"s{u}", s_u)] + [(f"s{u}.iz{j}", s_u @ iz) for j, iz in enumerate(ops.iz)]
+        for key, op in basis:
+            comps[key] = c = np.vdot(op, h0 - h_e) / np.vdot(op, op).real
+            rest = rest - c * op
+    norms = {"cpmg-flip-angle-zeroth-order": {
+        "sy_coefficient": comps["sy"].real, "expected": 2.0 * eps * np.pi / tl.cycle_time,
+        "off_axis_max": max(abs(comps["sx"]), abs(comps["sz"])),
+        "system_bath_max": max([abs(v) for k, v in comps.items() if ".iz" in k], default=0.0),
+        "unmodeled_rest": float(np.linalg.norm(rest))}}
+    tl = compile_cpmg(1.0, 0.0, variant="cpmg2")
+    h0, _ = average_hamiltonian(oracle.toggling_frames(tl, np.zeros((ops.dim, ops.dim)), err))
+    norms["cpmg2-error-sum-vanishes"] = {
+        "generator_sum": tl.cycle_time * float(np.linalg.norm(h0)),
         "reference": eps * np.pi * float(np.linalg.norm(ops.sy))}
-    for cid in CLAIM_IDS:
-        assert got[cid].keys() == ref[cid].keys()
+    m = default_model(seed=5, n_bath=n_bath, b_scale=0.05, d_scale=0.05)
+    rng = np.random.default_rng(5)
+    h_err = oracle.h_error(rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.05, 0.05, (3, n_bath)), m)
+    h_e = oracle.h_e(m)
+    h0, _ = average_hamiltonian(oracle.toggling_frames(compile_pdd(20.0, 0.0), h_err + h_e))
+    norms["pdd-cancels-system-bath-coupling"] = {
+        "h0_minus_bath": float(np.linalg.norm(h0 - h_e)),
+        "reference": float(np.linalg.norm(h_err))}
+    return norms
+
+
+@pytest.mark.parametrize("n_bath", [3, 7])
+def test_claims_match_full_space_reference(n_bath):
+    for cid, ref in _dense_claim_norms(n_bath).items():
+        report = verify_claim(cid, {"n_bath": n_bath})
+        assert report["pass"] and report["norms"].keys() == ref.keys(), report
         # the residual norms sit at round-off, so every norm is compared
         # relative to the largest norm of its report
-        scale = max(abs(v) for v in ref[cid].values())
-        for key, value in ref[cid].items():
-            assert abs(got[cid][key] - value) <= 1e-12 * scale, (cid, key)
+        scale = max(abs(v) for v in ref.values())
+        for key, value in ref.items():
+            assert abs(report["norms"][key] - value) <= 1e-12 * scale, (cid, key)
+
+
+@pytest.mark.parametrize("run", [
+    *[lambda cfg, cid=cid: verify_claim(cid, {"n_bath": 9})["pass"] for cid in CLAIM_IDS],
+    lambda cfg: main(["avgham", "--config", cfg]) == 0], ids=[*CLAIM_IDS, "cli"])
+def test_avgham_forms_no_full_space_matrix(run, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[bath]\nn_bath = 9\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert run(str(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense 2^10 complex matrix is 16 MiB
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from spinbath import CLAIM_IDS, build_h_e, estimate_tau_b, evolve
+import kron_oracle as oracle
+from spinbath import CLAIM_IDS, average_hamiltonian, build_h_e, estimate_tau_b, evolve
+from spinbath.analysis import compile_family
 from spinbath.cli import _family_path, build_parser, main
 from spinbath.config import load_config, model_from_config
 
@@ -193,31 +195,46 @@ def test_corr_matches_the_dense_oracle(tmp_path):
     tau_b = float(next(l for l in lines if l.startswith("# tau_b_us=")).split("=")[1])
     rows = np.array([[float(x) for x in l.split(",")] for l in lines if l[0].isdigit()])
     m = model_from_config(load_config(cfg))
-    h_e, ops = build_h_e(m), m.ops
+    h_e, ops = build_h_e(m), oracle.full_space(m.n_bath)
     observables = [np.sum(ops.ix, axis=0), *ops.iz]
-    oracle = np.empty((rows.shape[0], len(observables)))
-    for row, t in zip(oracle, rows[:, 0]):
+    direct = np.empty((rows.shape[0], len(observables)))
+    for row, t in zip(direct, rows[:, 0]):
         u = evolve(h_e, t).matrix
         row[:] = [np.real(np.trace(a @ u.conj().T @ a @ u) / np.trace(a @ a))
                   for a in observables]
-    iz_mean = oracle[:, 1:].mean(axis=1)
-    assert np.max(np.abs(rows[:, 1] - oracle[:, 0])) < 1e-12
+    iz_mean = direct[:, 1:].mean(axis=1)
+    assert np.max(np.abs(rows[:, 1] - direct[:, 0])) < 1e-12
     assert np.max(np.abs(rows[:, 2] - iz_mean)) < 1e-12
     est = estimate_tau_b(iz_mean, rows[:, 0])
     assert est.reached and "# tau_b_reached=True" in lines
     assert tau_b == pytest.approx(est.value, rel=1e-12)
 
 
-def test_avgham_reports_norms(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_BATH + "\n[sequence]\nfamily = pdd\ntau_us = 10\n")
+@pytest.mark.parametrize("family, errors", [
+    ("pdd", ""), ("cpmg", ""),
+    ("cpmg", "[errors]\nflip_angle_fraction = 0.04\naxis_tilt_rad = 0.03\n"),
+], ids=["pdd", "cpmg", "cpmg-errored"])
+def test_avgham_norms_match_the_dense_oracle(tmp_path, capsys, family, errors):
+    sequence = f"[sequence]\nfamily = {family}\ntau_us = 13\n"
+    cfg = write_cfg(tmp_path, SMALL_BATH + sequence + errors)
     js = tmp_path / "avg.json"
     assert main(["avgham", "--config", cfg, "--json", str(js)]) == 0
-    out = capsys.readouterr().out
-    assert "h0_minus_bath_norm" in out
+    assert "h0_minus_bath_norm" in capsys.readouterr().out
     report = json.loads(js.read_text())
-    # an ideal four-pulse block removes the coupling at leading order
-    assert report["h0_minus_bath_norm"] < 1e-10
-    assert report["pulse_model"] == "ideal"
+    assert report["pulse_model"] == ("errored" if errors else "ideal")
+    # the cycle toggled on the full space, with kron-embedded frames and kicks
+    c = load_config(cfg)
+    m, tl = model_from_config(c), compile_family(family, 13.0, 0.0, 1, 2, 4)
+    h_e, h_se = oracle.h_e(m), oracle.h_se(m)
+    err = c.error_model if errors else None
+    h0, h1 = average_hamiltonian(oracle.toggling_frames(tl, h_se + h_e, err))
+    expected = {"h0_norm": h0, "h1_norm": h1, "h0_minus_bath_norm": h0 - h_e,
+                "h_free_norm": h_se + h_e}
+    # an ideal cpmg or four-pulse cycle leaves H0 - H_E at round-off, compared
+    # relative to the largest norm of the report
+    scale = max(float(np.linalg.norm(a)) for a in expected.values())
+    for key, a in expected.items():
+        assert report[key] == pytest.approx(np.linalg.norm(a), rel=1e-12, abs=1e-12 * scale)
 
 
 def test_avgham_refuses_finite_pulses(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kron_oracle as oracle
 from spinbath import (
     ContractError,
     CouplingSpec,
@@ -15,17 +16,12 @@ from spinbath import (
     build_h_free,
     build_h_se,
     build_model,
-    build_operator_set,
     default_model,
     model_tau_b,
     real_pulse,
     sample_couplings,
 )
 from spinbath.hamiltonians import _h_e_blocks, _mirror_sectors, _sector_blocks, _sectors
-
-
-def _total_iz(ops):
-    return np.sum(ops.iz, axis=0)
 
 
 def test_sample_couplings_deterministic_and_bounded():
@@ -84,56 +80,13 @@ def test_build_model_rejects_non_finite_couplings():
         build_model(np.zeros(2), d)
 
 
-def test_h_se_structure():
-    m = default_model(n_bath=3)
-    h = build_h_se(m)
-    ops = m.ops
-    expected = ops.sz @ sum(m.b[j] * ops.iz[j] for j in range(3))
-    assert np.allclose(h, expected, atol=1e-14)
-    # pure dephasing: commutes with S_z, not with S_x
-    assert np.allclose(h @ ops.sz, ops.sz @ h, atol=1e-14)
-    assert not np.allclose(h @ ops.sx, ops.sx @ h, atol=1e-8)
-
-
-_PAULI_HALF = {
-    "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
-    "z": np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
-}
-
-
-def _dense_pieces(m):
-    """H_SE and H_E from products of kron-embedded spin operators, written
-    out here independently of the package's basis-bit kernels."""
-    n_sites = m.n_bath + 1
-
-    def site(axis, q):
-        return np.kron(np.kron(np.eye(2**q), _PAULI_HALF[axis]),
-                       np.eye(2 ** (n_sites - q - 1)))
-
-    dim = 2**n_sites
-    ix = [site("x", j + 1) for j in range(m.n_bath)]
-    iy = [site("y", j + 1) for j in range(m.n_bath)]
-    iz = [site("z", j + 1) for j in range(m.n_bath)]
-    field = np.zeros((dim, dim), dtype=complex)
-    for j in range(m.n_bath):
-        if m.b[j] != 0.0:
-            field += m.b[j] * iz[j]
-    h_e = np.zeros((dim, dim), dtype=complex)
-    for i in range(m.n_bath):
-        for j in range(i + 1, m.n_bath):
-            if m.d[i, j] != 0.0:
-                h_e += m.d[i, j] * (2.0 * iz[i] @ iz[j] - ix[i] @ ix[j] - iy[i] @ iy[j])
-    return site("z", 0) @ field, h_e
-
-
 @pytest.mark.parametrize("distribution", ["uniform_symmetric", "gaussian"])
 @pytest.mark.parametrize("n_bath", range(7))
 def test_basis_bit_kernels_equal_dense_products(n_bath, distribution):
     spec = CouplingSpec(b_scale=0.3, d_scale=0.2, distribution=distribution,
                         seed=10 + n_bath)
     m = build_model(*sample_couplings(spec, n_bath))
-    h_se, h_e = _dense_pieces(m)
+    h_se, h_e = oracle.h_se(m), oracle.h_e(m)
     assert np.array_equal(build_h_se(m), h_se)
     assert np.array_equal(build_h_e(m), h_e)
     assert np.array_equal(build_h_free(m), h_se + h_e)
@@ -145,7 +98,7 @@ def test_basis_bit_kernels_skip_zero_couplings_like_dense_products():
     for (i, j), v in {(0, 1): 0.3, (0, 4): -0.2, (2, 3): 0.15, (3, 4): 0.07}.items():
         d[i, j] = d[j, i] = v
     m = build_model(b, d)
-    h_se, h_e = _dense_pieces(m)
+    h_se, h_e = oracle.h_se(m), oracle.h_e(m)
     assert np.array_equal(build_h_se(m), h_se)
     assert np.array_equal(build_h_e(m), h_e)
     assert np.array_equal(build_h_free(m), h_se + h_e)
@@ -213,20 +166,10 @@ def test_flipping_every_spin_mirrors_the_sector_blocks(n_bath):
         assert np.array_equal(h_free[n_bath - k], h_free[k][::-1, ::-1])
 
 
-def test_h_e_conserves_total_iz_and_ignores_system():
-    m = default_model(n_bath=4)
-    h = build_h_e(m)
-    ops = m.ops
-    iz_tot = _total_iz(ops)
-    assert np.max(np.abs(h @ iz_tot - iz_tot @ h)) < 1e-13
-    for s in (ops.sx, ops.sy, ops.sz):
-        assert np.max(np.abs(h @ s - s @ h)) < 1e-13
-
-
 @pytest.mark.parametrize("n_bath", range(8))
 def test_sectors_block_h_free_system_operators_and_pulses(n_bath):
     m = default_model(seed=5 + n_bath, n_bath=n_bath)
-    ops = m.ops
+    ops = oracle.full_space(n_bath)
     sectors = _sectors(n_bath)
     # ordered by k, ascending, a partition of the basis, sizes 2 C(n, k)
     assert [idx.size for idx in sectors] == [2 * math.comb(n_bath, k)
@@ -238,19 +181,19 @@ def test_sectors_block_h_free_system_operators_and_pulses(n_bath):
         label[idx] = k
         # sector k holds the states with total bath I_z = k - n/2
         if n_bath:
-            assert np.array_equal(np.diag(_total_iz(ops)).real[idx],
+            assert np.array_equal(np.diag(np.sum(ops.iz, axis=0)).real[idx],
                                   np.full(idx.size, k - n_bath / 2))
     off = label[:, None] != label[None, :]
     assert np.all(build_h_free(m)[off] == 0.0)
     for axis, s in (("x", ops.sx), ("y", ops.sy), ("z", ops.sz)):
-        half = getattr(build_operator_set(0), "s" + axis)
+        half = oracle.SPIN_HALF[axis]
         for idx in sectors:
             assert np.array_equal(s[np.ix_(idx, idx)], np.kron(half, np.eye(idx.size // 2)))
     # a finite pulse with flip error, static tilt and a jitter-sized tilt
     # draw conserves the bath I_z too
     err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=0.05)
     spec = PulseSpec("-x", np.pi, 1.5, np.pi / 1.5)
-    u = real_pulse(spec, 0.97, err, build_h_free(m), ops, tilt=0.05 + 0.15).matrix
+    u = real_pulse(spec, 0.97, err, build_h_free(m), m.ops, tilt=0.05 + 0.15).matrix
     assert np.max(np.abs(u[off]), initial=0.0) < 1e-13
 
 
@@ -267,7 +210,7 @@ def test_flip_flop_exchanges_polarization():
     d = np.array([[0.0, 0.31], [0.31, 0.0]])
     m = build_model(b, d)
     h = build_h_e(m)
-    ops = m.ops
+    ops = oracle.full_space(m.n_bath)
     # |up, down> in the bath sector, system along +z
     up = np.array([1.0, 0.0])
     down = np.array([0.0, 1.0])
@@ -282,21 +225,21 @@ def test_flip_flop_exchanges_polarization():
     assert iz1 == pytest.approx(+0.5, abs=1e-9)
 
 
-def test_h_error_generalizes_h_se():
-    m = default_model(n_bath=3)
-    b_u = np.zeros((3, 3))
-    b_u[2] = m.b
-    h = build_h_error(np.zeros(3), b_u, m)
-    assert np.allclose(h, build_h_se(m), atol=1e-14)
-
-
-def test_h_error_pure_system_field():
-    m = default_model(n_bath=2)
-    a = np.array([0.3, -0.2, 0.5])
-    h = build_h_error(a, np.zeros((3, 2)), m)
-    ops = m.ops
-    expected = 0.3 * ops.sx - 0.2 * ops.sy + 0.5 * ops.sz
-    assert np.allclose(h, expected, atol=1e-14)
+@pytest.mark.parametrize("n_bath", range(7))
+def test_h_error_equals_the_dense_products(n_bath):
+    m = default_model(seed=3 + n_bath, n_bath=n_bath)
+    rng = np.random.default_rng(n_bath)
+    a, b_u = rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, (3, n_bath))
+    # an uncoupled axis and an uncoupled bath spin
+    a[1], b_u[1], b_u[:, n_bath // 2:n_bath // 2 + 1] = 0.0, 0.0, 0.0
+    h_se = np.zeros(3), np.vstack((np.zeros((2, n_bath)), m.b))
+    for case in ((a, b_u), h_se, (a, 0.0 * b_u)):
+        h = build_h_error(*case, m)
+        assert np.max(np.abs(h - oracle.h_error(*case, m))) < 1e-15
+        assert np.array_equal(h, h.conj().T) and abs(np.trace(h)) < 1e-15
+    assert np.max(np.abs(build_h_error(*h_se, m) - build_h_se(m))) < 1e-15
+    with pytest.raises(ContractError, match="b_u must have shape"):
+        build_h_error(a, b_u[:2], m)
 
 
 def test_default_model_is_frozen_calibration():

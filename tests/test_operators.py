@@ -1,58 +1,38 @@
-"""Operator algebra and exact propagation primitives."""
+"""Operator sizes and exact propagation primitives."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import kron_oracle as oracle
 from spinbath import (
+    CLAIM_IDS,
     ContractError,
     CouplingSpec,
     Propagator,
     ResourceLimitError,
     build_operator_set,
+    default_model,
     evolve,
     sample_couplings,
+    verify_claim,
 )
 from spinbath.operators import DEFAULT_MAX_BATH
 
 
 def test_operator_set_shapes_and_dim():
+    # only the sizes: the package embeds no spin operator in the full space
     ops = build_operator_set(3)
-    assert ops.dim == 16
-    assert ops.sx.shape == (16, 16)
-    assert len(ops.ix) == 3
-    assert len(ops.iy) == 3
-    assert len(ops.iz) == 3
-
-
-def test_spin_half_normalization():
-    # Tr(S_u^2) = dim / 4 for the +-1/2 convention
-    ops = build_operator_set(2)
-    for u in "xyz":
-        s_u = getattr(ops, "s" + u)
-        tr = np.trace(s_u @ s_u).real
-        assert tr == pytest.approx(ops.dim / 4.0)
-
-
-def test_su2_commutators():
-    ops = build_operator_set(2)
-    comm = ops.sx @ ops.sy - ops.sy @ ops.sx
-    assert np.allclose(comm, 1j * ops.sz, atol=1e-14)
-    for j in range(2):
-        comm = ops.ix[j] @ ops.iy[j] - ops.iy[j] @ ops.ix[j]
-        assert np.allclose(comm, 1j * ops.iz[j], atol=1e-14)
-
-
-def test_distinct_sites_commute():
-    ops = build_operator_set(3)
-    pairs = [(ops.sx, ops.iz[0]), (ops.ix[0], ops.iy[1]), (ops.iz[1], ops.iz[2])]
-    for a, b in pairs:
-        assert np.allclose(a @ b, b @ a, atol=1e-14)
+    assert (ops.n_bath, ops.dim) == (3, 16)
+    assert [f.name for f in dataclasses.fields(ops)] == ["n_bath", "dim"]
+    assert not any(hasattr(ops, name) for name in ("sx", "sy", "sz", "ix", "iy", "iz"))
+    assert build_operator_set(np.int64(3)).dim == 16
 
 
 def test_operator_arrays_are_read_only():
-    ops = build_operator_set(1)
     with pytest.raises(ValueError):
-        ops.sx[0, 0] = 1.0
+        evolve(np.diag([0.5, -0.5]), 1.0).matrix[0, 0] = 1.0
 
 
 def test_bath_cap_enforced():
@@ -70,11 +50,19 @@ def test_negative_bath_count_rejected():
         sample_couplings(CouplingSpec(), -1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_operator_set(True), lambda: build_operator_set(3.0),
+    lambda: default_model(n_bath=2.7), lambda: sample_couplings(CouplingSpec(), "3"),
+    *[lambda cid=cid: verify_claim(cid, {"n_bath": 2.9}) for cid in CLAIM_IDS]])
+def test_a_non_integer_bath_count_is_rejected(build):
+    with pytest.raises(ContractError, match="n_bath must be an integer"):
+        build()
+
+
 def test_evolve_matches_closed_form_rotation():
     # exp(-i theta S_y) on a bare spin against the 2x2 closed form
-    ops = build_operator_set(0)
     theta = 0.7318
-    u = evolve(theta * ops.sy, 1.0).matrix
+    u = evolve(theta * oracle.SPIN_HALF["y"], 1.0).matrix
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     expected = np.array([[c, -s], [s, c]], dtype=complex)
     assert np.allclose(u, expected, atol=1e-14)

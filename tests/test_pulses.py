@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kron_oracle as oracle
 from spinbath import (
     BimodalRf,
     ContractError,
@@ -24,8 +25,8 @@ from spinbath.pulses import axis_vector, delta_rotation, delta_rotations, split_
 from spinbath.hamiltonians import _sector_blocks, _sectors
 
 
-def _z_rotation(angle, ops):
-    w, v = np.linalg.eigh(np.asarray(ops.sz))
+def _z_rotation(angle, n_bath):
+    w, v = np.linalg.eigh(oracle.full_space(n_bath).sz)
     return (v * np.exp(-1j * w * angle)) @ v.conj().T
 
 
@@ -36,10 +37,11 @@ def ops2():
 
 def test_ideal_pi_pulse_flips_transverse_components(ops2):
     u = ideal_pulse("y", np.pi, ops2).matrix
+    s = oracle.full_space(ops2.n_bath)
     # conjugation by exp(-i pi S_y): S_x -> -S_x, S_z -> -S_z, S_y fixed
-    assert np.allclose(u @ ops2.sx @ u.conj().T, -ops2.sx, atol=1e-13)
-    assert np.allclose(u @ ops2.sz @ u.conj().T, -ops2.sz, atol=1e-13)
-    assert np.allclose(u @ ops2.sy @ u.conj().T, ops2.sy, atol=1e-13)
+    assert np.allclose(u @ s.sx @ u.conj().T, -s.sx, atol=1e-13)
+    assert np.allclose(u @ s.sz @ u.conj().T, -s.sz, atol=1e-13)
+    assert np.allclose(u @ s.sy @ u.conj().T, s.sy, atol=1e-13)
 
 
 def test_negative_axis_reverses_rotation(ops2):
@@ -123,7 +125,7 @@ def test_axis_tilt_rotates_axis_within_plane(ops2):
     u = real_pulse(PulseSpec.delta("y", np.pi), 1.0, ErrorModel(axis_tilt=tilt),
                    zero, ops2).matrix
     # equivalent to conjugating the clean pulse by a z rotation
-    rz = _z_rotation(tilt, ops2)
+    rz = _z_rotation(tilt, ops2.n_bath)
     u_ref = rz @ ideal_pulse("y", np.pi, ops2).matrix @ rz.conj().T
     assert np.allclose(u, u_ref, atol=1e-12)
 
@@ -215,24 +217,29 @@ def _pauli_sum_rotation(axis, angle, rf_scale, err, tilt):
              np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
              np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
     base, sign = split_axis(axis)
-    ux, uy, uz = axis_vector(base, err.axis_tilt if tilt is None else tilt)
+    ux, uy = axis_vector(base, err.axis_tilt if tilt is None else tilt)
     half = 0.5 * (sign * angle * (rf_scale * (1.0 + err.flip_angle_fraction)))
     return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * (
-        ux * pauli[0] + uy * pauli[1] + uz * pauli[2])
+        ux * pauli[0] + uy * pauli[1])
 
 
 def test_delta_rotation_equals_the_pauli_sum():
-    for axis in ("x", "y", "-x", "-y", "z", "-z"):
-        transverse = axis[-1] != "z"
+    for axis in ("x", "y", "-x", "-y"):
         for angle in (np.pi, 0.5 * np.pi, -0.3, 2.0 * np.pi, 0.0, 7.1):
             for rf_scale in (1.0, 0.93, 1.07):
                 for eps in (0.0, 0.03, -0.05):
-                    err = ErrorModel(flip_angle_fraction=eps,
-                                     axis_tilt=0.01 if transverse else 0.0)
-                    for tilt in (None, 0.0, 0.02, -0.4) if transverse else (None,):
+                    err = ErrorModel(flip_angle_fraction=eps, axis_tilt=0.01)
+                    for tilt in (None, 0.0, 0.02, -0.4):
                         r = delta_rotation(axis, angle, rf_scale, err, tilt)
                         assert np.array_equal(
                             r, _pauli_sum_rotation(axis, angle, rf_scale, err, tilt))
+    # a pulse turns the system spin about a transverse axis only
+    for axis in ("z", "-z"):
+        for build in (split_axis, lambda a: axis_vector(a, 0.0),
+                      lambda a: delta_rotation(a, np.pi),
+                      lambda a: ideal_pulse(a, np.pi, build_operator_set(1))):
+            with pytest.raises(ContractError, match="PULSE_AXES"):
+                build(axis)
 
 
 def test_delta_rotations_equal_one_delta_rotation_per_pulse():
@@ -248,5 +255,5 @@ def test_delta_rotations_equal_one_delta_rotation_per_pulse():
             assert stack.shape == (len(axes), 2, 2)
             for r, axis, angle, tilt in zip(stack, axes, angles, tilts):
                 assert np.array_equal(r, delta_rotation(axis, angle, rf_scale, err, tilt))
-    with pytest.raises(ContractError, match="transverse"):
+    with pytest.raises(ContractError, match="PULSE_AXES"):
         delta_rotations(["y", "z"], [np.pi, np.pi], 1.0, err)
