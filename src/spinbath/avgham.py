@@ -11,8 +11,11 @@ Pulse errors are handled through the exact factorization real = error x
 ideal: the instantaneous error rotation that follows pulse i is absorbed
 into the next free segment as an extra static term (its integrated action
 divided by the segment length), which leaves H0 identical to the kick
-picture. A small registry of closed-form claims about these terms is
-checked numerically by verify_claim.
+picture. The frames and kicks act on the system spin alone, so one walk
+over the cycle reduces them to 2x2 coefficients of the system quadrants of
+H_free, and each sector block is then folded from a few quadrant products
+(_sector_averages). A small registry of closed-form claims about these
+terms is checked numerically by verify_claim.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _scattered,
                            _sectors, build_h_free, default_model)
 from .operators import (_SPIN_HALF, UNITARY_ATOL, _checked_n_bath, exp_propagators,
                         require_hermitian)
-from .pulses import ErrorModel, _conjugate, _left, delta_rotation, error_factor, ideal_frame
+from .pulses import ErrorModel, _left, delta_rotation, error_factor, ideal_frame
 from .sequences import compile_cpmg, compile_pdd
 
 CLAIM_TOL = 1e-10
@@ -58,33 +61,29 @@ def rotation_generator(u):
     return (p * -theta) @ p.conj().T
 
 
-def toggling_frames(timeline, h_free, error_model=None):
-    """Toggling-frame segments of one delta-pulse cycle.
+def _cycle_coefficients(timeline, error_model=None):
+    """Durations dts, a list of K floats, and 2x2 coefficients c, shape (K, 5, 2, 2),
+    of the K free segments of one delta-pulse cycle, from one walk.
 
-    Returns a list of ToggledSegment whose durations sum to tau_c. Without
-    an error_model the pulses are ideal; with one, the error rotation
-    following each pulse is folded into the next free segment as its
-    toggled generator (rf_scale fixed at 1, so only the deterministic
+    A Hamiltonian written by system quadrants, H = sum_st E_st (x) Q_st,
+    toggles in segment k to the area sum_a c[k, a] (x) Q_a over the basis
+    (Q_00, Q_01, Q_10, Q_11, 1_bath): c[k, st] = dt_k F_k^dag E_st F_k with
+    F_k the ideal frame, and c[k, 4] the pulse-error kicks absorbed into the
+    segment. Without an error_model the pulses are ideal; with one, the
+    error rotation following each pulse is toggled with the frame that
+    includes that pulse (rf_scale fixed at 1, so only the deterministic
     flip-angle and tilt errors enter). A trailing error with no following
     free period cannot be represented this way and raises ContractError.
-    h_free may be the full space or a sector block: its top bit is the
-    system spin, and the kicks take their width from it.
     """
-    h_free = require_hermitian(h_free, "free Hamiltonian")
-    # the ideal frame and the pulse-error kicks act on the system spin
-    # alone, so both stay 2x2
-    segments = []
+    dts, frames, kicks = [], [], []
     frame = np.eye(2, dtype=complex)
     pending = np.zeros((2, 2), dtype=complex)
     for kind, payload in timeline.segments():
         if kind == "free":
-            area = _conjugate(frame.conj().T, h_free) * payload
-            if error_model is not None:
-                # pending (x) 1, without np.kron's overhead on small blocks
-                area = area + np.einsum("st,bc->sbtc", pending, np.eye(len(h_free) // 2)
-                                        ).reshape(area.shape)
-                pending = np.zeros((2, 2), dtype=complex)
-            segments.append(ToggledSegment(payload, area / payload))
+            dts.append(payload)
+            frames.append(frame)
+            kicks.append(pending)
+            pending = np.zeros((2, 2), dtype=complex)
             continue
         if payload.duration != 0.0:
             raise ContractError(
@@ -94,19 +93,50 @@ def toggling_frames(timeline, h_free, error_model=None):
         frame = delta_rotation(payload.axis, payload.nominal_angle) @ frame
         if error_model is not None:
             g = rotation_generator(error_factor(payload, 1.0, error_model))
-            # the error rotation acts after the ideal pulse, so toggle it
-            # with the frame that includes this pulse
             pending = pending + frame.conj().T @ g @ frame
     if float(np.max(np.abs(pending))) > 1e-15:
         raise ContractError(
             "a trailing pulse-error rotation has no following free period to absorb it"
         )
-    total = sum(s.duration for s in segments)
+    total = sum(dts)
     if abs(total - timeline.cycle_time) > 1e-9 * max(1.0, timeline.cycle_time):
         raise ContractError(
             f"segment durations sum to {total}, expected tau_c={timeline.cycle_time}"
         )
-    return segments
+    f = np.array(frames)
+    # (F^dag E_st F)_ij = conj(F_si) F_tj
+    c = np.einsum("k,ksi,ktj->kstij", dts, f.conj(), f).reshape(-1, 4, 2, 2)
+    return dts, np.concatenate((c, np.array(kicks)[:, None]), axis=1)
+
+
+def _quadrants(h):
+    """The system quadrants (Q_00, Q_01, Q_10, Q_11) of h, shape (4, m, m):
+    the system spin is the top bit, so h = sum_st E_st (x) Q_st."""
+    m = len(h) // 2
+    return h.reshape(2, m, 2, m).swapaxes(1, 2).reshape(4, m, m)
+
+
+def _assembled(coef, mats, ident):
+    """sum_n coef[n] (x) mats[n] + ident (x) 1 as a system-major matrix, from
+    one (4, n) @ (n, m^2) product; coef has shape (n, 2, 2)."""
+    n, m = len(mats), mats.shape[-1]
+    out = (coef.reshape(n, 4).T @ mats.reshape(n, m * m)).reshape(2, 2, m * m)
+    out[:, :, :: m + 1] += ident[:, :, None]
+    return out.reshape(2, 2, m, m).swapaxes(1, 2).reshape(2 * m, 2 * m)
+
+
+def toggling_frames(timeline, h_free, error_model=None):
+    """Toggling-frame segments of one delta-pulse cycle.
+
+    Returns a list of ToggledSegment whose durations sum to tau_c, built
+    from the 2x2 coefficients of _cycle_coefficients, which also describes
+    the error_model and the ContractErrors. h_free may be the full space or
+    a sector block: its top bit is the system spin.
+    """
+    h_free = require_hermitian(h_free, "free Hamiltonian")
+    dts, c = _cycle_coefficients(timeline, error_model)
+    quads = _quadrants(h_free)
+    return [ToggledSegment(t, _assembled(ck[:4], quads, ck[4]) / t) for t, ck in zip(dts, c)]
 
 
 def average_hamiltonian(segments):
@@ -128,11 +158,41 @@ def average_hamiltonian(segments):
     return running / tau_c, acc * (-1j / (2.0 * tau_c))
 
 
+def _fold(h, tau_c, r, d):
+    """(H0, H1) of one block h from the cycle sums of _sector_averages.
+
+    With the areas A_k = sum_a c[k, a] (x) Q_a, tau_c H0 = sum_a r[a] (x) Q_a
+    and the commutator sum is sum_ab d[a, b] (x) Q_a Q_b, so a block costs at
+    most 16 quadrant products whatever the number of segments.
+    """
+    quads = _quadrants(h)
+    # quadrants that are exactly zero drop out; H_free conserves the system
+    # S_z, so its off-diagonal pair always does
+    live = [a for a in range(4) if quads[a].any()]
+    q = quads[live]
+    n = len(live)
+    h0 = _assembled(r[live], q, r[4]) / tau_c
+    # Q_a 1 = 1 Q_a = Q_a, so the kick rows and columns fold onto Q_a itself
+    coef = np.concatenate((d[np.ix_(live, live)].reshape(n * n, 2, 2),
+                           d[live, 4] + d[4, live]))
+    mats = np.concatenate(((q[:, None] @ q[None, :]).reshape(n * n, *q.shape[1:]), q))
+    return h0, _assembled(coef, mats, d[4, 4]) * (-1j / (2.0 * tau_c))
+
+
 def _sector_averages(timeline, blocks, error_model=None):
-    """(H0, H1) of one cycle for each sector block of a Hamiltonian, each
-    block toggled alone and yielded in turn."""
+    """(H0, H1) of one cycle for each sector block of a Hamiltonian, yielded
+    in turn: one walk over the cycle gives r = sum_k c[k] and
+    d[a, b] = sum_{k<l} (c[l, a] c[k, b] - c[k, a] c[l, b]) from the 2x2
+    coefficients c of _cycle_coefficients, and _fold builds each block from
+    them. The blocks are not checked for Hermiticity here."""
+    dts, c = _cycle_coefficients(timeline, error_model)
+    # earlier[l] = sum_{k<l} c[k]
+    earlier = np.concatenate((np.zeros_like(c[:1]), np.cumsum(c[:-1], axis=0)))
+    d = (np.einsum("lasi,lbij->absj", c, earlier)
+         - np.einsum("lasi,lbij->absj", earlier, c))
+    r, tau_c = c.sum(axis=0), sum(dts)
     for h in blocks:
-        yield average_hamiltonian(toggling_frames(timeline, h, error_model))
+        yield _fold(h, tau_c, r, d)
 
 
 def _norm(blocks):
@@ -301,7 +361,7 @@ def magnus_defect(timeline, h_free, ops):
     sector, and its free steps per system S_z half of each sector, so h_free
     must conserve the total bath I_z and the system S_z, as H_SE + H_E does.
     """
-    h_free = np.asarray(h_free, dtype=complex)
+    h_free = require_hermitian(np.asarray(h_free, dtype=complex), "free Hamiltonian")
     sectors = _sectors(ops.n_bath)
     h_blocks = _sector_blocks(h_free, sectors)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(h_free))))

@@ -69,7 +69,8 @@ def require_hermitian(h, what="operator", atol=HERMITIAN_ATOL):
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractError(f"{what} must be a square matrix, got shape {h.shape}")
     scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    # |conj(h) - h^T| is |h - h^dag| transposed, without a strided conjugate
+    dev = float(np.max(np.abs(h.conj() - h.T))) if h.size else 0.0
     if dev > atol * scale:
         raise ContractError(f"{what} is not Hermitian: max deviation {dev:.3e}")
     return h
@@ -83,7 +84,8 @@ class Propagator:
     duration: float
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=complex)
+        # a copy, so that freezing it below leaves the caller's array writable
+        m = np.array(self.matrix, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractError(f"propagator must be square, got shape {m.shape}")
         dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))

@@ -15,8 +15,8 @@ rotations compose to a global phase), so only a fluctuating axis can
 damage the spin component along the pulse axis.
 
 A delta pulse touches the system spin only: it stays a 2x2 rotation
-(delta_rotation) that _left and _conjugate apply to the system factor of a
-full-space or sector matrix, and the engine to all its sectors at once; a
+(delta_rotation) that _left applies to the system factor of a full-space
+or sector matrix, and the engine to all its sectors at once; a
 jittered cycle builds all its rotations in one delta_rotations call;
 only the public builders ideal_pulse and real_pulse embed it as
 R (x) 1_bath. Its 2x2 error factor E gives U_real =
@@ -240,13 +240,6 @@ def _left(u, a):
     """u @ a; a 2x2 u is a system-spin rotation and acts on the system
     factor of `a` alone, never embedded in the full space."""
     return (u @ a.reshape(u.shape[0], -1)).reshape(a.shape)
-
-
-def _conjugate(u, a):
-    """u @ a @ u^dag, with a 2x2 u acting on the system factor as in _left."""
-    if u.shape == a.shape:
-        return u @ a @ u.conj().T
-    return _left(u, _left(u, a).conj().T).conj().T
 
 
 def _embedded(r2, ops):

@@ -105,24 +105,33 @@ def test_rotation_generator_refuses_a_non_unitary(u):
 def test_magnus_defect_stays_within_the_sector_blocks(monkeypatch):
     m = default_model(seed=37, n_bath=7)
     h = build_h_free(m)
-    widths, toggled = [], []
-    eigh, toggle = np.linalg.eigh, avgham.toggling_frames
+    widths, folded = [], []
+    eigh, fold = np.linalg.eigh, avgham._fold
 
     def counted(a, *args, **kwargs):
         widths.append(np.shape(a)[-1])
         return eigh(a, *args, **kwargs)
 
-    def recorded(timeline, h_free, *args, **kwargs):
-        toggled.append(np.shape(h_free)[-1])
-        return toggle(timeline, h_free, *args, **kwargs)
+    def recorded(block, *args, **kwargs):
+        folded.append(np.shape(block)[-1])
+        return fold(block, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    monkeypatch.setattr(avgham, "toggling_frames", recorded)
+    monkeypatch.setattr(avgham, "_fold", recorded)
     for order in (1, 2):
         assert magnus_defect(compile_cdd(order, 5.0), h, m.ops) > 0
     assert widths and max(widths) == 70
-    # the frames toggle each sector block, never the full space
-    assert toggled and max(toggled) == 70
+    # the averages are folded per sector block, never on the full space
+    assert folded and max(folded) == 70
+
+
+def test_magnus_defect_refuses_a_non_hermitian_hamiltonian():
+    # the imaginary diagonal keeps every sector and the system S_z, so only
+    # the Hermiticity check can refuse it
+    m = small_model(seed=3)
+    h = build_h_free(m) + 0.01j * np.diag(np.arange(m.ops.dim))
+    with pytest.raises(ContractError, match="not Hermitian"):
+        magnus_defect(compile_pdd(10.0), h, m.ops)
 
 
 def test_magnus_defect_shrinks_cubically():
@@ -250,6 +259,8 @@ def test_system_rotations_match_full_space_reference(family, order, udd_pulses, 
     tl = compile_family(family, 13.0, 0.0, 1, order, udd_pulses)
     err = ErrorModel(flip_angle_fraction=0.04, axis_tilt=0.03)
     sectors = _sectors(n_bath)
+    blocks = _sector_blocks(h, sectors)
+    scale = float(np.linalg.norm(h))
     refs = {}
     for pulse_model, error_model in (("ideal", None), ("errored", err)):
         try:
@@ -258,18 +269,42 @@ def test_system_rotations_match_full_space_reference(family, order, udd_pulses, 
             # pdd and cdd end on a pulse, so an errored cycle is undefined
             with pytest.raises(ContractError, match="trailing"):
                 toggling_frames(tl, h, error_model)
+            with pytest.raises(ContractError, match="trailing"):
+                next(avgham._sector_averages(tl, blocks, error_model))
             continue
         got = toggling_frames(tl, h, error_model)
         assert [s.duration for s in got] == [s.duration for s in ref]
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.h_tilde - r.h_tilde)) < 1e-12
         # each sector block toggles alone, with its kicks at the block's width
-        for idx, block in zip(sectors, _sector_blocks(h, sectors)):
+        for idx, block in zip(sectors, blocks):
             got = toggling_frames(tl, block, error_model)
             for g, r in zip(got, ref, strict=True):
                 assert np.max(np.abs(g.h_tilde - r.h_tilde[np.ix_(idx, idx)])) < 1e-12
+        # and the one-walk fold of each block matches the full-space average
+        h0, h1 = average_hamiltonian(ref)
+        folded = avgham._sector_averages(tl, blocks, error_model)
+        for idx, (g0, g1) in zip(sectors, folded, strict=True):
+            assert np.max(np.abs(g0 - h0[np.ix_(idx, idx)])) < 1e-13 * scale
+            assert np.max(np.abs(g1 - h1[np.ix_(idx, idx)])) < 1e-13 * scale**2 * tl.cycle_time
     expected = _full_space_magnus_defect(tl, h, m.ops, refs["ideal"])
     assert abs(magnus_defect(tl, h, m.ops) - expected) <= 1e-10 * expected
+
+
+def test_sector_averages_build_each_kick_generator_once(monkeypatch):
+    m = default_model(seed=37, n_bath=7)
+    tl = compile_cpmg(13.0, 0.0)
+    calls = []
+    generator = avgham.rotation_generator
+
+    def counted(u):
+        calls.append(u)
+        return generator(u)
+
+    monkeypatch.setattr(avgham, "rotation_generator", counted)
+    avgham._cycle_norms(tl, m, ErrorModel(flip_angle_fraction=0.04, axis_tilt=0.03))
+    # once per pulse, not once per pulse per sector block
+    assert len(calls) == len(tl.events) == 2
 
 
 def _dense_claim_norms(n_bath, eps=0.05):
@@ -332,3 +367,18 @@ def test_avgham_forms_no_full_space_matrix(run, tmp_path):
         tracemalloc.stop()
     # one dense 2^10 complex matrix is 16 MiB
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_avgham_cli_holds_one_block_at_a_time(tmp_path):
+    # cdd2 has 16 free segments: holding all of them as toggled matrices of
+    # the widest 9-spin block (252 states, 1 MiB each) alone takes 16 MiB
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[bath]\nn_bath = 9\n\n[sequence]\nfamily = cdd\norder = 2\n",
+                   encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["avgham", "--config", str(cfg), "--json", str(tmp_path / "a.json")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -35,6 +35,15 @@ def test_operator_arrays_are_read_only():
         evolve(np.diag([0.5, -0.5]), 1.0).matrix[0, 0] = 1.0
 
 
+def test_propagator_freezes_a_copy_of_the_callers_array():
+    a = np.eye(2, dtype=complex)
+    p = Propagator(a, 0.0)
+    a[0, 0] = 2.0
+    assert p.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        p.matrix[0, 0] = 2.0
+
+
 def test_bath_cap_enforced():
     with pytest.raises(ResourceLimitError):
         build_operator_set(13)
