@@ -24,8 +24,8 @@ import numpy as np
 
 from .engine import _free_table, _interval_products, _unitary_eig
 from .errors import ContractError
-from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _scattered, _sector_blocks,
-                           _sectors, build_h_free, default_model)
+from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _sector_blocks, _sectors,
+                           build_h_free, default_model)
 from .operators import (_SPIN_HALF, UNITARY_ATOL, _checked_n_bath, exp_propagators,
                         require_hermitian)
 from .pulses import ErrorModel, _left, delta_rotation, error_factor, ideal_frame
@@ -362,18 +362,21 @@ def magnus_defect(timeline, h_free, ops):
     must conserve the total bath I_z and the system S_z, as H_SE + H_E does.
     """
     h_free = require_hermitian(np.asarray(h_free, dtype=complex), "free Hamiltonian")
+    a = np.abs(h_free)
+    tol = 1e-12 * max(1.0, float(np.max(a)))
+    # basis states of one bath sector and one system half, by their bits
+    z = _basis_z(ops.n_bath + 1)
+    up = np.sum(z[1:] > 0, axis=0)
+    label = up + (ops.n_bath + 1) * (z[0] < 0)
+    outside = float(np.max(a, where=label[:, None] != label, initial=0.0))
+    if outside > tol:
+        off = float(np.max(a, where=up[:, None] != up, initial=0.0))
+        raise ContractError(
+            f"h_free couples bath-magnetization sectors (max off-sector entry {off:.3e})"
+            if off > tol else
+            f"h_free couples the system spin's up and down halves (max entry {outside:.3e})")
     sectors = _sectors(ops.n_bath)
     h_blocks = _sector_blocks(h_free, sectors)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(h_free))))
-    off = float(np.max(np.abs(h_free - _scattered(h_blocks, sectors))))
-    if off > tol:
-        raise ContractError(f"h_free couples bath-magnetization sectors (max off-sector "
-                            f"entry {off:.3e})")
-    # the system spin is the top bit, so its S_z halves are the quadrants
-    flips = np.max(np.abs(h_free[:ops.dim // 2, ops.dim // 2:]))
-    if flips > tol:
-        raise ContractError(f"h_free couples the system spin's up and down halves (max "
-                            f"entry {flips:.3e})")
     # error-free pulses at unit RF scale are exactly the ideal rotations
     pieces = timeline.segments()
     free_us = _free_table(h_blocks, {dt for kind, dt in pieces if kind == "free"})

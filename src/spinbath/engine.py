@@ -23,9 +23,9 @@ survival overlap is the sum of the per-block traces. The diagonalizations
 then cost O(sum_k (2 C(n, k))^3) instead of O(2^(3(n+1))); at n = 7 the
 blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide. build_h_free fills these
 blocks from the basis bits, with no dense matrix. H_free also conserves the
-system S_z, so a free step is two (C, C) halves per sector (_free_table).
-Their eigenpairs are kept for the last model seen, so a sweep over delays
-on one bath diagonalizes H_free once.
+system S_z, so a free step is two real symmetric (C, C) halves per sector
+(_free_table). Their eigenpairs are kept for the last model seen, so a
+sweep over delays on one bath diagonalizes H_free once.
 
 Flipping every spin, Q = (u . sigma) (x) J_bath for an in-plane unit
 vector u, turns S_z and every I_z^j over and so leaves H_free unchanged; it
@@ -48,13 +48,18 @@ draws one RF amplitude scale (static inhomogeneity) from the error model,
 with a generator seeded deterministically from (master_seed, k). When all
 errors are static within a realization, the cycle propagator is built
 once per realization; long runs then advance through its eigenphase
-powers, at O(dim^2) per cycle instead of O(dim^3). A cycle propagator is
-unitary, so each block is diagonalized in a unitary eigenbasis taken from
-a Hermitian eigh (_unitary_eig); a block whose basis leaves an
+powers, at O(dim^2) per cycle instead of O(dim^3). Each block gets a
+unitary eigenbasis from a Hermitian eigh (_unitary_eig); one with an
 off-diagonal residual above 1e-13 sends the realization down the direct
-loop that short runs take. These powers and the bath correlations are one
-eigenbasis sum, Re sum_ab W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2,
-which _autocorrelation forms and _spectral_series evaluates with no weight
+loop. Time reversal makes that eigh real for cpmg, cp, delta-pulse udd and
+FID: in the frame S = diag(exp(-i phi/2), exp(i phi/2)) (x) 1 of a paired
+run's pulse axis c = exp(i phi) (_axis_frame) every free step and pulse is
+symmetric, so a cycle whose segments read the same backwards is too, and
+a symmetric unitary A + iB (A, B real symmetric, commuting) has a real
+orthogonal eigenbasis; cpmg2, finite-pulse udd and unpaired runs stay
+complex. These powers and the bath correlations are one eigenbasis sum,
+Re sum_ab W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2, which
+_autocorrelation forms and _spectral_series evaluates with no weight
 dropped. Pulse-to-pulse tilt jitter breaks the reuse: the direct loop
 carries every sector's accumulated propagator W in one buffer
 (_Accumulated), a static run applies its interval products to it, and a
@@ -327,7 +332,8 @@ def _free_table(h_blocks, dts):
     system-diagonal halves, from one eigh of both halves per block.
 
     H_k must conserve the system S_z, as H_free does, so that it is
-    diag(H_E,k + D_k/2, H_E,k - D_k/2) with D = sum_j b_j I_z^j.
+    diag(H_E,k + D_k/2, H_E,k - D_k/2) with D = sum_j b_j I_z^j. Halves
+    with no imaginary part, as H_free's, are diagonalized and kept real.
 
     The eigenpairs of the last halves diagonalized stay in one slot: a call
     whose halves are np.array_equal to them, such as the next delay of a
@@ -340,7 +346,8 @@ def _free_table(h_blocks, dts):
     halves = []
     for h in h_blocks:
         c = len(h) // 2
-        halves.append(np.stack((h[:c, :c], h[c:, c:])))
+        x = np.stack((h[:c, :c], h[c:, c:]))
+        halves.append(x if x.imag.any() else x.real.copy())
     slot = _free_eigs
     if slot is not None and len(slot[0]) == len(halves) and all(
             np.array_equal(a, b) for a, b in zip(slot[0], halves)):
@@ -459,6 +466,13 @@ def _parity_blocks(x, c):
             0.5 * (odd - bj + jc), 0.5 * (odd + bj - jc))
 
 
+def _axis_frame(x, c):
+    """S^dag X S, S = diag(exp(-i phi/2), exp(i phi/2)) (x) 1 with c = exp(i phi),
+    for a block X in system halves: its off-diagonal halves times c, conj(c)."""
+    n = len(x) // 2
+    return np.block([[x[:n, :n], c * x[:n, n:]], [np.conj(c) * x[n:, :n], x[n:, n:]]])
+
+
 def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
     """Survival overlaps after 0..n_cycles applications of one propagator,
     given as the kept sector blocks (_Kept), or None when a block has no
@@ -473,16 +487,18 @@ def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
     Under a spin flip Q, sector n - k reads the mirrored S_u' = q S_u q with
     q = u . sigma, so a kept pair adds the autocorrelations of S_u and S_u'
     in sector k: twice those of the parts of S_u even and odd under the
-    flip. The middle block commutes with Q and is diagonalized as its two
-    parity halves; the off-parity part of S_u enters as their cross block,
-    twice for its transpose. An off-parity residual of the cycle block above
+    flip, turned with the pair block into the pulse-axis frame (_axis_frame).
+    The middle block commutes with Q and is diagonalized as its two parity
+    halves; the off-parity part of S_u enters as their cross block, twice
+    for its transpose. An off-parity residual of the cycle block above
     _EIG_RESIDUAL_MAX returns None.
     """
     c = kept.flip
     parts = [s_u]
     if c is not None:
         q = _flip(c)
-        parts = [p for p in (0.5 * (s_u + q @ s_u @ q), 0.5 * (s_u - q @ s_u @ q)) if p.any()]
+        parts = [_axis_frame(p, c) for p in (0.5 * (s_u + q @ s_u @ q),
+                                             0.5 * (s_u - q @ s_u @ q)) if p.any()]
 
     def frequencies(u):
         eig = _unitary_eig(u)
@@ -492,7 +508,7 @@ def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
     for u, m in zip(u_cycle, kept.weights):
         eye = np.eye(len(u) // 2)
         if c is None or m == 2:
-            eig = frequencies(u)
+            eig = frequencies(u if c is None else _axis_frame(u, c))
             if eig is None:
                 return None
             blocks.append((eig, eig, [np.kron(p, eye) for p in parts], m))
@@ -509,11 +525,21 @@ def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
     return np.concatenate(([1.0], _autocorrelation(blocks, np.arange(1, n_cycles + 1))))
 
 
-def _hermitian_part(u, phase):
+def _hermitian_part(u, phase, real=False):
     """(exp(-i phase) U + h.c.) / 2, whose eigenvalues are cos(theta - phase)
-    for the eigenphases theta of a unitary U."""
+    for the eigenphases theta of a unitary U, or its real part."""
     h = np.exp(-1j * phase) * u
-    return 0.5 * (h + h.conj().T)
+    h = 0.5 * (h + h.conj().T)
+    return h.real if real else h
+
+
+def _sandwich(v, a, u):
+    """V^dag A U; for real V, U and a complex A, real products on the (re, im)
+    pairs of A's rows and then of (V^T A)^T's, at half the flops."""
+    if np.iscomplexobj(v) or np.iscomplexobj(u) or not np.iscomplexobj(a):
+        return v.conj().T @ a @ u
+    atv = np.ascontiguousarray((v.T @ np.ascontiguousarray(a).view(float)).view(complex).T)
+    return (u.T @ atv.view(float)).view(complex).T
 
 
 def _unitary_eig(u):
@@ -530,23 +556,27 @@ def _unitary_eig(u):
     _EIG_CLUSTER_GAP, with D = P^dag U P, and one Newton-Schulz step
     P(3 - P^dag P)/2 back to a unitary P then bring the residual to
     roundoff.
+
+    A U symmetric within _EIG_RESIDUAL_MAX has a real orthogonal eigenbasis
+    (module notes), found from real Hermitian parts with a real X and P.
     """
-    w, p = np.linalg.eigh(_hermitian_part(u, _EIG_PHASE))
-    d = p.conj().T @ u @ p
+    real = np.max(np.abs(u - u.T)) <= _EIG_RESIDUAL_MAX
+    w, p = np.linalg.eigh(_hermitian_part(u, _EIG_PHASE, real))
+    d = _sandwich(p, u, p)
     edges = np.flatnonzero(np.diff(w) > _EIG_CLUSTER_GAP) + 1
     if edges.size + 1 < w.size:
         for lo, hi in zip([0, *edges], [*edges, w.size]):
             if hi - lo > 1:
                 _, q = np.linalg.eigh(
-                    _hermitian_part(d[lo:hi, lo:hi], _EIG_PHASE + 0.5 * np.pi))
+                    _hermitian_part(d[lo:hi, lo:hi], _EIG_PHASE + 0.5 * np.pi, real))
                 p[:, lo:hi] = p[:, lo:hi] @ q
-        d = p.conj().T @ u @ p
+        d = _sandwich(p, u, p)
     lam = np.diag(d)
     gap = lam[None, :] - lam[:, None]
     far = np.abs(gap) > _EIG_CLUSTER_GAP
-    p = p + p @ (np.where(far, d, 0.0) / np.where(far, gap, 1.0))
+    p = p + p @ (np.real if real else np.asarray)(np.where(far, d, 0.0) / np.where(far, gap, 1.0))
     p = p @ (1.5 * np.eye(w.size) - 0.5 * (p.conj().T @ p))
-    d = p.conj().T @ u @ p
+    d = _sandwich(p, u, p)
     theta = np.angle(np.diag(d))
     np.fill_diagonal(d, 0.0)
     if np.max(np.abs(d)) > _EIG_RESIDUAL_MAX:
@@ -557,8 +587,9 @@ def _unitary_eig(u):
 def _spectral_series(weights, rows, cols, times):
     """Re sum_ab W_ab exp(i (f_a - g_b) t) for every t of `times`, with row and
     column frequencies f = `rows`, g = `cols` (one array on a diagonal block),
-    as Re sum_a conj(E_a) (W G)_a with E = exp(-i f t), G = exp(-i g t), over
-    blocks of at least 256 times, so memory stays O(dim max(dim, 256)).
+    as Re sum_a conj(E_a) (W G)_a with E = exp(-i f t), G = exp(-i g t) in real
+    products on their (re, im) pairs, W being real, over blocks of at least
+    256 times, so memory stays O(dim max(dim, 256)).
     """
     times = np.asarray(times, dtype=float)
     series = np.empty(times.size)
@@ -566,7 +597,8 @@ def _spectral_series(weights, rows, cols, times):
     for start in range(0, times.size, step):
         e = np.exp(-1j * np.outer(rows, times[start:start + step]))
         g = e if cols is rows else np.exp(-1j * np.outer(cols, times[start:start + step]))
-        series[start:start + step] = np.real(np.einsum("at,at->t", e.conj(), weights @ g))
+        wg = weights @ g.view(float)
+        series[start:start + step] = np.einsum("at,at->t", e.view(float), wg).reshape(-1, 2).sum(1)
     return series
 
 
@@ -765,9 +797,8 @@ def _autocorrelation(blocks, times):
     """
     series, total = 0.0, 0.0
     for (f, v), (g, u), observables, m in blocks:
-        vh = v.conj().T
-        weights = m * sum(np.abs((vh * a if a.ndim == 1 else vh @ a) @ u) ** 2
-                          for a in observables)
+        weights = m * sum(np.abs(_sandwich(v, a, u) if a.ndim == 2 else (v.conj().T * a) @ u)
+                          ** 2 for a in observables)
         series = series + _spectral_series(weights, f, g, times)
         total = total + weights.sum()
     return series / total

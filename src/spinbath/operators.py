@@ -137,4 +137,7 @@ def eig_propagators(eig, times):
     (w, V) of a Hermitian H or of a stack of them, as exp_propagators."""
     w, v = eig
     vh = v.conj().swapaxes(-1, -2)
-    return {t: (v * np.exp(-1j * w[..., None, :] * t)) @ vh for t in times}
+    if np.iscomplexobj(v):
+        return {t: (v * np.exp(-1j * w[..., None, :] * t)) @ vh for t in times}
+    return {t: (v * np.cos(w[..., None, :] * t)) @ vh
+            - 1j * ((v * np.sin(w[..., None, :] * t)) @ vh) for t in times}

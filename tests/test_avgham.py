@@ -291,6 +291,20 @@ def test_system_rotations_match_full_space_reference(family, order, udd_pulses, 
     assert abs(magnus_defect(tl, h, m.ops) - expected) <= 1e-10 * expected
 
 
+@pytest.mark.parametrize("n_bath", [3, 5])
+def test_magnus_defect_keeps_the_imaginary_part_of_a_hermitian_hamiltonian(n_bath):
+    # i g (I+_0 I-_1 - h.c.) conserves S_z and the bath I_z, but its free-step
+    # halves are not real, so they must not be diagonalized as real matrices
+    m = default_model(seed=37, n_bath=n_bath)
+    ops = oracle.full_space(n_bath)
+    flip_flop = (ops.ix[0] + 1j * ops.iy[0]) @ (ops.ix[1] - 1j * ops.iy[1])
+    h = build_h_free(m) + 0.02j * (flip_flop - flip_flop.conj().T)
+    assert np.max(np.abs(h.imag)) > 0.009
+    for tl in (compile_cpmg(13.0, 0.0), compile_cdd(2, 5.0)):
+        expected = _full_space_magnus_defect(tl, h, m.ops, oracle.toggling_frames(tl, h))
+        assert abs(magnus_defect(tl, h, m.ops) - expected) <= 1e-10 * expected
+
+
 def test_sector_averages_build_each_kick_generator_once(monkeypatch):
     m = default_model(seed=37, n_bath=7)
     tl = compile_cpmg(13.0, 0.0)

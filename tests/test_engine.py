@@ -367,6 +367,95 @@ def test_unitary_eig_where_the_hermitian_part_is_degenerate(n):
     _assert_unitary_eigenbasis(_with_eigenphases(theta, rng))
 
 
+def _symmetric_with_eigenphases(theta, rng):
+    """Q exp(i theta) Q^T for a random real orthogonal Q: a complex-symmetric unitary."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(theta), len(theta))))
+    return (q * np.exp(1j * np.asarray(theta))) @ q.T
+
+
+def _eigh_dtypes(monkeypatch):
+    """The dtype of every matrix np.linalg.eigh receives from here on."""
+    eigh, dtypes = np.linalg.eigh, []
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 14, 40, 70, 140])
+def test_unitary_eig_takes_real_arithmetic_on_symmetric_unitaries(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    phi = engine._EIG_PHASE
+    spectra = [rng.uniform(-np.pi, np.pi, n) for _ in range(2)]
+    # the clustered spectra of test_unitary_eig_where_the_hermitian_part_is_degenerate
+    spectra[0][:2] = phi + 0.3, phi - 0.3
+    spectra[1][0], spectra[1][-1] = phi + 1e-9, phi + np.pi - 1e-9
+    if n > 2:
+        spectra[1][1] = phi - 1e-9
+    spectra.append(np.zeros(n))
+    dtypes = _eigh_dtypes(monkeypatch)
+    for theta in spectra:
+        u = _symmetric_with_eigenphases(theta, rng)
+        _assert_unitary_eigenbasis(u)
+        assert np.isrealobj(engine._unitary_eig(u)[1])
+    assert dtypes and all(t == np.float64 for t in dtypes)
+
+
+def _eig_bases(monkeypatch):
+    """The eigenbasis of every block _unitary_eig returns from here on."""
+    kernel, bases = engine._unitary_eig, []
+
+    def recorded(u):
+        eig = kernel(u)
+        bases.append(eig[1])
+        return eig
+
+    monkeypatch.setattr(engine, "_unitary_eig", recorded)
+    return bases
+
+
+def _static_run(family, tau_p, n_bath):
+    """A 20-cycle run of `family` (udd: 4 pulses) with static flip, tilt and RF errors."""
+    return RunSpec(model=default_model(n_bath=n_bath),
+                   timeline=compile_family(family, 10.0, tau_p, 20, udd_pulses=4),
+                   error_model=ErrorModel(rf=GaussianRf(1.0, 0.05), flip_angle_fraction=0.03,
+                                          axis_tilt=0.1),
+                   initial_axis="y", master_seed=3)
+
+
+@pytest.mark.parametrize("n_bath", [3, 6])
+@pytest.mark.parametrize("family, tau_p", [("cpmg", 0.0), ("cp", 1.0), ("udd", 0.0), ("fid", 0.0)])
+def test_time_symmetric_single_axis_cycles_take_the_real_path(family, tau_p, n_bath,
+                                                              monkeypatch):
+    # cycles that read the same backwards with every pulse on one line are
+    # symmetric in the pulse-axis frame, so the free table and every cycle
+    # block are diagonalized in real arithmetic
+    spec = _static_run(family, tau_p, n_bath)
+    bases = _eig_bases(monkeypatch)
+    fast = propagate(spec)
+    assert all(np.isrealobj(v) for _, v in engine._free_eigs[1])
+    # the kept sectors, the middle one as its two parity halves
+    assert len(bases) == n_bath // 2 + 1 + (n_bath % 2 == 0)
+    assert all(np.isrealobj(p) for p in bases)
+    monkeypatch.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+    assert np.max(np.abs(fast.s - propagate(spec).s)) < 1e-12
+
+
+@pytest.mark.parametrize("n_bath", [3, 6])
+@pytest.mark.parametrize("family, tau_p", [("cpmg2", 0.0), ("udd", 0.5)])
+def test_cycles_that_are_no_palindromes_take_the_complex_path(family, tau_p, n_bath,
+                                                              monkeypatch):
+    spec = _static_run(family, tau_p, n_bath)
+    bases = _eig_bases(monkeypatch)
+    fast = propagate(spec)
+    assert bases and all(np.iscomplexobj(p) for p in bases)
+    monkeypatch.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+    assert np.max(np.abs(fast.s - propagate(spec).s)) < 1e-12
+
+
 def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
     spec = RunSpec(model=default_model(n_bath=4),
                    timeline=compile_cpmg(9.0, 0.0, n_cycles=40),
