@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _free_table, _interval_products, _unitary_eig
+from .engine import _interval_products, _Kept, _unitary_eig
 from .errors import ContractError
 from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _sector_blocks, _sectors,
                            build_h_free, default_model)
@@ -379,8 +379,8 @@ def magnus_defect(timeline, h_free, ops):
     h_blocks = _sector_blocks(h_free, sectors)
     # error-free pulses at unit RF scale are exactly the ideal rotations
     pieces = timeline.segments()
-    free_us = _free_table(h_blocks, {dt for kind, dt in pieces if kind == "free"})
-    (u_exact,) = _interval_products([pieces], h_blocks, free_us, ErrorModel(), 1.0)
+    kept = _Kept(h_blocks, {dt for kind, dt in pieces if kind == "free"})
+    u_exact = kept.convert(next(_interval_products([pieces], kept, ErrorModel(), 1.0)), back=True)
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
     return _norm([_left(frame, u) - exp_propagators(h0 + h1, (tau_c,))[tau_c]

@@ -23,9 +23,9 @@ survival overlap is the sum of the per-block traces. The diagonalizations
 then cost O(sum_k (2 C(n, k))^3) instead of O(2^(3(n+1))); at n = 7 the
 blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide. build_h_free fills these
 blocks from the basis bits, with no dense matrix. H_free also conserves the
-system S_z, so a free step is two real symmetric (C, C) halves per sector
-(_free_table). Their eigenpairs are kept for the last model seen, so a
-sweep over delays on one bath diagonalizes H_free once.
+system S_z, so each sector block has two real symmetric (C, C) halves
+H_s = V_s diag(w_s) V_s^T, s = +, - (_free_eigensystems), kept for the last
+model seen, so a sweep over delays on one bath diagonalizes H_free once.
 
 Flipping every spin, Q = (u . sigma) (x) J_bath for an in-plane unit
 vector u, turns S_z and every I_z^j over and so leaves H_free unchanged; it
@@ -38,10 +38,8 @@ times Q^dag. Such a run keeps the sectors k < n - k with weight 2, plus the
 middle sector k = n/2 (_mirror_sectors). Sector n - k then reads the
 mirrored observable q S_u q and detection frame q d q, q = u . sigma, in
 sector k. The powered path splits the middle block, which commutes with Q,
-into its Q = +1 and -1 halves (_parity_blocks). The free table still covers
-every sector: each of its eigh calls runs once per model in a delay sweep,
-and the benchmark's frozen count test expects one per sector. Bath
-correlations pair their H_E sectors the same way (_bath_blocks).
+into its Q = +1 and -1 halves (_parity_blocks). Bath correlations pair
+their H_E sectors the same way (_bath_blocks).
 
 Ensemble averaging covers pulse-error realizations only: each realization
 draws one RF amplitude scale (static inhomogeneity) from the error model,
@@ -62,8 +60,15 @@ Re sum_ab W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2, which
 _autocorrelation forms and _spectral_series evaluates with no weight
 dropped. Pulse-to-pulse tilt jitter breaks the reuse: the direct loop
 carries every sector's accumulated propagator W in one buffer
-(_Accumulated), a static run applies its interval products to it, and a
-jittered run applies each free step and each freshly drawn pulse.
+(_Accumulated), in the eigenframe of the free halves, X_s = V_s^T W_s. A
+free step is then one multiply of the whole buffer by the phases
+exp(-i w dt). A delta pulse [[a, b], [c, d]] is X_+ <- a X_+ + b M X_- and
+X_- <- c M^T X_+ + d X_- with the real mixing M = V_+^T V_-, one real
+product per sector width. The survival Gram reads X within a half, and
+Tr{W_+ W_-^dag} = vdot(M X_-, X_+) across them. A static run applies its
+interval products and a jittered run each free step and each freshly drawn
+pulse; a finite pulse or a product is turned into the frame as V^T U V
+(_Kept.convert), and back for the powered path and avgham.magnus_defect.
 
 The direct loop needs W only on the prepared state's system column |+u>,
 S_u = |+u><+u| - 1/2: W is unitary and the detection operator d is
@@ -72,9 +77,8 @@ the same s as reading S_u (x) 1. So it carries W (|+u> (x) 1), half the
 columns of W, at half the flops of every step (_initial_columns). A paired
 sector n - k reads q S_u q; when that is +-S_u, |+u> serves it through the
 key (_detection_key), otherwise (a static axis tilt, with S_u in-plane)
-q|+u> rides along as a second column. The interval products are still
-built from the identity's two columns, as the powered path and
-avgham.magnus_defect need whole products.
+q|+u> rides along as a second column. Interval products carry the frame's
+whole identity, as the powered path and avgham.magnus_defect need them whole.
 
 Detection follows the ideal pulse frame, the numerical analog of a
 receiver phase that tracks where a perfect sequence would have parked the
@@ -93,7 +97,7 @@ import numpy as np
 
 from .errors import ContractError
 from .hamiltonians import _basis_z, _h_e_blocks, _mirror_sectors, _sectors, build_h_free
-from .operators import _SPIN_HALF, eig_propagators, exp_propagators
+from .operators import _SPIN_HALF, exp_propagators
 from .pulses import (ErrorModel, _driven_hamiltonian, axis_vector, delta_rotation,
                      delta_rotations, ideal_frame, sample_rf_scale, split_axis)
 from .util import first_crossing, fmt, realization_rng, require_int
@@ -219,13 +223,13 @@ def _pulse_blocks(ev, h_blocks, err, rf_scale, tilt=None):
     return delta_rotation(ev.axis, ev.nominal_angle, rf_scale, err, tilt)
 
 
-def _jittered_cycles(pieces, h_blocks, free_us, err, rf_scale, rng):
+def _jittered_cycles(pieces, kept, err, rf_scale, rng):
     """A function that returns the operators of each interval of the next
     jittered cycle, in the order _Accumulated.advance applies them: free
-    steps from the table free_us, and each pulse built at a fresh axis tilt.
-    A cycle's tilts come from one rng.normal call in time order, the same
-    stream as one draw per pulse, and its delta rotations from one call of
-    pulses.delta_rotations."""
+    steps by their length, and each pulse built at a fresh axis tilt in the
+    frame (_Kept.convert). A cycle's tilts come from one rng.normal call in
+    time order, the same stream as one draw per pulse, and its delta
+    rotations from one call of pulses.delta_rotations."""
     events = [p for segments in pieces for kind, p in segments if kind == "pulse"]
     delta = [i for i, ev in enumerate(events) if ev.duration == 0]
     if delta:
@@ -236,113 +240,178 @@ def _jittered_cycles(pieces, h_blocks, free_us, err, rf_scale, rng):
         tilts = rng.normal(err.axis_tilt, err.tilt_jitter_sd, size=len(events))
         rotated = iter(rotations(tilts[delta]) if delta else ())
         pulses = iter([next(rotated) if ev.duration == 0 else
-                       _pulse_blocks(ev, h_blocks, err, rf_scale, tilt)
+                       kept.convert(_pulse_blocks(ev, kept.h_blocks, err, rf_scale, tilt))
                        for ev, tilt in zip(events, tilts)])
-        return [[free_us[p] if kind == "free" else next(pulses) for kind, p in segments]
+        return [[p if kind == "free" else next(pulses) for kind, p in segments]
                 for segments in pieces]
 
     return cycle
 
 
 def _advance(u, w, out):
-    """out = U W for one sector's blocks w, out of shape (T, 2, C, C) (see
-    _Accumulated): U is a free step's (2, C, C) system-diagonal halves
-    (_free_table) or a full (2C, 2C) block, a finite pulse or an interval
-    product."""
-    if u.ndim == 3:
-        np.matmul(u, w, out=out)
-    else:
-        out[...] = (u @ w.reshape(len(w), len(u), -1)).reshape(out.shape)
+    """out = U W for one sector's full (2C, 2C) block U in the frame, a finite
+    pulse or an interval product, and its blocks w and out (_Accumulated)."""
+    out[...] = (u @ w.reshape(len(w), len(u), -1)).reshape(out.shape)
+
+
+def _mix(m, x, out):
+    """out = M X in M's dtype: float views of X and out for a real M."""
+    np.matmul(m, x, out=out)
+
+
+class _Kept:
+    """The sector blocks a run propagates: every sector, or under a spin flip
+    of phase `flip` (_flip_phase) the _mirror_sectors, with their H_free
+    blocks, weights and eigensystems (w, V, M) (_free_eigensystems, which
+    cover every sector: the frozen count test expects one eigh per sector),
+    and the phase steps exp(-i w dt) of the free steps `dts`. The buffer
+    layout (_Accumulated) orders them by width, so that k and n - k sit side
+    by side; `groups` holds each width's buffer slice, block shape and
+    stacked mixings [M, M^dag].
+    """
+
+    def __init__(self, h_blocks, dts, flip=None):
+        eigs, n, self.flip = _free_eigensystems(h_blocks), len(h_blocks), flip
+        pairs = _mirror_sectors(n - 1) if flip is not None else [(k, 1) for k in range(n)]
+        ks, self.weights = zip(*pairs)
+        self.h_blocks, self.eigs = [h_blocks[k] for k in ks], [eigs[k] for k in ks]
+        self.widths = [len(h) // 2 for h in self.h_blocks]
+        order = sorted(range(len(ks)), key=self.widths.__getitem__)
+        ends = dict(zip(order, np.cumsum([self.widths[i] ** 2 for i in order])))
+        self.slices = [slice(ends[i] - c * c, ends[i]) for i, c in enumerate(self.widths)]
+        self.size, self.groups = ends[order[-1]], []
+        for c in sorted(set(self.widths)):
+            members = [i for i in order if self.widths[i] == c]
+            m = np.stack([self.eigs[i][2] for i in members])
+            self.groups.append((slice(self.slices[members[0]].start, ends[members[-1]]),
+                                m.shape, np.stack((m, m.conj().swapaxes(1, 2)))))
+        w = np.hstack([self.eigs[i][0] for i in order])
+        rows = np.repeat(np.arange(w.shape[1]), [self.widths[i] for i in order
+                                                 for _ in range(self.widths[i])])
+        self.phases = {dt: np.take(np.exp(-1j * dt * w), rows, axis=1) for dt in dts}
+
+    def convert(self, us, back=False):
+        """A list of sector blocks U turned into the frame, V^dag U V with V =
+        diag(V_+, V_-), or with `back` out of it, V U V^dag; a 2x2 system
+        rotation is returned as it is, for _Accumulated.advance mixes it."""
+        if not isinstance(us, list):
+            return us
+        vs = [v.conj().swapaxes(1, 2) if back else v for _, v, _ in self.eigs]
+        return [_sandwich(v[:, None], u.reshape(2, len(v[0]), 2, -1).swapaxes(1, 2), v[None])
+                .swapaxes(1, 2).reshape(len(u), -1) for u, v in zip(us, vs)]
 
 
 class _Accumulated:
-    """The accumulated propagators W of every sector applied to T initial
-    system columns psi_t, W (psi_t (x) 1): the full W for the columns of
-    the identity, one column of it for a prepared state.
+    """The accumulated propagators W of the kept sectors (_Kept) applied to T
+    initial system columns psi_t, W (psi_t (x) 1), in their free eigenframe
+    X_s = V_s^dag W_s (module notes).
 
-    They share one buffer of shape (T, 2, sum_k C_k^2), column-major: row
-    [t, s] holds the (C, C) blocks <s|W|psi_t> of row system state s of each
-    sector in turn, and blocks[k] views sector k as (T, 2, C, C). A delta
-    pulse and the survival Gram then take one matmul for all sectors; each
-    free step or full block takes one per sector. Each step writes the
-    second of two buffers and swaps them. A sector of weight m starts at
-    sqrt(m) psi_t (x) 1, so the Gram counts it m times.
+    They share one buffer of shape (T, 2, sum_k C_k^2): row [t, s] holds the
+    (C, C) blocks V_s^dag <s|W|psi_t> of each sector in the kept layout, and
+    blocks[k] views sector k as (T, 2, C, C). Each step but a free one writes
+    the second of two buffers and swaps them. A sector of weight m starts at
+    sqrt(m) psi_t (x) 1, so the Gram counts it m times; without columns W
+    starts at the frame's identity and comes out as V^dag W V.
     """
 
-    def __init__(self, widths, columns, weights=None):
-        offsets = np.cumsum([0] + [c * c for c in widths])
-        t = columns.shape[1]
-        self._buffers = [np.zeros((t, 2, offsets[-1]), dtype=complex) for _ in range(2)]
-        self._blocks = [[b[..., o:o + c * c].reshape(t, 2, c, c)
-                         for o, c in zip(offsets, widths)] for b in self._buffers]
-        for block, m in zip(self.blocks, weights or [1] * len(widths)):
-            diagonal = np.arange(len(block[0, 0]))
-            block[:, :, diagonal, diagonal] = math.sqrt(m) * columns.T[:, :, None]
+    def __init__(self, kept, columns=None):
+        t = 2 if columns is None else columns.shape[1]
+        self._phases = kept.phases
+        buffers = [np.empty((t, 2, kept.size), dtype=complex) for _ in range(2)]
+        # per buffer x: it, its sector blocks, and the _mix operands of a pulse
+        # (M X_-, M^dag X_+ into the other buffer) and of the Gram (M X_- only)
+        self._states = [
+            (x, [x[..., sl].reshape(t, 2, c, c) for sl, c in zip(kept.slices, kept.widths)],
+             [(m, x[:, ::-1, sl].reshape(t, 2, *shape).view(m.dtype),
+               out[:, :, sl].reshape(t, 2, *shape).view(m.dtype)) for sl, shape, m in kept.groups],
+             [(m[0], x[:, 1, sl].reshape(t, *shape).view(m.dtype),
+               out[:, 0, sl].reshape(t, *shape).view(m.dtype)) for sl, shape, m in kept.groups])
+            for x, out in (buffers, buffers[::-1])]
+        for block, (_, v, _), m in zip(self.blocks, kept.eigs, kept.weights):
+            block[...] = np.eye(len(v[0])) if columns is None else v.conj().swapaxes(1, 2)
+            block *= (np.eye(2) if columns is None else math.sqrt(m) * columns.T)[:, :, None, None]
 
     @property
     def blocks(self):
-        return self._blocks[0]
+        return self._states[0][1]
 
-    def advance(self, us):
-        """W <- U W for one 2x2 rotation `us` of the system spin, or a list
-        of one operator per sector (see _advance)."""
-        if isinstance(us, list):
-            for u, w, out in zip(us, *self._blocks):
-                _advance(u, w, out)
+    def advance(self, op):
+        """W <- U W for a free step of length `op`, a 2x2 rotation `op` of the
+        system spin, or a list `op` of full blocks in the frame (_advance)."""
+        (x, blocks, mixes, _), (out, out_blocks, _, _) = self._states
+        if isinstance(op, float):
+            x *= self._phases[op]
+            return
+        if isinstance(op, list):
+            for u, w, o in zip(op, blocks, out_blocks):
+                _advance(u, w, o)
         else:
-            np.matmul(us, self._buffers[0], out=self._buffers[1])
-        self._buffers.reverse()
-        self._blocks.reverse()
+            for m, xin, o in mixes:
+                _mix(m, xin, o)
+            # x is spent once mixed, so it takes the diagonal terms in place
+            for s, (diag, off) in enumerate(((op[0, 0], op[0, 1]), (op[1, 1], op[1, 0]))):
+                out[:, s] *= off
+                x[:, s] *= diag
+                out[:, s] += x[:, s]
+        self._states.reverse()
 
     def gram(self):
-        """The (2T, 2T) Gram matrix of the [t, s] rows, summed over sectors."""
-        x = self._buffers[0].reshape(2 * len(self._buffers[0]), -1)
-        return x @ x.conj().T
+        """The (2T, 2T) Gram of the [t, s] rows of W, summed over sectors: one
+        vdot of X within a half, Tr{W_+ W_-^dag} = vdot(M X_-, X_+) across."""
+        (x, _, _, mixes), (out, *_) = self._states
+        for m, xin, o in mixes:
+            _mix(m, xin, o)
+        x0, x1, r = x[:, 0], x[:, 1], out[:, 0]
+        # (b, a) of the entry vdot(b[u], a[t]) at [(t, s), (u, z)], per s and z
+        pairs, ts = (((x0, x0), (r, x0)), ((x0, r), (x1, x1))), range(len(x))
+        return np.array([[np.vdot(b[u], a[t]) for u in ts for b, a in pairs[s]]
+                         for t in ts for s in (0, 1)])
 
 
-def _interval_products(pieces, h_blocks, free_us, err, rf_scale):
+def _interval_products(pieces, kept, err, rf_scale):
     """Yield, for each segment list of `pieces` in order, the per-sector
-    product of its segment propagators as full (2C, 2C) blocks.
+    product of its segment propagators in the frame (_Kept), V^dag U V,
+    as full (2C, 2C) blocks.
 
-    Free segments are read from the shared table free_us (_free_table) and
-    pulses built by _pulse_blocks. The errors are static: each pulse shape is
-    built once, and segment lists of equal shape yield one shared product.
+    Free segments are phase steps and pulses are built by _pulse_blocks. The
+    errors are static: each pulse shape is built once, and segment lists of
+    equal shape yield one shared product.
     """
     events = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
-    pulses = {key: _pulse_blocks(ev, h_blocks, err, rf_scale) for key, ev in events.items()}
+    pulses = {key: kept.convert(_pulse_blocks(ev, kept.h_blocks, err, rf_scale))
+              for key, ev in events.items()}
     shared = {}
     for segments in pieces:
         key = tuple(p if kind == "free" else _shape(p) for kind, p in segments)
         if key not in shared:
-            w = _Accumulated([len(h) // 2 for h in h_blocks], np.eye(2))
+            w = _Accumulated(kept)
             for kind, p in segments:
-                w.advance(free_us[p] if kind == "free" else pulses[_shape(p)])
+                w.advance(p if kind == "free" else pulses[_shape(p)])
             shared[key] = [b.transpose(1, 2, 0, 3).reshape(2 * len(b[0, 0]), -1)
                            for b in w.blocks]
         yield shared[key]
 
 
-# (halves, eigenpairs) of the last blocks _free_table diagonalized, replaced
-# whole on a miss; at n_bath 7 each of the two takes about 110 KB
+# (halves, eigensystems) of the last blocks _free_eigensystems diagonalized,
+# replaced whole on a miss
 _free_eigs = None
 
 
-def _free_table(h_blocks, dts):
-    """{dt: [exp(-i H_k dt) for each block H_k]}, each as its (2, C, C)
-    system-diagonal halves, from one eigh of both halves per block.
+def _free_eigensystems(h_blocks):
+    """[(w, V, M)] per block H_k: the eigenpairs H_s = V_s diag(w_s) V_s^dag of
+    its two system halves s = +, -, stacked as w (2, C) and V (2, C, C), and
+    their mixing M = V_+^dag V_-, from one eigh of both halves.
 
     H_k must conserve the system S_z, as H_free does, so that it is
     diag(H_E,k + D_k/2, H_E,k - D_k/2) with D = sum_j b_j I_z^j. Halves
     with no imaginary part, as H_free's, are diagonalized and kept real.
 
-    The eigenpairs of the last halves diagonalized stay in one slot: a call
-    whose halves are np.array_equal to them, such as the next delay of a
-    sweep on one model, skips every eigh. eigh is deterministic, so a hit
+    The eigensystems of the last halves diagonalized stay in one slot: a
+    call whose halves are np.array_equal to them, such as the next delay of
+    a sweep on one model, skips every eigh. eigh is deterministic, so a hit
     gives the same bits as a miss.
     """
     global _free_eigs
-    if not dts:
-        return {}
     halves = []
     for h in h_blocks:
         c = len(h) // 2
@@ -351,12 +420,10 @@ def _free_table(h_blocks, dts):
     slot = _free_eigs
     if slot is not None and len(slot[0]) == len(halves) and all(
             np.array_equal(a, b) for a, b in zip(slot[0], halves)):
-        eigs = slot[1]
-    else:
-        eigs = [np.linalg.eigh(x) for x in halves]
-        _free_eigs = (halves, eigs)
-    tables = [eig_propagators(eig, dts) for eig in eigs]
-    return {dt: [table[dt] for table in tables] for dt in dts}
+        return slot[1]
+    eigs = [(w, v, v[0].conj().T @ v[1]) for w, v in map(np.linalg.eigh, halves)]
+    _free_eigs = (halves, eigs)
+    return eigs
 
 
 def _shape(ev):
@@ -384,26 +451,6 @@ def _flip_phase(events, err):
 def _flip(c):
     """u . sigma, the system factor of the spin flip of phase c."""
     return np.array([[0.0, np.conj(c)], [c, 0.0]])
-
-
-class _Kept(NamedTuple):
-    """The sector blocks a run propagates: their H_free blocks, free-step
-    table (_free_table) and weights, and the phase of the spin flip that
-    pairs them (_flip_phase), or None when every sector is kept once."""
-
-    h_blocks: list
-    free_us: dict
-    weights: list
-    flip: object
-
-
-def _kept_sectors(h_blocks, free_us, flip):
-    """_Kept of every sector, or with a spin flip of the _mirror_sectors."""
-    if flip is None:
-        return _Kept(h_blocks, free_us, [1] * len(h_blocks), None)
-    ks, weights = zip(*_mirror_sectors(len(h_blocks) - 1))
-    return _Kept([h_blocks[k] for k in ks],
-                 {dt: [us[k] for k in ks] for dt, us in free_us.items()}, list(weights), flip)
 
 
 class _Interval(NamedTuple):
@@ -534,12 +581,13 @@ def _hermitian_part(u, phase, real=False):
 
 
 def _sandwich(v, a, u):
-    """V^dag A U; for real V, U and a complex A, real products on the (re, im)
-    pairs of A's rows and then of (V^T A)^T's, at half the flops."""
+    """V^dag A U, or a stack of them; for real V, U and a complex A, real products
+    on the (re, im) pairs of A's rows and then of (V^T A)^T's, at half the flops."""
     if np.iscomplexobj(v) or np.iscomplexobj(u) or not np.iscomplexobj(a):
-        return v.conj().T @ a @ u
-    atv = np.ascontiguousarray((v.T @ np.ascontiguousarray(a).view(float)).view(complex).T)
-    return (u.T @ atv.view(float)).view(complex).T
+        return v.conj().swapaxes(-1, -2) @ a @ u
+    atv = (v.swapaxes(-1, -2) @ np.ascontiguousarray(a).view(float)).view(complex)
+    atv = np.ascontiguousarray(atv.swapaxes(-1, -2))
+    return (u.swapaxes(-1, -2) @ atv.view(float)).view(complex).swapaxes(-1, -2)
 
 
 def _unitary_eig(u):
@@ -584,22 +632,12 @@ def _unitary_eig(u):
     return theta, p
 
 
-def _spectral_series(weights, rows, cols, times):
-    """Re sum_ab W_ab exp(i (f_a - g_b) t) for every t of `times`, with row and
-    column frequencies f = `rows`, g = `cols` (one array on a diagonal block),
-    as Re sum_a conj(E_a) (W G)_a with E = exp(-i f t), G = exp(-i g t) in real
-    products on their (re, im) pairs, W being real, over blocks of at least
-    256 times, so memory stays O(dim max(dim, 256)).
-    """
-    times = np.asarray(times, dtype=float)
-    series = np.empty(times.size)
-    step = max(*weights.shape, 256)
-    for start in range(0, times.size, step):
-        e = np.exp(-1j * np.outer(rows, times[start:start + step]))
-        g = e if cols is rows else np.exp(-1j * np.outer(cols, times[start:start + step]))
-        wg = weights @ g.view(float)
-        series[start:start + step] = np.einsum("at,at->t", e.view(float), wg).reshape(-1, 2).sum(1)
-    return series
+def _spectral_series(weights, e, g):
+    """Re sum_ab W_ab exp(i (f_a - g_b) t) for each column t of the phase tables
+    E = exp(-i f t) and G = exp(-i g t), as Re sum_a conj(E_a) (W G)_a in real
+    products on their (re, im) pairs, W being real."""
+    wg = weights @ g.view(float)
+    return np.einsum("at,at->t", e.view(float), wg).reshape(-1, 2).sum(1)
 
 
 def _initial_columns(axis, c):
@@ -656,27 +694,28 @@ def _realization_curve(spec, intervals, kept, s_u, k):
     applies its interval products, a jittered run each segment.
     """
     n_cycles, err = spec.timeline.n_cycles, spec.error_model
-    h_blocks, free_us = kept.h_blocks, kept.free_us
     rng = realization_rng(spec.master_seed, k)
     rf_scale = sample_rf_scale(err, rng)
     pieces = [iv.segments for iv in intervals]
     if err.tilt_jitter_sd == 0:
-        static = list(_interval_products(pieces, h_blocks, free_us, err, rf_scale))
         if (spec.record == "cycle_boundaries" and intervals[0].frame is None
                 and n_cycles >= _POWER_MIN_CYCLES):
-            powered = _powered_overlaps(static[0], s_u, n_cycles, kept)
+            # the cycle product turned back, with no frame copy kept alive
+            u = kept.convert(next(_interval_products(pieces, kept, err, rf_scale)), back=True)
+            powered = _powered_overlaps(u, s_u, n_cycles, kept)
             if powered is not None:
                 return powered
+        static = list(_interval_products(pieces, kept, err, rf_scale))
 
         def cycle():
             return [[u] for u in static]
     else:
-        cycle = _jittered_cycles(pieces, h_blocks, free_us, err, rf_scale, rng)
+        cycle = _jittered_cycles(pieces, kept, err, rf_scale, rng)
 
     columns, sign = _initial_columns(spec.initial_axis, kept.flip)
-    w = _Accumulated([len(h) // 2 for h in h_blocks], columns, kept.weights)
+    w = _Accumulated(kept, columns)
     d, key = s_u, _detection_key(s_u, kept.flip, sign)
-    norm0 = 0.25 * sum(m * len(h) for m, h in zip(kept.weights, h_blocks))
+    norm0 = 0.25 * sum(m * len(h) for m, h in zip(kept.weights, kept.h_blocks))
     values = [1.0]
     for _ in range(n_cycles):
         for iv, operators in zip(intervals, cycle()):
@@ -704,10 +743,9 @@ def propagate(spec, threads=1):
     s_u = _SPIN_HALF[spec.initial_axis]
     intervals = _recording_intervals(tl, spec.record)
     # free evolution does not depend on the pulse-error draw, so the
-    # realizations share one table read-only; it covers every sector
-    free_us = _free_table(h_blocks, {dt for iv in intervals
-                                     for kind, dt in iv.segments if kind == "free"})
-    kept = _kept_sectors(h_blocks, free_us, _flip_phase(tl.events, spec.error_model))
+    # realizations share one frame read-only
+    kept = _Kept(h_blocks, {dt for iv in intervals for kind, dt in iv.segments if kind == "free"},
+                 _flip_phase(tl.events, spec.error_model))
 
     def curve(k):
         return _realization_curve(spec, intervals, kept, s_u, k)
@@ -795,13 +833,23 @@ def _autocorrelation(blocks, times):
     divided by the total weight. For A_j of equal norm, such as the I_z^j,
     this is the mean of their normalized curves.
     """
-    series, total = 0.0, 0.0
-    for (f, v), (g, u), observables, m in blocks:
-        weights = m * sum(np.abs(_sandwich(v, a, u) if a.ndim == 2 else (v.conj().T * a) @ u)
-                          ** 2 for a in observables)
-        series = series + _spectral_series(weights, f, g, times)
-        total = total + weights.sum()
-    return series / total
+    weights = [m * sum(np.abs(_sandwich(v, a, u) if a.ndim == 2 else (v.conj().T * a) @ u)
+                       ** 2 for a in observables) for (_, v), (_, u), observables, m in blocks]
+    times = np.asarray(times, dtype=float)
+    series = np.zeros(times.size)
+    # chunks of at least 256 times keep memory O(dim max(dim, 256)); each
+    # frequency array's phase table is built once per chunk (parity halves and
+    # bath blocks share theirs) and dropped after the last block reading it
+    step = max(256, *(n for w in weights for n in w.shape))
+    last = {id(a): i for i, ((f, _), (g, _), _, _) in enumerate(blocks) for a in (f, g)}
+    for start in range(0, times.size, step):
+        chunk, tables = times[start:start + step], {}
+        for i, (((f, _), (g, _), _, _), w) in enumerate(zip(blocks, weights)):
+            for key, a in {id(f): f, id(g): g}.items():
+                tables[key] = tables[key] if key in tables else np.exp(-1j * np.outer(a, chunk))
+            series[start:start + step] += _spectral_series(w, tables[id(f)], tables[id(g)])
+            tables = {key: table for key, table in tables.items() if last[key] > i}
+    return series / sum(w.sum() for w in weights)
 
 
 def estimate_tau_b(series, times):

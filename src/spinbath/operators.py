@@ -129,15 +129,6 @@ def exp_propagators(h, times):
     A stack of matrices, shape (..., n, n), is exponentiated matrix by matrix."""
     if not times:
         return {}
-    return eig_propagators(np.linalg.eigh(h), times)
-
-
-def eig_propagators(eig, times):
-    """{t: V exp(-i w t) V^dag} for every t in `times`, from the eigenpairs
-    (w, V) of a Hermitian H or of a stack of them, as exp_propagators."""
-    w, v = eig
+    w, v = np.linalg.eigh(h)
     vh = v.conj().swapaxes(-1, -2)
-    if np.iscomplexobj(v):
-        return {t: (v * np.exp(-1j * w[..., None, :] * t)) @ vh for t in times}
-    return {t: (v * np.cos(w[..., None, :] * t)) @ vh
-            - 1j * ((v * np.sin(w[..., None, :] * t)) @ vh) for t in times}
+    return {t: (v * np.exp(-1j * w[..., None, :] * t)) @ vh for t in times}

@@ -431,12 +431,12 @@ def _static_run(family, tau_p, n_bath):
 def test_time_symmetric_single_axis_cycles_take_the_real_path(family, tau_p, n_bath,
                                                               monkeypatch):
     # cycles that read the same backwards with every pulse on one line are
-    # symmetric in the pulse-axis frame, so the free table and every cycle
-    # block are diagonalized in real arithmetic
+    # symmetric in the pulse-axis frame, so the free eigenvectors, their
+    # mixings and every cycle block's eigenbasis are real
     spec = _static_run(family, tau_p, n_bath)
     bases = _eig_bases(monkeypatch)
     fast = propagate(spec)
-    assert all(np.isrealobj(v) for _, v in engine._free_eigs[1])
+    assert all(v.dtype == m.dtype == np.float64 for _, v, m in engine._free_eigs[1])
     # the kept sectors, the middle one as its two parity halves
     assert len(bases) == n_bath // 2 + 1 + (n_bath % 2 == 0)
     assert all(np.isrealobj(p) for p in bases)
@@ -473,10 +473,10 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
     advance, steps = engine._advance, []
 
     def counted(u, w, out):
-        # the products of a delta-pulse train are built from free halves and
-        # whole-buffer rotations, so only the direct loop applies a full
-        # (2C, 2C) block: one interval product per sector and cycle
-        steps.append(u.ndim == 2)
+        # the products of a delta-pulse train are built from phase steps and
+        # mixings, so only the direct loop applies a full (2C, 2C) block: one
+        # interval product per sector and cycle
+        steps.append(u.shape == (2 * w.shape[-1],) * 2)
         return advance(u, w, out)
 
     monkeypatch.setattr(engine, "_powered_overlaps", recorded)
@@ -486,18 +486,19 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
     assert results == [None, None]
     # 40 cycles x 3 sectors x 2 realizations: cpmg pairs sectors {0, 4} and
     # {1, 3} and keeps the middle sector 2 whole
-    assert sum(steps) == 240
+    assert len(steps) == sum(steps) == 240
     assert np.array_equal(fell_back.s, slow.s)
     assert np.array_equal(fell_back.stderr, slow.stderr)
 
 
 def _cycle_blocks(model, timeline, err, rf_scale=1.02):
-    """The cycle product on every sector, built without the pairing."""
+    """The cycle product on every sector, built without the pairing and
+    turned out of the free-evolution frame."""
     h_blocks = build_h_free(model, engine._sectors(model.n_bath))
     pieces = [timeline.segments()]
-    free_us = engine._free_table(h_blocks, {dt for kind, dt in pieces[0] if kind == "free"})
-    (u,) = engine._interval_products(pieces, h_blocks, free_us, err, rf_scale)
-    return u
+    kept = engine._Kept(h_blocks, {dt for kind, dt in pieces[0] if kind == "free"})
+    (u,) = engine._interval_products(pieces, kept, err, rf_scale)
+    return kept.convert(u, back=True)
 
 
 def _flip_operator(c, width):
@@ -944,12 +945,12 @@ def test_prepared_columns_are_the_plus_states(axis):
     assert abs(np.vdot(plus, plus) - 1.0) < 1e-15
 
 
-def _per_pulse_cycles(pieces, h_blocks, free_us, err, rf_scale, rng):
+def _per_pulse_cycles(pieces, kept, err, rf_scale, rng):
     """engine._jittered_cycles with one scalar tilt draw and one
     _pulse_blocks build per pulse, in time order."""
     def cycle():
-        return [[free_us[p] if kind == "free" else engine._pulse_blocks(
-            p, h_blocks, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
+        return [[p if kind == "free" else kept.convert(engine._pulse_blocks(
+            p, kept.h_blocks, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd)))
             for kind, p in segments] for segments in pieces]
 
     return cycle
@@ -980,7 +981,7 @@ def test_jittered_runs_carry_one_system_column(monkeypatch):
     class Spy(engine._Accumulated):
         def __init__(self, *args):
             super().__init__(*args)
-            shapes.append(self._buffers[0].shape)
+            shapes.append(self._states[0][0].shape)
 
     monkeypatch.setattr(engine, "_Accumulated", Spy)
     propagate(RunSpec(model=default_model(seed=4, n_bath=3),
@@ -988,6 +989,56 @@ def test_jittered_runs_carry_one_system_column(monkeypatch):
                       n_realizations=2))
     # one (1, 2, sum_k C_k^2) buffer per realization and no interval product
     assert shapes == 2 * [(1, 2, sum(math.comb(3, k) ** 2 for k in range(4)))]
+
+
+@pytest.mark.parametrize("record", ["cycle_boundaries", "every_pulse"])
+@pytest.mark.parametrize("n_bath", [0, 1, 4, 7])
+@pytest.mark.parametrize("tau_p, err, axis", [
+    (0.0, _JITTER, "y"),  # phase steps and mixings only
+    (1.5, _JITTER, "x"),  # finite pulses turned into the frame
+    (0.0, _STATIC, "x"),  # paired on a tilted line: two columns, interval products
+], ids=["jitter-delta", "jitter-finite", "paired-tilted"])
+def test_frame_loop_matches_dense_kron_reference(n_bath, tau_p, err, axis, record):
+    # n_bath 0 is one sector of width 1, n_bath 1 two of them side by side,
+    # and n_bath 4 has an unpaired middle sector when jittered
+    tl = compile_cpmg(11.0, tau_p, n_cycles=3)
+    spec = RunSpec(model=default_model(seed=5, n_bath=n_bath), timeline=tl, error_model=err,
+                   initial_axis=axis, n_realizations=2, master_seed=6, record=record)
+    if err is _STATIC:
+        columns, _ = engine._initial_columns(axis, engine._flip_phase(tl.events, err))
+        assert columns.shape == (2, 2)
+    trace = propagate(spec)
+    ref = _dense_kron_curves(spec).mean(axis=0)
+    assert trace.s.shape == ref.shape
+    assert np.max(np.abs(trace.s - ref)) < 1e-12
+
+
+def test_jittered_delta_pulses_mix_once_per_width(monkeypatch):
+    # a free step is one phase multiply and a delta pulse one real mixing
+    # product per sector width; no (C, C) block product runs
+    mixes, per_step = [], []
+    mix = engine._mix
+
+    def counted_mix(m, x, out):
+        mixes.append((m.dtype, x.dtype, out.dtype))
+        mix(m, x, out)
+
+    class Spy(engine._Accumulated):
+        def advance(self, op):
+            before = len(mixes)
+            super().advance(op)
+            per_step.append((isinstance(op, float), len(mixes) - before))
+
+    monkeypatch.setattr(engine, "_mix", counted_mix)
+    monkeypatch.setattr(engine, "_Accumulated", Spy)
+    monkeypatch.setattr(engine, "_advance", None)
+    tl = compile_cpmg(8.0, 0.0, n_cycles=5)
+    propagate(RunSpec(model=default_model(seed=4, n_bath=7), timeline=tl, error_model=_JITTER))
+    # widths 1, 7, 21 and 35: sectors k and 7 - k share one product
+    assert per_step == tl.n_cycles * [(True, 0), (False, 4), (True, 0), (False, 4), (True, 0)]
+    # and one per width for each cycle's Gram
+    assert len(mixes) == 4 * (tl.n_cycles * tl.pulses_per_cycle + tl.n_cycles)
+    assert set(mixes) == {(np.dtype(np.float64),) * 3}
 
 
 def _counted_pulse_builds(monkeypatch):
@@ -1003,21 +1054,23 @@ def _counted_pulse_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("n_bath", [0, 3, 7])
-def test_free_table_halves_match_the_full_width_propagator(n_bath):
-    # H_free conserves the system S_z, so exp(-i H_k t) is block-diagonal
-    # in the system's up and down halves of each sector block
+def test_free_eigensystems_reproduce_the_full_width_propagator(n_bath):
+    # H_free conserves the system S_z, so exp(-i H_k t) is block-diagonal in
+    # the system's up and down halves s of each sector block, V_s
+    # diag(exp(-i w_s t)) V_s^T on each, and M = V_+^T V_- mixes the halves
     m = default_model(seed=6, n_bath=n_bath)
     h_blocks = build_h_free(m, engine._sectors(n_bath))
-    dts = (0.7, 12.0, 95.0)
-    table = engine._free_table(h_blocks, dts)
-    for dt in dts:
-        assert len(table[dt]) == len(h_blocks)
-        for h, halves in zip(h_blocks, table[dt]):
-            c = len(h) // 2
+    eigs = engine._free_eigensystems(h_blocks)
+    assert len(eigs) == len(h_blocks)
+    for h, (w, v, mix) in zip(h_blocks, eigs):
+        c = len(h) // 2
+        assert w.shape == (2, c) and v.shape == (2, c, c)
+        assert np.array_equal(mix, v[0].T @ v[1])
+        for dt in (0.7, 12.0, 95.0):
             full = exp_propagators(h, (dt,))[dt]
-            assert halves.shape == (2, c, c)
-            assert np.max(np.abs(halves[0] - full[:c, :c])) < 1e-12
-            assert np.max(np.abs(halves[1] - full[c:, c:])) < 1e-12
+            halves = (v * np.exp(-1j * w[:, None, :] * dt)) @ v.swapaxes(1, 2)
+            assert np.max(np.abs(halves[0] - full[:c, :c])) < 1e-13
+            assert np.max(np.abs(halves[1] - full[c:, c:])) < 1e-13
             assert max(np.max(np.abs(full[:c, c:])), np.max(np.abs(full[c:, :c]))) < 1e-14
 
 
@@ -1116,9 +1169,8 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
 
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
     h_blocks = build_h_free(m, engine._sectors(m.n_bath))
-    free_us = engine._free_table(h_blocks, {p for segs in pieces
-                                            for kind, p in segs if kind == "free"})
-    products = list(engine._interval_products(pieces, h_blocks, free_us, _STATIC, 1.0))
+    kept = engine._Kept(h_blocks, {p for segs in pieces for kind, p in segs if kind == "free"})
+    products = list(engine._interval_products(pieces, kept, _STATIC, 1.0))
     keys = [tuple(p if kind == "free" else engine._shape(p) for kind, p in segs)
             for segs in pieces]
     for key, product in zip(keys, products):
