@@ -379,7 +379,8 @@ def magnus_defect(timeline, h_free, ops):
     h_blocks = _sector_blocks(h_free, sectors)
     # error-free pulses at unit RF scale are exactly the ideal rotations
     pieces = timeline.segments()
-    kept = _Kept(h_blocks, {dt for kind, dt in pieces if kind == "free"})
+    # keyed on the blocks, so a second defect of one h_free diagonalizes nothing
+    kept = _Kept(h_blocks, {dt for kind, dt in pieces if kind == "free"}, h_blocks)
     u_exact = kept.convert(next(_interval_products([pieces], kept, ErrorModel(), 1.0)), back=True)
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time

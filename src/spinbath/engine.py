@@ -25,7 +25,8 @@ blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide. build_h_free fills these
 blocks from the basis bits, with no dense matrix. H_free also conserves the
 system S_z, so each sector block has two real symmetric (C, C) halves
 H_s = V_s diag(w_s) V_s^T, s = +, - (_free_eigensystems), kept for the last
-model seen, so a sweep over delays on one bath diagonalizes H_free once.
+couplings seen, so a sweep over delays on one bath diagonalizes H_free once
+and a repeat run forms no halves.
 
 Flipping every spin, Q = (u . sigma) (x) J_bath for an in-plane unit
 vector u, turns S_z and every I_z^j over and so leaves H_free unchanged; it
@@ -65,10 +66,14 @@ free step is then one multiply of the whole buffer by the phases
 exp(-i w dt). A delta pulse [[a, b], [c, d]] is X_+ <- a X_+ + b M X_- and
 X_- <- c M^T X_+ + d X_- with the real mixing M = V_+^T V_-, one real
 product per sector width. The survival Gram reads X within a half, and
-Tr{W_+ W_-^dag} = vdot(M X_-, X_+) across them. A static run applies its
-interval products and a jittered run each free step and each freshly drawn
-pulse; a finite pulse or a product is turned into the frame as V^T U V
-(_Kept.convert), and back for the powered path and avgham.magnus_defect.
+Tr{W_+ W_-^dag} = vdot(M X_-, X_+) across them. A jittered run applies
+each free step and each freshly drawn pulse. A static run does the same
+with each pulse built once, or applies the product of each recording
+interval once per cycle, whichever its counted cost says is cheaper
+(_steps_pay): stepping pays for short runs and for few pulses per interval,
+products for many pulses per interval over many cycles. A finite pulse or
+a product is turned into the frame as V^T U V (_Kept.convert), and back for
+the powered path and avgham.magnus_defect.
 
 The direct loop needs W only on the prepared state's system column |+u>,
 S_u = |+u><+u| - 1/2: W is unitary and the detection operator d is
@@ -262,16 +267,17 @@ def _mix(m, x, out):
 class _Kept:
     """The sector blocks a run propagates: every sector, or under a spin flip
     of phase `flip` (_flip_phase) the _mirror_sectors, with their H_free
-    blocks, weights and eigensystems (w, V, M) (_free_eigensystems, which
-    cover every sector: the frozen count test expects one eigh per sector),
+    blocks, weights and eigensystems (w, V, M) (_free_eigensystems under
+    `key`, which cover every sector: the frozen count test expects one eigh
+    per sector),
     and the phase steps exp(-i w dt) of the free steps `dts`. The buffer
     layout (_Accumulated) orders them by width, so that k and n - k sit side
     by side; `groups` holds each width's buffer slice, block shape and
     stacked mixings [M, M^dag].
     """
 
-    def __init__(self, h_blocks, dts, flip=None):
-        eigs, n, self.flip = _free_eigensystems(h_blocks), len(h_blocks), flip
+    def __init__(self, h_blocks, dts, key, flip=None):
+        eigs, n, self.flip = _free_eigensystems(h_blocks, key), len(h_blocks), flip
         pairs = _mirror_sectors(n - 1) if flip is not None else [(k, 1) for k in range(n)]
         ks, self.weights = zip(*pairs)
         self.h_blocks, self.eigs = [h_blocks[k] for k in ks], [eigs[k] for k in ks]
@@ -368,36 +374,67 @@ class _Accumulated:
                          for t in ts for s in (0, 1)])
 
 
+def _static_operators(pieces, kept, err, rf_scale):
+    """The operators of each segment list of `pieces` under static errors, in
+    the order _Accumulated.advance applies them: free steps by their length,
+    and each pulse shape built once by _pulse_blocks, in the frame
+    (_Kept.convert)."""
+    events = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
+    pulses = {key: kept.convert(_pulse_blocks(ev, kept.h_blocks, err, rf_scale))
+              for key, ev in events.items()}
+    return [[p if kind == "free" else pulses[_shape(p)] for kind, p in segments]
+            for segments in pieces]
+
+
 def _interval_products(pieces, kept, err, rf_scale):
     """Yield, for each segment list of `pieces` in order, the per-sector
     product of its segment propagators in the frame (_Kept), V^dag U V,
     as full (2C, 2C) blocks.
 
-    Free segments are phase steps and pulses are built by _pulse_blocks. The
-    errors are static: each pulse shape is built once, and segment lists of
-    equal shape yield one shared product.
+    The errors are static (_static_operators), and segment lists of equal
+    shape yield one shared product.
     """
-    events = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
-    pulses = {key: kept.convert(_pulse_blocks(ev, kept.h_blocks, err, rf_scale))
-              for key, ev in events.items()}
     shared = {}
-    for segments in pieces:
-        key = tuple(p if kind == "free" else _shape(p) for kind, p in segments)
+    for segments, operators in zip(pieces, _static_operators(pieces, kept, err, rf_scale)):
+        key = _interval_key(segments)
         if key not in shared:
             w = _Accumulated(kept)
-            for kind, p in segments:
-                w.advance(p if kind == "free" else pulses[_shape(p)])
+            for op in operators:
+                w.advance(op)
             shared[key] = [b.transpose(1, 2, 0, 3).reshape(2 * len(b[0, 0]), -1)
                            for b in w.blocks]
         yield shared[key]
 
 
-# (halves, eigensystems) of the last blocks _free_eigensystems diagonalized,
-# replaced whole on a miss
+def _pulse_cost(segments, t):
+    """What applying the pulses of `segments` to T columns costs, in units of
+    sum_k C_k^3 over the kept sectors: a delta pulse is two real (C, C)
+    products per column (4T), a finite pulse one complex (2C, 2C) block
+    (16T)."""
+    return sum(16 * t if p.duration > 0 else 4 * t for kind, p in segments if kind == "pulse")
+
+
+def _steps_pay(pieces, n_cycles, t):
+    """Whether a static direct run on T columns costs no more by stepping
+    each segment of every cycle than by building its distinct interval
+    products and applying one full block (16T) per interval and cycle.
+
+    Building a product applies its pulses to the identity's two columns
+    (_pulse_cost at T = 2). Free steps and Grams cost the same either way
+    and are not counted.
+    """
+    distinct = {_interval_key(segments): segments for segments in pieces}
+    steps = n_cycles * sum(_pulse_cost(segments, t) for segments in pieces)
+    products = sum(_pulse_cost(segments, 2) for segments in distinct.values())
+    return steps <= products + n_cycles * len(pieces) * 16 * t
+
+
+# (key, eigensystems) of the last call of _free_eigensystems, replaced whole
+# on a miss
 _free_eigs = None
 
 
-def _free_eigensystems(h_blocks):
+def _free_eigensystems(h_blocks, key):
     """[(w, V, M)] per block H_k: the eigenpairs H_s = V_s diag(w_s) V_s^dag of
     its two system halves s = +, -, stacked as w (2, C) and V (2, C, C), and
     their mixing M = V_+^dag V_-, from one eigh of both halves.
@@ -406,24 +443,31 @@ def _free_eigensystems(h_blocks):
     diag(H_E,k + D_k/2, H_E,k - D_k/2) with D = sum_j b_j I_z^j. Halves
     with no imaginary part, as H_free's, are diagonalized and kept real.
 
-    The eigensystems of the last halves diagonalized stay in one slot: a
-    call whose halves are np.array_equal to them, such as the next delay of
-    a sweep on one model, skips every eigh. eigh is deterministic, so a hit
-    gives the same bits as a miss.
+    The eigensystems of the last call stay in one slot with its `key`, a
+    sequence of arrays that fixes h_blocks and that nothing changes
+    afterwards: copies of the couplings (model.b, model.d) from propagate, or
+    the blocks themselves. A call whose key is np.array_equal to the slot's,
+    such as the next delay of a sweep on one model, forms no halves and skips
+    every eigh; a vector b never equals a square block, so the two kinds of
+    key cannot meet. eigh is deterministic, so a hit gives the same bits as a
+    miss.
     """
     global _free_eigs
-    halves = []
+    slot = _free_eigs
+    if slot is not None and len(slot[0]) == len(key) and all(map(np.array_equal, slot[0], key)):
+        return slot[1]
+    eigs = []
     for h in h_blocks:
         c = len(h) // 2
         x = np.stack((h[:c, :c], h[c:, c:]))
-        halves.append(x if x.imag.any() else x.real.copy())
-    slot = _free_eigs
-    if slot is not None and len(slot[0]) == len(halves) and all(
-            np.array_equal(a, b) for a, b in zip(slot[0], halves)):
-        return slot[1]
-    eigs = [(w, v, v[0].conj().T @ v[1]) for w, v in map(np.linalg.eigh, halves)]
-    _free_eigs = (halves, eigs)
+        w, v = np.linalg.eigh(x if x.imag.any() else x.real)
+        eigs.append((w, v, v[0].conj().T @ v[1]))
+    _free_eigs = (key, eigs)
     return eigs
+
+
+def _interval_key(segments):
+    return tuple(p if kind == "free" else _shape(p) for kind, p in segments)
 
 
 def _shape(ev):
@@ -690,13 +734,16 @@ def _realization_curve(spec, intervals, kept, s_u, k):
     prepared state's system column |+u> (_Accumulated, _initial_columns),
     and reads s = Re Tr{(d (x) 1) W (S_u (x) 1) W^dag} / Tr{(S_u (x) 1)^2},
     with d the prepared S_u in the detection frame, as the sum of the Gram of
-    those columns against the key of d (_detection_key). A static run
-    applies its interval products, a jittered run each segment.
+    those columns against the key of d (_detection_key). A jittered run
+    applies each segment; a static run either does too, with each pulse
+    built once, or applies one interval product per interval and cycle,
+    whichever costs less (_steps_pay).
     """
     n_cycles, err = spec.timeline.n_cycles, spec.error_model
     rng = realization_rng(spec.master_seed, k)
     rf_scale = sample_rf_scale(err, rng)
     pieces = [iv.segments for iv in intervals]
+    columns, sign = _initial_columns(spec.initial_axis, kept.flip)
     if err.tilt_jitter_sd == 0:
         if (spec.record == "cycle_boundaries" and intervals[0].frame is None
                 and n_cycles >= _POWER_MIN_CYCLES):
@@ -705,14 +752,16 @@ def _realization_curve(spec, intervals, kept, s_u, k):
             powered = _powered_overlaps(u, s_u, n_cycles, kept)
             if powered is not None:
                 return powered
-        static = list(_interval_products(pieces, kept, err, rf_scale))
+        if _steps_pay(pieces, n_cycles, columns.shape[1]):
+            static = _static_operators(pieces, kept, err, rf_scale)
+        else:
+            static = [[u] for u in _interval_products(pieces, kept, err, rf_scale)]
 
         def cycle():
-            return [[u] for u in static]
+            return static
     else:
         cycle = _jittered_cycles(pieces, kept, err, rf_scale, rng)
 
-    columns, sign = _initial_columns(spec.initial_axis, kept.flip)
     w = _Accumulated(kept, columns)
     d, key = s_u, _detection_key(s_u, kept.flip, sign)
     norm0 = 0.25 * sum(m * len(h) for m, h in zip(kept.weights, kept.h_blocks))
@@ -743,9 +792,10 @@ def propagate(spec, threads=1):
     s_u = _SPIN_HALF[spec.initial_axis]
     intervals = _recording_intervals(tl, spec.record)
     # free evolution does not depend on the pulse-error draw, so the
-    # realizations share one frame read-only
+    # realizations share one frame read-only; the couplings key the
+    # eigensystem slot, copied so that no later edit of the model reaches it
     kept = _Kept(h_blocks, {dt for iv in intervals for kind, dt in iv.segments if kind == "free"},
-                 _flip_phase(tl.events, spec.error_model))
+                 (model.b.copy(), model.d.copy()), _flip_phase(tl.events, spec.error_model))
 
     def curve(k):
         return _realization_curve(spec, intervals, kept, s_u, k)

@@ -8,6 +8,7 @@ and everything of interest sits in the couplings. Couplings are angular
 frequencies in rad/us and times are in us throughout.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,19 +136,23 @@ def default_model(seed=DEFAULT_COUPLING_SEED, n_bath=DEFAULT_N_BATH,
     return build_model(b, d)
 
 
+@functools.cache
 def _basis_z(n_sites):
-    """S_z eigenvalues of every site on the product basis, shape (n_sites, 2**n_sites).
+    """S_z eigenvalues of every site on the product basis, shape (n_sites, 2**n_sites),
+    computed once per n_sites and read-only.
 
     Site 0 is the system spin and site j + 1 bath spin j; site q is bit
     n_sites - 1 - q of the basis index, and bit 0 means spin up (+1/2).
     """
     shifts = np.arange(n_sites - 1, -1, -1)
-    return 0.5 - ((np.arange(2**n_sites) >> shifts[:, None]) & 1)
+    return _read_only(0.5 - ((np.arange(2**n_sites) >> shifts[:, None]) & 1))
 
 
+@functools.cache
 def _sectors(n_bath):
     """Basis indices of the bath-magnetization sectors, k = 0 .. n_bath
-    bath spins up, as ascending arrays.
+    bath spins up, as a tuple of ascending read-only arrays, computed once
+    per n_bath.
 
     H_free, every pulse and the prepared state conserve the total bath
     I_z, so they are block-diagonal in these sectors. Sector k is
@@ -155,7 +160,38 @@ def _sectors(n_bath):
     spin is the top bit, so it stays a tensor factor of every block.
     """
     up = np.sum(_basis_z(n_bath + 1)[1:] > 0, axis=0)
-    return [np.flatnonzero(up == k) for k in range(n_bath + 1)]
+    return tuple(_read_only(np.flatnonzero(up == k)) for k in range(n_bath + 1))
+
+
+@functools.cache
+def _layout(n_bath):
+    """Where the H_E sector blocks take their entries, computed once per
+    n_bath and read-only: the pairs (i, j), i < j, in np.triu_indices order,
+    2 z_i z_j of each pair on every bath state (_basis_z), shape
+    (pairs, 2**n_bath), and per bath sector k (k bath spins up) its ascending
+    bath states and the in-block (rows, columns) of its flip-flop entries,
+    between states that differ by swapping opposite spins i and j, with the
+    index of their pair. The diagonal entries sit on the block diagonal.
+    """
+    z = _basis_z(n_bath)
+    i, j = np.triu_indices(n_bath, 1)
+    pair, cols = np.nonzero(z[i] != z[j])
+    rows = cols ^ ((1 << (n_bath - 1 - i)) | (1 << (n_bath - 1 - j)))[pair]
+    up = n_bath - np.bitwise_count(np.arange(2**n_bath))
+    pos = np.empty(2**n_bath, dtype=int)
+    sectors = []
+    for k in range(n_bath + 1):
+        states = np.flatnonzero(up == k)
+        pos[states] = np.arange(states.size)
+        mine = up[cols] == k
+        sectors.append(tuple(map(_read_only, (states, pos[rows[mine]], pos[cols[mine]],
+                                              pair[mine]))))
+    return (_read_only(i), _read_only(j)), _read_only(2.0 * z[i] * z[j]), tuple(sectors)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def _mirror_sectors(n_bath):
@@ -197,43 +233,28 @@ def build_h_se(model):
 
 
 def _flip_flops(model):
-    """H_E on the 2**n_bath bath states from the basis bits: its diagonal (the
-    Ising part) and the (rows, columns, values) of its flip-flop entries,
-    -d_ij / 2 between states that differ by swapping opposite spins i and j."""
-    n = model.n_bath
-    z = _basis_z(n)
-    i, j = np.nonzero(np.triu(model.d, 1))
+    """H_E on the 2**n_bath bath states from the basis bits (_layout): its
+    diagonal (the Ising part) and the flip-flop entry -d_ij / 2 of every pair
+    i < j."""
+    (i, j), zz, _ = _layout(model.n_bath)
     dij = model.d[i, j]
-    # summed over the pairs in order, as a loop over i < j would
-    diag = np.sum(dij[:, None] * (2.0 * z[i] * z[j]), axis=0)
-    pair, cols = np.nonzero(z[i] != z[j])
-    rows = cols ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))[pair]
-    return diag, rows, cols, -0.5 * dij[pair]
-
-
-def _diagonal_blocks(diag, rows, cols, vals, sectors):
-    """The diagonal blocks on the ascending index arrays `sectors` of the
-    matrix with diagonal `diag` and off-diagonal entries `vals` at (rows,
-    cols), none of which couples two sectors; the blocks take diag's dtype."""
-    label, pos = np.full(diag.size, -1), np.empty(diag.size, dtype=int)
-    for k, idx in enumerate(sectors):
-        label[idx], pos[idx] = k, np.arange(idx.size)
-    blocks = []
-    for k, idx in enumerate(sectors):
-        mine = label[cols] == k
-        block = np.diag(diag[idx])
-        block[pos[rows[mine]], pos[cols[mine]]] = vals[mine]
-        blocks.append(block)
-    return blocks
+    coupled = np.flatnonzero(dij)
+    # summed over the coupled pairs in order, as a loop over i < j would
+    diag = np.sum(dij[coupled, None] * zz[coupled], axis=0)
+    # 0.0 - x is -x, and +0.0 for an uncoupled pair
+    return diag, 0.0 - 0.5 * dij
 
 
 def _h_e_blocks(model):
     """H_E on the bath space as (indices, block) per sector k = 0 .. n_bath:
     the ascending bath states with k spins up and their real block."""
-    diag, rows, cols, vals = _flip_flops(model)
-    up = model.n_bath - np.bitwise_count(np.arange(diag.size))
-    sectors = [np.flatnonzero(up == k) for k in range(model.n_bath + 1)]
-    return list(zip(sectors, _diagonal_blocks(diag, rows, cols, vals, sectors)))
+    diag, vals = _flip_flops(model)
+    blocks = []
+    for states, rows, cols, pairs in _layout(model.n_bath)[2]:
+        block = np.diag(diag[states])
+        block[rows, cols] = vals[pairs]
+        blocks.append((states, block))
+    return blocks
 
 
 def _h_e_sectors(model):
@@ -261,17 +282,15 @@ def build_h_free(model, sectors=None):
     matrix is formed. Without, it returns the dense 2**(n_bath + 1) matrix,
     scattered from the same blocks.
     """
-    dense = sectors is None
-    if dense:
-        sectors = _sectors(model.n_bath)
-    diag, rows, cols, vals = _flip_flops(model)
-    n = diag.size
+    h_se, blocks = _h_se_diagonal(model), []
     # the system spin is the top bit, and H_E acts alike on both its halves
-    blocks = _diagonal_blocks(
-        (_h_se_diagonal(model) + np.tile(diag, 2)).astype(complex),
-        np.concatenate((rows, rows + n)), np.concatenate((cols, cols + n)),
-        np.tile(vals, 2), sectors)
-    return _scattered(blocks, sectors) if dense else blocks
+    for (_, h_e), idx in zip(_h_e_blocks(model), _sectors(model.n_bath)):
+        c = len(h_e)
+        block = np.zeros((2 * c, 2 * c), dtype=complex)
+        block[:c, :c] = block[c:, c:] = h_e
+        block.flat[::2 * c + 1] += h_se[idx]
+        blocks.append(block)
+    return blocks if sectors is not None else _scattered(blocks, _sectors(model.n_bath))
 
 
 def _coupling_blocks(a, b_u, n_bath, sectors):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError, TimelineError
 from .pulses import PULSE_AXES
-from .util import fmt
+from .util import fmt, require_int
 
 TIME_ATOL = 1e-9
 CPMG_VARIANTS = ("cp", "cpmg", "cpmg2")
@@ -45,7 +45,8 @@ class PulseEvent:
 @dataclass(frozen=True, eq=False)
 class Timeline:
     """One compiled cycle and its repetition count, valid once built: an
-    unsound cycle (see validate_timeline) raises TimelineError."""
+    unsound cycle (see validate_timeline) raises TimelineError, and an
+    n_cycles that is no integer (util.require_int) a ContractError."""
 
     events: tuple
     cycle_time: float
@@ -56,6 +57,7 @@ class Timeline:
         object.__setattr__(self, "events", tuple(self.events))
         if not (math.isfinite(self.cycle_time) and self.cycle_time > 0):
             raise TimelineError(f"cycle_time must be finite and > 0, got {self.cycle_time}")
+        object.__setattr__(self, "n_cycles", int(require_int(self.n_cycles, "n_cycles")))
         if self.n_cycles < 1:
             raise TimelineError(f"n_cycles must be >= 1, got {self.n_cycles}")
         problems = validate_timeline(self)
@@ -116,7 +118,7 @@ def validate_timeline(tl):
 
 def compile_free(cycle_time, n_cycles=1, label="fid"):
     """Free evolution: an empty cycle of the given duration."""
-    return Timeline((), float(cycle_time), int(n_cycles), label)
+    return Timeline((), float(cycle_time), n_cycles, label)
 
 
 def compile_hahn(tau, tau_p=0.0, n_cycles=1):
@@ -128,7 +130,7 @@ def compile_hahn(tau, tau_p=0.0, n_cycles=1):
     if tau <= 0:
         raise ContractError(f"tau must be > 0, got {tau}")
     events = (PulseEvent(tau, "y", np.pi, tau_p),)
-    return Timeline(events, 2.0 * tau + tau_p, int(n_cycles), "hahn")
+    return Timeline(events, 2.0 * tau + tau_p, n_cycles, "hahn")
 
 
 def compile_cpmg(tau, tau_p=0.0, n_cycles=1, variant="cpmg"):
@@ -148,7 +150,7 @@ def compile_cpmg(tau, tau_p=0.0, n_cycles=1, variant="cpmg"):
         PulseEvent(0.5 * tau, axes[0], np.pi, tau_p),
         PulseEvent(1.5 * tau + tau_p, axes[1], np.pi, tau_p),
     )
-    return Timeline(events, 2.0 * tau + 2.0 * tau_p, int(n_cycles), variant)
+    return Timeline(events, 2.0 * tau + 2.0 * tau_p, n_cycles, variant)
 
 
 def _four_block(symbols):
@@ -177,7 +179,7 @@ def compile_pdd(tau, tau_p=0.0, n_cycles=1):
     if tau <= 0:
         raise ContractError(f"tau must be > 0, got {tau}")
     events, total = _events_from_symbols(_four_block(["f"]), tau, tau_p)
-    return Timeline(events, total, int(n_cycles), "pdd")
+    return Timeline(events, total, n_cycles, "pdd")
 
 
 def compile_cdd(order, tau, tau_p=0.0, n_cycles=1):
@@ -188,7 +190,7 @@ def compile_cdd(order, tau, tau_p=0.0, n_cycles=1):
     N_n = 4 N_{n-1} + 4, so tau_c = 4^n tau + N_n tau_p. Pulses meeting at
     block boundaries stay as separate back-to-back events.
     """
-    order = int(order)
+    order = int(require_int(order, "order"))
     if not 1 <= order <= 5:
         raise ContractError(f"concatenation order must be in 1..5, got {order}")
     tau, tau_p = float(tau), float(tau_p)
@@ -198,7 +200,7 @@ def compile_cdd(order, tau, tau_p=0.0, n_cycles=1):
     for _ in range(order):
         symbols = _four_block(symbols)
     events, total = _events_from_symbols(symbols, tau, tau_p)
-    return Timeline(events, total, int(n_cycles), f"cdd{order}")
+    return Timeline(events, total, n_cycles, f"cdd{order}")
 
 
 def compile_udd(n_pulses, cycle_time, tau_p=0.0, n_cycles=1):
@@ -208,7 +210,7 @@ def compile_udd(n_pulses, cycle_time, tau_p=0.0, n_cycles=1):
     the closed form, so neighboring pulses must not overlap and the last
     pulse must end by tau_c; violations raise TimelineError.
     """
-    n_pulses = int(n_pulses)
+    n_pulses = int(require_int(n_pulses, "n_pulses"))
     if n_pulses < 1:
         raise ContractError(f"n_pulses must be >= 1, got {n_pulses}")
     cycle_time, tau_p = float(cycle_time), float(tau_p)
@@ -221,7 +223,7 @@ def compile_udd(n_pulses, cycle_time, tau_p=0.0, n_cycles=1):
     i = np.arange(1, n_pulses + 1)
     starts = cycle_time * np.sin(np.pi * i / (2.0 * n_pulses + 2.0)) ** 2
     events = tuple(PulseEvent(float(t), "y", np.pi, tau_p) for t in starts)
-    return Timeline(events, cycle_time, int(n_cycles), f"udd{n_pulses}")
+    return Timeline(events, cycle_time, n_cycles, f"udd{n_pulses}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Toggling frames, leading-order averages, and the claim registry."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import kron_oracle as oracle
 import spinbath.avgham as avgham
+import spinbath.engine as engine
 from spinbath import (
     CLAIM_IDS,
     ContractError,
@@ -123,6 +125,29 @@ def test_magnus_defect_stays_within_the_sector_blocks(monkeypatch):
     assert widths and max(widths) == 70
     # the averages are folded per sector block, never on the full space
     assert folded and max(folded) == 70
+
+
+def test_magnus_defects_of_one_h_free_diagonalize_its_halves_once(monkeypatch):
+    m = default_model(seed=37, n_bath=5)
+    h = build_h_free(m)
+    tl = compile_cdd(2, 5.0)
+    shapes, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    first = magnus_defect(tl, h, m.ops)
+    # one stacked eigh of both system halves per sector, C(5, k) wide
+    halves = [(2, math.comb(5, k), math.comb(5, k)) for k in range(6)]
+    assert [a for a in shapes if len(a) == 3] == halves
+    del shapes[:]
+    assert magnus_defect(tl, h.copy(), m.ops) == first
+    assert shapes and not [a for a in shapes if len(a) == 3]
+    # the slot is keyed on the sector blocks, and holds no full-space copy
+    key, _ = engine._free_eigs
+    assert [a.shape for a in key] == [(2 * math.comb(5, k),) * 2 for k in range(6)]
 
 
 def test_magnus_defect_refuses_a_non_hermitian_hamiltonian():

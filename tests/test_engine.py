@@ -456,9 +456,15 @@ def test_cycles_that_are_no_palindromes_take_the_complex_path(family, tau_p, n_b
     assert np.max(np.abs(fast.s - propagate(spec).s)) < 1e-12
 
 
-def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
-    spec = RunSpec(model=default_model(n_bath=4),
-                   timeline=compile_cpmg(9.0, 0.0, n_cycles=40),
+@pytest.mark.parametrize("timeline, full_blocks", [
+    # two delta pulses per cycle: stepping them costs less than a product
+    (compile_cpmg(9.0, 0.0, n_cycles=40), 0),
+    # 84 delta pulses per cycle: one product per sector (5 unpaired, x and y
+    # pulses), cycle and realization
+    (compile_cdd(3, 2.0, 0.0, n_cycles=40), 40 * 5 * 2),
+], ids=["cpmg", "cdd3"])
+def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch, timeline, full_blocks):
+    spec = RunSpec(model=default_model(n_bath=4), timeline=timeline,
                    error_model=ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03),
                    initial_axis="y", n_realizations=2, master_seed=4)
     with monkeypatch.context() as direct:
@@ -474,8 +480,7 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
 
     def counted(u, w, out):
         # the products of a delta-pulse train are built from phase steps and
-        # mixings, so only the direct loop applies a full (2C, 2C) block: one
-        # interval product per sector and cycle
+        # mixings, so only the direct loop applies a full (2C, 2C) block
         steps.append(u.shape == (2 * w.shape[-1],) * 2)
         return advance(u, w, out)
 
@@ -484,11 +489,67 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch):
     monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
     fell_back = propagate(spec)
     assert results == [None, None]
-    # 40 cycles x 3 sectors x 2 realizations: cpmg pairs sectors {0, 4} and
-    # {1, 3} and keeps the middle sector 2 whole
-    assert len(steps) == sum(steps) == 240
+    assert len(steps) == sum(steps) == full_blocks
     assert np.array_equal(fell_back.s, slow.s)
     assert np.array_equal(fell_back.stderr, slow.stderr)
+
+
+@pytest.mark.parametrize("tau_p", [0.0, 1.5])
+@pytest.mark.parametrize("family, record", [("hahn", "cycle_boundaries"),
+                                            ("cpmg", "every_pulse")])
+def test_short_static_runs_step_their_segments(monkeypatch, family, record, tau_p):
+    # a one-cycle echo, and a train recorded after every pulse: building an
+    # interval product costs more than applying its pulses directly
+    monkeypatch.setattr(engine, "_interval_products", None)
+    tl = compile_family(family, 17.0, tau_p, n_cycles=1 if family == "hahn" else 12)
+    spec = RunSpec(model=default_model(seed=4, n_bath=4), timeline=tl, error_model=_STATIC,
+                   n_realizations=2, record=record)
+    assert np.all(np.isfinite(propagate(spec).s))
+
+
+@pytest.mark.parametrize("steps", [True, False], ids=["steps", "products"])
+@pytest.mark.parametrize("tau_p", [0.0, 1.5])
+@pytest.mark.parametrize("family, n_cycles, record, axis", [
+    ("hahn", 1, "cycle_boundaries", "x"),  # paired on a tilted line: two columns
+    ("cpmg", 3, "every_pulse", "y"),  # two columns, several intervals
+    ("cdd", 3, "cycle_boundaries", "x"),  # x and y pulses: unpaired, one column
+    ("udd", 12, "every_pulse", "z"),  # paired, z is served by one column
+])
+def test_both_static_paths_match_dense_kron_reference(monkeypatch, steps, tau_p, family,
+                                                      n_cycles, record, axis):
+    tl = compile_family(family, 17.0, tau_p, n_cycles=n_cycles, order=2, udd_pulses=3)
+    spec = RunSpec(model=default_model(seed=4, n_bath=4), timeline=tl, error_model=_STATIC,
+                   initial_axis=axis, n_realizations=2, master_seed=8, record=record)
+    columns, _ = engine._initial_columns(axis, engine._flip_phase(tl.events, _STATIC))
+    assert columns.shape[1] == (2 if family in ("hahn", "cpmg") else 1)
+    products, built = engine._interval_products, []
+
+    def recorded(*args):
+        built.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(engine, "_interval_products", recorded)
+    monkeypatch.setattr(engine, "_steps_pay", lambda pieces, n, t: steps)
+    trace = propagate(spec)
+    assert len(built) == (0 if steps else 2)
+    ref = _dense_kron_curves(spec).mean(axis=0)
+    assert trace.s.shape == ref.shape
+    assert np.max(np.abs(trace.s - ref)) < 1e-12
+
+
+def test_static_paths_are_chosen_by_counted_cost():
+    def pieces(tl, record):
+        return [iv.segments for iv in engine._recording_intervals(tl, record)]
+
+    cpmg, cdd3 = compile_cpmg(9.0), compile_cdd(3, 2.0)
+    # 40 cycles of 2 delta pulses on one column: 320 against 16 + 640
+    assert engine._steps_pay(pieces(cpmg, "cycle_boundaries"), 40, 1)
+    # 84 delta pulses: 13440 against 672 + 640
+    assert not engine._steps_pay(pieces(cdd3, "cycle_boundaries"), 40, 1)
+    # finite pulses cost 16T each way, so every_pulse steps even at cdd3
+    finite = compile_cdd(3, 2.0, 0.5)
+    assert not engine._steps_pay(pieces(finite, "cycle_boundaries"), 40, 2)
+    assert engine._steps_pay(pieces(finite, "every_pulse"), 40, 2)
 
 
 def _cycle_blocks(model, timeline, err, rf_scale=1.02):
@@ -496,7 +557,7 @@ def _cycle_blocks(model, timeline, err, rf_scale=1.02):
     turned out of the free-evolution frame."""
     h_blocks = build_h_free(model, engine._sectors(model.n_bath))
     pieces = [timeline.segments()]
-    kept = engine._Kept(h_blocks, {dt for kind, dt in pieces[0] if kind == "free"})
+    kept = engine._Kept(h_blocks, {dt for kind, dt in pieces[0] if kind == "free"}, h_blocks)
     (u,) = engine._interval_products(pieces, kept, err, rf_scale)
     return kept.convert(u, back=True)
 
@@ -1060,7 +1121,7 @@ def test_free_eigensystems_reproduce_the_full_width_propagator(n_bath):
     # diag(exp(-i w_s t)) V_s^T on each, and M = V_+^T V_- mixes the halves
     m = default_model(seed=6, n_bath=n_bath)
     h_blocks = build_h_free(m, engine._sectors(n_bath))
-    eigs = engine._free_eigensystems(h_blocks)
+    eigs = engine._free_eigensystems(h_blocks, h_blocks)
     assert len(eigs) == len(h_blocks)
     for h, (w, v, mix) in zip(h_blocks, eigs):
         c = len(h) // 2
@@ -1160,6 +1221,25 @@ def test_a_model_one_coupling_away_misses_the_cache(monkeypatch):
     assert np.array_equal(cached.s, fresh.s)
 
 
+def test_the_cache_keys_on_a_copy_of_the_couplings(monkeypatch):
+    m = default_model(seed=4, n_bath=4)
+    tl = compile_cpmg(15.0, 0.0, n_cycles=3)
+    (fresh,) = _runs(m, [tl])
+    shapes = _counted_eigh(monkeypatch)
+    # a new model object with equal couplings hits
+    (cached,) = _runs(build_model(m.b.copy(), m.d.copy()), [tl])
+    assert shapes == []
+    assert np.array_equal(cached.s, fresh.s)
+    # an edit in place of the model's couplings misses
+    m.d.setflags(write=True)
+    m.d[1, 2] = m.d[2, 1] = np.nextafter(m.d[1, 2], np.inf)
+    (edited,) = _runs(m, [tl])
+    assert len(shapes) == m.n_bath + 1
+    engine._free_eigs = None
+    (uncached,) = _runs(build_model(m.b, m.d), [tl])
+    assert np.array_equal(edited.s, uncached.s)
+
+
 def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
     shapes = _counted_pulse_builds(monkeypatch)
     m = default_model(seed=4, n_bath=3)
@@ -1169,7 +1249,8 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
 
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
     h_blocks = build_h_free(m, engine._sectors(m.n_bath))
-    kept = engine._Kept(h_blocks, {p for segs in pieces for kind, p in segs if kind == "free"})
+    kept = engine._Kept(h_blocks, {p for segs in pieces for kind, p in segs if kind == "free"},
+                        h_blocks)
     products = list(engine._interval_products(pieces, kept, _STATIC, 1.0))
     keys = [tuple(p if kind == "free" else engine._shape(p) for kind, p in segs)
             for segs in pieces]

@@ -21,7 +21,8 @@ from spinbath import (
     real_pulse,
     sample_couplings,
 )
-from spinbath.hamiltonians import _h_e_blocks, _mirror_sectors, _sector_blocks, _sectors
+from spinbath.hamiltonians import (_basis_z, _h_e_blocks, _layout, _mirror_sectors,
+                                   _sector_blocks, _sectors)
 
 
 def test_sample_couplings_deterministic_and_bounded():
@@ -125,12 +126,33 @@ def test_h_e_blocks_scatter_to_build_h_e(n_bath):
     assert np.array_equal(np.kron(np.eye(2), bath), build_h_e(m))
 
 
+def _h_free_from_bits(m):
+    """The dense H_free written entry by entry from the basis bits, skipping
+    zero couplings: each coupled pair i < j adds its Ising term to the
+    diagonal, in pair order, and -d_ij / 2 between the states its flip-flop
+    swaps."""
+    n, dim = m.n_bath, 2 ** (m.n_bath + 1)
+    z = 0.5 - ((np.arange(dim) >> np.arange(n, -1, -1)[:, None]) & 1)
+    field, ising = np.zeros(dim), np.zeros(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    for j in np.flatnonzero(m.b):
+        field = field + m.b[j] * z[j + 1]
+    for i, j in zip(*np.nonzero(np.triu(m.d, 1))):
+        ising = ising + m.d[i, j] * (2.0 * z[i + 1] * z[j + 1])
+        cols = np.flatnonzero(z[i + 1] != z[j + 1])
+        h[cols ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j))), cols] = -0.5 * m.d[i, j]
+    np.fill_diagonal(h, z[0] * field + ising)
+    return h
+
+
 def _h_free_blocks_equal_the_dense_slices(m):
     sectors = _sectors(m.n_bath)
     blocks = build_h_free(m, sectors)
     dense = build_h_free(m)
-    # the dense scatter against the sum of the two separately built pieces
+    # the dense scatter against the sum of the two separately built pieces,
+    # and against an entry-by-entry fill
     assert np.array_equal(dense, build_h_se(m) + build_h_e(m))
+    assert np.array_equal(dense, _h_free_from_bits(m))
     assert len(blocks) == len(sectors)
     for block, sliced in zip(blocks, _sector_blocks(dense, sectors)):
         assert block.dtype == complex
@@ -148,6 +170,32 @@ def test_h_free_sector_blocks_of_an_uncoupled_bath(n_bath):
     m = build_model(np.zeros(n_bath), np.zeros((n_bath, n_bath)))
     _h_free_blocks_equal_the_dense_slices(m)
     assert not np.any(build_h_free(m))
+
+
+@pytest.mark.parametrize("n_bath", range(10))
+def test_h_free_sector_blocks_of_a_partly_coupled_bath(n_bath):
+    # the cached layout holds every pair; an uncoupled one adds no entry
+    # and leaves no -0.0 behind
+    b, d = sample_couplings(CouplingSpec(b_scale=0.3, d_scale=0.2, seed=40 + n_bath), n_bath)
+    b[::2] = 0.0
+    iu = np.triu_indices(n_bath, k=1)
+    d[iu[0][::3], iu[1][::3]] = d[iu[1][::3], iu[0][::3]] = 0.0
+    m = build_model(b, d)
+    _h_free_blocks_equal_the_dense_slices(m)
+    assert not np.any(np.signbit(build_h_free(m).real) & (build_h_free(m).real == 0.0))
+
+
+def test_sector_layouts_are_cached_read_only():
+    for n_bath in (0, 3, 6):
+        assert _sectors(n_bath) is _sectors(n_bath)
+        assert _basis_z(n_bath + 1) is _basis_z(n_bath + 1)
+        assert _layout(n_bath) is _layout(n_bath)
+        (i, j), zz, per_sector = _layout(n_bath)
+        arrays = [*_sectors(n_bath), _basis_z(n_bath + 1), i, j, zz,
+                  *(a for sector in per_sector for a in sector)]
+        assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        _sectors(3)[1][0] = 0
 
 
 @pytest.mark.parametrize("n_bath", range(10))

@@ -174,6 +174,26 @@ def test_rejects_unphysical_parameters():
         compile_udd(6, 10.0, tau_p=5.0)
 
 
+@pytest.mark.parametrize("compile_with, name, expect", [
+    (lambda n: compile_free(5.0, n_cycles=n), "n_cycles", (3, "fid")),
+    (lambda n: compile_hahn(5.0, n_cycles=n), "n_cycles", (3, "hahn")),
+    (lambda n: compile_cpmg(5.0, n_cycles=n), "n_cycles", (3, "cpmg")),
+    (lambda n: compile_pdd(5.0, n_cycles=n), "n_cycles", (3, "pdd")),
+    (lambda n: compile_cdd(n, 5.0), "order", (1, "cdd3")),
+    (lambda n: compile_cdd(2, 5.0, n_cycles=n), "n_cycles", (3, "cdd2")),
+    (lambda n: compile_udd(n, 50.0), "n_pulses", (1, "udd3")),
+    (lambda n: compile_udd(4, 50.0, n_cycles=n), "n_cycles", (3, "udd4")),
+], ids=["free", "hahn", "cpmg", "pdd", "cdd-order", "cdd", "udd-pulses", "udd"])
+def test_compilers_reject_counts_that_are_no_integers(compile_with, name, expect):
+    # a float count used to be truncated: 2.9 cycles ran 2, cdd2.5 was cdd2
+    for bad in (2.9, 2.0, True, "3"):
+        with pytest.raises(ContractError, match=f"{name} must be an integer"):
+            compile_with(bad)
+    tl = compile_with(np.int64(3))
+    assert type(tl.n_cycles) is int
+    assert (tl.n_cycles, tl.label) == expect
+
+
 def test_rejects_non_finite_timelines():
     for bad in (np.nan, np.inf):
         with pytest.raises(TimelineError, match="cycle_time"):
