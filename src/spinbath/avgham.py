@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _interval_products, _Kept, _unitary_eig
+from .engine import _halves, _interval_products, _Kept, _unitary_eig
 from .errors import ContractError
 from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _sector_blocks, _sectors,
                            build_h_free, default_model)
@@ -379,8 +379,10 @@ def magnus_defect(timeline, h_free, ops):
     h_blocks = _sector_blocks(h_free, sectors)
     # error-free pulses at unit RF scale are exactly the ideal rotations
     pieces = timeline.segments()
-    # keyed on the blocks, so a second defect of one h_free diagonalizes nothing
-    kept = _Kept(h_blocks, {dt for kind, dt in pieces if kind == "free"}, h_blocks)
+    # keyed on the blocks' halves, so a second defect of one h_free diagonalizes
+    # nothing and the slot keeps no off-diagonal or imaginary zeros
+    kept = _Kept(h_blocks, {dt for kind, dt in pieces if kind == "free"},
+                 [_halves(h) for h in h_blocks])
     u_exact = kept.convert(next(_interval_products([pieces], kept, ErrorModel(), 1.0)), back=True)
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time

@@ -421,7 +421,11 @@ def _steps_pay(pieces, n_cycles, t):
 
     Building a product applies its pulses to the identity's two columns
     (_pulse_cost at T = 2). Free steps and Grams cost the same either way
-    and are not counted.
+    and are not counted. Timed with both paths forced (BENCH_25.json,
+    static_paths), the count picks the faster path at n_bath 7 in every case
+    tried, products being 2.8-6.4x faster for cdd2 and cdd3 over 15 cycles;
+    at n_bath 4, where per-call overhead weighs more than flops, it picks
+    the slower one in a few runs under 65 ms, by at most 30%.
     """
     distinct = {_interval_key(segments): segments for segments in pieces}
     steps = n_cycles * sum(_pulse_cost(segments, t) for segments in pieces)
@@ -446,11 +450,11 @@ def _free_eigensystems(h_blocks, key):
     The eigensystems of the last call stay in one slot with its `key`, a
     sequence of arrays that fixes h_blocks and that nothing changes
     afterwards: copies of the couplings (model.b, model.d) from propagate, or
-    the blocks themselves. A call whose key is np.array_equal to the slot's,
-    such as the next delay of a sweep on one model, forms no halves and skips
-    every eigh; a vector b never equals a square block, so the two kinds of
-    key cannot meet. eigh is deterministic, so a hit gives the same bits as a
-    miss.
+    the blocks' stacked halves (_halves) from avgham.magnus_defect. A call
+    whose key is np.array_equal to the slot's, such as the next delay of a
+    sweep on one model, forms no halves and skips every eigh; a vector b
+    never equals a (2, C, C) stack, so the two kinds of key cannot meet. eigh
+    is deterministic, so a hit gives the same bits as a miss.
     """
     global _free_eigs
     slot = _free_eigs
@@ -458,12 +462,18 @@ def _free_eigensystems(h_blocks, key):
         return slot[1]
     eigs = []
     for h in h_blocks:
-        c = len(h) // 2
-        x = np.stack((h[:c, :c], h[c:, c:]))
-        w, v = np.linalg.eigh(x if x.imag.any() else x.real)
+        w, v = np.linalg.eigh(_halves(h))
         eigs.append((w, v, v[0].conj().T @ v[1]))
     _free_eigs = (key, eigs)
     return eigs
+
+
+def _halves(h):
+    """The two system S_z halves of a block h, stacked as (2, C, C): a real
+    copy when they have no imaginary part, as H_free's."""
+    c = len(h) // 2
+    x = np.stack((h[:c, :c], h[c:, c:]))
+    return x if x.imag.any() else x.real.copy()
 
 
 def _interval_key(segments):

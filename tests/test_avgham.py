@@ -145,9 +145,11 @@ def test_magnus_defects_of_one_h_free_diagonalize_its_halves_once(monkeypatch):
     del shapes[:]
     assert magnus_defect(tl, h.copy(), m.ops) == first
     assert shapes and not [a for a in shapes if len(a) == 3]
-    # the slot is keyed on the sector blocks, and holds no full-space copy
+    # the slot is keyed on the real halves of the sector blocks, and holds
+    # neither a full-space copy nor the complex blocks
     key, _ = engine._free_eigs
-    assert [a.shape for a in key] == [(2 * math.comb(5, k),) * 2 for k in range(6)]
+    assert [a.shape for a in key] == halves
+    assert all(a.dtype == np.float64 and a.base is None for a in key)
 
 
 def test_magnus_defect_refuses_a_non_hermitian_hamiltonian():
