@@ -381,9 +381,10 @@ def magnus_defect(timeline, h_free, ops):
     pieces = timeline.segments()
     # keyed on the blocks' halves, so a second defect of one h_free diagonalizes
     # nothing and the slot keeps no off-diagonal or imaginary zeros
-    kept = _Kept(h_blocks, {dt for kind, dt in pieces if kind == "free"},
-                 [_halves(h) for h in h_blocks])
-    u_exact = kept.convert(next(_interval_products([pieces], kept, ErrorModel(), 1.0)), back=True)
+    kept = _Kept(h_blocks, [_halves(h) for h in h_blocks])
+    phases = kept.phases({dt for kind, dt in pieces if kind == "free"})
+    u_exact = kept.convert(next(_interval_products([pieces], kept, phases, ErrorModel(), 1.0)),
+                           back=True)
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
     return _norm([_left(frame, u) - exp_propagators(h0 + h1, (tau_c,))[tau_c]

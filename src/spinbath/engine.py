@@ -73,7 +73,10 @@ interval once per cycle, whichever its counted cost says is cheaper
 (_steps_pay): stepping pays for short runs and for few pulses per interval,
 products for many pulses per interval over many cycles. A finite pulse or
 a product is turned into the frame as V^T U V (_Kept.convert), and back for
-the powered path and avgham.magnus_defect.
+the powered path and avgham.magnus_defect. One-cycle runs with the same
+pulses, such as the delays of an echo curve, are rows of one buffer: each
+row takes its own phases, every pulse acts on all rows at once, and each
+row reads its own Gram; the rows go in chunks within _CHUNK_BYTES.
 
 The direct loop needs W only on the prepared state's system column |+u>,
 S_u = |+u><+u| - 1/2: W is unitary and the detection operator d is
@@ -93,7 +96,6 @@ odd nonequidistant trains) report the positive echo amplitude instead of
 an alternating sign.
 """
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -113,6 +115,9 @@ INITIAL_AXES = ("x", "y", "z")
 # below this many cycles a direct conjugation loop beats diagonalizing
 # the cycle propagator
 _POWER_MIN_CYCLES = 16
+
+# bytes of buffers and phase tables per chunk of rows, of at least one row
+_CHUNK_BYTES = 1 << 19
 
 # |+u>, the system state of the prepared S_u along each initial axis
 _PLUS = {"x": np.array([1.0, 1.0]) * math.sqrt(0.5), "y": np.array([1.0, 1j]) * math.sqrt(0.5),
@@ -269,14 +274,12 @@ class _Kept:
     of phase `flip` (_flip_phase) the _mirror_sectors, with their H_free
     blocks, weights and eigensystems (w, V, M) (_free_eigensystems under
     `key`, which cover every sector: the frozen count test expects one eigh
-    per sector),
-    and the phase steps exp(-i w dt) of the free steps `dts`. The buffer
-    layout (_Accumulated) orders them by width, so that k and n - k sit side
-    by side; `groups` holds each width's buffer slice, block shape and
-    stacked mixings [M, M^dag].
+    per sector). The buffer layout (_Accumulated) orders them by width, so
+    that k and n - k sit side by side; `groups` holds each width's buffer
+    slice, block shape and stacked mixings [M, M^dag].
     """
 
-    def __init__(self, h_blocks, dts, key, flip=None):
+    def __init__(self, h_blocks, key, flip=None):
         eigs, n, self.flip = _free_eigensystems(h_blocks, key), len(h_blocks), flip
         pairs = _mirror_sectors(n - 1) if flip is not None else [(k, 1) for k in range(n)]
         ks, self.weights = zip(*pairs)
@@ -291,10 +294,16 @@ class _Kept:
             m = np.stack([self.eigs[i][2] for i in members])
             self.groups.append((slice(self.slices[members[0]].start, ends[members[-1]]),
                                 m.shape, np.stack((m, m.conj().swapaxes(1, 2)))))
-        w = np.hstack([self.eigs[i][0] for i in order])
-        rows = np.repeat(np.arange(w.shape[1]), [self.widths[i] for i in order
-                                                 for _ in range(self.widths[i])])
-        self.phases = {dt: np.take(np.exp(-1j * dt * w), rows, axis=1) for dt in dts}
+        self._w = np.hstack([self.eigs[i][0] for i in order])
+        self._spread = np.repeat(np.arange(self._w.shape[1]), [
+            self.widths[i] for i in order for _ in range(self.widths[i])])
+
+    def phases(self, keys):
+        """The phase steps exp(-i w dt) of each free step's key, a length dt
+        or the tuple of the D rows' lengths (_row_intervals), as (D, 1, 2,
+        size) tables for _Accumulated."""
+        return {key: np.exp(-1j * np.reshape(key, (-1, 1, 1, 1)) * self._w)[..., self._spread]
+                for key in keys}
 
     def convert(self, us, back=False):
         """A list of sector blocks U turned into the frame, V^dag U V with V =
@@ -308,45 +317,50 @@ class _Kept:
 
 
 class _Accumulated:
-    """The accumulated propagators W of the kept sectors (_Kept) applied to T
-    initial system columns psi_t, W (psi_t (x) 1), in their free eigenframe
-    X_s = V_s^dag W_s (module notes).
+    """The accumulated propagators W of the kept sectors (_Kept) of D rows
+    (runs sharing their pulses) applied to T initial system columns psi_t,
+    W (psi_t (x) 1), in their free eigenframe X_s = V_s^dag W_s (module notes).
 
-    They share one buffer of shape (T, 2, sum_k C_k^2): row [t, s] holds the
-    (C, C) blocks V_s^dag <s|W|psi_t> of each sector in the kept layout, and
-    blocks[k] views sector k as (T, 2, C, C). Each step but a free one writes
-    the second of two buffers and swaps them. A sector of weight m starts at
-    sqrt(m) psi_t (x) 1, so the Gram counts it m times; without columns W
-    starts at the frame's identity and comes out as V^dag W V.
+    They share one buffer of shape (D T, 2, sum_k C_k^2): row [r T + t, s]
+    holds the (C, C) blocks V_s^dag <s|W_r|psi_t> of each sector in the kept
+    layout, and blocks[k] views sector k as (D T, 2, C, C). Each step but a
+    free one writes the second of two buffers and swaps them. A sector of
+    weight m starts at sqrt(m) psi_t (x) 1, so the Gram counts it m times;
+    without columns W starts at the frame's identity and comes out as
+    V^dag W V.
     """
 
-    def __init__(self, kept, columns=None):
-        t = 2 if columns is None else columns.shape[1]
-        self._phases = kept.phases
+    def __init__(self, kept, phases, columns=None, rows=1):
+        t = rows * (2 if columns is None else columns.shape[1])
+        self._phases, self._rows = phases, rows
         buffers = [np.empty((t, 2, kept.size), dtype=complex) for _ in range(2)]
-        # per buffer x: it, its sector blocks, and the _mix operands of a pulse
-        # (M X_-, M^dag X_+ into the other buffer) and of the Gram (M X_- only)
+        # per buffer x: it, its (D, T, 2, size) view for a free step, its
+        # sector blocks, and the _mix operands of a pulse (M X_-, M^dag X_+
+        # into the other buffer) and of the Gram (M X_- only)
         self._states = [
-            (x, [x[..., sl].reshape(t, 2, c, c) for sl, c in zip(kept.slices, kept.widths)],
+            (x, x.reshape(rows, -1, 2, kept.size),
+             [x[..., sl].reshape(t, 2, c, c) for sl, c in zip(kept.slices, kept.widths)],
              [(m, x[:, ::-1, sl].reshape(t, 2, *shape).view(m.dtype),
                out[:, :, sl].reshape(t, 2, *shape).view(m.dtype)) for sl, shape, m in kept.groups],
              [(m[0], x[:, 1, sl].reshape(t, *shape).view(m.dtype),
                out[:, 0, sl].reshape(t, *shape).view(m.dtype)) for sl, shape, m in kept.groups])
             for x, out in (buffers, buffers[::-1])]
+        start = np.tile(np.eye(2) if columns is None else columns.T, (rows, 1))
         for block, (_, v, _), m in zip(self.blocks, kept.eigs, kept.weights):
             block[...] = np.eye(len(v[0])) if columns is None else v.conj().swapaxes(1, 2)
-            block *= (np.eye(2) if columns is None else math.sqrt(m) * columns.T)[:, :, None, None]
+            block *= (start if columns is None else math.sqrt(m) * start)[:, :, None, None]
 
     @property
     def blocks(self):
-        return self._states[0][1]
+        return self._states[0][2]
 
     def advance(self, op):
-        """W <- U W for a free step of length `op`, a 2x2 rotation `op` of the
-        system spin, or a list `op` of full blocks in the frame (_advance)."""
-        (x, blocks, mixes, _), (out, out_blocks, _, _) = self._states
-        if isinstance(op, float):
-            x *= self._phases[op]
+        """W <- U W for a free step keyed by `op` (_Kept.phases), a 2x2
+        rotation `op` of the system spin, or a list `op` of full blocks in
+        the frame (_advance)."""
+        (x, by_row, blocks, mixes, _), (out, _, out_blocks, _, _) = self._states
+        if isinstance(op, (float, tuple)):
+            by_row *= self._phases[op]
             return
         if isinstance(op, list):
             for u, w, o in zip(op, blocks, out_blocks):
@@ -362,16 +376,17 @@ class _Accumulated:
         self._states.reverse()
 
     def gram(self):
-        """The (2T, 2T) Gram of the [t, s] rows of W, summed over sectors: one
-        vdot of X within a half, Tr{W_+ W_-^dag} = vdot(M X_-, X_+) across."""
-        (x, _, _, mixes), (out, *_) = self._states
+        """Each row's (2T, 2T) Gram of its [t, s] columns of W, summed over
+        sectors, as (D, 2T, 2T): one vdot of X within a half, Tr{W_+ W_-^dag}
+        = vdot(M X_-, X_+) across; no row meets another."""
+        (x, _, _, _, mixes), (out, *_) = self._states
         for m, xin, o in mixes:
             _mix(m, xin, o)
         x0, x1, r = x[:, 0], x[:, 1], out[:, 0]
         # (b, a) of the entry vdot(b[u], a[t]) at [(t, s), (u, z)], per s and z
-        pairs, ts = (((x0, x0), (r, x0)), ((x0, r), (x1, x1))), range(len(x))
-        return np.array([[np.vdot(b[u], a[t]) for u in ts for b, a in pairs[s]]
-                         for t in ts for s in (0, 1)])
+        pairs, ts = (((x0, x0), (r, x0)), ((x0, r), (x1, x1))), len(x) // self._rows
+        return np.array([[[np.vdot(b[o + u], a[o + t]) for u in range(ts) for b, a in pairs[s]]
+                          for t in range(ts) for s in (0, 1)] for o in range(0, len(x), ts)])
 
 
 def _static_operators(pieces, kept, err, rf_scale):
@@ -386,10 +401,10 @@ def _static_operators(pieces, kept, err, rf_scale):
             for segments in pieces]
 
 
-def _interval_products(pieces, kept, err, rf_scale):
+def _interval_products(pieces, kept, phases, err, rf_scale):
     """Yield, for each segment list of `pieces` in order, the per-sector
     product of its segment propagators in the frame (_Kept), V^dag U V,
-    as full (2C, 2C) blocks.
+    as full (2C, 2C) blocks; `phases` holds the free steps' tables.
 
     The errors are static (_static_operators), and segment lists of equal
     shape yield one shared product.
@@ -398,7 +413,7 @@ def _interval_products(pieces, kept, err, rf_scale):
     for segments, operators in zip(pieces, _static_operators(pieces, kept, err, rf_scale)):
         key = _interval_key(segments)
         if key not in shared:
-            w = _Accumulated(kept)
+            w = _Accumulated(kept, phases)
             for op in operators:
                 w.advance(op)
             shared[key] = [b.transpose(1, 2, 0, 3).reshape(2 * len(b[0, 0]), -1)
@@ -736,18 +751,19 @@ def _detection_key(d, c, sign):
     return 0.5 * key
 
 
-def _realization_curve(spec, intervals, kept, s_u, k):
-    """Survival values for realization k at the recording instants, from the
-    kept sector blocks (_Kept).
+def _realization_curve(spec, intervals, kept, phases, s_u, k, rows=1):
+    """Survival values for realization k at the recording instants after
+    t = 0, from the kept sector blocks (_Kept): per cycle and interval, each
+    of the D `rows` in turn (_row_intervals).
 
     The direct loop carries the accumulated propagators W applied to the
     prepared state's system column |+u> (_Accumulated, _initial_columns),
     and reads s = Re Tr{(d (x) 1) W (S_u (x) 1) W^dag} / Tr{(S_u (x) 1)^2},
-    with d the prepared S_u in the detection frame, as the sum of the Gram of
-    those columns against the key of d (_detection_key). A jittered run
-    applies each segment; a static run either does too, with each pulse
-    built once, or applies one interval product per interval and cycle,
-    whichever costs less (_steps_pay).
+    with d the prepared S_u in the detection frame, as the sum of each
+    row's Gram of those columns against the key of d (_detection_key). A
+    jittered run applies each segment; a static run either does too, with
+    each pulse built once, or applies one interval product per interval and
+    cycle, whichever costs less (_steps_pay): stepping, for one-cycle rows.
     """
     n_cycles, err = spec.timeline.n_cycles, spec.error_model
     rng = realization_rng(spec.master_seed, k)
@@ -758,24 +774,25 @@ def _realization_curve(spec, intervals, kept, s_u, k):
         if (spec.record == "cycle_boundaries" and intervals[0].frame is None
                 and n_cycles >= _POWER_MIN_CYCLES):
             # the cycle product turned back, with no frame copy kept alive
-            u = kept.convert(next(_interval_products(pieces, kept, err, rf_scale)), back=True)
+            u = kept.convert(next(_interval_products(pieces, kept, phases, err, rf_scale)),
+                             back=True)
             powered = _powered_overlaps(u, s_u, n_cycles, kept)
             if powered is not None:
-                return powered
+                return powered[1:]
         if _steps_pay(pieces, n_cycles, columns.shape[1]):
             static = _static_operators(pieces, kept, err, rf_scale)
         else:
-            static = [[u] for u in _interval_products(pieces, kept, err, rf_scale)]
+            static = [[u] for u in _interval_products(pieces, kept, phases, err, rf_scale)]
 
         def cycle():
             return static
     else:
         cycle = _jittered_cycles(pieces, kept, err, rf_scale, rng)
 
-    w = _Accumulated(kept, columns)
+    w = _Accumulated(kept, phases, columns, rows)
     d, key = s_u, _detection_key(s_u, kept.flip, sign)
     norm0 = 0.25 * sum(m * len(h) for m, h in zip(kept.weights, kept.h_blocks))
-    values = [1.0]
+    values = []
     for _ in range(n_cycles):
         for iv, operators in zip(intervals, cycle()):
             for us in operators:
@@ -783,40 +800,69 @@ def _realization_curve(spec, intervals, kept, s_u, k):
             if iv.frame is not None:
                 d = iv.frame @ d @ iv.frame.conj().T
                 key = _detection_key(d, kept.flip, sign)
-            values.append(float(np.real(np.vdot(key, w.gram()))) / norm0)
+            values += [float(np.real(np.vdot(key, g))) / norm0 for g in w.gram()]
     return np.asarray(values)
 
 
-def propagate(spec, threads=1):
+def _row_intervals(runs):
+    """The recording intervals of one run, or the one interval of one-cycle
+    runs (rows) with each free step keyed by the tuple of their lengths."""
+    if len(runs) == 1:
+        return runs[0]
+    (first,), *_ = runs
+    return [first._replace(segments=[
+        (kind, tuple(run[0].segments[i][1] for run in runs) if kind == "free" else p)
+        for i, (kind, p) in enumerate(first.segments)])]
+
+
+def propagate(spec, threads=1, *, rows=()):
     """Run the ensemble and return the averaged SurvivalTrace.
 
     Every propagator and state is a list of bath-magnetization sector
     blocks (hamiltonians._sectors), so the largest diagonalization is the
     largest block; a run with a spin flip (_flip_phase) propagates one
-    sector of each mirrored pair. The reduction order over realizations is
-    fixed by index, so the result is bit-identical for any thread count.
+    sector of each mirrored pair. Realizations run in index order;
+    `threads` is checked (an integer >= 1) and changes nothing.
+
+    `rows` are further one-cycle Timelines with the pulses of a one-cycle
+    spec.timeline and ever longer cycles (else a ContractError), each run
+    as a row of one buffer (_Accumulated) in chunks of _CHUNK_BYTES; the
+    trace then holds s at each run's cycle end, the same as runs of their own.
     """
     check_run_options(threads=threads)
     model, tl = spec.model, spec.timeline
+    if rows and (spec.record != "cycle_boundaries" or {t.n_cycles for t in (tl, *rows)} != {1}
+                 or any(a.cycle_time >= b.cycle_time for a, b in zip((tl, *rows), rows))
+                 or len({tuple(kind if kind == "free" else _shape(p) for kind, p in t.segments())
+                         for t in (tl, *rows)}) > 1):
+        raise ContractError("rows need one-cycle timelines recorded at cycle_boundaries, with "
+                            "the pulses of spec.timeline in order and ever longer cycles")
     h_blocks = build_h_free(model, _sectors(model.n_bath))
     s_u = _SPIN_HALF[spec.initial_axis]
-    intervals = _recording_intervals(tl, spec.record)
+    runs = [_recording_intervals(t, spec.record) for t in (tl, *rows)]
     # free evolution does not depend on the pulse-error draw, so the
     # realizations share one frame read-only; the couplings key the
     # eigensystem slot, copied so that no later edit of the model reaches it
-    kept = _Kept(h_blocks, {dt for iv in intervals for kind, dt in iv.segments if kind == "free"},
-                 (model.b.copy(), model.d.copy()), _flip_phase(tl.events, spec.error_model))
+    kept = _Kept(h_blocks, (model.b.copy(), model.d.copy()),
+                 _flip_phase(tl.events, spec.error_model))
 
-    def curve(k):
-        return _realization_curve(spec, intervals, kept, s_u, k)
+    def free_keys(intervals):
+        return {p for iv in intervals for kind, p in iv.segments if kind == "free"}
 
-    ks = range(spec.n_realizations)
-    if threads > 1 and spec.n_realizations > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = np.vstack(list(pool.map(curve, ks)))
-    else:
-        curves = np.vstack([curve(k) for k in ks])
+    # a row takes two buffers of T columns and its phase tables
+    t = _initial_columns(spec.initial_axis, kept.flip)[0].shape[1]
+    row_bytes = 32 * kept.size * (2 * t + len(free_keys(_row_intervals(runs))))
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    curves = [np.ones((spec.n_realizations, 1))]
+    for chunk in (runs[lo:lo + step] for lo in range(0, len(runs), step)):
+        intervals = _row_intervals(chunk)
+        phases = kept.phases(free_keys(intervals))
+        curves.append(np.vstack([_realization_curve(spec, intervals, kept, phases, s_u, k,
+                                                    len(chunk))
+                                 for k in range(spec.n_realizations)]))
+    curves = np.hstack(curves)
 
+    intervals = runs[0]
     m = np.arange(tl.n_cycles)[:, None]
     times = m * tl.cycle_time + np.array([iv.end for iv in intervals])
     # a cycle ends at (m + 1) tau_c; m tau_c + tau_c can differ in the last bit
@@ -827,9 +873,11 @@ def propagate(spec, threads=1):
         stderr = curves.std(axis=0, ddof=1) / np.sqrt(curves.shape[0])
     else:
         stderr = np.zeros_like(mean)
-    return SurvivalTrace(times=np.concatenate(([0.0], times.ravel())),
-                         n_pulses=np.concatenate(([0], counts.ravel())), s=mean,
-                         stderr=stderr, axis=spec.initial_axis, label=tl.label)
+    # the rows' cycle ends follow
+    times = np.concatenate(([0.0], times.ravel(), [r.cycle_time for r in rows]))
+    counts = np.concatenate(([0], counts.ravel(), [intervals[-1].n_pulses] * len(rows)))
+    return SurvivalTrace(times=times, n_pulses=counts, s=mean, stderr=stderr,
+                         axis=spec.initial_axis, label=tl.label)
 
 
 def bath_correlation(model, t_grid, which="ix_total", j=0):

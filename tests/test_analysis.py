@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 import spinbath.analysis as analysis
+import spinbath.engine as engine
 from spinbath import (
     ContractError,
     ErrorModel,
+    GaussianRf,
+    RunSpec,
     SurvivalTrace,
+    TimelineError,
     build_model,
     compile_family,
+    compile_hahn,
+    default_model,
     decay_time,
     envelope,
     fair_tau,
     fit_order_relation,
     hahn_decay_trace,
+    propagate,
     sweep_tau,
 )
 
@@ -261,3 +268,92 @@ def test_hahn_decay_trace_refuses_an_empty_or_non_vector_grid(grid, monkeypatch)
     with pytest.raises(ContractError, match="tau_grid must be a non-empty 1-D grid"):
         hahn_decay_trace(static_model(), grid)
     assert runs == []
+
+
+@pytest.mark.parametrize("bad", [{"tau_grid": [5.0, math.inf]}, {"tau_p": math.nan}])
+def test_hahn_decay_trace_compiles_every_delay_before_any_echo_runs(bad, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an echo ran")
+
+    monkeypatch.setattr(analysis, "propagate", never)
+    with pytest.raises(TimelineError):
+        hahn_decay_trace(static_model(), **{"tau_grid": [5.0, 10.0], **bad})
+
+
+_ECHO_ERRORS = {
+    "ideal": None,
+    "rf-flip": ErrorModel(rf=GaussianRf(1.0, 0.1), flip_angle_fraction=0.02),
+    "jitter": ErrorModel(tilt_jitter_sd=0.15),
+    "tilt": ErrorModel(axis_tilt=0.1),
+}
+
+
+@pytest.mark.parametrize("n_bath", [0, 3, 7])
+@pytest.mark.parametrize("err", list(_ECHO_ERRORS), ids=list(_ECHO_ERRORS))
+@pytest.mark.parametrize("tau_p", [0.0, 1.5])
+@pytest.mark.parametrize("axis, n_realizations", [("x", 1), ("y", 4), ("z", 4), ("z", 1)])
+def test_echo_curve_equals_one_run_per_delay(n_bath, err, tau_p, axis, n_realizations):
+    # every delay is a row of one buffer, with each realization's pulses
+    # shared by the rows; at n_bath 7 the rows also span several chunks
+    grid = [4.0, 11.0, 23.0, 60.0, 140.0]
+    model = default_model(seed=5, n_bath=n_bath)
+    curve = hahn_decay_trace(model, grid, _ECHO_ERRORS[err], axis, tau_p, n_realizations, 9)
+    runs = [propagate(RunSpec(model=model, timeline=compile_hahn(tau, tau_p),
+                              error_model=_ECHO_ERRORS[err] or ErrorModel(), initial_axis=axis,
+                              n_realizations=n_realizations, master_seed=9)) for tau in grid]
+    for name in ("times", "s", "stderr", "n_pulses"):
+        expected = np.concatenate([[getattr(runs[0], name)[0]],
+                                   [getattr(run, name)[-1] for run in runs]])
+        assert np.array_equal(getattr(curve, name), expected), name
+    assert curve.label == "hahn-echo-curve" and curve.axis == axis
+
+
+def test_echo_curve_is_one_propagate_and_one_h_free(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "propagate", counted("propagate", analysis.propagate))
+    monkeypatch.setattr(engine, "build_h_free", counted("build_h_free", engine.build_h_free))
+    hahn_decay_trace(default_model(), np.linspace(5.0, 300.0, 15))
+    assert calls == ["propagate", "build_h_free"]
+
+
+def test_one_row_chunks_give_the_same_echo_curve(monkeypatch):
+    model, grid = default_model(seed=3, n_bath=5), np.linspace(5.0, 120.0, 9)
+    err = ErrorModel(rf=GaussianRf(1.0, 0.1), tilt_jitter_sd=0.1)
+    chunked = hahn_decay_trace(model, grid, err, "y", 0.5, 3, 2)
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    rows = []
+
+    class Spy(engine._Accumulated):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rows.append(self._rows)
+
+    monkeypatch.setattr(engine, "_Accumulated", Spy)
+    single = hahn_decay_trace(model, grid, err, "y", 0.5, 3, 2)
+    assert rows == 3 * len(grid) * [1]
+    for name in ("times", "s", "stderr"):
+        assert np.array_equal(getattr(single, name), getattr(chunked, name))
+
+
+def test_echo_curve_chunks_stay_within_the_budget(monkeypatch):
+    chunks = []
+
+    class Spy(engine._Accumulated):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables = sum(p.nbytes for p in self._phases.values())
+            chunks.append((self._rows, 2 * self._states[0][0].nbytes + tables))
+
+    monkeypatch.setattr(engine, "_Accumulated", Spy)
+    hahn_decay_trace(default_model(), np.linspace(5.0, 300.0, 60))
+    assert sum(rows for rows, _ in chunks) == 60
+    assert max(nbytes for _, nbytes in chunks) <= engine._CHUNK_BYTES
+    # and a chunk is not a single row where several fit
+    assert len(chunks) < 60

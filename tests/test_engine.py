@@ -557,8 +557,9 @@ def _cycle_blocks(model, timeline, err, rf_scale=1.02):
     turned out of the free-evolution frame."""
     h_blocks = build_h_free(model, engine._sectors(model.n_bath))
     pieces = [timeline.segments()]
-    kept = engine._Kept(h_blocks, {dt for kind, dt in pieces[0] if kind == "free"}, h_blocks)
-    (u,) = engine._interval_products(pieces, kept, err, rf_scale)
+    kept = engine._Kept(h_blocks, h_blocks)
+    phases = kept.phases({dt for kind, dt in pieces[0] if kind == "free"})
+    (u,) = engine._interval_products(pieces, kept, phases, err, rf_scale)
     return kept.convert(u, back=True)
 
 
@@ -1102,6 +1103,44 @@ def test_jittered_delta_pulses_mix_once_per_width(monkeypatch):
     assert set(mixes) == {(np.dtype(np.float64),) * 3}
 
 
+@pytest.mark.parametrize("family, tau_p, err, axis", [
+    ("cpmg", 0.0, _JITTER, "y"),
+    ("cpmg2", 1.5, _STATIC, "x"),
+    ("cdd", 0.0, _STATIC, "z"),
+    ("udd", 1.5, _JITTER, "x"),
+])
+def test_rows_equal_runs_of_their_own(family, tau_p, err, axis):
+    # cycles whose free steps take several lengths, keyed per row
+    timelines = [compile_family(family, tau, tau_p) for tau in (6.0, 9.0, 17.0)]
+    spec = RunSpec(model=default_model(seed=8, n_bath=4), timeline=timelines[0],
+                   error_model=err, initial_axis=axis, n_realizations=3, master_seed=4)
+    trace = propagate(spec, rows=timelines[1:])
+    runs = [propagate(RunSpec(model=spec.model, timeline=tl, error_model=err, initial_axis=axis,
+                              n_realizations=3, master_seed=4)) for tl in timelines]
+    for name in ("times", "n_pulses", "s", "stderr"):
+        expected = np.concatenate([[getattr(runs[0], name)[0]],
+                                   [getattr(run, name)[-1] for run in runs]])
+        assert np.array_equal(getattr(trace, name), expected), name
+    assert trace.label == timelines[0].label
+
+
+@pytest.mark.parametrize("rows, record", [
+    ([compile_hahn(8.0, n_cycles=2)], "cycle_boundaries"),
+    ([compile_hahn(8.0)], "every_pulse"),
+    ([compile_cpmg(8.0)], "cycle_boundaries"),
+    ([compile_hahn(8.0, 0.5)], "cycle_boundaries"),
+    ([compile_hahn(8.0), compile_hahn(7.0)], "cycle_boundaries"),
+    ([compile_hahn(5.0)], "cycle_boundaries"),
+], ids=["two-cycles", "every-pulse", "other-pulses", "longer-pulse", "shorter-cycle",
+        "same-cycle"])
+def test_rows_that_cannot_share_the_pulses_are_rejected(rows, record, monkeypatch):
+    monkeypatch.setattr(engine, "build_h_free", None)
+    spec = RunSpec(model=default_model(seed=8, n_bath=2), timeline=compile_hahn(5.0),
+                   record=record)
+    with pytest.raises(ContractError, match="rows need one-cycle timelines"):
+        propagate(spec, rows=rows)
+
+
 def _counted_pulse_builds(monkeypatch):
     shapes = []
     build = engine._pulse_blocks
@@ -1249,9 +1288,9 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
 
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
     h_blocks = build_h_free(m, engine._sectors(m.n_bath))
-    kept = engine._Kept(h_blocks, {p for segs in pieces for kind, p in segs if kind == "free"},
-                        h_blocks)
-    products = list(engine._interval_products(pieces, kept, _STATIC, 1.0))
+    kept = engine._Kept(h_blocks, h_blocks)
+    phases = kept.phases({p for segs in pieces for kind, p in segs if kind == "free"})
+    products = list(engine._interval_products(pieces, kept, phases, _STATIC, 1.0))
     keys = [tuple(p if kind == "free" else engine._shape(p) for kind, p in segs)
             for segs in pieces]
     for key, product in zip(keys, products):
