@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _halves, _interval_products, _Kept, _unitary_eig
+from .engine import _halves, _interval_products, _Kept, _static_operators, _unitary_eig
 from .errors import ContractError
 from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _sector_blocks, _sectors,
                            build_h_free, default_model)
@@ -383,8 +383,8 @@ def magnus_defect(timeline, h_free, ops):
     # nothing and the slot keeps no off-diagonal or imaginary zeros
     kept = _Kept(h_blocks, [_halves(h) for h in h_blocks])
     phases = kept.phases({dt for kind, dt in pieces if kind == "free"})
-    u_exact = kept.convert(next(_interval_products([pieces], kept, phases, ErrorModel(), 1.0)),
-                           back=True)
+    operators = _static_operators([pieces], kept, ErrorModel(), 1.0, {})
+    u_exact = kept.convert(_interval_products([pieces], operators, kept, phases)[0], back=True)
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
     return _norm([_left(frame, u) - exp_propagators(h0 + h1, (tau_c,))[tau_c]

@@ -39,44 +39,52 @@ times Q^dag. Such a run keeps the sectors k < n - k with weight 2, plus the
 middle sector k = n/2 (_mirror_sectors). Sector n - k then reads the
 mirrored observable q S_u q and detection frame q d q, q = u . sigma, in
 sector k. The powered path splits the middle block, which commutes with Q,
-into its Q = +1 and -1 halves (_parity_blocks). Bath correlations pair
-their H_E sectors the same way (_bath_blocks).
+into its Q = +1 and -1 halves (_parity_blocks), in the free eigenframe
+below, where Q reads [[0, conj(c) K], [c K^T, 0]] with the real orthogonal
+K = V_+^T J V_- (_Kept.reversal). Bath correlations pair their H_E sectors
+the same way (_bath_blocks).
 
 Ensemble averaging covers pulse-error realizations only: each realization
 draws one RF amplitude scale (static inhomogeneity) from the error model,
 with a generator seeded deterministically from (master_seed, k). When all
-errors are static within a realization, the cycle propagator is built
-once per realization; long runs then advance through its eigenphase
-powers, at O(dim^2) per cycle instead of O(dim^3). Each block gets a
-unitary eigenbasis from a Hermitian eigh (_unitary_eig); one with an
-off-diagonal residual above 1e-13 sends the realization down the direct
-loop. Time reversal makes that eigh real for cpmg, cp, delta-pulse udd and
-FID: in the frame S = diag(exp(-i phi/2), exp(i phi/2)) (x) 1 of a paired
-run's pulse axis c = exp(i phi) (_axis_frame) every free step and pulse is
-symmetric, so a cycle whose segments read the same backwards is too, and
-a symmetric unitary A + iB (A, B real symmetric, commuting) has a real
-orthogonal eigenbasis; cpmg2, finite-pulse udd and unpaired runs stay
-complex. These powers and the bath correlations are one eigenbasis sum,
-Re sum_ab W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2, which
+errors are static within a realization, the cycle propagator is built once
+per realization; long runs then advance through its eigenphase powers, at
+O(dim^2) per cycle instead of O(dim^3). Each block gets a unitary
+eigenbasis from a Hermitian eigh (_unitary_eig), or is its own when it is
+diagonal to 1e-13; one with an off-diagonal residual above 1e-13 sends the
+realization down the direct loop, which reuses the realization's pulses and
+cycle product. Time reversal makes that eigh real for cpmg, cp and
+delta-pulse udd: in the frame S = diag(exp(-i phi/2), exp(i phi/2)) (x) 1
+of a paired run's pulse axis c = exp(i phi) (_axis_frame) every free step
+and pulse is symmetric, so a cycle whose segments read the same backwards
+is too, and a symmetric unitary A + iB (A, B real symmetric, commuting) has
+a real orthogonal eigenbasis; cpmg2, finite-pulse udd and unpaired runs
+stay complex. These powers and the bath correlations are one eigenbasis
+sum, Re sum_ab W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2, which
 _autocorrelation forms and _spectral_series evaluates with no weight
 dropped. Pulse-to-pulse tilt jitter breaks the reuse: the direct loop
 carries every sector's accumulated propagator W in one buffer
 (_Accumulated), in the eigenframe of the free halves, X_s = V_s^T W_s. A
 free step is then one multiply of the whole buffer by the phases
-exp(-i w dt). A delta pulse [[a, b], [c, d]] is X_+ <- a X_+ + b M X_- and
-X_- <- c M^T X_+ + d X_- with the real mixing M = V_+^T V_-, one real
+exp(-i w dt). A delta pulse [[a, b], [c, d]] is X_+ <- a X_+ + b M X_-
+and X_- <- c M^T X_+ + d X_- with the real mixing M = V_+^T V_-, one real
 product per sector width. The survival Gram reads X within a half, and
 Tr{W_+ W_-^dag} = vdot(M X_-, X_+) across them. A jittered run applies
 each free step and each freshly drawn pulse. A static run does the same
 with each pulse built once, or applies the product of each recording
 interval once per cycle, whichever its counted cost says is cheaper
-(_steps_pay): stepping pays for short runs and for few pulses per interval,
-products for many pulses per interval over many cycles. A finite pulse or
-a product is turned into the frame as V^T U V (_Kept.convert), and back for
-the powered path and avgham.magnus_defect. One-cycle runs with the same
+(_steps_pay): stepping pays for short runs and for few pulses per
+interval, products for many pulses per interval over many cycles. A
+finite pulse is turned into the frame as V^T U V (_Kept.convert), and a
+product is built there. The powered path reads the cycle product in the
+frame, with the observable
+V^T (p (x) 1) V = [[p_00, p_01 M], [p_10 M^T, p_11]] (_frame_observable);
+a pulseless cycle is diagonal there, so it needs no eigh. Only
+avgham.magnus_defect turns a product back. One-cycle runs with the same
 pulses, such as the delays of an echo curve, are rows of one buffer: each
 row takes its own phases, every pulse acts on all rows at once, and each
-row reads its own Gram; the rows go in chunks within _CHUNK_BYTES.
+row reads its own Gram; the rows go in chunks within _CHUNK_BYTES, and
+each realization builds its pulses once for all chunks.
 
 The direct loop needs W only on the prepared state's system column |+u>,
 S_u = |+u><+u| - 1/2: W is unitary and the detection operator d is
@@ -98,6 +106,7 @@ an alternating sign.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -305,10 +314,20 @@ class _Kept:
         return {key: np.exp(-1j * np.reshape(key, (-1, 1, 1, 1)) * self._w)[..., self._spread]
                 for key in keys}
 
+    @cached_property
+    def reversal(self):
+        """K = V_+^T J V_- of the middle sector under a spin flip, with J
+        reversing its bath states: a real orthogonal (C, C) matrix, in which
+        the flip reads [[0, conj(c) K], [c K^T, 0]] in the frame
+        (_parity_blocks)."""
+        (_, v, _), = [eig for eig, m in zip(self.eigs, self.weights) if m == 1]
+        return v[0].T @ v[1][::-1]
+
     def convert(self, us, back=False):
         """A list of sector blocks U turned into the frame, V^dag U V with V =
-        diag(V_+, V_-), or with `back` out of it, V U V^dag; a 2x2 system
-        rotation is returned as it is, for _Accumulated.advance mixes it."""
+        diag(V_+, V_-), or with `back` out of it, V U V^dag (avgham's
+        magnus_defect only); a 2x2 system rotation is returned as it is, for
+        _Accumulated.advance mixes it."""
         if not isinstance(us, list):
             return us
         vs = [v.conj().swapaxes(1, 2) if back else v for _, v, _ in self.eigs]
@@ -389,36 +408,33 @@ class _Accumulated:
                           for t in range(ts) for s in (0, 1)] for o in range(0, len(x), ts)])
 
 
-def _static_operators(pieces, kept, err, rf_scale):
+def _static_operators(pieces, kept, err, rf_scale, pulses):
     """The operators of each segment list of `pieces` under static errors, in
     the order _Accumulated.advance applies them: free steps by their length,
     and each pulse shape built once by _pulse_blocks, in the frame
-    (_Kept.convert)."""
+    (_Kept.convert), into `pulses` by shape, where a later call finds it."""
     events = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
-    pulses = {key: kept.convert(_pulse_blocks(ev, kept.h_blocks, err, rf_scale))
-              for key, ev in events.items()}
+    pulses.update({key: kept.convert(_pulse_blocks(ev, kept.h_blocks, err, rf_scale))
+                   for key, ev in events.items() if key not in pulses})
     return [[p if kind == "free" else pulses[_shape(p)] for kind, p in segments]
             for segments in pieces]
 
 
-def _interval_products(pieces, kept, phases, err, rf_scale):
-    """Yield, for each segment list of `pieces` in order, the per-sector
-    product of its segment propagators in the frame (_Kept), V^dag U V,
-    as full (2C, 2C) blocks; `phases` holds the free steps' tables.
-
-    The errors are static (_static_operators), and segment lists of equal
-    shape yield one shared product.
-    """
+def _interval_products(pieces, operators, kept, phases):
+    """For each segment list of `pieces` in order, the per-sector product of
+    its static `operators` (_static_operators) in the frame (_Kept), V^dag U V,
+    as full (2C, 2C) blocks that own their memory; `phases` holds the free
+    steps' tables. Segment lists of equal shape share one product."""
     shared = {}
-    for segments, operators in zip(pieces, _static_operators(pieces, kept, err, rf_scale)):
+    for segments, ops in zip(pieces, operators):
         key = _interval_key(segments)
         if key not in shared:
             w = _Accumulated(kept, phases)
-            for op in operators:
+            for op in ops:
                 w.advance(op)
-            shared[key] = [b.transpose(1, 2, 0, 3).reshape(2 * len(b[0, 0]), -1)
+            shared[key] = [np.array(b.transpose(1, 2, 0, 3)).reshape(2 * len(b[0, 0]), -1)
                            for b in w.blocks]
-        yield shared[key]
+    return [shared[_interval_key(segments)] for segments in pieces]
 
 
 def _pulse_cost(segments, t):
@@ -568,37 +584,61 @@ def _recording_intervals(timeline, record):
     return intervals
 
 
-def _parity_blocks(x, c):
+def _parity_blocks(x, c, k):
     """(X_++, X_--, X_+-, X_-+) of a middle-sector block X = [[A, B], [C, D]]
-    in system halves, on the eigenvectors P_a = (1, a c J) / sqrt 2 of its
-    spin flip Q = [[0, conj(c) J], [c J, 0]] (_flip_phase), a = +1 or -1:
-    X_ab = P_a^dag X P_b = (A + b c B J + a conj(c) J C + a b J D J) / 2, a
-    gather of the quadrants."""
+    in system halves, on the eigenvectors P_a = (1, a c K^T) / sqrt 2 of its
+    spin flip Q = [[0, conj(c) K], [c K^T, 0]] (_flip_phase, _Kept.reversal),
+    a = +1 or -1: X_ab = P_a^dag X P_b = (A + b c B K^T + a conj(c) K C
+    + a b K D K^T) / 2, in real products with the real K."""
     n = len(x) // 2
-    a, jdj = x[:n, :n], x[n:, n:][::-1, ::-1]
-    bj, jc = c * x[:n, n:][:, ::-1], np.conj(c) * x[n:, :n][::-1]
-    even, odd = a + jdj, a - jdj
-    return (0.5 * (even + bj + jc), 0.5 * (even - bj - jc),
-            0.5 * (odd - bj + jc), 0.5 * (odd + bj - jc))
+    # the four terms halved, combined in place to keep few (C, C) temporaries
+    a, kdk = 0.5 * x[:n, :n], _sandwich(k.T, x[n:, n:], k.T)
+    bk, kc = _real_left(k, x[:n, n:].T).T, _real_left(k, x[n:, :n])
+    kdk *= 0.5
+    bk *= 0.5 * c
+    kc *= 0.5 * np.conj(c)
+    even, odd = a + kdk, np.subtract(a, kdk, out=kdk)
+    plus, minus = bk + kc, np.subtract(bk, kc, out=bk)
+    return even + plus, np.subtract(even, plus, out=even), odd - minus, np.add(odd, minus, out=odd)
 
 
 def _axis_frame(x, c):
     """S^dag X S, S = diag(exp(-i phi/2), exp(i phi/2)) (x) 1 with c = exp(i phi),
-    for a block X in system halves: its off-diagonal halves times c, conj(c)."""
+    for a block X in system halves: its off-diagonal halves times c, conj(c).
+    S commutes with the frame's V = diag(V_+, V_-), so this holds in it too."""
     n = len(x) // 2
-    return np.block([[x[:n, :n], c * x[:n, n:]], [np.conj(c) * x[n:, :n], x[n:, n:]]])
+    out = x.astype(complex)
+    out[:n, n:] *= c
+    out[n:, :n] *= np.conj(c)
+    return out
+
+
+def _frame_observable(p, m):
+    """V^dag (p (x) 1) V = [[p_00 1, p_01 M], [p_10 M^T, p_11 1]] for a 2x2
+    system operator p and a sector's real frame V = diag(V_+, V_-), with its
+    mixing M = V_+^T V_- (_free_eigensystems)."""
+    c = len(m)
+    a = np.zeros((2 * c, 2 * c), dtype=complex)
+    diagonal = a.reshape(-1)[::2 * c + 1]
+    diagonal[:c], diagonal[c:] = p[0, 0], p[1, 1]
+    np.multiply(m, p[0, 1], out=a[:c, c:])
+    np.multiply(m.T, p[1, 0], out=a[c:, :c])
+    return a
 
 
 def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
     """Survival overlaps after 0..n_cycles applications of one propagator,
-    given as the kept sector blocks (_Kept), or None when a block has no
-    accurate unitary eigenbasis (see _unitary_eig).
+    given as the kept sector blocks in the frame (_Kept, _interval_products),
+    or None when a block has no accurate unitary eigenbasis (see
+    _unitary_eig).
 
     With U = P diag(exp(i theta)) P^dag per block, the m-fold conjugation
     of the deviation S_u (x) 1 collapses to phase powers of theta; s(m) is
     then the deviation autocorrelation of _autocorrelation at cycle count m,
     with frequencies -theta. Only the eigenphases enter, so |lambda| is 1
-    exactly and roundoff does not drift over long runs.
+    exactly and roundoff does not drift over long runs. The frame V is real
+    orthogonal, so the observable enters as V^T (S_u (x) 1) V
+    (_frame_observable), and a pulseless cycle is diagonal there.
 
     Under a spin flip Q, sector n - k reads the mirrored S_u' = q S_u q with
     q = u . sigma, so a kept pair adds the autocorrelations of S_u and S_u'
@@ -613,31 +653,34 @@ def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
     parts = [s_u]
     if c is not None:
         q = _flip(c)
-        parts = [_axis_frame(p, c) for p in (0.5 * (s_u + q @ s_u @ q),
-                                             0.5 * (s_u - q @ s_u @ q)) if p.any()]
+        halves = [0.5 * (s_u + q @ s_u @ q), 0.5 * (s_u - q @ s_u @ q)]
+        parts = [_axis_frame(p, c) for p in halves if p.any()]
+        # the middle sector's parity blocks of S_u that are not zero: the
+        # even part gives the diagonal ones, the odd part the cross one (in
+        # the frame they are rounding where the part is zero)
+        middle = [halves[0].any()] * 2 + [halves[1].any()]
 
     def frequencies(u):
         eig = _unitary_eig(u)
         return None if eig is None else (-eig[0], eig[1])
 
     blocks = []
-    for u, m in zip(u_cycle, kept.weights):
-        eye = np.eye(len(u) // 2)
+    for u, m, (_, _, mix) in zip(u_cycle, kept.weights, kept.eigs):
         if c is None or m == 2:
             eig = frequencies(u if c is None else _axis_frame(u, c))
             if eig is None:
                 return None
-            blocks.append((eig, eig, [np.kron(p, eye) for p in parts], m))
+            blocks.append((eig, eig, [_frame_observable(p, mix) for p in parts], m))
             continue
-        u_pp, u_mm, *off = _parity_blocks(u, c)
+        u_pp, u_mm, *off = _parity_blocks(u, c, kept.reversal)
         if max(np.max(np.abs(x)) for x in off) > _EIG_RESIDUAL_MAX:
             return None
         plus, minus = frequencies(u_pp), frequencies(u_mm)
         if plus is None or minus is None:
             return None
-        a_pp, a_mm, a_pm, _ = _parity_blocks(np.kron(s_u, eye), c)
-        blocks += [b for b in ((plus, plus, [a_pp], 1), (minus, minus, [a_mm], 1),
-                               (plus, minus, [a_pm], 2)) if b[2][0].any()]
+        a_pp, a_mm, a_pm, _ = _parity_blocks(_frame_observable(s_u, mix), c, kept.reversal)
+        blocks += [b for b, keep in zip(((plus, plus, [a_pp], 1), (minus, minus, [a_mm], 1),
+                                         (plus, minus, [a_pm], 2)), middle) if keep]
     return np.concatenate(([1.0], _autocorrelation(blocks, np.arange(1, n_cycles + 1))))
 
 
@@ -649,14 +692,20 @@ def _hermitian_part(u, phase, real=False):
     return h.real if real else h
 
 
+def _real_left(v, a):
+    """V A for a real V and a complex A, or stacks of them: a real product on
+    the (re, im) pairs of A's rows, at half the flops of a complex one."""
+    return (v @ np.ascontiguousarray(a).view(float)).view(complex)
+
+
 def _sandwich(v, a, u):
     """V^dag A U, or a stack of them; for real V, U and a complex A, real products
-    on the (re, im) pairs of A's rows and then of (V^T A)^T's, at half the flops."""
+    (_real_left) on A's rows and then on (V^T A)^T's."""
     if np.iscomplexobj(v) or np.iscomplexobj(u) or not np.iscomplexobj(a):
         return v.conj().swapaxes(-1, -2) @ a @ u
-    atv = (v.swapaxes(-1, -2) @ np.ascontiguousarray(a).view(float)).view(complex)
-    atv = np.ascontiguousarray(atv.swapaxes(-1, -2))
-    return (u.swapaxes(-1, -2) @ atv.view(float)).view(complex).swapaxes(-1, -2)
+    # (V^T A)^T made contiguous at once, so that V^T A is not kept beside it
+    atv = np.ascontiguousarray(_real_left(v.swapaxes(-1, -2), a).swapaxes(-1, -2))
+    return _real_left(u.swapaxes(-1, -2), atv).swapaxes(-1, -2)
 
 
 def _unitary_eig(u):
@@ -675,8 +724,14 @@ def _unitary_eig(u):
     roundoff.
 
     A U symmetric within _EIG_RESIDUAL_MAX has a real orthogonal eigenbasis
-    (module notes), found from real Hermitian parts with a real X and P.
+    (module notes), found from real Hermitian parts with a real X and P. A U
+    diagonal within that bound, such as a pulseless cycle in the free
+    eigenframe, is its own eigenbasis: (angle(diag U), 1), with no eigh.
     """
+    off = np.abs(u)
+    np.fill_diagonal(off, 0.0)
+    if np.max(off) <= _EIG_RESIDUAL_MAX:
+        return np.angle(np.diag(u)), np.eye(len(u))
     real = np.max(np.abs(u - u.T)) <= _EIG_RESIDUAL_MAX
     w, p = np.linalg.eigh(_hermitian_part(u, _EIG_PHASE, real))
     d = _sandwich(p, u, p)
@@ -751,10 +806,12 @@ def _detection_key(d, c, sign):
     return 0.5 * key
 
 
-def _realization_curve(spec, intervals, kept, phases, s_u, k, rows=1):
+def _realization_curve(spec, intervals, kept, phases, s_u, k, rows, pulses):
     """Survival values for realization k at the recording instants after
     t = 0, from the kept sector blocks (_Kept): per cycle and interval, each
-    of the D `rows` in turn (_row_intervals).
+    of the D `rows` in turn (_row_intervals). A static run builds its pulses
+    into `pulses` (_static_operators), which may hold them from an earlier
+    chunk of rows.
 
     The direct loop carries the accumulated propagators W applied to the
     prepared state's system column |+u> (_Accumulated, _initial_columns),
@@ -764,6 +821,7 @@ def _realization_curve(spec, intervals, kept, phases, s_u, k, rows=1):
     jittered run applies each segment; a static run either does too, with
     each pulse built once, or applies one interval product per interval and
     cycle, whichever costs less (_steps_pay): stepping, for one-cycle rows.
+    A powered run that falls back reuses its operators or its cycle product.
     """
     n_cycles, err = spec.timeline.n_cycles, spec.error_model
     rng = realization_rng(spec.master_seed, k)
@@ -771,18 +829,15 @@ def _realization_curve(spec, intervals, kept, phases, s_u, k, rows=1):
     pieces = [iv.segments for iv in intervals]
     columns, sign = _initial_columns(spec.initial_axis, kept.flip)
     if err.tilt_jitter_sd == 0:
+        static, products = _static_operators(pieces, kept, err, rf_scale, pulses), None
         if (spec.record == "cycle_boundaries" and intervals[0].frame is None
                 and n_cycles >= _POWER_MIN_CYCLES):
-            # the cycle product turned back, with no frame copy kept alive
-            u = kept.convert(next(_interval_products(pieces, kept, phases, err, rf_scale)),
-                             back=True)
-            powered = _powered_overlaps(u, s_u, n_cycles, kept)
+            products = _interval_products(pieces, static, kept, phases)
+            powered = _powered_overlaps(products[0], s_u, n_cycles, kept)
             if powered is not None:
                 return powered[1:]
-        if _steps_pay(pieces, n_cycles, columns.shape[1]):
-            static = _static_operators(pieces, kept, err, rf_scale)
-        else:
-            static = [[u] for u in _interval_products(pieces, kept, phases, err, rf_scale)]
+        if not _steps_pay(pieces, n_cycles, columns.shape[1]):
+            static = [[u] for u in products or _interval_products(pieces, static, kept, phases)]
 
         def cycle():
             return static
@@ -854,11 +909,14 @@ def propagate(spec, threads=1, *, rows=()):
     row_bytes = 32 * kept.size * (2 * t + len(free_keys(_row_intervals(runs))))
     step = max(1, _CHUNK_BYTES // row_bytes)
     curves = [np.ones((spec.n_realizations, 1))]
+    # each realization's static pulses, kept for its later chunks when there
+    # are several
+    pulses = [{} for _ in range(spec.n_realizations if len(runs) > step else 0)]
     for chunk in (runs[lo:lo + step] for lo in range(0, len(runs), step)):
         intervals = _row_intervals(chunk)
         phases = kept.phases(free_keys(intervals))
         curves.append(np.vstack([_realization_curve(spec, intervals, kept, phases, s_u, k,
-                                                    len(chunk))
+                                                    len(chunk), pulses[k] if pulses else {})
                                  for k in range(spec.n_realizations)]))
     curves = np.hstack(curves)
 

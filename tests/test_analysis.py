@@ -342,6 +342,37 @@ def test_one_row_chunks_give_the_same_echo_curve(monkeypatch):
         assert np.array_equal(getattr(single, name), getattr(chunked, name))
 
 
+def test_echo_curve_chunks_build_each_realizations_pulses_once(monkeypatch):
+    # at n_bath 7 a two-column 1.5 us pulse row takes more than half of
+    # _CHUNK_BYTES, so each of the 15 delays is a chunk of its own
+    model, grid = default_model(), np.linspace(5.0, 300.0, 15)
+    err = ErrorModel(axis_tilt=0.1)
+    builds, build = [], engine._pulse_blocks
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    chunks = []
+
+    class Spy(engine._Accumulated):
+        def __init__(self, *args):
+            super().__init__(*args)
+            chunks.append(self._rows)
+
+    monkeypatch.setattr(engine, "_pulse_blocks", counted)
+    monkeypatch.setattr(engine, "_Accumulated", Spy)
+    curve = hahn_decay_trace(model, grid, err, "x", 1.5, 3, 2)
+    assert chunks == 3 * len(grid) * [1]
+    assert len(builds) == 3
+    runs = [propagate(RunSpec(model=model, timeline=compile_hahn(tau, 1.5), error_model=err,
+                              n_realizations=3, master_seed=2)) for tau in grid]
+    for name in ("s", "stderr"):
+        expected = np.concatenate([[getattr(runs[0], name)[0]],
+                                   [getattr(run, name)[-1] for run in runs]])
+        assert np.array_equal(getattr(curve, name), expected), name
+
+
 def test_echo_curve_chunks_stay_within_the_budget(monkeypatch):
     chunks = []
 

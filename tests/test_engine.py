@@ -4,6 +4,7 @@ import concurrent.futures
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,41 @@ def test_unitary_eig_takes_real_arithmetic_on_symmetric_unitaries(n, monkeypatch
     assert dtypes and all(t == np.float64 for t in dtypes)
 
 
+def test_unitary_eig_takes_a_diagonal_block_as_its_own_eigenbasis(monkeypatch):
+    theta = np.random.default_rng(4).uniform(-np.pi, np.pi, 14)
+    u = np.diag(np.exp(1j * theta))
+    shapes = _counted_eigh(monkeypatch)
+    phases, p = engine._unitary_eig(u)
+    assert shapes == []
+    assert np.array_equal(p, np.eye(14))
+    assert np.max(np.abs(phases - theta)) < 1e-15
+    # an off-diagonal entry above _EIG_RESIDUAL_MAX goes through eigh: a
+    # rotation by 2e-13 between two states of different phase
+    angle = 2e-13
+    rotation = np.eye(14)
+    rotation[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    tilted = rotation @ u @ rotation.T
+    assert engine._EIG_RESIDUAL_MAX < np.max(np.abs(tilted - np.diag(np.diag(tilted))))
+    _assert_unitary_eigenbasis(tilted)
+    assert shapes
+
+
+def test_sandwich_holds_two_products_at_a_time():
+    # at n_bath 12 each more (2C, 2C) temporary of the powered path's weights
+    # is 55 MB of peak memory
+    rng = np.random.default_rng(1)
+    v, u = (np.linalg.qr(rng.normal(size=(300, 300)))[0] for _ in range(2))
+    a = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
+    tracemalloc.start()
+    try:
+        out = engine._sandwich(v, a, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(out - v.T @ a @ u)) < 1e-12
+    assert peak < 2.5 * a.nbytes
+
+
 def _eig_bases(monkeypatch):
     """The eigenbasis of every block _unitary_eig returns from here on."""
     kernel, bases = engine._unitary_eig, []
@@ -494,6 +530,38 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch, timeline, full_b
     assert np.array_equal(fell_back.stderr, slow.stderr)
 
 
+@pytest.mark.parametrize("timeline", [
+    compile_cpmg(9.0, 0.0, n_cycles=40),  # the fallback steps its segments
+    compile_cdd(3, 2.0, 0.5, n_cycles=40),  # the fallback applies the cycle product
+], ids=["cpmg", "cdd3"])
+def test_a_powered_run_that_falls_back_builds_its_operators_once(monkeypatch, timeline):
+    spec = RunSpec(model=default_model(n_bath=4), timeline=timeline,
+                   error_model=ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03),
+                   initial_axis="y", n_realizations=2, master_seed=4)
+    with monkeypatch.context() as direct:
+        direct.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+        slow = propagate(spec)
+    shapes = _counted_pulse_builds(monkeypatch)
+    propagate(spec)
+    powered = list(shapes)
+    products, built = engine._interval_products, []
+
+    def recorded(*args):
+        built.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(engine, "_interval_products", recorded)
+    monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
+    shapes.clear()
+    fell_back = propagate(spec)
+    # one build per pulse shape and realization, and one cycle product each
+    assert shapes == powered and len(shapes) == 2 * len({engine._shape(ev)
+                                                         for ev in timeline.events})
+    assert len(built) == 2
+    assert np.array_equal(fell_back.s, slow.s)
+    assert np.array_equal(fell_back.stderr, slow.stderr)
+
+
 @pytest.mark.parametrize("tau_p", [0.0, 1.5])
 @pytest.mark.parametrize("family, record", [("hahn", "cycle_boundaries"),
                                             ("cpmg", "every_pulse")])
@@ -559,7 +627,8 @@ def _cycle_blocks(model, timeline, err, rf_scale=1.02):
     pieces = [timeline.segments()]
     kept = engine._Kept(h_blocks, h_blocks)
     phases = kept.phases({dt for kind, dt in pieces[0] if kind == "free"})
-    (u,) = engine._interval_products(pieces, kept, phases, err, rf_scale)
+    operators = engine._static_operators(pieces, kept, err, rf_scale, {})
+    (u,) = engine._interval_products(pieces, operators, kept, phases)
     return kept.convert(u, back=True)
 
 
@@ -583,7 +652,9 @@ def test_paired_timelines_have_mirrored_cycle_blocks(family, axis_tilt, tau_p, n
         assert np.max(np.abs(q @ block @ q.conj().T - u[n_bath - k])) < 1e-12
     if n_bath % 2 == 0:
         # the middle block commutes with Q: no entry between its parity halves
-        *_, pm, mp = engine._parity_blocks(u[n_bath // 2], c)
+        # in the original basis the flip's K is J, the reversal itself
+        middle = u[n_bath // 2]
+        *_, pm, mp = engine._parity_blocks(middle, c, np.eye(len(middle) // 2)[::-1])
         assert max(np.max(np.abs(pm)), np.max(np.abs(mp))) < 1e-13
 
 
@@ -643,6 +714,64 @@ def test_paired_runs_match_dense_kron_reference(monkeypatch, n_bath, family, tau
     ref = _dense_kron_curves(spec).mean(axis=0)
     assert trace.s.shape == ref.shape
     assert np.max(np.abs(trace.s - ref)) < 1e-12
+
+
+def _dense_free_curve(spec):
+    """s of a pulseless run from one eigh of the dense H_free and the
+    kron-embedded S_u: sum_ab |A_ab|^2 cos((w_a - w_b) t) / sum_ab |A_ab|^2,
+    A = V^dag S_u V, at the cycle ends."""
+    model, tl = spec.model, spec.timeline
+    w, v = np.linalg.eigh(build_h_free(model))
+    s_u = getattr(oracle.full_space(model.n_bath), "s" + spec.initial_axis)
+    weights = np.abs(v.conj().T @ s_u @ v) ** 2
+    gaps = w[:, None] - w[None, :]
+    times = tl.cycle_time * np.arange(tl.n_cycles + 1)
+    return np.array([np.sum(weights * np.cos(gaps * t)) for t in times]) / weights.sum()
+
+
+@pytest.mark.parametrize("axis_tilt", [0.0, 0.05])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("n_bath", [0, 3, 4, 7, 8])
+def test_pulseless_powered_runs_match_dense_references(monkeypatch, n_bath, axis, axis_tilt):
+    # a pulseless cycle is diagonal in the free eigenframe, the middle
+    # sector's parity halves (n_bath 0, 4, 8) to rounding; the reference is
+    # one dense eigh of the full-space H_free, checked against the per-cycle
+    # dense-kron one where that takes under a second (the tilt only moves
+    # the spin flip the engine pairs sectors by)
+    powered, results = engine._powered_overlaps, []
+
+    def recorded(*args):
+        results.append(powered(*args))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "_powered_overlaps", recorded)
+    spec = RunSpec(model=default_model(seed=4, n_bath=n_bath), timeline=compile_free(6.0, 16),
+                   error_model=ErrorModel(axis_tilt=axis_tilt), initial_axis=axis)
+    trace = propagate(spec)
+    assert len(results) == 1 and results[0] is not None
+    ref = _dense_free_curve(spec)
+    if n_bath < 8 and axis_tilt == 0:
+        assert np.max(np.abs(_dense_kron_curves(spec)[0] - ref)) < 1e-12
+    assert trace.s.shape == ref.shape
+    assert np.max(np.abs(trace.s - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("axis, middle", [("x", [1, 1]), ("z", [2])])
+def test_the_middle_sector_reads_the_parity_blocks_of_the_nonzero_parts(monkeypatch, axis,
+                                                                        middle):
+    # S_x is even under the flip about x and S_z odd; in the frame the other
+    # parity blocks are rounding, not zero, and are not read
+    kernel, seen = engine._autocorrelation, []
+
+    def recorded(blocks, times):
+        seen.append([m for *_, m in blocks])
+        return kernel(blocks, times)
+
+    monkeypatch.setattr(engine, "_autocorrelation", recorded)
+    propagate(RunSpec(model=default_model(seed=4, n_bath=4), timeline=compile_free(6.0, 16),
+                      initial_axis=axis))
+    # sectors 0 and 1 with their mirrors, then the middle one
+    assert seen == [[2, 2] + middle]
 
 
 def test_tilt_jitter_runs_are_deterministic_and_decay():
@@ -1196,6 +1325,20 @@ def test_runs_on_one_model_diagonalize_each_sector_once(monkeypatch):
     assert shapes == [(2, math.comb(7, k), math.comb(7, k)) for k in range(8)]
 
 
+@pytest.mark.parametrize("n_bath", [7, 8])
+def test_a_pulseless_powered_run_on_a_slot_hit_makes_no_eigh(monkeypatch, n_bath):
+    # the free eigenframe diagonalizes a pulseless cycle: every kept block,
+    # and at even n_bath the middle sector's parity halves, is taken as its
+    # own eigenbasis
+    spec = RunSpec(model=default_model(seed=37, n_bath=n_bath),
+                   timeline=compile_free(4.0, 100))
+    first = propagate(spec)
+    shapes = _counted_eigh(monkeypatch)
+    again = propagate(spec)
+    assert shapes == []
+    assert np.array_equal(again.s, first.s)
+
+
 def _runs(model, timelines):
     return [propagate(RunSpec(model=model, timeline=tl, error_model=_STATIC, n_realizations=2))
             for tl in timelines]
@@ -1290,12 +1433,39 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
     h_blocks = build_h_free(m, engine._sectors(m.n_bath))
     kept = engine._Kept(h_blocks, h_blocks)
     phases = kept.phases({p for segs in pieces for kind, p in segs if kind == "free"})
-    products = list(engine._interval_products(pieces, kept, phases, _STATIC, 1.0))
+    operators = engine._static_operators(pieces, kept, _STATIC, 1.0, {})
+    products = engine._interval_products(pieces, operators, kept, phases)
     keys = [tuple(p if kind == "free" else engine._shape(p) for kind, p in segs)
             for segs in pieces]
     for key, product in zip(keys, products):
         assert product is products[keys.index(key)]
     assert len({id(p) for p in products}) == len(set(keys)) < len(pieces)
+
+
+@pytest.mark.parametrize("tau_p", [0.0, 1.5])
+def test_interval_products_own_their_memory(monkeypatch, tau_p):
+    # n_bath 3 has width-1 sectors, whose (2, 2) block could be a view into
+    # the whole buffer of its product
+    buffers = []
+
+    class Spy(engine._Accumulated):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.extend(state[0] for state in self._states)
+
+    monkeypatch.setattr(engine, "_Accumulated", Spy)
+    m = default_model(seed=4, n_bath=3)
+    tl = compile_cdd(2, 10.0, tau_p)
+    pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
+    h_blocks = build_h_free(m, engine._sectors(m.n_bath))
+    kept = engine._Kept(h_blocks, h_blocks)
+    phases = kept.phases({p for segs in pieces for kind, p in segs if kind == "free"})
+    operators = engine._static_operators(pieces, kept, _STATIC, 1.0, {})
+    products = engine._interval_products(pieces, operators, kept, phases)
+    assert 1 in kept.widths and len(buffers) == 2 * len({id(p) for p in products})
+    blocks = list({id(b): b for product in products for b in product}.values())
+    for i, block in enumerate(blocks):
+        assert not any(np.shares_memory(block, x) for x in buffers + blocks[i + 1:])
 
 
 def test_jittered_runs_build_every_pulse_application(monkeypatch):
