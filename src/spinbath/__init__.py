@@ -19,9 +19,8 @@ from .engine import (RunSpec, SurvivalTrace, TauBEstimate, bath_correlation,
                      estimate_tau_b, model_tau_b, propagate)
 from .errors import (ConfigError, ContractError, ResourceLimitError,
                      SpinBathError, TimelineError)
-from .hamiltonians import (CouplingSpec, SpinBathModel, build_h_e, build_h_error,
-                           build_h_free, build_h_se, build_model, default_model,
-                           sample_couplings)
+from .hamiltonians import (CouplingSpec, SpinBathModel, build_h_e, build_h_free,
+                           build_model, default_model, sample_couplings)
 from .operators import OperatorSet, Propagator, build_operator_set, evolve
 from .pulses import (BimodalRf, ErrorModel, FixedRf, GaussianRf, PulseSpec,
                      axis_vector, error_factor, ideal_pulse, real_pulse,

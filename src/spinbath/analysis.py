@@ -171,7 +171,7 @@ def _check_family(family, fair=False):
 
 def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
               tau_p=0.0, order=2, udd_pulses=4, n_realizations=1,
-              master_seed=0, method="one_over_e", fair=False, threads=1):
+              master_seed=0, method="one_over_e", fair=False):
     """Decay time across a delay grid at a fixed total-time budget.
 
     Each grid point gets n_cycles = max(1, round(budget / tau_c)) cycles, so
@@ -188,7 +188,7 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
         raise ContractError("tau_grid must not be empty")
     if not (math.isfinite(time_budget) and time_budget > 0):
         raise ContractError(f"time_budget must be finite and > 0, got {time_budget}")
-    check_run_options(axis, n_realizations, master_seed, threads=threads)
+    check_run_options(axis, n_realizations, master_seed)
     if method not in DECAY_METHODS:
         raise ContractError(f"unknown decay-time method {method!r}")
     _check_family(family, fair)
@@ -202,7 +202,7 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
             spec = RunSpec(model=model, timeline=tl, error_model=error_model,
                            initial_axis=axis, n_realizations=n_realizations,
                            master_seed=master_seed)
-            trace = propagate(spec, threads=threads)
+            trace = propagate(spec)
             stats_tau_c = tl.cycle_time
             summaries.append(decay_time(
                 trace, method, tau=tau, tau_c=stats_tau_c,

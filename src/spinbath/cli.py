@@ -68,7 +68,7 @@ def cmd_simulate(args):
     spec = RunSpec(model=model, timeline=tl, error_model=cfg.error_model,
                    initial_axis=cfg.initial_axis, n_realizations=cfg.n_realizations,
                    master_seed=seed, record=cfg.record)
-    trace = propagate(spec, threads=args.threads)
+    trace = propagate(spec)
     meta = {
         "tool": "spinbath", "command": "simulate", "fingerprint": cfg.fingerprint(),
         "label": tl.label, "axis": cfg.initial_axis, "tau_c_us": fmt(tl.cycle_time),
@@ -92,13 +92,13 @@ def cmd_simulate(args):
     return 0
 
 
-def _sweep_one(cfg, family, seed, fair, threads):
+def _sweep_one(cfg, family, seed, fair):
     model = model_from_config(cfg)
     return sweep_tau(
         family, cfg.tau_grid, model, cfg.error_model, cfg.initial_axis,
         cfg.time_budget, tau_p=cfg.tau_p, order=cfg.order,
         udd_pulses=cfg.udd_pulses, n_realizations=cfg.n_realizations,
-        master_seed=seed, method=cfg.method, fair=fair, threads=threads)
+        master_seed=seed, method=cfg.method, fair=fair)
 
 
 def _family_path(path, family, many):
@@ -126,7 +126,7 @@ def cmd_sweep(args):
     many = len(families) > 1
     summary = {"fair": fair, "master_seed": seed, "families": {}}
     for family in families:
-        result = _sweep_one(cfg, family, seed, fair, args.threads)
+        result = _sweep_one(cfg, family, seed, fair)
         csv_path = _family_path(args.csv or cfg.csv_path, family, many)
         fh, owned = _open_csv(csv_path)
         try:
@@ -298,9 +298,8 @@ def build_parser():
         "config": dict(required=True, help="experiment config file"),
         "seed": dict(type=int, default=None, help="override run.master_seed"),
         "threads": dict(type=int, default=1,
-                        help="worker threads (default 1); any count gives identical "
-                             "output; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) "
-                             "when using more than 1"),
+                        help="accepted for compatibility (an integer >= 1); it "
+                             "changes nothing, as realizations run in index order"),
         "csv": dict(default="",
                     help="CSV output path (default: config [output], else stdout)"),
         "json": dict(default="", help="JSON output path (default: config [output])"),

@@ -47,18 +47,19 @@ the same way (_bath_blocks).
 Ensemble averaging covers pulse-error realizations only: each realization
 draws one RF amplitude scale (static inhomogeneity) from the error model,
 with a generator seeded deterministically from (master_seed, k). When all
-errors are static within a realization, the cycle propagator is built once
-per realization; long runs then advance through its eigenphase powers, at
-O(dim^2) per cycle instead of O(dim^3). Each block gets a unitary
-eigenbasis from a Hermitian eigh (_unitary_eig), or is its own when it is
-diagonal to 1e-13; one with an off-diagonal residual above 1e-13 sends the
-realization down the direct loop, which reuses the realization's pulses and
-cycle product. Time reversal makes that eigh real for cpmg, cp and
-delta-pulse udd: in the frame S = diag(exp(-i phi/2), exp(i phi/2)) (x) 1
-of a paired run's pulse axis c = exp(i phi) (_axis_frame) every free step
-and pulse is symmetric, so a cycle whose segments read the same backwards
-is too, and a symmetric unitary A + iB (A, B real symmetric, commuting) has
-a real orthogonal eigenbasis; cpmg2, finite-pulse udd and unpaired runs
+errors are static within a realization, the cycle propagator can be built
+once per realization, and the run advances through its eigenphase powers,
+at O(dim^2) per cycle instead of O(dim^3): the powered path. Each block
+gets a unitary eigenbasis from a Hermitian eigh (_unitary_eig), or is its
+own when it is diagonal to 1e-13; one with an off-diagonal residual above
+1e-13 sends the realization down the direct loop, which reuses the
+realization's pulses and cycle product. Time reversal makes that eigh
+real for cpmg, cp and delta-pulse udd: in the frame
+S = diag(exp(-i phi/2), exp(i phi/2)) (x) 1 of a paired run's pulse axis
+c = exp(i phi) (_axis_frame) every free step and pulse is symmetric, so a
+cycle whose segments read the same backwards is too, and a symmetric
+unitary A + iB (A, B real symmetric, commuting) has a real orthogonal
+eigenbasis; cpmg2, finite-pulse udd and unpaired runs
 stay complex. These powers and the bath correlations are one eigenbasis
 sum, Re sum_ab W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2, which
 _autocorrelation forms and _spectral_series evaluates with no weight
@@ -70,14 +71,14 @@ exp(-i w dt). A delta pulse [[a, b], [c, d]] is X_+ <- a X_+ + b M X_-
 and X_- <- c M^T X_+ + d X_- with the real mixing M = V_+^T V_-, one real
 product per sector width. The survival Gram reads X within a half, and
 Tr{W_+ W_-^dag} = vdot(M X_-, X_+) across them. A jittered run applies
-each free step and each freshly drawn pulse. A static run does the same
-with each pulse built once, or applies the product of each recording
-interval once per cycle, whichever its counted cost says is cheaper
-(_steps_pay): stepping pays for short runs and for few pulses per
-interval, products for many pulses per interval over many cycles. A
-finite pulse is turned into the frame as V^T U V (_Kept.convert), and a
-product is built there. The powered path reads the cycle product in the
-frame, with the observable
+each free step and each freshly drawn pulse. A static run either powers,
+or steps each segment with each pulse built once, or applies the product
+of each recording interval once per cycle; _plan picks the path that
+costs least, counted from the run's shape alone: powering pays for many
+cycles, stepping for few cycles and few pulses per interval, products for
+many pulses per interval over a few cycles. A finite pulse is turned into
+the frame as V^T U V (_Kept.convert), and a product is built there. The
+powered path reads the cycle product in the frame, with the observable
 V^T (p (x) 1) V = [[p_00, p_01 M], [p_10 M^T, p_11]] (_frame_observable);
 a pulseless cycle is diagonal there, so it needs no eigh. Only
 avgham.magnus_defect turns a product back. One-cycle runs with the same
@@ -121,9 +122,11 @@ from .util import first_crossing, fmt, realization_rng, require_int
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
 INITIAL_AXES = ("x", "y", "z")
 
-# below this many cycles a direct conjugation loop beats diagonalizing
-# the cycle propagator
-_POWER_MIN_CYCLES = 16
+# _plan: what one numpy call costs beyond its arithmetic, in real
+# multiply-adds, and a real eigh of width N, in N^3 multiply-adds (a
+# complex one counts 4x); both fitted to forced-path timings (BENCH_28.json)
+_CALL_COST = 2e4
+_EIG_COST = 15
 
 # bytes of buffers and phase tables per chunk of rows, of at least one row
 _CHUNK_BYTES = 1 << 19
@@ -165,9 +168,9 @@ class RunSpec:
 
 
 def check_run_options(initial_axis="x", n_realizations=1, master_seed=0,
-                      record="cycle_boundaries", threads=1):
-    """Raise a ContractError naming the first of these run options that is out
-    of contract: RunSpec's fields and propagate's thread count."""
+                      record="cycle_boundaries"):
+    """Raise a ContractError naming the first of RunSpec's fields that is out
+    of contract."""
     if initial_axis not in INITIAL_AXES:
         raise ContractError(f"initial_axis must be x, y or z, got {initial_axis!r}")
     require_int(n_realizations, "n_realizations")
@@ -178,8 +181,6 @@ def check_run_options(initial_axis="x", n_realizations=1, master_seed=0,
         raise ContractError(f"master_seed must be >= 0, got {master_seed}")
     if record not in RECORD_MODES:
         raise ContractError(f"record must be one of {RECORD_MODES}, got {record!r}")
-    if require_int(threads, "threads") < 1:
-        raise ContractError(f"threads must be >= 1, got {threads}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,31 +438,58 @@ def _interval_products(pieces, operators, kept, phases):
     return [shared[_interval_key(segments)] for segments in pieces]
 
 
-def _pulse_cost(segments, t):
-    """What applying the pulses of `segments` to T columns costs, in units of
-    sum_k C_k^3 over the kept sectors: a delta pulse is two real (C, C)
-    products per column (4T), a finite pulse one complex (2C, 2C) block
-    (16T)."""
-    return sum(16 * t if p.duration > 0 else 4 * t for kind, p in segments if kind == "pulse")
+def _plan(intervals, n_cycles, columns, rows, widths, weights, built=False):
+    """The path of a static run, "powered", "products" or "steps", whichever
+    costs least by a count of real multiply-adds over the kept sectors
+    (_Kept: their `widths` C and `weights`), plus _CALL_COST per numpy call
+    and _EIG_COST N^3 per eigh of width N. It reads no array.
 
-
-def _steps_pay(pieces, n_cycles, t):
-    """Whether a static direct run on T columns costs no more by stepping
-    each segment of every cycle than by building its distinct interval
-    products and applying one full block (16T) per interval and cycle.
-
-    Building a product applies its pulses to the identity's two columns
-    (_pulse_cost at T = 2). Free steps and Grams cost the same either way
-    and are not counted. Timed with both paths forced (BENCH_25.json,
-    static_paths), the count picks the faster path at n_bath 7 in every case
-    tried, products being 2.8-6.4x faster for cdd2 and cdd3 over 15 cycles;
-    at n_bath 4, where per-call overhead weighs more than flops, it picks
-    the slower one in a few runs under 65 ms, by at most 30%.
+    Both direct paths carry B = D T columns (`rows` D, `columns` T) and pay,
+    per interval and cycle, a Gram (2B sum C^3 and 4 D T^2 vdots) and the
+    free steps (8B sum C^2 each). Stepping applies each delta pulse (4B sum
+    C^3 in one product per width, and six scalar passes) and each finite
+    pulse (16B sum C^3, one product per sector). Products build each
+    distinct interval's product from the frame's identity (B = 2), unless
+    `built`, and apply one full block per sector (16B sum C^3) per interval
+    and cycle. Only a run of one row and one interval with a scalar net
+    frame may power: it builds the cycle product, diagonalizes each block
+    (none for a pulseless cycle), reads its weights, and sums a series of
+    N^2 per cycle. The blocks are N = 2C wide; under a spin flip (a weight
+    of 2) they count as real, as for the palindromes, and the middle
+    sector's (weight 1) splits into two C wide. A powered run that falls
+    back is planned again `built`.
     """
-    distinct = {_interval_key(segments): segments for segments in pieces}
-    steps = n_cycles * sum(_pulse_cost(segments, t) for segments in pieces)
-    products = sum(_pulse_cost(segments, 2) for segments in distinct.values())
-    return steps <= products + n_cycles * len(pieces) * 16 * t
+    c2, c3 = (sum(c ** p for c in widths) for p in (2, 3))
+    b, sectors, groups, paired = rows * columns, len(widths), len(set(widths)), 2 in weights
+
+    # numpy calls: a free step 1, a delta pulse 6 and one per width, a block
+    # product 3 per sector, a Gram 4 and its vdots and mixings, a product's
+    # buffer and copies 5 per sector, a powered block about 120 (BENCH_28)
+    def applied(segments, b):
+        return sum(8 * b * c2 + _CALL_COST if kind == "free" else
+                   16 * b * c3 + 3 * sectors * _CALL_COST if p.duration > 0 else
+                   4 * b * c3 + 24 * b * c2 + (groups + 6) * _CALL_COST
+                   for kind, p in segments)
+
+    gram = (2 * b * c3 + 16 * rows * columns ** 2 * c2
+            + (4 * rows * columns ** 2 + groups + 4) * _CALL_COST)
+    distinct = {_interval_key(iv.segments): iv.segments for iv in intervals}
+    build = 0 if built else sum(applied(segments, 2) + 5 * sectors * _CALL_COST
+                                for segments in distinct.values())
+    costs = {"steps": n_cycles * sum(applied(iv.segments, b) + gram for iv in intervals),
+             "products": build + n_cycles * len(intervals) * (
+                 16 * b * c3 + 3 * sectors * _CALL_COST + gram)}
+    if not built and rows == 1 and len(intervals) == 1 and intervals[0].frame is None:
+        blocks = [n for c, m in zip(widths, weights)
+                  for n in ([c, c] if paired and m == 1 else [2 * c])]
+        pulsed = any(kind == "pulse" for kind, _ in intervals[0].segments)
+        # _unitary_eig's eigh and its sandwiches, correction and Newton-Schulz
+        # step, then the weights' sandwich: real products, or complex ones
+        n3 = ((_EIG_COST + 11) * pulsed + 4 if paired else
+              (4 * _EIG_COST + 28) * pulsed + 16)
+        costs["powered"] = build + sum(n3 * n ** 3 + 2 * n_cycles * n * n + 120 * _CALL_COST
+                                       for n in blocks)
+    return min(costs, key=costs.get)
 
 
 # (key, eigensystems) of the last call of _free_eigensystems, replaced whole
@@ -818,10 +846,11 @@ def _realization_curve(spec, intervals, kept, phases, s_u, k, rows, pulses):
     and reads s = Re Tr{(d (x) 1) W (S_u (x) 1) W^dag} / Tr{(S_u (x) 1)^2},
     with d the prepared S_u in the detection frame, as the sum of each
     row's Gram of those columns against the key of d (_detection_key). A
-    jittered run applies each segment; a static run either does too, with
-    each pulse built once, or applies one interval product per interval and
-    cycle, whichever costs less (_steps_pay): stepping, for one-cycle rows.
-    A powered run that falls back reuses its operators or its cycle product.
+    jittered run applies each segment. A static run takes the one path
+    _plan picks from its counts: powered, steps (each segment, with each
+    pulse built once) or products (one interval product per interval and
+    cycle). A powered run that falls back reuses its operators and cycle
+    product, and is planned again with that product paid for.
     """
     n_cycles, err = spec.timeline.n_cycles, spec.error_model
     rng = realization_rng(spec.master_seed, k)
@@ -830,13 +859,15 @@ def _realization_curve(spec, intervals, kept, phases, s_u, k, rows, pulses):
     columns, sign = _initial_columns(spec.initial_axis, kept.flip)
     if err.tilt_jitter_sd == 0:
         static, products = _static_operators(pieces, kept, err, rf_scale, pulses), None
-        if (spec.record == "cycle_boundaries" and intervals[0].frame is None
-                and n_cycles >= _POWER_MIN_CYCLES):
+        counts = (intervals, n_cycles, columns.shape[1], rows, kept.widths, kept.weights)
+        path = _plan(*counts)
+        if path == "powered":
             products = _interval_products(pieces, static, kept, phases)
             powered = _powered_overlaps(products[0], s_u, n_cycles, kept)
             if powered is not None:
                 return powered[1:]
-        if not _steps_pay(pieces, n_cycles, columns.shape[1]):
+            path = _plan(*counts, built=True)
+        if path == "products":
             static = [[u] for u in products or _interval_products(pieces, static, kept, phases)]
 
         def cycle():
@@ -870,21 +901,19 @@ def _row_intervals(runs):
         for i, (kind, p) in enumerate(first.segments)])]
 
 
-def propagate(spec, threads=1, *, rows=()):
+def propagate(spec, *, rows=()):
     """Run the ensemble and return the averaged SurvivalTrace.
 
     Every propagator and state is a list of bath-magnetization sector
     blocks (hamiltonians._sectors), so the largest diagonalization is the
     largest block; a run with a spin flip (_flip_phase) propagates one
-    sector of each mirrored pair. Realizations run in index order;
-    `threads` is checked (an integer >= 1) and changes nothing.
+    sector of each mirrored pair. Realizations run in index order.
 
     `rows` are further one-cycle Timelines with the pulses of a one-cycle
     spec.timeline and ever longer cycles (else a ContractError), each run
     as a row of one buffer (_Accumulated) in chunks of _CHUNK_BYTES; the
     trace then holds s at each run's cycle end, the same as runs of their own.
     """
-    check_run_options(threads=threads)
     model, tl = spec.model, spec.timeline
     if rows and (spec.record != "cycle_boundaries" or {t.n_cycles for t in (tl, *rows)} != {1}
                  or any(a.cycle_time >= b.cycle_time for a, b in zip((tl, *rows), rows))

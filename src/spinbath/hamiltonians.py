@@ -227,11 +227,6 @@ def _h_se_diagonal(model):
     return z[0] * field
 
 
-def build_h_se(model):
-    """System-bath pure-dephasing coupling S_z * sum_j b_j I_z^j."""
-    return np.diag(_h_se_diagonal(model).astype(complex))
-
-
 def _flip_flops(model):
     """H_E on the 2**n_bath bath states from the basis bits (_layout): its
     diagonal (the Ising part) and the flip-flop entry -d_ij / 2 of every pair
@@ -305,31 +300,3 @@ def _coupling_blocks(a, b_u, n_bath, sectors):
         m = idx.size // 2
         fields = a[:, None] + b_u @ z[:, idx[:m]]
         yield np.einsum("ust,ub,bc->sbtc", spin, fields, np.eye(m)).reshape(2 * m, 2 * m)
-
-
-def build_h_error(a, b_u, model):
-    """General error Hamiltonian sum_u S_u (a_u + sum_j b_uj I_z^j).
-
-    Parameters
-    ----------
-    a : array-like, shape (3,)
-        Pure system error field components (x, y, z), rad/us.
-    b_u : array-like, shape (3, n_bath)
-        Per-axis system-bath couplings; row order x, y, z.
-    model : SpinBathModel
-
-    Returns
-    -------
-    ndarray
-        A Hermitian, traceless matrix, scattered from its sector blocks
-        (_coupling_blocks) as build_h_free(model) is. Reduces to
-        build_h_se(model) for a = 0 and b_u rows (0, 0, b).
-    """
-    a = np.asarray(a, dtype=float)
-    b_u = np.asarray(b_u, dtype=float)
-    if a.shape != (3,):
-        raise ContractError(f"a must have shape (3,), got {a.shape}")
-    if b_u.shape != (3, model.n_bath):
-        raise ContractError(f"b_u must have shape (3, {model.n_bath}), got {b_u.shape}")
-    sectors = _sectors(model.n_bath)
-    return _scattered(_coupling_blocks(a, b_u, model.n_bath, sectors), sectors)

@@ -35,6 +35,7 @@ from spinbath import (
     estimate_tau_b,
     evolve,
     ideal_pulse,
+    magnus_defect,
     propagate,
     real_pulse,
     sample_couplings,
@@ -49,6 +50,15 @@ def dephasing_model(n_bath, seed=0, scale=0.05):
     rng = np.random.default_rng(seed)
     b = rng.uniform(-scale, scale, n_bath)
     return build_model(b, np.zeros((n_bath, n_bath)))
+
+
+def _force(monkeypatch, path=None):
+    """Make every static run take `path`, or with None the direct path the
+    planner gives a powered run that fell back; a forced powered run that
+    falls back is planned so too."""
+    plan = engine._plan
+    monkeypatch.setattr(engine, "_plan", lambda *counts, built=False:
+                        path if path and not built else plan(*counts, built=True))
 
 
 def test_fid_matches_product_of_cosines():
@@ -138,30 +148,21 @@ def test_runspec_validation():
         RunSpec(model=m, timeline=tl, master_seed=-1)
 
 
-def test_thread_count_below_one_rejected():
-    spec = RunSpec(model=dephasing_model(2), timeline=compile_free(10.0))
-    for threads in (0, -1):
-        with pytest.raises(ContractError, match="threads"):
-            propagate(spec, threads=threads)
-
-
 @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
 def test_counts_and_seeds_must_be_integers(bad):
     m, tl = dephasing_model(2), compile_free(10.0)
     for field in ("n_realizations", "master_seed"):
         with pytest.raises(ContractError, match=f"{field} must be an integer"):
             RunSpec(model=m, timeline=tl, **{field: bad})
-    with pytest.raises(ContractError, match="threads must be an integer"):
-        propagate(RunSpec(model=m, timeline=tl), threads=bad)
 
 
 def test_numpy_integer_counts_and_seeds_run_as_python_ints():
     m, tl = default_model(seed=2, n_bath=3), compile_cpmg(10.0, 0.0, n_cycles=3)
     err = ErrorModel(rf=GaussianRf(sd=0.05))
     a = propagate(RunSpec(model=m, timeline=tl, error_model=err, n_realizations=2,
-                          master_seed=5), threads=2)
+                          master_seed=5))
     b = propagate(RunSpec(model=m, timeline=tl, error_model=err, n_realizations=np.int64(2),
-                          master_seed=np.uint32(5)), threads=np.int32(2))
+                          master_seed=np.uint32(5)))
     np.testing.assert_array_equal(a.s, b.s)
     np.testing.assert_array_equal(a.stderr, b.stderr)
 
@@ -180,22 +181,23 @@ def test_record_grids():
     assert np.all(np.diff(tr_p.times) > 0)
 
 
-def test_every_pulse_matches_cycle_boundaries():
-    # finite back-to-back pulses and static errors, below the powering
-    # threshold: both record modes take the same per-segment products
+def test_every_pulse_matches_cycle_boundaries(monkeypatch):
+    # finite back-to-back pulses and static errors, both record modes on
+    # each direct path: every_pulse records between the pulses of a cycle
     m = default_model(n_bath=3)
     err = ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03)
     tl = compile_cdd(2, 6.0, 2.0, n_cycles=3)
-    assert tl.n_cycles < engine._POWER_MIN_CYCLES
     spec = dict(model=m, timeline=tl, error_model=err, initial_axis="y",
                 n_realizations=2, master_seed=4)
-    cyc = propagate(RunSpec(**spec))
-    per = propagate(RunSpec(**spec, record="every_pulse"))
-    idx = [int(np.argmin(np.abs(per.times - t))) for t in cyc.times]
-    assert np.max(np.abs(per.times[idx] - cyc.times)) < 1e-9
-    assert list(per.n_pulses[idx]) == list(cyc.n_pulses)
-    assert np.max(np.abs(per.s[idx] - cyc.s)) < 1e-12
-    assert np.max(np.abs(per.stderr[idx] - cyc.stderr)) < 1e-12
+    for path in ("steps", "products"):
+        _force(monkeypatch, path)
+        cyc = propagate(RunSpec(**spec))
+        per = propagate(RunSpec(**spec, record="every_pulse"))
+        idx = [int(np.argmin(np.abs(per.times - t))) for t in cyc.times]
+        assert np.max(np.abs(per.times[idx] - cyc.times)) < 1e-9
+        assert list(per.n_pulses[idx]) == list(cyc.n_pulses)
+        assert np.max(np.abs(per.s[idx] - cyc.s)) < 1e-12
+        assert np.max(np.abs(per.stderr[idx] - cyc.stderr)) < 1e-12
 
 
 def _events_walk_grid(timeline):
@@ -255,18 +257,6 @@ def test_ensemble_stderr_and_mean():
     assert np.max(np.abs(many.s)) <= 1.0 + 1e-9
 
 
-def test_thread_count_does_not_change_results():
-    m = dephasing_model(3, seed=2)
-    err = ErrorModel(rf=GaussianRf(1.0, 0.10))
-    tl = compile_cpmg(8.0, 0.0, n_cycles=20)
-    spec = RunSpec(model=m, timeline=tl, error_model=err, initial_axis="x",
-                   n_realizations=12, master_seed=9)
-    a = propagate(spec, threads=1)
-    b = propagate(spec, threads=4)
-    assert np.array_equal(a.s, b.s)
-    assert np.array_equal(a.stderr, b.stderr)
-
-
 def test_eigenphase_powering_matches_direct_loop(monkeypatch):
     noisy = ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03)
     cases = [
@@ -294,11 +284,13 @@ def test_eigenphase_powering_matches_direct_loop(monkeypatch):
     for m, err, tl, axis, n_real in cases:
         spec = RunSpec(model=m, timeline=tl, error_model=err, initial_axis=axis,
                        n_realizations=n_real, master_seed=4)
-        fast = propagate(spec)
+        with monkeypatch.context() as powered_only:
+            _force(powered_only, "powered")
+            fast = propagate(spec)
         assert len(calls) == n_real
         calls.clear()
         with monkeypatch.context() as direct:
-            direct.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+            _force(direct)
             slow = propagate(spec)
         assert not calls
         assert fast.s[0] == 1.0
@@ -471,12 +463,13 @@ def test_time_symmetric_single_axis_cycles_take_the_real_path(family, tau_p, n_b
     # mixings and every cycle block's eigenbasis are real
     spec = _static_run(family, tau_p, n_bath)
     bases = _eig_bases(monkeypatch)
+    _force(monkeypatch, "powered")
     fast = propagate(spec)
     assert all(v.dtype == m.dtype == np.float64 for _, v, m in engine._free_eigs[1])
     # the kept sectors, the middle one as its two parity halves
     assert len(bases) == n_bath // 2 + 1 + (n_bath % 2 == 0)
     assert all(np.isrealobj(p) for p in bases)
-    monkeypatch.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+    _force(monkeypatch)
     assert np.max(np.abs(fast.s - propagate(spec).s)) < 1e-12
 
 
@@ -486,25 +479,27 @@ def test_cycles_that_are_no_palindromes_take_the_complex_path(family, tau_p, n_b
                                                               monkeypatch):
     spec = _static_run(family, tau_p, n_bath)
     bases = _eig_bases(monkeypatch)
+    _force(monkeypatch, "powered")
     fast = propagate(spec)
     assert bases and all(np.iscomplexobj(p) for p in bases)
-    monkeypatch.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+    _force(monkeypatch)
     assert np.max(np.abs(fast.s - propagate(spec).s)) < 1e-12
 
 
-@pytest.mark.parametrize("timeline, full_blocks", [
-    # two delta pulses per cycle: stepping them costs less than a product
-    (compile_cpmg(9.0, 0.0, n_cycles=40), 0),
+@pytest.mark.parametrize("timeline, n_bath, full_blocks", [
+    # two delta pulses per cycle on large sectors: stepping them costs less
+    # than a product
+    (compile_cpmg(9.0, 0.0, n_cycles=40), 8, 0),
     # 84 delta pulses per cycle: one product per sector (5 unpaired, x and y
     # pulses), cycle and realization
-    (compile_cdd(3, 2.0, 0.0, n_cycles=40), 40 * 5 * 2),
+    (compile_cdd(3, 2.0, 0.0, n_cycles=40), 4, 40 * 5 * 2),
 ], ids=["cpmg", "cdd3"])
-def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch, timeline, full_blocks):
-    spec = RunSpec(model=default_model(n_bath=4), timeline=timeline,
+def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch, timeline, n_bath, full_blocks):
+    spec = RunSpec(model=default_model(n_bath=n_bath), timeline=timeline,
                    error_model=ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03),
                    initial_axis="y", n_realizations=2, master_seed=4)
     with monkeypatch.context() as direct:
-        direct.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+        _force(direct)
         slow = propagate(spec)
     powered, results = engine._powered_overlaps, []
 
@@ -523,6 +518,7 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch, timeline, full_b
     monkeypatch.setattr(engine, "_powered_overlaps", recorded)
     monkeypatch.setattr(engine, "_advance", counted)
     monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
+    _force(monkeypatch, "powered")
     fell_back = propagate(spec)
     assert results == [None, None]
     assert len(steps) == sum(steps) == full_blocks
@@ -530,17 +526,18 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch, timeline, full_b
     assert np.array_equal(fell_back.stderr, slow.stderr)
 
 
-@pytest.mark.parametrize("timeline", [
-    compile_cpmg(9.0, 0.0, n_cycles=40),  # the fallback steps its segments
-    compile_cdd(3, 2.0, 0.5, n_cycles=40),  # the fallback applies the cycle product
+@pytest.mark.parametrize("timeline, n_bath", [
+    (compile_cpmg(9.0, 0.0, n_cycles=40), 8),  # the fallback steps its segments
+    (compile_cdd(3, 2.0, 0.5, n_cycles=40), 4),  # the fallback applies the cycle product
 ], ids=["cpmg", "cdd3"])
-def test_a_powered_run_that_falls_back_builds_its_operators_once(monkeypatch, timeline):
-    spec = RunSpec(model=default_model(n_bath=4), timeline=timeline,
+def test_a_powered_run_that_falls_back_builds_its_operators_once(monkeypatch, timeline, n_bath):
+    spec = RunSpec(model=default_model(n_bath=n_bath), timeline=timeline,
                    error_model=ErrorModel(rf=GaussianRf(1.0, 0.10), flip_angle_fraction=0.03),
                    initial_axis="y", n_realizations=2, master_seed=4)
     with monkeypatch.context() as direct:
-        direct.setattr(engine, "_POWER_MIN_CYCLES", 10**9)
+        _force(direct)
         slow = propagate(spec)
+    _force(monkeypatch, "powered")
     shapes = _counted_pulse_builds(monkeypatch)
     propagate(spec)
     powered = list(shapes)
@@ -597,7 +594,7 @@ def test_both_static_paths_match_dense_kron_reference(monkeypatch, steps, tau_p,
         return products(*args)
 
     monkeypatch.setattr(engine, "_interval_products", recorded)
-    monkeypatch.setattr(engine, "_steps_pay", lambda pieces, n, t: steps)
+    _force(monkeypatch, "steps" if steps else "products")
     trace = propagate(spec)
     assert len(built) == (0 if steps else 2)
     ref = _dense_kron_curves(spec).mean(axis=0)
@@ -605,19 +602,87 @@ def test_both_static_paths_match_dense_kron_reference(monkeypatch, steps, tau_p,
     assert np.max(np.abs(trace.s - ref)) < 1e-12
 
 
-def test_static_paths_are_chosen_by_counted_cost():
-    def pieces(tl, record):
-        return [iv.segments for iv in engine._recording_intervals(tl, record)]
+def _counts(timelines, n_bath, paired, columns=1, record="cycle_boundaries"):
+    """What _plan reads of static runs of `timelines` (one, or one-cycle rows)
+    on n_bath spins, from the counts alone: no model is built."""
+    pairs = (engine._mirror_sectors(n_bath) if paired else
+             [(k, 1) for k in range(n_bath + 1)])
+    intervals = engine._row_intervals([engine._recording_intervals(t, record)
+                                       for t in timelines])
+    return (intervals, timelines[0].n_cycles, columns, len(timelines),
+            [math.comb(n_bath, k) for k, _ in pairs], tuple(m for _, m in pairs))
 
-    cpmg, cdd3 = compile_cpmg(9.0), compile_cdd(3, 2.0)
-    # 40 cycles of 2 delta pulses on one column: 320 against 16 + 640
-    assert engine._steps_pay(pieces(cpmg, "cycle_boundaries"), 40, 1)
-    # 84 delta pulses: 13440 against 672 + 640
-    assert not engine._steps_pay(pieces(cdd3, "cycle_boundaries"), 40, 1)
-    # finite pulses cost 16T each way, so every_pulse steps even at cdd3
-    finite = compile_cdd(3, 2.0, 0.5)
-    assert not engine._steps_pay(pieces(finite, "cycle_boundaries"), 40, 2)
-    assert engine._steps_pay(pieces(finite, "every_pulse"), 40, 2)
+
+def test_plan_counts_the_kept_sectors_of_a_run():
+    # _counts stands for what propagate hands _plan
+    seen = []
+    plan = engine._plan
+
+    def recorded(*counts, built=False):
+        seen.append(counts)
+        return plan(*counts, built=built)
+
+    for family, paired in (("cpmg", True), ("cdd", False)):
+        tl = compile_family(family, 20.0, 0.0, 3)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(engine, "_plan", recorded)
+            propagate(RunSpec(model=default_model(n_bath=4), timeline=tl,
+                              error_model=_STATIC, initial_axis="z"))
+        (intervals, *rest), = seen
+        (want, *expected) = _counts([tl], 4, paired)
+        assert [iv.segments for iv in intervals] == [iv.segments for iv in want]
+        assert rest == expected
+        seen.clear()
+
+
+def test_plan_picks_the_benchmark_paths():
+    # the static runs perfbench makes, at seed 37: static_scaling's cpmg
+    # over 100 cycles at n_bath 6, 7 and 8 (paired on the x line, axis x: one
+    # column), echo_curve's 100-cycle FID, and its 15 echoes as 5 chunks of 3
+    # one-cycle rows (noisy_sweep is jittered; avgham_corr runs no propagate)
+    cpmg = compile_cpmg(30.0, 0.0, 100)
+    for n in (6, 7, 8):
+        assert engine._plan(*_counts([cpmg], n, True)) == "powered"
+    assert engine._plan(*_counts([compile_free(4.0, 100)], 7, True)) == "powered"
+    echoes = [compile_hahn(float(tau)) for tau in np.linspace(5.0, 300.0, 15)]
+    for lo in range(0, 15, 3):
+        assert engine._plan(*_counts(echoes[lo:lo + 3], 7, True)) == "steps"
+
+
+def test_plan_powers_long_runs_and_applies_products_over_few_cycles():
+    # large static cpmg runs power
+    cpmg = compile_cpmg(30.0, 0.0, 100)
+    for n in (11, 12):
+        assert engine._plan(*_counts([cpmg], n, True)) == "powered"
+    # a many-pulse cycle over few cycles applies its product
+    assert engine._plan(*_counts([compile_cdd(3, 20.0, 0.0, 15)], 7, False)) == "products"
+    # cdd2 over 16 cycles runs direct (x and y pulses: unpaired)
+    for n in (7, 10):
+        assert engine._plan(*_counts([compile_cdd(2, 20.0, 0.0, 16)], n, False)) != "powered"
+
+
+def test_plan_powers_only_single_interval_runs_with_a_scalar_frame():
+    cpmg, hahn = compile_cpmg(30.0, 0.0, 400), compile_hahn(30.0, 0.0, 400)
+    assert engine._plan(*_counts([cpmg], 8, True)) == "powered"
+    assert engine._plan(*_counts([cpmg], 8, True, record="every_pulse")) != "powered"
+    # one pi pulse per cycle: the net frame is no scalar
+    assert engine._plan(*_counts([hahn], 8, True)) != "powered"
+    # a fallback has its products already: a few pulses per cycle step on
+    # large sectors, many pulses apply the product
+    assert engine._plan(*_counts([cpmg], 10, True), built=True) == "steps"
+    cdd3 = compile_cdd(3, 20.0, 0.0, 40)
+    assert engine._plan(*_counts([cdd3], 4, False), built=True) == "products"
+
+
+def test_jittered_and_avgham_runs_never_plan(monkeypatch):
+    def never(*counts, built=False):
+        raise AssertionError("planned")
+
+    monkeypatch.setattr(engine, "_plan", never)
+    m = default_model(n_bath=3)
+    propagate(RunSpec(model=m, timeline=compile_cpmg(20.0, 0.0, 20),
+                      error_model=ErrorModel(rf=GaussianRf(1.0, 0.1), tilt_jitter_sd=0.15)))
+    magnus_defect(compile_cdd(2, 5.0), build_h_free(m), m.ops)
 
 
 def _cycle_blocks(model, timeline, err, rf_scale=1.02):
@@ -707,8 +772,10 @@ def test_paired_runs_match_dense_kron_reference(monkeypatch, n_bath, family, tau
     monkeypatch.setattr(engine, "_powered_overlaps", recorded)
     spec = RunSpec(model=default_model(seed=4, n_bath=n_bath), timeline=tl, error_model=err,
                    initial_axis=axis, n_realizations=2, master_seed=8, record=record)
+    # an echo has no scalar net frame, and every_pulse records within a cycle
+    expect_powered = record == "cycle_boundaries" and family != "hahn"
+    _force(monkeypatch, "powered" if expect_powered else None)
     trace = propagate(spec)
-    expect_powered = record == "cycle_boundaries" and n_cycles >= engine._POWER_MIN_CYCLES
     assert len(results) == (2 if expect_powered else 0)
     assert all(r is not None for r in results)
     ref = _dense_kron_curves(spec).mean(axis=0)
@@ -745,6 +812,7 @@ def test_pulseless_powered_runs_match_dense_references(monkeypatch, n_bath, axis
         return results[-1]
 
     monkeypatch.setattr(engine, "_powered_overlaps", recorded)
+    _force(monkeypatch, "powered")
     spec = RunSpec(model=default_model(seed=4, n_bath=n_bath), timeline=compile_free(6.0, 16),
                    error_model=ErrorModel(axis_tilt=axis_tilt), initial_axis=axis)
     trace = propagate(spec)
@@ -768,6 +836,7 @@ def test_the_middle_sector_reads_the_parity_blocks_of_the_nonzero_parts(monkeypa
         return kernel(blocks, times)
 
     monkeypatch.setattr(engine, "_autocorrelation", recorded)
+    _force(monkeypatch, "powered")
     propagate(RunSpec(model=default_model(seed=4, n_bath=4), timeline=compile_free(6.0, 16),
                       initial_axis=axis))
     # sectors 0 and 1 with their mirrors, then the middle one
@@ -781,7 +850,7 @@ def test_tilt_jitter_runs_are_deterministic_and_decay():
     spec = RunSpec(model=m, timeline=tl, error_model=err, initial_axis="y",
                    n_realizations=6, master_seed=3)
     a = propagate(spec)
-    b = propagate(spec, threads=3)
+    b = propagate(spec)
     assert np.array_equal(a.s, b.s)
     # the jittered axis performs a random walk that damages even the
     # component along the nominal pulse axis

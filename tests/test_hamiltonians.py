@@ -12,17 +12,15 @@ from spinbath import (
     ErrorModel,
     PulseSpec,
     build_h_e,
-    build_h_error,
     build_h_free,
-    build_h_se,
     build_model,
     default_model,
     model_tau_b,
     real_pulse,
     sample_couplings,
 )
-from spinbath.hamiltonians import (_basis_z, _h_e_blocks, _layout, _mirror_sectors,
-                                   _sector_blocks, _sectors)
+from spinbath.hamiltonians import (_basis_z, _coupling_blocks, _h_e_blocks, _layout,
+                                   _mirror_sectors, _scattered, _sector_blocks, _sectors)
 
 
 def test_sample_couplings_deterministic_and_bounded():
@@ -88,7 +86,6 @@ def test_basis_bit_kernels_equal_dense_products(n_bath, distribution):
                         seed=10 + n_bath)
     m = build_model(*sample_couplings(spec, n_bath))
     h_se, h_e = oracle.h_se(m), oracle.h_e(m)
-    assert np.array_equal(build_h_se(m), h_se)
     assert np.array_equal(build_h_e(m), h_e)
     assert np.array_equal(build_h_free(m), h_se + h_e)
 
@@ -100,7 +97,6 @@ def test_basis_bit_kernels_skip_zero_couplings_like_dense_products():
         d[i, j] = d[j, i] = v
     m = build_model(b, d)
     h_se, h_e = oracle.h_se(m), oracle.h_e(m)
-    assert np.array_equal(build_h_se(m), h_se)
     assert np.array_equal(build_h_e(m), h_e)
     assert np.array_equal(build_h_free(m), h_se + h_e)
 
@@ -151,7 +147,7 @@ def _h_free_blocks_equal_the_dense_slices(m):
     dense = build_h_free(m)
     # the dense scatter against the sum of the two separately built pieces,
     # and against an entry-by-entry fill
-    assert np.array_equal(dense, build_h_se(m) + build_h_e(m))
+    assert np.array_equal(dense, oracle.h_se(m) + build_h_e(m))
     assert np.array_equal(dense, _h_free_from_bits(m))
     assert len(blocks) == len(sectors)
     for block, sliced in zip(blocks, _sector_blocks(dense, sectors)):
@@ -281,13 +277,14 @@ def test_h_error_equals_the_dense_products(n_bath):
     # an uncoupled axis and an uncoupled bath spin
     a[1], b_u[1], b_u[:, n_bath // 2:n_bath // 2 + 1] = 0.0, 0.0, 0.0
     h_se = np.zeros(3), np.vstack((np.zeros((2, n_bath)), m.b))
+    sectors = _sectors(n_bath)
     for case in ((a, b_u), h_se, (a, 0.0 * b_u)):
-        h = build_h_error(*case, m)
+        # the sector blocks avgham reads, scattered onto the full space
+        h = _scattered(_coupling_blocks(*case, n_bath, sectors), sectors)
         assert np.max(np.abs(h - oracle.h_error(*case, m))) < 1e-15
         assert np.array_equal(h, h.conj().T) and abs(np.trace(h)) < 1e-15
-    assert np.max(np.abs(build_h_error(*h_se, m) - build_h_se(m))) < 1e-15
-    with pytest.raises(ContractError, match="b_u must have shape"):
-        build_h_error(a, b_u[:2], m)
+    h = _scattered(_coupling_blocks(*h_se, n_bath, sectors), sectors)
+    assert np.max(np.abs(h - oracle.h_se(m))) < 1e-15
 
 
 def test_default_model_is_frozen_calibration():
