@@ -380,7 +380,7 @@ def magnus_defect(timeline, h_free, ops):
     # error-free pulses at unit RF scale are exactly the ideal rotations
     pieces = timeline.segments()
     # keyed on the blocks' halves, so a second defect of one h_free diagonalizes
-    # nothing and the slot keeps no off-diagonal or imaginary zeros
+    # nothing and the frame cache keeps no off-diagonal or imaginary zeros
     kept = _Kept(h_blocks, [_halves(h) for h in h_blocks])
     phases = kept.phases({dt for kind, dt in pieces if kind == "free"})
     operators = _static_operators([pieces], kept, ErrorModel(), 1.0, {})

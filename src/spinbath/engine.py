@@ -24,9 +24,10 @@ then cost O(sum_k (2 C(n, k))^3) instead of O(2^(3(n+1))); at n = 7 the
 blocks are [2, 14, 42, 70, 70, 42, 14, 2] wide. build_h_free fills these
 blocks from the basis bits, with no dense matrix. H_free also conserves the
 system S_z, so each sector block has two real symmetric (C, C) halves
-H_s = V_s diag(w_s) V_s^T, s = +, - (_free_eigensystems), kept for the last
-couplings seen, so a sweep over delays on one bath diagonalizes H_free once
-and a repeat run forms no halves.
+H_s = V_s diag(w_s) V_s^T, s = +, - (_free_eigensystems). A bounded cache
+keeps these free frames of recent couplings, with the layouts of the runs
+on them (_Kept), so a sweep over delays or baths run again in turn
+diagonalizes each bath once, and a repeat run stacks no mixings.
 
 Flipping every spin, Q = (u . sigma) (x) J_bath for an in-plane unit
 vector u, turns S_z and every I_z^j over and so leaves H_free unchanged; it
@@ -282,31 +283,17 @@ def _mix(m, x, out):
 class _Kept:
     """The sector blocks a run propagates: every sector, or under a spin flip
     of phase `flip` (_flip_phase) the _mirror_sectors, with their H_free
-    blocks, weights and eigensystems (w, V, M) (_free_eigensystems under
-    `key`, which cover every sector: the frozen count test expects one eigh
-    per sector). The buffer layout (_Accumulated) orders them by width, so
-    that k and n - k sit side by side; `groups` holds each width's buffer
-    slice, block shape and stacked mixings [M, M^dag].
+    blocks, which come with each call, and the layout of such a run on the
+    frame cached under `key` (_free_eigensystems), shared read-only: their
+    weights and eigensystems (w, V, M), ordered by width in the buffer
+    (_Accumulated) so that k and n - k sit side by side, and each width's
+    stacked mixings [M, M^dag] (`groups`).
     """
 
     def __init__(self, h_blocks, key, flip=None):
-        eigs, n, self.flip = _free_eigensystems(h_blocks, key), len(h_blocks), flip
-        pairs = _mirror_sectors(n - 1) if flip is not None else [(k, 1) for k in range(n)]
-        ks, self.weights = zip(*pairs)
-        self.h_blocks, self.eigs = [h_blocks[k] for k in ks], [eigs[k] for k in ks]
-        self.widths = [len(h) // 2 for h in self.h_blocks]
-        order = sorted(range(len(ks)), key=self.widths.__getitem__)
-        ends = dict(zip(order, np.cumsum([self.widths[i] ** 2 for i in order])))
-        self.slices = [slice(ends[i] - c * c, ends[i]) for i, c in enumerate(self.widths)]
-        self.size, self.groups = ends[order[-1]], []
-        for c in sorted(set(self.widths)):
-            members = [i for i in order if self.widths[i] == c]
-            m = np.stack([self.eigs[i][2] for i in members])
-            self.groups.append((slice(self.slices[members[0]].start, ends[members[-1]]),
-                                m.shape, np.stack((m, m.conj().swapaxes(1, 2)))))
-        self._w = np.hstack([self.eigs[i][0] for i in order])
-        self._spread = np.repeat(np.arange(self._w.shape[1]), [
-            self.widths[i] for i in order for _ in range(self.widths[i])])
+        self._layout = _free_eigensystems(h_blocks, key, flip is not None)
+        vars(self).update(self._layout)
+        self.h_blocks, self.flip = [h_blocks[k] for k in self.sectors], flip
 
     def phases(self, keys):
         """The phase steps exp(-i w dt) of each free step's key, a length dt
@@ -320,9 +307,12 @@ class _Kept:
         """K = V_+^T J V_- of the middle sector under a spin flip, with J
         reversing its bath states: a real orthogonal (C, C) matrix, in which
         the flip reads [[0, conj(c) K], [c K^T, 0]] in the frame
-        (_parity_blocks)."""
+        (_parity_blocks). A powered run forms it on first use, after its
+        cycle product, so that it adds nothing to the run's peak memory, and
+        leaves it in the layout for later runs: one dict item, set whole."""
         (_, v, _), = [eig for eig, m in zip(self.eigs, self.weights) if m == 1]
-        return v[0].T @ v[1][::-1]
+        self._layout["reversal"] = k = v[0].T @ v[1][::-1]
+        return k
 
     def convert(self, us, back=False):
         """A list of sector blocks U turned into the frame, V^dag U V with V =
@@ -492,39 +482,82 @@ def _plan(intervals, n_cycles, columns, rows, widths, weights, built=False):
     return min(costs, key=costs.get)
 
 
-# (key, eigensystems) of the last call of _free_eigensystems, replaced whole
-# on a miss
-_free_eigs = None
+# the free frames of _free_eigensystems, least recently used first, as
+# (key, eigensystems, layouts by pairing, bytes) tuples that no call changes
+# but for the one item _Kept.reversal sets in a paired layout; the budget
+# holds several baths up to n_bath 9 (1.8 MB with a paired layout), one
+# from n_bath 10 (7.9 MB), and from n_bath 11 only the newest
+_frames = ()
+_FRAME_BYTES = 1 << 24
 
 
-def _free_eigensystems(h_blocks, key):
+def _free_eigensystems(h_blocks, key, paired=None):
     """[(w, V, M)] per block H_k: the eigenpairs H_s = V_s diag(w_s) V_s^dag of
     its two system halves s = +, -, stacked as w (2, C) and V (2, C, C), and
-    their mixing M = V_+^dag V_-, from one eigh of both halves.
+    their mixing M = V_+^dag V_-, from one eigh of both halves; with
+    `paired`, the layout on them of a run of the _mirror_sectors (True) or
+    of every sector (False) instead (_Kept).
 
     H_k must conserve the system S_z, as H_free does, so that it is
     diag(H_E,k + D_k/2, H_E,k - D_k/2) with D = sum_j b_j I_z^j. Halves
     with no imaginary part, as H_free's, are diagonalized and kept real.
 
-    The eigensystems of the last call stay in one slot with its `key`, a
-    sequence of arrays that fixes h_blocks and that nothing changes
-    afterwards: copies of the couplings (model.b, model.d) from propagate, or
-    the blocks' stacked halves (_halves) from avgham.magnus_defect. A call
-    whose key is np.array_equal to the slot's, such as the next delay of a
-    sweep on one model, forms no halves and skips every eigh; a vector b
-    never equals a (2, C, C) stack, so the two kinds of key cannot meet. eigh
-    is deterministic, so a hit gives the same bits as a miss.
+    A cache (_frames) keeps every block's, even where a run pairs sectors
+    (the frozen count test expects one eigh per sector), and the layouts on
+    them, under the `key` of their call: arrays that fix h_blocks, which
+    nothing changes afterwards, copies of the couplings (model.b, model.d)
+    from propagate or the blocks' stacked halves (_halves) from
+    avgham.magnus_defect. A call whose key is np.array_equal to an entry's,
+    such as the next delay of a sweep or a bath run again, skips every eigh
+    and gives the same bits. Beside the newest entry it holds at most
+    _FRAME_BYTES: a miss first drops the least recently used entries that
+    would not fit beside the new one (its key and 48 C^2 + 32 C bytes per
+    block). Entries are replaced whole, so threads see whole entries.
     """
-    global _free_eigs
-    slot = _free_eigs
-    if slot is not None and len(slot[0]) == len(key) and all(map(np.array_equal, slot[0], key)):
-        return slot[1]
-    eigs = []
-    for h in h_blocks:
-        w, v = np.linalg.eigh(_halves(h))
-        eigs.append((w, v, v[0].conj().T @ v[1]))
-    _free_eigs = (key, eigs)
-    return eigs
+    global _frames
+    frames = list(_frames)
+    hit = [i for i, (k, *_) in enumerate(frames)
+           if len(k) == len(key) and all(map(np.array_equal, k, key))]
+    if hit:
+        entry = frames.pop(hit[0])
+    else:
+        need = sum(a.nbytes for a in key) + sum(12 * len(h) ** 2 + 16 * len(h) for h in h_blocks)
+        while frames and sum(f[3] for f in frames) + need > _FRAME_BYTES:
+            del frames[0]
+        _frames, key, eigs = tuple(frames), tuple(key), []
+        for h in h_blocks:
+            w, v = np.linalg.eigh(_halves(h))
+            eigs.append((w, v, v[0].conj().T @ v[1]))
+        entry = (key, eigs, {}, sum(a.nbytes for a in (*key, *(a for e in eigs for a in e))))
+    if paired is not None and paired not in entry[2]:
+        n = len(entry[1])
+        sectors, weights = zip(*(_mirror_sectors(n - 1) if paired else [(k, 1) for k in range(n)]))
+        kept = [entry[1][k] for k in sectors]
+        widths = [len(v[0]) for _, v, _ in kept]
+        order = sorted(range(len(kept)), key=widths.__getitem__)
+        ends = dict(zip(order, np.cumsum([widths[i] ** 2 for i in order])))
+        slices = [slice(ends[i] - c * c, ends[i]) for i, c in enumerate(widths)]
+        groups = []
+        for c in sorted(set(widths)):
+            members = [i for i in order if widths[i] == c]
+            m = np.stack([kept[i][2] for i in members])
+            groups.append((slice(slices[members[0]].start, ends[members[-1]]), m.shape,
+                           np.stack((m, m.conj().swapaxes(1, 2)))))
+        w, ordered = np.hstack([kept[i][0] for i in order]), [widths[i] for i in order]
+        spread = np.repeat(np.arange(w.shape[1]), np.repeat(ordered, ordered))
+        layout = dict(sectors=sectors, weights=weights, eigs=kept, widths=widths, slices=slices,
+                      size=ends[order[-1]], groups=groups, _w=w, _spread=spread)
+        # counting the middle sector's _Kept.reversal, formed on first use
+        arrays = [w, spread, *(m for *_, m in groups),
+                  *(v[0] for (_, v, _), m in zip(kept, weights) if paired and m == 1)]
+        entry = (*entry[:2], {**entry[2], paired: layout}, entry[3] + sum(a.nbytes for a in arrays))
+    # threads that store at once may each drop the other's update: that
+    # entry is built again when next asked for, never seen half built
+    frames.append(entry)
+    while len(frames) > 1 and sum(f[3] for f in frames) > _FRAME_BYTES:
+        del frames[0]
+    _frames = tuple(frames)
+    return entry[1] if paired is None else entry[2][paired]
 
 
 def _halves(h):
@@ -925,8 +958,8 @@ def propagate(spec, *, rows=()):
     s_u = _SPIN_HALF[spec.initial_axis]
     runs = [_recording_intervals(t, spec.record) for t in (tl, *rows)]
     # free evolution does not depend on the pulse-error draw, so the
-    # realizations share one frame read-only; the couplings key the
-    # eigensystem slot, copied so that no later edit of the model reaches it
+    # realizations share one frame read-only; the couplings key the frame
+    # cache, copied so that no later edit of the model reaches it
     kept = _Kept(h_blocks, (model.b.copy(), model.d.copy()),
                  _flip_phase(tl.events, spec.error_model))
 
@@ -1027,9 +1060,14 @@ def _autocorrelation(blocks, times):
     of every block go through _spectral_series; the series are summed and
     divided by the total weight. For A_j of equal norm, such as the I_z^j,
     this is the mean of their normalized curves.
+
+    Integer `times` that step by 1, such as cycle counts, build each phase
+    table exp(-i f t) from products: its first column by exp, then the
+    columns t + n from those before times exp(-i f n), doubling n.
     """
     weights = [m * sum(np.abs(_sandwich(v, a, u) if a.ndim == 2 else (v.conj().T * a) @ u)
                        ** 2 for a in observables) for (_, v), (_, u), observables, m in blocks]
+    counts = np.issubdtype(np.asarray(times).dtype, np.integer) and np.all(np.diff(times) == 1)
     times = np.asarray(times, dtype=float)
     series = np.zeros(times.size)
     # chunks of at least 256 times keep memory O(dim max(dim, 256)); each
@@ -1041,7 +1079,16 @@ def _autocorrelation(blocks, times):
         chunk, tables = times[start:start + step], {}
         for i, (((f, _), (g, _), _, _), w) in enumerate(zip(blocks, weights)):
             for key, a in {id(f): f, id(g): g}.items():
-                tables[key] = tables[key] if key in tables else np.exp(-1j * np.outer(a, chunk))
+                if key not in tables and not counts:
+                    tables[key] = np.exp(-1j * np.outer(a, chunk))
+                elif key not in tables:
+                    table = tables[key] = np.empty((a.size, chunk.size), dtype=complex)
+                    table[:, 0], n = np.exp(-1j * a * chunk[0]), 1
+                    while n < chunk.size:
+                        k = min(n, chunk.size - n)
+                        np.multiply(table[:, :k], np.exp(-1j * n * a)[:, None],
+                                    out=table[:, n:n + k])
+                        n += k
             series[start:start + step] += _spectral_series(w, tables[id(f)], tables[id(g)])
             tables = {key: table for key, table in tables.items() if last[key] > i}
     return series / sum(w.sum() for w in weights)

@@ -4,9 +4,9 @@ import spinbath.engine as engine
 
 
 @pytest.fixture(autouse=True)
-def _empty_free_table_slot():
-    """Empty the engine's eigensystem slot (the free halves' eigenpairs and
-    mixings) after each test, so that no test's eigh count depends on which
-    model an earlier test diagonalized last."""
+def _empty_frame_cache():
+    """Empty the engine's frame cache (the free halves' eigensystems and the
+    layouts on them) after each test, so that no test's eigh count depends
+    on which models earlier tests diagonalized."""
     yield
-    engine._free_eigs = None
+    engine._frames = ()

@@ -145,9 +145,9 @@ def test_magnus_defects_of_one_h_free_diagonalize_its_halves_once(monkeypatch):
     del shapes[:]
     assert magnus_defect(tl, h.copy(), m.ops) == first
     assert shapes and not [a for a in shapes if len(a) == 3]
-    # the slot is keyed on the real halves of the sector blocks, and holds
-    # neither a full-space copy nor the complex blocks
-    key, _ = engine._free_eigs
+    # the cache keys its one entry on the real halves of the sector blocks,
+    # and holds neither a full-space copy nor the complex blocks
+    (key, *_), = engine._frames
     assert [a.shape for a in key] == halves
     assert all(a.dtype == np.float64 and a.base is None for a in key)
 

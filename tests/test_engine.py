@@ -266,6 +266,9 @@ def test_eigenphase_powering_matches_direct_loop(monkeypatch):
         (default_model(n_bath=1), ErrorModel(), compile_cpmg(12.0, 0.0, n_cycles=20), "y", 1),
         # 101 recorded points against dim 32: four blocks, the last one partial
         (default_model(n_bath=4), noisy, compile_cpmg(9.0, 0.0, n_cycles=100), "x", 2),
+        # 1200 cycle counts: five chunks of phase tables built from products,
+        # the last one partial
+        (default_model(seed=5, n_bath=4), noisy, compile_cpmg(9.0, 0.0, n_cycles=1200), "y", 1),
         # sectors k and n - k are isospectral, which a full-space eig mixes
         (default_model(n_bath=6), ErrorModel(), compile_cpmg(12.0, 0.0, n_cycles=20), "x", 1),
         (default_model(n_bath=6), ErrorModel(flip_angle_fraction=0.03),
@@ -465,7 +468,7 @@ def test_time_symmetric_single_axis_cycles_take_the_real_path(family, tau_p, n_b
     bases = _eig_bases(monkeypatch)
     _force(monkeypatch, "powered")
     fast = propagate(spec)
-    assert all(v.dtype == m.dtype == np.float64 for _, v, m in engine._free_eigs[1])
+    assert all(v.dtype == m.dtype == np.float64 for _, v, m in engine._frames[-1][1])
     # the kept sectors, the middle one as its two parity halves
     assert len(bases) == n_bath // 2 + 1 + (n_bath % 2 == 0)
     assert all(np.isrealobj(p) for p in bases)
@@ -1421,7 +1424,7 @@ def test_cached_runs_equal_uncached_runs_alternating_two_models():
     for m in models:
         runs = []
         for tl in timelines:
-            engine._free_eigs = None
+            engine._frames = ()
             runs += _runs(m, [tl])
         uncached.append(runs)
     for i in (0, 0, 1, 0, 1, 1):
@@ -1435,7 +1438,7 @@ def test_threads_sharing_the_cache_see_whole_entries():
     tl = compile_cpmg(12.0, 0.0, n_cycles=3)
     expected = []
     for m in models:
-        engine._free_eigs = None
+        engine._frames = ()
         expected.append(_runs(m, [tl])[0].s)
 
     def work(first):
@@ -1463,8 +1466,9 @@ def test_a_model_one_coupling_away_misses_the_cache(monkeypatch):
     d[1, 2] = d[2, 1] = np.nextafter(d[1, 2], np.inf)
     near = build_model(m.b, d)
     tl = compile_cpmg(15.0, 0.0, n_cycles=3)
-    engine._free_eigs = None
     (fresh,) = _runs(near, [tl])
+    # the cache now holds only m, one coupling away from near
+    engine._frames = ()
     _runs(m, [tl])
     shapes = _counted_eigh(monkeypatch)
     (cached,) = _runs(near, [tl])
@@ -1486,9 +1490,101 @@ def test_the_cache_keys_on_a_copy_of_the_couplings(monkeypatch):
     m.d[1, 2] = m.d[2, 1] = np.nextafter(m.d[1, 2], np.inf)
     (edited,) = _runs(m, [tl])
     assert len(shapes) == m.n_bath + 1
-    engine._free_eigs = None
+    engine._frames = ()
     (uncached,) = _runs(build_model(m.b, m.d), [tl])
     assert np.array_equal(edited.s, uncached.s)
+
+
+def test_baths_run_in_turn_diagonalize_nothing_on_the_second_round(monkeypatch):
+    models = [default_model(seed=4, n_bath=n) for n in (3, 4, 5)]
+    tl = compile_cpmg(10.0, 0.0, n_cycles=4)
+    shapes = _counted_eigh(monkeypatch)
+    first = _runs(models[0], [tl]) + _runs(models[1], [tl]) + _runs(models[2], [tl])
+    assert len(shapes) == 4 + 5 + 6
+    del shapes[:]
+    for m, fresh in zip(models, first):
+        (again,) = _runs(m, [tl])
+        assert np.array_equal(again.s, fresh.s)
+    assert shapes == []
+
+
+def test_paired_and_unpaired_runs_on_one_bath_share_one_entry(monkeypatch):
+    m = default_model(seed=4, n_bath=4)
+    shapes = _counted_eigh(monkeypatch)
+    # cpmg keeps the mirror sectors under its spin flip, cdd2 keeps every one
+    _runs(m, [compile_cpmg(10.0, 0.0, n_cycles=4), compile_cdd(2, 10.0, 0.0, n_cycles=2)])
+    assert len(shapes) == m.n_bath + 1
+    (key, eigs, layouts, _), = engine._frames
+    assert set(layouts) == {False, True}
+    for layout in layouts.values():
+        assert all(e is eigs[k] for e, k in zip(layout["eigs"], layout["sectors"]))
+    assert layouts[False]["sectors"] == tuple(range(m.n_bath + 1))
+    assert layouts[True]["weights"] == (2, 2, 1)
+    # the middle sector's reversal is formed once, on first use, into the entry
+    h_blocks = build_h_free(m, engine._sectors(m.n_bath))
+    k = engine._Kept(h_blocks, key, 1.0).reversal
+    assert layouts[True]["reversal"] is k is engine._Kept(h_blocks, key, 1j).reversal
+    assert np.allclose(k @ k.T, np.eye(len(k)), atol=1e-13)
+    assert len(engine._frames) == 1 and len(shapes) == m.n_bath + 1
+
+
+def _held_bytes(entry):
+    """The bytes of an entry's arrays, with the middle sector's reversal of a
+    paired layout whether it is formed yet or not."""
+    key, eigs, layouts, _ = entry
+    arrays = [*key, *(a for e in eigs for a in e)]
+    for paired, layout in layouts.items():
+        arrays += [layout["_w"], layout["_spread"], *(m for _, _, m in layout["groups"])]
+        arrays += [v[0] for (_, v, _), m in zip(layout["eigs"], layout["weights"])
+                   if paired and m == 1]
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("budget", [0, 60_000])
+def test_the_cache_stays_within_its_budget_and_keeps_the_newest(monkeypatch, budget):
+    monkeypatch.setattr(engine, "_FRAME_BYTES", budget)
+    # the bytes the cache holds while each eigh runs
+    held = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        held.append(sum(f[3] for f in engine._frames))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cpmg, cdd2 = compile_cpmg(10.0, 0.0, n_cycles=4), compile_cdd(2, 10.0, 0.0, n_cycles=2)
+    newest = []
+    # the last run adds the unpaired layout of every sector to the n 6 entry
+    for n, tl in [(3, cpmg), (4, cpmg), (5, cpmg), (6, cpmg), (3, cpmg), (4, cpmg), (6, cdd2)]:
+        m = default_model(seed=4, n_bath=n)
+        del held[:]
+        _runs(m, [tl])
+        frames = engine._frames
+        assert all(f[3] == _held_bytes(f) for f in frames)
+        assert len(frames) == 1 or sum(f[3] for f in frames) <= budget
+        key = frames[-1][0]
+        assert np.array_equal(key[0], m.b) and np.array_equal(key[1], m.d)
+        # a miss drops what would not fit beside the new entry before it
+        # diagonalizes
+        assert len(held) in (0, n + 1)
+        assert all(h == 0 or h + frames[-1][3] <= budget for h in held)
+        newest.append([len(f[0][0]) for f in frames])
+    # at 60 kB, n 6 (43 kB) dropped the least recently used n 3 and n 4,
+    # and its second layout (about 30 kB) all the others
+    assert newest[-2:] == ([[4], [6]] if budget == 0 else [[5, 6, 3, 4], [6]])
+
+
+def test_phase_tables_from_products_match_the_exponentials():
+    rng = np.random.default_rng(3)
+    f, g = rng.uniform(-np.pi, np.pi, 40), rng.uniform(-np.pi, np.pi, 30)
+    blocks = [((f, np.eye(40)), (g, rng.normal(size=(30, 30))), [rng.normal(size=(40, 30))], 1)]
+    counts = np.arange(1, 700)
+    products = engine._autocorrelation(blocks, counts)
+    assert np.max(np.abs(products - engine._autocorrelation(blocks, counts.astype(float)))) < 1e-13
+    # integer times that do not step by 1 take the exponentials
+    steps = counts[::3]
+    assert np.array_equal(engine._autocorrelation(blocks, steps),
+                          engine._autocorrelation(blocks, steps.astype(float)))
 
 
 def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
