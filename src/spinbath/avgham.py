@@ -26,7 +26,7 @@ from .engine import _halves, _interval_products, _Kept, _static_operators, _unit
 from .errors import ContractError
 from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _sector_blocks, _sectors,
                            build_h_free, default_model)
-from .operators import (_SPIN_HALF, UNITARY_ATOL, _checked_n_bath, exp_propagators,
+from .operators import (_SPIN_HALF, UNITARY_ATOL, _checked_n_bath, exp_propagator,
                         require_hermitian)
 from .pulses import ErrorModel, _left, delta_rotation, error_factor, ideal_frame
 from .sequences import compile_cpmg, compile_pdd
@@ -361,6 +361,8 @@ def magnus_defect(timeline, h_free, ops):
     sector, and its free steps per system S_z half of each sector, so h_free
     must conserve the total bath I_z and the system S_z, as H_SE + H_E does.
     """
+    if any(ev.duration > 0 for ev in timeline.events):
+        raise ContractError("magnus_defect needs delta pulses, got a finite-width pulse")
     h_free = require_hermitian(np.asarray(h_free, dtype=complex), "free Hamiltonian")
     a = np.abs(h_free)
     tol = 1e-12 * max(1.0, float(np.max(a)))
@@ -384,8 +386,8 @@ def magnus_defect(timeline, h_free, ops):
     kept = _Kept(h_blocks, [_halves(h) for h in h_blocks])
     phases = kept.phases({dt for kind, dt in pieces if kind == "free"})
     operators = _static_operators([pieces], kept, ErrorModel(), 1.0, {})
-    u_exact = kept.convert(_interval_products([pieces], operators, kept, phases)[0], back=True)
+    u_exact = kept.back(_interval_products([pieces], operators, kept, phases)[0])
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
-    return _norm([_left(frame, u) - exp_propagators(h0 + h1, (tau_c,))[tau_c]
+    return _norm([_left(frame, u) - exp_propagator(h0 + h1, tau_c)
                   for (h0, h1), u in zip(_sector_averages(timeline, h_blocks), u_exact)])

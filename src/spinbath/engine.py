@@ -77,11 +77,12 @@ or steps each segment with each pulse built once, or applies the product
 of each recording interval once per cycle; _plan picks the path that
 costs least, counted from the run's shape alone: powering pays for many
 cycles, stepping for few cycles and few pulses per interval, products for
-many pulses per interval over a few cycles. A finite pulse is turned into
-the frame as V^T U V (_Kept.convert), and a product is built there. The
-powered path reads the cycle product in the frame, with the observable
-V^T (p (x) 1) V = [[p_00, p_01 M], [p_10 M^T, p_11]] (_frame_observable);
-a pulseless cycle is diagonal there, so it needs no eigh. Only
+many pulses per interval over a few cycles. A 2x2 system operator p reads
+V^T (p (x) 1) V = [[p_00, p_01 M], [p_10 M^T, p_11]] in the frame
+(_frame_observable): a finite pulse exponentiates its drive there plus
+diag(w_+, w_-) (_pulse_blocks), so no H_free block outlives the frame,
+and the powered path reads the cycle product, built there, against S_u; a
+pulseless cycle is diagonal there, so it needs no eigh. Only
 avgham.magnus_defect turns a product back. One-cycle runs with the same
 pulses, such as the delays of an echo curve, are rows of one buffer: each
 row takes its own phases, every pulse acts on all rows at once, and each
@@ -115,9 +116,9 @@ import numpy as np
 
 from .errors import ContractError
 from .hamiltonians import _basis_z, _h_e_blocks, _mirror_sectors, _sectors, build_h_free
-from .operators import _SPIN_HALF, exp_propagators
-from .pulses import (ErrorModel, _driven_hamiltonian, axis_vector, delta_rotation,
-                     delta_rotations, ideal_frame, sample_rf_scale, split_axis)
+from .operators import _SPIN_HALF, exp_propagator
+from .pulses import (ErrorModel, _drive, axis_vector, delta_rotation, delta_rotations,
+                     ideal_frame, sample_rf_scale, split_axis)
 from .util import first_crossing, fmt, realization_rng, require_int
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
@@ -229,26 +230,27 @@ class TauBEstimate(NamedTuple):
     reached: bool
 
 
-def _pulse_blocks(ev, h_blocks, err, rf_scale, tilt=None):
-    """Per-sector blocks of one pulse event; `tilt` overrides err.axis_tilt.
+def _pulse_blocks(ev, kept, err, rf_scale, tilt=None):
+    """One pulse event on the kept sectors; `tilt` overrides err.axis_tilt.
 
     A delta pulse is one 2x2 system rotation, returned alone as it acts the
-    same on every sector (see _Accumulated.advance); a finite pulse is a
-    list of one driven Hamiltonian exponentiated per block, so each
+    same on every sector (see _Accumulated.advance). A finite pulse is one
+    (2C, 2C) block per sector in the free eigenframe, the exponential of its
+    driven Hamiltonian there (_frame_observable, pulses._drive), so each
     diagonalization costs O(sum_k (2 C(n, k))^3) rather than O(dim^3).
     """
     if ev.duration > 0:
-        rate = ev.nominal_angle / ev.duration
-        return [exp_propagators(_driven_hamiltonian(h, ev.axis, rate, rf_scale, err, tilt),
-                                (ev.duration,))[ev.duration] for h in h_blocks]
+        drive = _drive(ev.axis, ev.nominal_angle / ev.duration, rf_scale, err, tilt)
+        return [exp_propagator(_frame_observable(drive, m, w), ev.duration)
+                for w, _, m in kept.eigs]
     return delta_rotation(ev.axis, ev.nominal_angle, rf_scale, err, tilt)
 
 
 def _jittered_cycles(pieces, kept, err, rf_scale, rng):
     """A function that returns the operators of each interval of the next
     jittered cycle, in the order _Accumulated.advance applies them: free
-    steps by their length, and each pulse built at a fresh axis tilt in the
-    frame (_Kept.convert). A cycle's tilts come from one rng.normal call in
+    steps by their length, and each pulse built at a fresh axis tilt
+    (_pulse_blocks). A cycle's tilts come from one rng.normal call in
     time order, the same stream as one draw per pulse, and its delta
     rotations from one call of pulses.delta_rotations."""
     events = [p for segments in pieces for kind, p in segments if kind == "pulse"]
@@ -261,7 +263,7 @@ def _jittered_cycles(pieces, kept, err, rf_scale, rng):
         tilts = rng.normal(err.axis_tilt, err.tilt_jitter_sd, size=len(events))
         rotated = iter(rotations(tilts[delta]) if delta else ())
         pulses = iter([next(rotated) if ev.duration == 0 else
-                       kept.convert(_pulse_blocks(ev, kept.h_blocks, err, rf_scale, tilt))
+                       _pulse_blocks(ev, kept, err, rf_scale, tilt)
                        for ev, tilt in zip(events, tilts)])
         return [[p if kind == "free" else next(pulses) for kind, p in segments]
                 for segments in pieces]
@@ -282,18 +284,17 @@ def _mix(m, x, out):
 
 class _Kept:
     """The sector blocks a run propagates: every sector, or under a spin flip
-    of phase `flip` (_flip_phase) the _mirror_sectors, with their H_free
-    blocks, which come with each call, and the layout of such a run on the
-    frame cached under `key` (_free_eigensystems), shared read-only: their
-    weights and eigensystems (w, V, M), ordered by width in the buffer
+    of phase `flip` (_flip_phase) the _mirror_sectors, and the layout of
+    such a run on the frame of `h_blocks` cached under `key`
+    (_free_eigensystems), shared read-only and holding no H_free block:
+    their weights and eigensystems (w, V, M), ordered by width in the buffer
     (_Accumulated) so that k and n - k sit side by side, and each width's
     stacked mixings [M, M^dag] (`groups`).
     """
 
     def __init__(self, h_blocks, key, flip=None):
         self._layout = _free_eigensystems(h_blocks, key, flip is not None)
-        vars(self).update(self._layout)
-        self.h_blocks, self.flip = [h_blocks[k] for k in self.sectors], flip
+        vars(self).update(self._layout, flip=flip)
 
     def phases(self, keys):
         """The phase steps exp(-i w dt) of each free step's key, a length dt
@@ -314,14 +315,10 @@ class _Kept:
         self._layout["reversal"] = k = v[0].T @ v[1][::-1]
         return k
 
-    def convert(self, us, back=False):
-        """A list of sector blocks U turned into the frame, V^dag U V with V =
-        diag(V_+, V_-), or with `back` out of it, V U V^dag (avgham's
-        magnus_defect only); a 2x2 system rotation is returned as it is, for
-        _Accumulated.advance mixes it."""
-        if not isinstance(us, list):
-            return us
-        vs = [v.conj().swapaxes(1, 2) if back else v for _, v, _ in self.eigs]
+    def back(self, us):
+        """Sector blocks U in the frame turned out of it, V U V^dag with
+        V = diag(V_+, V_-) (avgham's magnus_defect only)."""
+        vs = [v.conj().swapaxes(1, 2) for _, v, _ in self.eigs]
         return [_sandwich(v[:, None], u.reshape(2, len(v[0]), 2, -1).swapaxes(1, 2), v[None])
                 .swapaxes(1, 2).reshape(len(u), -1) for u, v in zip(us, vs)]
 
@@ -402,10 +399,10 @@ class _Accumulated:
 def _static_operators(pieces, kept, err, rf_scale, pulses):
     """The operators of each segment list of `pieces` under static errors, in
     the order _Accumulated.advance applies them: free steps by their length,
-    and each pulse shape built once by _pulse_blocks, in the frame
-    (_Kept.convert), into `pulses` by shape, where a later call finds it."""
+    and each pulse shape built once by _pulse_blocks into `pulses` by shape,
+    where a later call finds it."""
     events = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
-    pulses.update({key: kept.convert(_pulse_blocks(ev, kept.h_blocks, err, rf_scale))
+    pulses.update({key: _pulse_blocks(ev, kept, err, rf_scale)
                    for key, ev in events.items() if key not in pulses})
     return [[p if kind == "free" else pulses[_shape(p)] for kind, p in segments]
             for segments in pieces]
@@ -674,14 +671,16 @@ def _axis_frame(x, c):
     return out
 
 
-def _frame_observable(p, m):
-    """V^dag (p (x) 1) V = [[p_00 1, p_01 M], [p_10 M^T, p_11 1]] for a 2x2
-    system operator p and a sector's real frame V = diag(V_+, V_-), with its
-    mixing M = V_+^T V_- (_free_eigensystems)."""
+def _frame_observable(p, m, w=(0.0, 0.0)):
+    """V^dag (p (x) 1) V + diag(w) = [[p_00 + w_+, p_01 M], [p_10 M^T, p_11 + w_-]]
+    for a 2x2 system operator p and a sector's eigensystem (w, V, M), V =
+    diag(V_+, V_-), M = V_+^T V_- (_free_eigensystems): the powered path's
+    observable (w = 0) or a finite pulse's Hamiltonian (_pulse_blocks). V
+    must be real, as propagate's are; avgham.magnus_defect's may be complex."""
     c = len(m)
     a = np.zeros((2 * c, 2 * c), dtype=complex)
     diagonal = a.reshape(-1)[::2 * c + 1]
-    diagonal[:c], diagonal[c:] = p[0, 0], p[1, 1]
+    diagonal[:c], diagonal[c:] = p[0, 0] + w[0], p[1, 1] + w[1]
     np.multiply(m, p[0, 1], out=a[:c, c:])
     np.multiply(m.T, p[1, 0], out=a[c:, :c])
     return a
@@ -910,7 +909,7 @@ def _realization_curve(spec, intervals, kept, phases, s_u, k, rows, pulses):
 
     w = _Accumulated(kept, phases, columns, rows)
     d, key = s_u, _detection_key(s_u, kept.flip, sign)
-    norm0 = 0.25 * sum(m * len(h) for m, h in zip(kept.weights, kept.h_blocks))
+    norm0 = 0.5 * sum(m * c for m, c in zip(kept.weights, kept.widths))
     values = []
     for _ in range(n_cycles):
         for iv, operators in zip(intervals, cycle()):
@@ -954,13 +953,13 @@ def propagate(spec, *, rows=()):
                          for t in (tl, *rows)}) > 1):
         raise ContractError("rows need one-cycle timelines recorded at cycle_boundaries, with "
                             "the pulses of spec.timeline in order and ever longer cycles")
-    h_blocks = build_h_free(model, _sectors(model.n_bath))
     s_u = _SPIN_HALF[spec.initial_axis]
     runs = [_recording_intervals(t, spec.record) for t in (tl, *rows)]
     # free evolution does not depend on the pulse-error draw, so the
     # realizations share one frame read-only; the couplings key the frame
-    # cache, copied so that no later edit of the model reaches it
-    kept = _Kept(h_blocks, (model.b.copy(), model.d.copy()),
+    # cache, copied so that no later edit of the model reaches it; no H_free
+    # block outlives the frame
+    kept = _Kept(build_h_free(model, _sectors(model.n_bath)), (model.b.copy(), model.d.copy()),
                  _flip_phase(tl.events, spec.error_model))
 
     def free_keys(intervals):

@@ -71,7 +71,8 @@ def require_hermitian(h, what="operator", atol=HERMITIAN_ATOL):
     scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
     # |conj(h) - h^T| is |h - h^dag| transposed, without a strided conjugate
     dev = float(np.max(np.abs(h.conj() - h.T))) if h.size else 0.0
-    if dev > atol * scale:
+    # written so that NaN and inf fail
+    if not dev <= atol * scale:
         raise ContractError(f"{what} is not Hermitian: max deviation {dev:.3e}")
     return h
 
@@ -89,10 +90,11 @@ class Propagator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractError(f"propagator must be square, got shape {m.shape}")
         dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
-        if dev > UNITARY_ATOL * max(1.0, m.shape[0] ** 0.5):
+        # written so that NaN and inf fail
+        if not dev <= UNITARY_ATOL * max(1.0, m.shape[0] ** 0.5):
             raise ContractError(f"propagator is not unitary: max deviation {dev:.3e}")
-        if self.duration < 0:
-            raise ContractError(f"propagator duration must be >= 0, got {self.duration}")
+        if not 0 <= self.duration < np.inf:
+            raise ContractError(f"propagator duration must be finite and >= 0, got {self.duration}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "duration", float(self.duration))
@@ -118,17 +120,14 @@ def evolve(h, t):
     """
     h = require_hermitian(np.asarray(h, dtype=complex), "evolve() Hamiltonian")
     t = float(t)
-    if t < 0:
-        raise ContractError(f"evolve() needs t >= 0, got {t}")
-    return Propagator(exp_propagators(h, (t,))[t], t)
+    if not 0 <= t < np.inf:
+        raise ContractError(f"evolve() needs a finite t >= 0, got {t}")
+    return Propagator(exp_propagator(h, t), t)
 
 
-def exp_propagators(h, times):
-    """{t: exp(-i H t)} as raw arrays for every t in `times`, from one
-    diagonalization of the Hermitian H (not checked here), none if no times.
-    A stack of matrices, shape (..., n, n), is exponentiated matrix by matrix."""
-    if not times:
-        return {}
+def exp_propagator(h, t):
+    """exp(-i H t) as a raw array, from one diagonalization of the Hermitian H
+    (not checked here); a stack of matrices, shape (..., n, n), is
+    exponentiated matrix by matrix."""
     w, v = np.linalg.eigh(h)
-    vh = v.conj().swapaxes(-1, -2)
-    return {t: (v * np.exp(-1j * w[..., None, :] * t)) @ vh for t in times}
+    return (v * np.exp(-1j * w[..., None, :] * t)) @ v.conj().swapaxes(-1, -2)

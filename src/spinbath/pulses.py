@@ -21,6 +21,9 @@ jittered cycle builds all its rotations in one delta_rotations call;
 only the public builders ideal_pulse and real_pulse embed it as
 R (x) 1_bath. Its 2x2 error factor E gives U_real =
 (E (x) 1_bath) @ U_ideal, which the average-Hamiltonian analysis consumes.
+A finite pulse's drive is one 2x2 system operator too (_drive): real_pulse
+adds it to the dense H_free, the engine to each sector of H_free in its
+free eigenframe.
 """
 
 import math
@@ -69,8 +72,10 @@ class PulseSpec:
     def __post_init__(self):
         if self.axis not in PULSE_AXES:
             raise ContractError(f"pulse axis must be one of {PULSE_AXES}, got {self.axis!r}")
-        if self.duration < 0:
-            raise ContractError(f"pulse duration must be >= 0, got {self.duration}")
+        if not (all(map(math.isfinite, (self.nominal_angle, self.duration, self.rf_amplitude)))
+                and self.duration >= 0):
+            raise ContractError(f"pulse angle, duration and rf_amplitude must be finite, with "
+                                f"duration >= 0, got {self}")
         if self.duration > 0:
             if self.rf_amplitude <= 0:
                 raise ContractError("finite-duration pulse needs rf_amplitude > 0")
@@ -173,8 +178,8 @@ def sample_rf_scale(err, seed):
     """One RF amplitude scale draw; deterministic in `seed`."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     value = float(err.rf.sample(rng))
-    if value <= 0:
-        raise ContractError(f"sampled RF scale must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise ContractError(f"sampled RF scale must be finite and > 0, got {value}")
     return value
 
 
@@ -260,31 +265,24 @@ def real_pulse(spec, rf_scale, err, h_free, ops, tilt=None):
     H_free + sign * w_eff * (u . S) for the pulse duration, with
     w_eff = rf_amplitude * rf_scale * (1 + eps), so system-bath and
     intra-bath dynamics run during the pulse. `tilt` overrides the error
-    model's static axis tilt; the engine passes per-pulse draws through it
-    when tilt jitter is enabled.
+    model's static axis tilt. The engine builds its own (_pulse_blocks).
     """
-    if rf_scale <= 0:
-        raise ContractError(f"rf_scale must be > 0, got {rf_scale}")
+    if not (math.isfinite(rf_scale) and rf_scale > 0):
+        raise ContractError(f"rf_scale must be finite and > 0, got {rf_scale}")
     if spec.duration == 0.0:
         r2 = delta_rotation(spec.axis, spec.nominal_angle, rf_scale, err, tilt)
         return Propagator(_embedded(r2, ops), 0.0)
-    h = _driven_hamiltonian(h_free, spec.axis, spec.rf_amplitude, rf_scale, err, tilt)
-    return evolve(h, spec.duration)
+    drive = _drive(spec.axis, spec.rf_amplitude, rf_scale, err, tilt)
+    return evolve(np.asarray(h_free, dtype=complex) + _embedded(drive, ops), spec.duration)
 
 
-def _driven_hamiltonian(h_free, axis, rf_amplitude, rf_scale, err, tilt):
-    """H_free + sign * w_eff * (u . S) of a finite pulse (see real_pulse),
-    unchecked; the engine exponentiates it directly.
-
-    `h_free` may be the full space or one bath-magnetization sector: the
-    drive acts on the system factor of either, (u . S) (x) 1.
-    """
+def _drive(axis, rf_amplitude, rf_scale, err, tilt):
+    """The 2x2 system drive sign * w_eff * (u . S) of a finite pulse (see
+    real_pulse), unchecked; `tilt` overrides err.axis_tilt when not None."""
     base, sign = split_axis(axis)
     ux, uy = axis_vector(base, err.axis_tilt if tilt is None else tilt)
     w_eff = rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
-    drive = sign * w_eff * (ux * _SPIN_HALF["x"] + uy * _SPIN_HALF["y"])
-    h_free = np.asarray(h_free, dtype=complex)
-    return h_free + np.kron(drive, np.eye(h_free.shape[0] // 2))
+    return sign * w_eff * (ux * _SPIN_HALF["x"] + uy * _SPIN_HALF["y"])
 
 
 def error_factor(spec, rf_scale, err):

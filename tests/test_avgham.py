@@ -161,6 +161,20 @@ def test_magnus_defect_refuses_a_non_hermitian_hamiltonian():
         magnus_defect(compile_pdd(10.0), h, m.ops)
 
 
+def test_magnus_defect_rejects_finite_pulses_before_building_them(monkeypatch):
+    builds, build = [], engine._pulse_blocks
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_pulse_blocks", counted)
+    m = default_model(n_bath=2)
+    with pytest.raises(ContractError, match="delta pulses"):
+        magnus_defect(compile_cdd(1, 5.0, 1.0), build_h_free(m), m.ops)
+    assert builds == []
+
+
 def test_magnus_defect_shrinks_cubically():
     ratios = []
     for seed in range(5):

@@ -5,6 +5,7 @@ import io
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from spinbath import (
     sample_rf_scale,
 )
 from spinbath.analysis import compile_family
-from spinbath.operators import _SPIN_HALF, exp_propagators
+from spinbath.operators import _SPIN_HALF, exp_propagator
 from spinbath.util import realization_rng
 
 
@@ -688,16 +689,22 @@ def test_jittered_and_avgham_runs_never_plan(monkeypatch):
     magnus_defect(compile_cdd(2, 5.0), build_h_free(m), m.ops)
 
 
+def _frame_products(model, pieces, err, rf_scale=1.0):
+    """(kept, products): the frame of every sector of the model's H_free,
+    without the pairing (engine._Kept), and the interval products of the
+    segment lists `pieces` under the static `err` in it."""
+    h_blocks = build_h_free(model, engine._sectors(model.n_bath))
+    kept = engine._Kept(h_blocks, h_blocks)
+    phases = kept.phases({p for segments in pieces for kind, p in segments if kind == "free"})
+    operators = engine._static_operators(pieces, kept, err, rf_scale, {})
+    return kept, engine._interval_products(pieces, operators, kept, phases)
+
+
 def _cycle_blocks(model, timeline, err, rf_scale=1.02):
     """The cycle product on every sector, built without the pairing and
     turned out of the free-evolution frame."""
-    h_blocks = build_h_free(model, engine._sectors(model.n_bath))
-    pieces = [timeline.segments()]
-    kept = engine._Kept(h_blocks, h_blocks)
-    phases = kept.phases({dt for kind, dt in pieces[0] if kind == "free"})
-    operators = engine._static_operators(pieces, kept, err, rf_scale, {})
-    (u,) = engine._interval_products(pieces, operators, kept, phases)
-    return kept.convert(u, back=True)
+    kept, (u,) = _frame_products(model, [timeline.segments()], err, rf_scale)
+    return kept.back(u)
 
 
 def _flip_operator(c, width):
@@ -1150,6 +1157,21 @@ def test_system_factor_pulses_match_dense_kron_reference(family, tau_p, err, n_c
     assert np.max(np.abs(trace.s - ref)) < 1e-12
 
 
+_LONG = ErrorModel(rf=GaussianRf(1.0, 0.05), flip_angle_fraction=0.03, axis_tilt=0.1)
+
+
+@pytest.mark.parametrize("record", ["cycle_boundaries", "every_pulse"])
+@pytest.mark.parametrize("axis", ["x", "z"])
+@pytest.mark.parametrize("family, n_cycles", [("udd", 200), ("cpmg", 200), ("cdd", 50)])
+def test_long_finite_pulse_runs_match_dense_kron_reference(family, n_cycles, axis, record):
+    # each cycle applies the same pulses built in the free eigenframe, so
+    # their rounding adds up over the run
+    tl = compile_family(family, 17.0, 1.5, n_cycles=n_cycles, order=2, udd_pulses=4)
+    spec = RunSpec(model=default_model(seed=4, n_bath=3), timeline=tl, error_model=_LONG,
+                   initial_axis=axis, n_realizations=2, master_seed=8, record=record)
+    assert np.max(np.abs(propagate(spec).s - _dense_kron_curves(spec).mean(axis=0))) < 1e-12
+
+
 _PAIRED = ErrorModel(rf=BimodalRf(), flip_angle_fraction=0.03)
 
 
@@ -1212,8 +1234,8 @@ def _per_pulse_cycles(pieces, kept, err, rf_scale, rng):
     """engine._jittered_cycles with one scalar tilt draw and one
     _pulse_blocks build per pulse, in time order."""
     def cycle():
-        return [[p if kind == "free" else kept.convert(engine._pulse_blocks(
-            p, kept.h_blocks, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd)))
+        return [[p if kind == "free" else engine._pulse_blocks(
+            p, kept, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
             for kind, p in segments] for segments in pieces]
 
     return cycle
@@ -1368,7 +1390,7 @@ def test_free_eigensystems_reproduce_the_full_width_propagator(n_bath):
         assert w.shape == (2, c) and v.shape == (2, c, c)
         assert np.array_equal(mix, v[0].T @ v[1])
         for dt in (0.7, 12.0, 95.0):
-            full = exp_propagators(h, (dt,))[dt]
+            full = exp_propagator(h, dt)
             halves = (v * np.exp(-1j * w[:, None, :] * dt)) @ v.swapaxes(1, 2)
             assert np.max(np.abs(halves[0] - full[:c, :c])) < 1e-13
             assert np.max(np.abs(halves[1] - full[c:, c:])) < 1e-13
@@ -1595,11 +1617,7 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
     assert sorted(shapes) == sorted({engine._shape(ev) for ev in tl.events})
 
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
-    h_blocks = build_h_free(m, engine._sectors(m.n_bath))
-    kept = engine._Kept(h_blocks, h_blocks)
-    phases = kept.phases({p for segs in pieces for kind, p in segs if kind == "free"})
-    operators = engine._static_operators(pieces, kept, _STATIC, 1.0, {})
-    products = engine._interval_products(pieces, operators, kept, phases)
+    _, products = _frame_products(m, pieces, _STATIC)
     keys = [tuple(p if kind == "free" else engine._shape(p) for kind, p in segs)
             for segs in pieces]
     for key, product in zip(keys, products):
@@ -1622,15 +1640,34 @@ def test_interval_products_own_their_memory(monkeypatch, tau_p):
     m = default_model(seed=4, n_bath=3)
     tl = compile_cdd(2, 10.0, tau_p)
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
-    h_blocks = build_h_free(m, engine._sectors(m.n_bath))
-    kept = engine._Kept(h_blocks, h_blocks)
-    phases = kept.phases({p for segs in pieces for kind, p in segs if kind == "free"})
-    operators = engine._static_operators(pieces, kept, _STATIC, 1.0, {})
-    products = engine._interval_products(pieces, operators, kept, phases)
+    kept, products = _frame_products(m, pieces, _STATIC)
     assert 1 in kept.widths and len(buffers) == 2 * len({id(p) for p in products})
     blocks = list({id(b): b for product in products for b in product}.values())
     for i, block in enumerate(blocks):
         assert not any(np.shares_memory(block, x) for x in buffers + blocks[i + 1:])
+
+
+def test_a_run_holds_no_h_free_block(monkeypatch):
+    # the frame holds all a run reads of H_free, finite pulses included, so
+    # its blocks are freed before the first realization
+    refs, alive = [], []
+    build, curve = engine.build_h_free, engine._realization_curve
+
+    def tracked(*args):
+        blocks = build(*args)
+        refs.extend(map(weakref.ref, blocks))
+        return blocks
+
+    def checked(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return curve(*args)
+
+    monkeypatch.setattr(engine, "build_h_free", tracked)
+    monkeypatch.setattr(engine, "_realization_curve", checked)
+    m = default_model(seed=4, n_bath=4)
+    for err in (_STATIC, _PAIRED, _JITTER):
+        propagate(RunSpec(model=m, timeline=compile_cpmg(8.0, 1.5, n_cycles=3), error_model=err))
+    assert len(refs) == 15 and alive == [0, 0, 0]
 
 
 def test_jittered_runs_build_every_pulse_application(monkeypatch):

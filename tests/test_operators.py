@@ -101,3 +101,25 @@ def test_propagator_contract():
     with pytest.raises(ContractError):
         Propagator(np.eye(2), -1.0)
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_propagator_rejects_non_finite_entries_and_durations(bad):
+    with pytest.raises(ContractError, match="not unitary"):
+        Propagator(np.full((2, 2), bad), 0.0)
+    with pytest.raises(ContractError, match="duration must be finite"):
+        Propagator(np.eye(2), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evolve_rejects_a_non_finite_time(bad):
+    with pytest.raises(ContractError, match="finite t"):
+        evolve(np.eye(2), bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evolve_rejects_a_non_finite_hamiltonian(bad):
+    h = np.eye(2)
+    h[0, 0] = bad
+    with pytest.raises(ContractError, match="not Hermitian"):
+        evolve(h, 1.0)
+

@@ -20,7 +20,7 @@ from spinbath import (
     real_pulse,
     sample_rf_scale,
 )
-from spinbath.engine import _pulse_blocks
+from spinbath.engine import _Kept, _pulse_blocks
 from spinbath.pulses import axis_vector, delta_rotation, delta_rotations, split_axis
 from spinbath.hamiltonians import _sector_blocks, _sectors
 
@@ -65,6 +65,13 @@ def test_pulse_spec_area_contract():
         PulseSpec("x", np.pi, 5.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pulse_spec_rejects_non_finite_fields(bad):
+    for args in (("x", np.pi, bad), ("x", bad), ("x", np.pi, 1.5, bad)):
+        with pytest.raises(ContractError, match="finite"):
+            PulseSpec(*args)
+
+
 def test_finite_pulse_approaches_delta_limit():
     # with H_free = 0 the finite pulse is the ideal rotation for any width
     m = default_model(n_bath=2, b_scale=0.0, d_scale=0.0)
@@ -88,17 +95,19 @@ def test_finite_pulse_includes_bath_dynamics():
 
 def test_engine_finite_pulse_matches_real_pulse_per_sector():
     # the engine exponentiates the same driven Hamiltonian without the
-    # public checks, one bath-magnetization sector at a time
+    # public checks, one bath-magnetization sector at a time, in the free
+    # eigenframe; turned out of it, each block is the dense pulse's
     m = default_model(n_bath=3)
     h_free = build_h_free(m)
     sectors = _sectors(m.n_bath)
     err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=0.05)
     h_blocks = _sector_blocks(h_free, sectors)
+    kept = _Kept(h_blocks, h_blocks)
     for axis in ("x", "-y"):
         ev = PulseEvent(3.0, axis, np.pi, 1.5)
         spec = PulseSpec(axis, np.pi, 1.5, np.pi / 1.5)
         dense = real_pulse(spec, 0.97, err, h_free, m.ops).matrix
-        blocks = _pulse_blocks(ev, h_blocks, err, 0.97)
+        blocks = kept.back(_pulse_blocks(ev, kept, err, 0.97))
         assert len(blocks) == len(sectors)
         for idx, block in zip(sectors, blocks):
             assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-12
@@ -186,6 +195,30 @@ def test_sample_rf_scale_deterministic():
     err = ErrorModel(rf=GaussianRf(1.0, 0.1))
     assert sample_rf_scale(err, 42) == sample_rf_scale(err, 42)
     assert sample_rf_scale(err, 42) != sample_rf_scale(err, 43)
+
+
+class _Draws:
+    """An RF distribution whose every draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, rng):
+        return self.value
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+def test_sample_rf_scale_rejects_a_non_finite_or_non_positive_draw(value):
+    with pytest.raises(ContractError, match="RF scale must be finite and > 0"):
+        sample_rf_scale(ErrorModel(rf=_Draws(value)), 0)
+
+
+@pytest.mark.parametrize("rf_scale", [np.nan, np.inf, 0.0])
+def test_real_pulse_rejects_a_non_finite_or_non_positive_rf_scale(ops2, rf_scale):
+    zero = np.zeros((ops2.dim, ops2.dim))
+    for spec in (PulseSpec.delta("x", np.pi), PulseSpec("x", np.pi, 1.5, np.pi / 1.5)):
+        with pytest.raises(ContractError, match="rf_scale must be finite and > 0"):
+            real_pulse(spec, rf_scale, ErrorModel(), zero, ops2)
 
 
 def test_error_model_trivial_flag():
