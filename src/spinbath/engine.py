@@ -72,17 +72,20 @@ exp(-i w dt). A delta pulse [[a, b], [c, d]] is X_+ <- a X_+ + b M X_-
 and X_- <- c M^T X_+ + d X_- with the real mixing M = V_+^T V_-, one real
 product per sector width. The survival Gram reads X within a half, and
 Tr{W_+ W_-^dag} = vdot(M X_-, X_+) across them. A jittered run applies
-each free step and each freshly drawn pulse. A static run either powers,
-or steps each segment with each pulse built once, or applies the product
-of each recording interval once per cycle; _plan picks the path that
-costs least, counted from the run's shape alone: powering pays for many
-cycles, stepping for few cycles and few pulses per interval, products for
-many pulses per interval over a few cycles. A 2x2 system operator p reads
-V^T (p (x) 1) V = [[p_00, p_01 M], [p_10 M^T, p_11]] in the frame
-(_frame_observable): a finite pulse exponentiates its drive there plus
-diag(w_+, w_-) (_pulse_blocks), so no H_free block outlives the frame,
-and the powered path reads the cycle product, built there, against S_u; a
-pulseless cycle is diagonal there, so it needs no eigh. Only
+each free step and each pulse at a freshly drawn tilt. A static run either
+powers, or steps each segment with each pulse built once, or applies the
+product of each recording interval once per cycle; _plan picks the path
+that costs least, counted from the run's shape alone: powering pays for
+many cycles, stepping for few cycles and few pulses per interval, products
+for many pulses per interval over a few cycles. A 2x2 system operator p
+reads V^T (p (x) 1) V = [[p_00, p_01 M], [p_10 M^T, p_11]] in the frame
+(_frame_observable). A realization builds the +x pulse of each strength
+once (_pulse_blocks), a finite one from its real drive plus diag(w_+, w_-)
+there, so no H_free block outlives the frame; as H_free conserves the
+system S_z, the pulse about a tilted axis sign u is it with its
+off-diagonal halves times conj(c) and c, c = sign (u_x + i u_y) (_turns).
+The powered path reads the cycle product, built in the frame, against
+S_u; a pulseless cycle is diagonal there, so it needs no eigh. Only
 avgham.magnus_defect turns a product back. One-cycle runs with the same
 pulses, such as the delays of an echo curve, are rows of one buffer: each
 row takes its own phases, every pulse acts on all rows at once, and each
@@ -117,8 +120,8 @@ import numpy as np
 from .errors import ContractError
 from .hamiltonians import _basis_z, _h_e_blocks, _mirror_sectors, _sectors, build_h_free
 from .operators import _SPIN_HALF, exp_propagator
-from .pulses import (ErrorModel, _drive, axis_vector, delta_rotation, delta_rotations,
-                     ideal_frame, sample_rf_scale, split_axis)
+from .pulses import (ErrorModel, axis_vector, delta_rotation, ideal_frame, sample_rf_scale,
+                     split_axis)
 from .util import first_crossing, fmt, realization_rng, require_int
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
@@ -230,41 +233,61 @@ class TauBEstimate(NamedTuple):
     reached: bool
 
 
-def _pulse_blocks(ev, kept, err, rf_scale, tilt=None):
-    """One pulse event on the kept sectors; `tilt` overrides err.axis_tilt.
-
-    A delta pulse is one 2x2 system rotation, returned alone as it acts the
-    same on every sector (see _Accumulated.advance). A finite pulse is one
-    (2C, 2C) block per sector in the free eigenframe, the exponential of its
-    driven Hamiltonian there (_frame_observable, pulses._drive), so each
-    diagonalization costs O(sum_k (2 C(n, k))^3) rather than O(dim^3).
-    """
+def _pulse_blocks(ev, kept, err, rf_scale):
+    """The +x pulse of ev's strength (_strength) on the kept sectors, which
+    _turned turns to any axis and tilt: one 2x2 system rotation for a delta
+    pulse, as it acts the same on every sector (_Accumulated.advance), or
+    one (2C, 2C) block per sector in the free eigenframe, the exponential of
+    the real symmetric diag(w) + (w_eff / 2) [[0, M], [M^T, 0]]
+    (_frame_observable) by one real eigh of width 2C."""
     if ev.duration > 0:
-        drive = _drive(ev.axis, ev.nominal_angle / ev.duration, rf_scale, err, tilt)
-        return [exp_propagator(_frame_observable(drive, m, w), ev.duration)
-                for w, _, m in kept.eigs]
-    return delta_rotation(ev.axis, ev.nominal_angle, rf_scale, err, tilt)
+        w_eff = ev.nominal_angle / ev.duration * (rf_scale * (1.0 + err.flip_angle_fraction))
+        return [exp_propagator(_frame_observable(w_eff * _SPIN_HALF["x"].real, m, w),
+                               ev.duration) for w, _, m in kept.eigs]
+    return delta_rotation("x", ev.nominal_angle, rf_scale, err, 0.0)
+
+
+def _turns(events):
+    """A function of in-plane tilts t_i, one per pulse of `events`, that
+    returns the phase conj(c) by which _turned turns the +x pulse of each
+    one's strength into it, c = sign (u_x + i u_y) of its axis tilted by t_i
+    (pulses.axis_vector): conj(c_0) (cos t - i sin t), c_0 = sign or i sign
+    for an x or y axis, exact products, so a turned delta pulse is the same
+    floats as its delta_rotation."""
+    untilted = np.array([sign * (1.0 if base == "x" else -1j)
+                         for base, sign in (split_axis(ev.axis) for ev in events)], dtype=complex)
+
+    def turns(tilts):
+        return untilted * (np.cos(tilts) - 1j * np.sin(tilts))
+
+    return turns
+
+
+def _turned(x, turn):
+    """The +x pulse x (_pulse_blocks) in the frame of its turn (_turns,
+    _axis_frame): a 2x2 rotation, a stack of them with one turn each, or the
+    list of a finite pulse's blocks."""
+    return [_axis_frame(b, turn) for b in x] if isinstance(x, list) else _axis_frame(x, turn)
 
 
 def _jittered_cycles(pieces, kept, err, rf_scale, rng):
     """A function that returns the operators of each interval of the next
     jittered cycle, in the order _Accumulated.advance applies them: free
-    steps by their length, and each pulse built at a fresh axis tilt
-    (_pulse_blocks). A cycle's tilts come from one rng.normal call in
-    time order, the same stream as one draw per pulse, and its delta
-    rotations from one call of pulses.delta_rotations."""
+    steps by their length, and each pulse turned to a fresh axis tilt
+    (_turned) from the +x pulse of its strength, built once (_pulse_blocks).
+    A cycle's tilts come from one rng.normal call in time order, the same
+    stream as one draw per pulse, and its delta pulses turn as one stack."""
     events = [p for segments in pieces for kind, p in segments if kind == "pulse"]
+    built = {_strength(ev): ev for ev in events}
+    built = {key: _pulse_blocks(ev, kept, err, rf_scale) for key, ev in built.items()}
     delta = [i for i, ev in enumerate(events) if ev.duration == 0]
-    if delta:
-        rotations = delta_rotations([events[i].axis for i in delta],
-                                    [events[i].nominal_angle for i in delta], rf_scale, err)
+    stack, turns = np.array([built[_strength(events[i])] for i in delta]), _turns(events)
 
     def cycle():
-        tilts = rng.normal(err.axis_tilt, err.tilt_jitter_sd, size=len(events))
-        rotated = iter(rotations(tilts[delta]) if delta else ())
-        pulses = iter([next(rotated) if ev.duration == 0 else
-                       _pulse_blocks(ev, kept, err, rf_scale, tilt)
-                       for ev, tilt in zip(events, tilts)])
+        turn = turns(rng.normal(err.axis_tilt, err.tilt_jitter_sd, size=len(events)))
+        rotated = iter(_turned(stack, turn[delta]) if delta else ())
+        pulses = iter([next(rotated) if ev.duration == 0 else _turned(built[_strength(ev)], t)
+                       for ev, t in zip(events, turn)])
         return [[p if kind == "free" else next(pulses) for kind, p in segments]
                 for segments in pieces]
 
@@ -399,11 +422,15 @@ class _Accumulated:
 def _static_operators(pieces, kept, err, rf_scale, pulses):
     """The operators of each segment list of `pieces` under static errors, in
     the order _Accumulated.advance applies them: free steps by their length,
-    and each pulse shape built once by _pulse_blocks into `pulses` by shape,
-    where a later call finds it."""
-    events = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
-    pulses.update({key: _pulse_blocks(ev, kept, err, rf_scale)
-                   for key, ev in events.items() if key not in pulses})
+    and each pulse shape turned once to the static tilt (_turned) from the
+    +x pulse of its strength, built once (_pulse_blocks); both go into
+    `pulses`, by shape and by strength, where a later call finds them."""
+    shapes = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
+    new = [ev for key, ev in shapes.items() if key not in pulses]
+    strengths = {_strength(ev): ev for ev in new if _strength(ev) not in pulses}
+    pulses.update({key: _pulse_blocks(ev, kept, err, rf_scale) for key, ev in strengths.items()})
+    pulses.update({_shape(ev): _turned(pulses[_strength(ev)], turn)
+                   for ev, turn in zip(new, _turns(new)(np.full(len(new), err.axis_tilt)))})
     return [[p if kind == "free" else pulses[_shape(p)] for kind, p in segments]
             for segments in pieces]
 
@@ -573,6 +600,10 @@ def _shape(ev):
     return ev.axis, ev.nominal_angle, ev.duration
 
 
+def _strength(ev):
+    return ev.nominal_angle, ev.duration
+
+
 def _flip_phase(events, err):
     """c = u_x + i u_y of the spin flip Q = (u . sigma) (x) J_bath that leaves
     every propagator of a run with these pulse `events` unchanged, or None.
@@ -662,12 +693,14 @@ def _parity_blocks(x, c, k):
 
 def _axis_frame(x, c):
     """S^dag X S, S = diag(exp(-i phi/2), exp(i phi/2)) (x) 1 with c = exp(i phi),
-    for a block X in system halves: its off-diagonal halves times c, conj(c).
-    S commutes with the frame's V = diag(V_+, V_-), so this holds in it too."""
-    n = len(x) // 2
+    for a block X in system halves, or a stack of them with one c each: its
+    off-diagonal halves times c, conj(c). S commutes with the frame's
+    V = diag(V_+, V_-), so this holds in it too."""
+    n = x.shape[-1] // 2
+    c = np.asarray(c)[..., None, None]
     out = x.astype(complex)
-    out[:n, n:] *= c
-    out[n:, :n] *= np.conj(c)
+    out[..., :n, n:] *= c
+    out[..., n:, :n] *= np.conj(c)
     return out
 
 
@@ -678,7 +711,7 @@ def _frame_observable(p, m, w=(0.0, 0.0)):
     observable (w = 0) or a finite pulse's Hamiltonian (_pulse_blocks). V
     must be real, as propagate's are; avgham.magnus_defect's may be complex."""
     c = len(m)
-    a = np.zeros((2 * c, 2 * c), dtype=complex)
+    a = np.zeros((2 * c, 2 * c), dtype=np.result_type(p, m))
     diagonal = a.reshape(-1)[::2 * c + 1]
     diagonal[:c], diagonal[c:] = p[0, 0] + w[0], p[1, 1] + w[1]
     np.multiply(m, p[0, 1], out=a[:c, c:])

@@ -68,6 +68,9 @@ def require_hermitian(h, what="operator", atol=HERMITIAN_ATOL):
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractError(f"{what} must be a square matrix, got shape {h.shape}")
+    # before any arithmetic, which inf would turn into NaN with a warning
+    if not np.isfinite(h).all():
+        raise ContractError(f"{what} is not Hermitian: it has a non-finite entry")
     scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
     # |conj(h) - h^T| is |h - h^dag| transposed, without a strided conjugate
     dev = float(np.max(np.abs(h.conj() - h.T))) if h.size else 0.0
@@ -89,6 +92,8 @@ class Propagator:
         m = np.array(self.matrix, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractError(f"propagator must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ContractError("propagator is not unitary: it has a non-finite entry")
         dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
         # written so that NaN and inf fail
         if not dev <= UNITARY_ATOL * max(1.0, m.shape[0] ** 0.5):

@@ -16,14 +16,12 @@ damage the spin component along the pulse axis.
 
 A delta pulse touches the system spin only: it stays a 2x2 rotation
 (delta_rotation) that _left applies to the system factor of a full-space
-or sector matrix, and the engine to all its sectors at once; a
-jittered cycle builds all its rotations in one delta_rotations call;
-only the public builders ideal_pulse and real_pulse embed it as
-R (x) 1_bath. Its 2x2 error factor E gives U_real =
-(E (x) 1_bath) @ U_ideal, which the average-Hamiltonian analysis consumes.
-A finite pulse's drive is one 2x2 system operator too (_drive): real_pulse
-adds it to the dense H_free, the engine to each sector of H_free in its
-free eigenframe.
+or sector matrix, and the engine to all its sectors at once; only the
+public builders ideal_pulse and real_pulse embed it as R (x) 1_bath. Its
+2x2 error factor E gives U_real = (E (x) 1_bath) @ U_ideal, which the
+average-Hamiltonian analysis consumes. real_pulse adds a finite pulse's
+2x2 drive to the dense H_free; the engine turns the +x pulse of each
+strength to every axis and tilt by a phase, as H_free conserves S_z.
 """
 
 import math
@@ -201,37 +199,6 @@ def delta_rotation(axis, angle, rf_scale=1.0, err=None, tilt=None):
                      [complex(s * uy, -s * ux), c]])
 
 
-def delta_rotations(axes, angles, rf_scale, err):
-    """A function of transverse tilts (t_1 .. t_n) that returns the
-    delta_rotation of each delta pulse (axes[i], angles[i], t_i), stacked as
-    (n, 2, 2): entry for entry the same floats as n delta_rotation calls.
-
-    Only the off-diagonal entries depend on the tilt: -i s (u_x -+ i u_y),
-    with s = sin(half) and (u_x, u_y) = (cos t, sin t) about x and
-    (-sin t, cos t) about y. So each call takes one cos, one sin, one select
-    and one product for the whole stack.
-    """
-    bases, signs = zip(*map(split_axis, axes))
-    half = 0.5 * (np.array(signs) * np.array(angles, dtype=float)
-                  * (rf_scale * (1.0 + err.flip_angle_fraction)))
-    c, s = np.cos(half), np.sin(half)
-    diagonal = np.zeros((len(c), 2, 2), dtype=complex)
-    diagonal.real[:, 0, 0] = diagonal.real[:, 1, 1] = c
-    # (re, im) of entries [0, 1] and [1, 0]: about x -s sin, -s cos, s sin,
-    # -s cos; about y -s cos, s sin, s cos, s sin
-    on_x = np.array([[b == "x"] for b in bases])
-    takes_cos = np.where(on_x, [False, True, False, True], [True, False, True, False])
-    factor = np.where(on_x, [-1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, 1.0]) * s[:, None]
-
-    def rotations(tilts):
-        r = diagonal.copy()
-        r.view(float).reshape(len(c), 8)[:, 2:6] = factor * np.where(
-            takes_cos, np.cos(tilts)[:, None], np.sin(tilts)[:, None])
-        return r
-
-    return rotations
-
-
 def ideal_frame(events):
     """Net ideal rotation, as a 2x2 system rotation, of the pulses `events`
     (anything with .axis and .nominal_angle) applied in order."""
@@ -265,24 +232,18 @@ def real_pulse(spec, rf_scale, err, h_free, ops, tilt=None):
     H_free + sign * w_eff * (u . S) for the pulse duration, with
     w_eff = rf_amplitude * rf_scale * (1 + eps), so system-bath and
     intra-bath dynamics run during the pulse. `tilt` overrides the error
-    model's static axis tilt. The engine builds its own (_pulse_blocks).
+    model's static axis tilt. It is the dense reference of engine._pulse_blocks.
     """
     if not (math.isfinite(rf_scale) and rf_scale > 0):
         raise ContractError(f"rf_scale must be finite and > 0, got {rf_scale}")
     if spec.duration == 0.0:
         r2 = delta_rotation(spec.axis, spec.nominal_angle, rf_scale, err, tilt)
         return Propagator(_embedded(r2, ops), 0.0)
-    drive = _drive(spec.axis, spec.rf_amplitude, rf_scale, err, tilt)
-    return evolve(np.asarray(h_free, dtype=complex) + _embedded(drive, ops), spec.duration)
-
-
-def _drive(axis, rf_amplitude, rf_scale, err, tilt):
-    """The 2x2 system drive sign * w_eff * (u . S) of a finite pulse (see
-    real_pulse), unchecked; `tilt` overrides err.axis_tilt when not None."""
-    base, sign = split_axis(axis)
+    base, sign = split_axis(spec.axis)
     ux, uy = axis_vector(base, err.axis_tilt if tilt is None else tilt)
-    w_eff = rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
-    return sign * w_eff * (ux * _SPIN_HALF["x"] + uy * _SPIN_HALF["y"])
+    w_eff = spec.rf_amplitude * (rf_scale * (1.0 + err.flip_angle_fraction))
+    drive = sign * w_eff * (ux * _SPIN_HALF["x"] + uy * _SPIN_HALF["y"])
+    return evolve(np.asarray(h_free, dtype=complex) + _embedded(drive, ops), spec.duration)
 
 
 def error_factor(spec, rf_scale, err):

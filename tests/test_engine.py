@@ -44,6 +44,7 @@ from spinbath import (
 )
 from spinbath.analysis import compile_family
 from spinbath.operators import _SPIN_HALF, exp_propagator
+from spinbath.pulses import axis_vector, split_axis
 from spinbath.util import realization_rng
 
 
@@ -555,8 +556,8 @@ def test_a_powered_run_that_falls_back_builds_its_operators_once(monkeypatch, ti
     monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
     shapes.clear()
     fell_back = propagate(spec)
-    # one build per pulse shape and realization, and one cycle product each
-    assert shapes == powered and len(shapes) == 2 * len({engine._shape(ev)
+    # one build per pulse strength and realization, and one cycle product each
+    assert shapes == powered and len(shapes) == 2 * len({engine._strength(ev)
                                                          for ev in timeline.events})
     assert len(built) == 2
     assert np.array_equal(fell_back.s, slow.s)
@@ -1231,12 +1232,18 @@ def test_prepared_columns_are_the_plus_states(axis):
 
 
 def _per_pulse_cycles(pieces, kept, err, rf_scale, rng):
-    """engine._jittered_cycles with one scalar tilt draw and one
-    _pulse_blocks build per pulse, in time order."""
+    """engine._jittered_cycles with one scalar tilt draw, one _pulse_blocks
+    build and one turn per pulse, in time order, each turn taken from
+    split_axis and axis_vector."""
+    def pulse(ev):
+        base, sign = split_axis(ev.axis)
+        ux, uy = axis_vector(base, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
+        x = engine._pulse_blocks(ev, kept, err, rf_scale)
+        return engine._turned(x, np.conj(sign * complex(ux, uy)))
+
     def cycle():
-        return [[p if kind == "free" else engine._pulse_blocks(
-            p, kept, err, rf_scale, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
-            for kind, p in segments] for segments in pieces]
+        return [[p if kind == "free" else pulse(p) for kind, p in segments]
+                for segments in pieces]
 
     return cycle
 
@@ -1365,15 +1372,28 @@ def test_rows_that_cannot_share_the_pulses_are_rejected(rows, record, monkeypatc
 
 
 def _counted_pulse_builds(monkeypatch):
-    shapes = []
+    strengths = []
     build = engine._pulse_blocks
 
     def counted(ev, *args, **kwargs):
-        shapes.append(engine._shape(ev))
+        strengths.append(engine._strength(ev))
         return build(ev, *args, **kwargs)
 
     monkeypatch.setattr(engine, "_pulse_blocks", counted)
-    return shapes
+    return strengths
+
+
+def _counted_turns(monkeypatch):
+    """The number of pulses each engine._turned call turns."""
+    counts = []
+    turned = engine._turned
+
+    def counted(x, turn):
+        counts.append(np.size(turn))
+        return turned(x, turn)
+
+    monkeypatch.setattr(engine, "_turned", counted)
+    return counts
 
 
 @pytest.mark.parametrize("n_bath", [0, 3, 7])
@@ -1610,11 +1630,13 @@ def test_phase_tables_from_products_match_the_exponentials():
 
 
 def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
-    shapes = _counted_pulse_builds(monkeypatch)
+    strengths, turns = _counted_pulse_builds(monkeypatch), _counted_turns(monkeypatch)
     m = default_model(seed=4, n_bath=3)
     tl = compile_cdd(2, 10.0, 0.0, n_cycles=3)
     propagate(RunSpec(model=m, timeline=tl, error_model=_STATIC, record="every_pulse"))
-    assert sorted(shapes) == sorted({engine._shape(ev) for ev in tl.events})
+    # cdd's x and y pulses share one +x pulse, turned once per shape
+    assert strengths == [(np.pi, 0.0)]
+    assert turns == [1] * len({engine._shape(ev) for ev in tl.events}) == [1, 1]
 
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
     _, products = _frame_products(m, pieces, _STATIC)
@@ -1671,28 +1693,26 @@ def test_a_run_holds_no_h_free_block(monkeypatch):
 
 
 def test_jittered_runs_build_every_pulse_application(monkeypatch):
-    shapes = _counted_pulse_builds(monkeypatch)
-    calls = []
-    rotations = engine.delta_rotations
+    strengths, turns = _counted_pulse_builds(monkeypatch), _counted_turns(monkeypatch)
+    dtypes, eigh = [], np.linalg.eigh
 
-    def counted(*args):
-        build = rotations(*args)
+    def spied(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
 
-        def rotate(tilts):
-            calls.append(len(tilts))
-            return build(tilts)
-
-        return rotate
-
-    monkeypatch.setattr(engine, "delta_rotations", counted)
+    monkeypatch.setattr(np.linalg, "eigh", spied)
     for tau_p in (0.0, 1.5):
         tl = compile_cpmg(4.0, tau_p, n_cycles=7)
         propagate(RunSpec(model=dephasing_model(2), timeline=tl, error_model=_JITTER,
                           n_realizations=2, record="every_pulse"))
-    # delta pulses: one vectorized call per cycle, one rotation per
-    # application; finite pulses: one _pulse_blocks build per application
-    assert len(shapes) == 2 * tl.n_cycles * tl.pulses_per_cycle
-    assert calls == [tl.pulses_per_cycle] * (2 * tl.n_cycles)
+    # each realization builds the +x pulse of each strength once, and turns
+    # every application to its fresh tilt: delta pulses as one stack per
+    # cycle, finite pulses one by one
+    applications = tl.n_cycles * tl.pulses_per_cycle
+    assert strengths == 2 * [(np.pi, 0.0)] + 2 * [(np.pi, 1.5)]
+    assert turns == [tl.pulses_per_cycle] * (2 * tl.n_cycles) + [1] * (2 * applications)
+    # the finite pulses' frame Hamiltonians, like the free halves, are real
+    assert len(dtypes) > 2 and set(dtypes) == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("n_bath", [1, 2, 5, 6])

@@ -20,8 +20,8 @@ from spinbath import (
     real_pulse,
     sample_rf_scale,
 )
-from spinbath.engine import _Kept, _pulse_blocks
-from spinbath.pulses import axis_vector, delta_rotation, delta_rotations, split_axis
+from spinbath.engine import _Kept, _pulse_blocks, _turned, _turns
+from spinbath.pulses import PULSE_AXES, axis_vector, delta_rotation, split_axis
 from spinbath.hamiltonians import _sector_blocks, _sectors
 
 
@@ -94,23 +94,48 @@ def test_finite_pulse_includes_bath_dynamics():
 
 
 def test_engine_finite_pulse_matches_real_pulse_per_sector():
-    # the engine exponentiates the same driven Hamiltonian without the
-    # public checks, one bath-magnetization sector at a time, in the free
-    # eigenframe; turned out of it, each block is the dense pulse's
+    # the engine exponentiates the +x pulse without the public checks, one
+    # bath-magnetization sector at a time, in the free eigenframe, and turns
+    # it to each axis and tilt by a phase; turned out of the frame, each
+    # block is the dense pulse's
     m = default_model(n_bath=3)
     h_free = build_h_free(m)
     sectors = _sectors(m.n_bath)
     err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=0.05)
     h_blocks = _sector_blocks(h_free, sectors)
     kept = _Kept(h_blocks, h_blocks)
-    for axis in ("x", "-y"):
+    x_pulse = _pulse_blocks(PulseEvent(3.0, "x", np.pi, 1.5), kept, err, 0.97)
+    for axis in PULSE_AXES:
         ev = PulseEvent(3.0, axis, np.pi, 1.5)
         spec = PulseSpec(axis, np.pi, 1.5, np.pi / 1.5)
-        dense = real_pulse(spec, 0.97, err, h_free, m.ops).matrix
-        blocks = kept.back(_pulse_blocks(ev, kept, err, 0.97))
-        assert len(blocks) == len(sectors)
-        for idx, block in zip(sectors, blocks):
-            assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-12
+        for tilt in (0.0, 0.3):
+            dense = real_pulse(spec, 0.97, err, h_free, m.ops, tilt).matrix
+            (turn,) = _turns([ev])(np.array([tilt]))
+            blocks = kept.back(_turned(x_pulse, turn))
+            assert len(blocks) == len(sectors)
+            for idx, block in zip(sectors, blocks):
+                assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-12
+
+
+def test_engine_delta_pulse_equals_delta_rotation():
+    # the +x rotation turned by a phase is the same floats as the rotation
+    # about the tilted axis, one pulse at a time or as a stack
+    rng = np.random.default_rng(3)
+    angles = [np.pi, 0.5 * np.pi, -0.3, 7.1, 0.0, -np.pi]
+    events = [PulseEvent(1.0, axis, angle, 0.0) for axis in PULSE_AXES for angle in angles]
+    for eps in (0.0, 0.03, -0.05):
+        err = ErrorModel(flip_angle_fraction=eps, axis_tilt=0.02)
+        for rf_scale in (1.0, 1.07):
+            for tilts in (np.zeros(len(events)), rng.normal(0.02, 0.3, size=len(events))):
+                turns = _turns(events)(tilts)
+                xs = [_pulse_blocks(ev, None, err, rf_scale) for ev in events]
+                stack = _turned(np.array(xs), turns)
+                for ev, x, turn, tilt, r in zip(events, xs, turns, tilts, stack):
+                    expected = delta_rotation(ev.axis, ev.nominal_angle, rf_scale, err, tilt)
+                    assert np.array_equal(_turned(x, turn), expected)
+                    assert np.array_equal(r, expected)
+    with pytest.raises(ContractError, match="PULSE_AXES"):
+        _turns([PulseEvent(1.0, "y", np.pi, 0.0), PulseEvent(2.0, "z", np.pi, 0.0)])
 
 
 def test_flip_angle_fraction_scales_rotation(ops2):
@@ -273,20 +298,3 @@ def test_delta_rotation_equals_the_pauli_sum():
                       lambda a: ideal_pulse(a, np.pi, build_operator_set(1))):
             with pytest.raises(ContractError, match="PULSE_AXES"):
                 build(axis)
-
-
-def test_delta_rotations_equal_one_delta_rotation_per_pulse():
-    rng = np.random.default_rng(3)
-    axes = ["x", "y", "-x", "-y", "y", "x"]
-    angles = [np.pi, 0.5 * np.pi, -0.3, 7.1, 0.0, -np.pi]
-    for eps in (0.0, 0.03, -0.05):
-        err = ErrorModel(flip_angle_fraction=eps, axis_tilt=0.02)
-        for rf_scale in (1.0, 1.07):
-            tilts = rng.normal(0.02, 0.3, size=len(axes))
-            tilts[0] = 0.0
-            stack = delta_rotations(axes, angles, rf_scale, err)(tilts)
-            assert stack.shape == (len(axes), 2, 2)
-            for r, axis, angle, tilt in zip(stack, axes, angles, tilts):
-                assert np.array_equal(r, delta_rotation(axis, angle, rf_scale, err, tilt))
-    with pytest.raises(ContractError, match="PULSE_AXES"):
-        delta_rotations(["y", "z"], [np.pi, np.pi], 1.0, err)
