@@ -16,13 +16,24 @@ over the cycle reduces them to 2x2 coefficients of the system quadrants of
 H_free, and each sector block is then folded from a few quadrant products
 (_sector_averages). A small registry of closed-form claims about these
 terms is checked numerically by verify_claim.
+
+magnus_defect builds every sector block, or, when the spin flip Q = (u .
+sigma) (x) J_bath with u = x or y maps H_free's block k exactly onto block
+n - k and every ideal pulse onto itself up to a sign (_defect_flip), only
+the _mirror_sectors k <= n - k, counting the squared norm of each pair
+twice: Q maps each term of sector k onto that of sector n - k, and a
+unitary conjugation keeps the norm. pi pulses about x and y qualify with u
+= x, so pdd, cdd, cpmg and udd defects of H_free compute about half the
+blocks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _halves, _interval_products, _Kept, _static_operators, _unitary_eig
+from .engine import (_axis_frame, _flip, _halves, _interval_products, _Kept, _static_operators,
+                     _unitary_eig)
 from .errors import ContractError
 from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _sector_blocks, _sectors,
                            build_h_free, default_model)
@@ -352,6 +363,32 @@ def residual_text(residual, spec):
     return f"residual={residual:{spec}}"
 
 
+def _defect_flip(events, h_blocks):
+    """The phase c = u_x + i u_y, 1 or i, of a spin flip Q = (u . sigma) (x)
+    J_bath, u = x or y, under which magnus_defect's sector n - k repeats
+    sector k, or None.
+
+    Q maps sector k onto sector n - k with its bath states reversed (engine
+    module notes). So block n - k must be Q block k Q^dag exactly, h[::-1,
+    ::-1] with its off-diagonal halves times conj(c)^2, and Q must turn
+    every ideal pulse rotation R into +R or -R within 1e-15, as it does a pi
+    pulse about x or y with u = x. The signs cancel between the cycle
+    product and its frame, and the toggled H0 and H1 do not see them, so
+    every term of sector n - k is Q times that of sector k times Q^dag.
+    """
+    n = len(h_blocks) - 1
+    rotations = [delta_rotation(*pulse) for pulse in {(ev.axis, ev.nominal_angle) for ev in events}]
+    for c in (1.0, 1j):
+        q = _flip(c)
+        if (all(min(np.max(np.abs(q @ r @ q - s * r)) for s in (1.0, -1.0)) <= 1e-15
+                for r in rotations)
+                and all(np.array_equal(h_blocks[n - k],
+                                       _axis_frame(h_blocks[k][::-1, ::-1], np.conj(c) ** 2))
+                        for k in range((n + 1) // 2))):
+            return c
+    return None
+
+
 def magnus_defect(timeline, h_free, ops):
     """Norm of U_exact(tau_c) - exp(-i (H0 + H1) tau_c) for one cycle.
 
@@ -360,6 +397,14 @@ def magnus_defect(timeline, h_free, ops):
     engine's cycle product; both propagators are built per bath-magnetization
     sector, and its free steps per system S_z half of each sector, so h_free
     must conserve the total bath I_z and the system S_z, as H_SE + H_E does.
+
+    When a spin flip Q = (u . sigma) (x) J_bath, u = x or y, maps every
+    block of sector k onto that of sector n - k and every ideal pulse onto
+    itself up to a sign (_defect_flip), as for H_free under pdd, cdd, cpmg
+    and udd, sector n - k has the same defect norm as sector k. Then only
+    the _mirror_sectors are built, in the paired layout of propagate
+    (_Kept), and the squared norm of each pair counts twice; any other
+    input builds every sector.
     """
     if any(ev.duration > 0 for ev in timeline.events):
         raise ContractError("magnus_defect needs delta pulses, got a finite-width pulse")
@@ -383,11 +428,14 @@ def magnus_defect(timeline, h_free, ops):
     pieces = timeline.segments()
     # keyed on the blocks' halves, so a second defect of one h_free diagonalizes
     # nothing and the frame cache keeps no off-diagonal or imaginary zeros
-    kept = _Kept(h_blocks, [_halves(h) for h in h_blocks])
+    kept = _Kept(h_blocks, [_halves(h) for h in h_blocks],
+                 _defect_flip(timeline.events, h_blocks))
     phases = kept.phases({dt for kind, dt in pieces if kind == "free"})
     operators = _static_operators([pieces], kept, ErrorModel(), 1.0, {})
     u_exact = kept.back(_interval_products([pieces], operators, kept, phases)[0])
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
-    return _norm([_left(frame, u) - exp_propagator(h0 + h1, tau_c)
-                  for (h0, h1), u in zip(_sector_averages(timeline, h_blocks), u_exact)])
+    terms = _sector_averages(timeline, [h_blocks[k] for k in kept.sectors])
+    return float(np.linalg.norm([
+        np.linalg.norm(_left(frame, u) - exp_propagator(h0 + h1, tau_c)) * math.sqrt(m)
+        for (h0, h1), u, m in zip(terms, u_exact, kept.weights)]))

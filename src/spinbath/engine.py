@@ -43,7 +43,8 @@ sector k. The powered path splits the middle block, which commutes with Q,
 into its Q = +1 and -1 halves (_parity_blocks), in the free eigenframe
 below, where Q reads [[0, conj(c) K], [c K^T, 0]] with the real orthogonal
 K = V_+^T J V_- (_Kept.reversal). Bath correlations pair their H_E sectors
-the same way (_bath_blocks).
+the same way (_bath_blocks), and avgham.magnus_defect its sector blocks,
+under the weaker condition that Q turns each pulse into itself up to a sign.
 
 Ensemble averaging covers pulse-error realizations only: each realization
 draws one RF amplitude scale (static inhomogeneity) from the error model,
@@ -307,9 +308,9 @@ def _mix(m, x, out):
 
 class _Kept:
     """The sector blocks a run propagates: every sector, or under a spin flip
-    of phase `flip` (_flip_phase) the _mirror_sectors, and the layout of
-    such a run on the frame of `h_blocks` cached under `key`
-    (_free_eigensystems), shared read-only and holding no H_free block:
+    of phase `flip` (_flip_phase, avgham._defect_flip) the _mirror_sectors,
+    and the layout of such a run on the frame of `h_blocks` cached under
+    `key` (_free_eigensystems), shared read-only and holding no H_free block:
     their weights and eigensystems (w, V, M), ordered by width in the buffer
     (_Accumulated) so that k and n - k sit side by side, and each width's
     stacked mixings [M, M^dag] (`groups`).
@@ -1093,9 +1094,10 @@ def _autocorrelation(blocks, times):
     divided by the total weight. For A_j of equal norm, such as the I_z^j,
     this is the mean of their normalized curves.
 
-    Integer `times` that step by 1, such as cycle counts, build each phase
-    table exp(-i f t) from products: its first column by exp, then the
-    columns t + n from those before times exp(-i f n), doubling n.
+    Integer `times` that step by 1, such as cycle counts or model_tau_b's
+    grid counts, build each phase table exp(-i f t) from products: its first
+    column by exp, then the columns t + n from those before times
+    exp(-i f n), doubling n.
     """
     weights = [m * sum(np.abs(_sandwich(v, a, u) if a.ndim == 2 else (v.conj().T * a) @ u)
                        ** 2 for a in observables) for (_, v), (_, u), observables, m in blocks]
@@ -1151,6 +1153,10 @@ def model_tau_b(model, t_max=2000.0, n_points=800):
 
     Doubles the grid (up to 8x) when the mean curve has not crossed 1/e;
     each H_E sector block is diagonalized once for all spins and horizons.
+    On the uniform grid t_i = i dt, dt = horizon / (n_points - 1), the
+    phases exp(-i f t_i) are those of the frequencies f dt at the counts i,
+    so _autocorrelation builds their tables from products; each frequency
+    array is scaled once, and arrays shared between blocks stay shared.
     """
     if model.n_bath == 0:
         raise ContractError("tau_B needs at least one bath spin")
@@ -1158,10 +1164,14 @@ def model_tau_b(model, t_max=2000.0, n_points=800):
         raise ContractError(f"model_tau_b needs a finite t_max > 0 and n_points >= 2, "
                             f"got t_max={t_max}, n_points={n_points}")
     blocks = _bath_blocks(model, range(model.n_bath))
-    horizon = float(t_max)
+    horizon, counts = float(t_max), np.arange(n_points)
     for _ in range(4):
+        dt = horizon / (n_points - 1)
+        scaled = {id(a): a * dt for (f, _), (g, _), _, _ in blocks for a in (f, g)}
+        steps = [((scaled[id(f)], v), (scaled[id(g)], u), obs, m)
+                 for (f, v), (g, u), obs, m in blocks]
         t_grid = np.linspace(0.0, horizon, n_points)
-        est = estimate_tau_b(_autocorrelation(blocks, t_grid), t_grid)
+        est = estimate_tau_b(_autocorrelation(steps, counts), t_grid)
         if est.reached:
             return est
         horizon *= 2.0

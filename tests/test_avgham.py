@@ -13,6 +13,8 @@ from spinbath import (
     CLAIM_IDS,
     ContractError,
     ErrorModel,
+    PulseEvent,
+    Timeline,
     build_h_e,
     build_h_free,
     build_model,
@@ -344,6 +346,80 @@ def test_magnus_defect_keeps_the_imaginary_part_of_a_hermitian_hamiltonian(n_bat
     for tl in (compile_cpmg(13.0, 0.0), compile_cdd(2, 5.0)):
         expected = _full_space_magnus_defect(tl, h, m.ops, oracle.toggling_frames(tl, h))
         assert abs(magnus_defect(tl, h, m.ops) - expected) <= 1e-10 * expected
+
+
+def _half_pi_timeline(axes):
+    """One cycle of pi/2 delta pulses about `axes` in turn, 3 us apart."""
+    events = [PulseEvent(3.0 * (i + 1), axis, 0.5 * math.pi, 0.0) for i, axis in enumerate(axes)]
+    return Timeline(events, 3.0 * (len(axes) + 1), label="half-pi")
+
+
+def _counted_defects(monkeypatch, tl, h, ops, paired):
+    """magnus_defect of one cycle, with the spin-flip pairing left on or
+    forced off, and the widths of its exponentials' eighs: one 2-D eigh of
+    H0 + H1 per computed sector (a frame eigh stacks both halves, 3-D)."""
+    widths, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            widths.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counted)
+        if not paired:
+            patch.setattr(avgham, "_defect_flip", lambda events, blocks: None)
+        return magnus_defect(tl, h, ops), widths
+
+
+_PAIRED_FAMILIES = [("cdd", 1, 4), ("cdd", 2, 4), ("cdd", 3, 4), ("pdd", 2, 4),
+                    ("cpmg", 2, 4), ("udd", 2, 4)]
+
+
+@pytest.mark.parametrize("n_bath", range(1, 8))
+def test_paired_magnus_defect_matches_every_sector(monkeypatch, n_bath):
+    # pi pulses about x and y, and pi/2 pulses about y alone, turn into
+    # themselves up to a sign under the flip about x or y, which maps
+    # H_free's sector k onto n - k; the middle sector of an even n counts once
+    m = default_model(seed=37, n_bath=n_bath)
+    h = build_h_free(m)
+    sectors = _sectors(n_bath)
+    widths = [idx.size for idx in sectors]
+    timelines = [compile_family(f, tau, 0.0, 1, order, pulses)
+                 for f, order, pulses in _PAIRED_FAMILIES for tau in (5.0, 13.0)]
+    for tl in (*timelines, _half_pi_timeline(["y", "-y", "y"])):
+        paired, seen = _counted_defects(monkeypatch, tl, h, m.ops, True)
+        assert seen == widths[:n_bath // 2 + 1]
+        full, seen = _counted_defects(monkeypatch, tl, h, m.ops, False)
+        assert seen == widths
+        # at n_bath 1 every toggled term commutes and the defect is rounding;
+        # short cycles leave defects near 1e-5, where both differ by 1e-16
+        assert abs(paired - full) <= max(1e-12 * full, 1e-15), (tl.label, paired, full)
+    blocks = _sector_blocks(np.asarray(h, dtype=complex), sectors)
+    assert avgham._defect_flip(_half_pi_timeline(["y", "-y"]).events, blocks) == 1j
+    assert avgham._defect_flip(compile_cdd(2, 5.0).events, blocks) == 1.0
+
+
+@pytest.mark.parametrize("n_bath", [2, 3])
+@pytest.mark.parametrize("case", ["odd-field", "half-pi-x-and-y"])
+def test_magnus_defect_without_a_spin_flip_keeps_every_sector(monkeypatch, case, n_bath):
+    m = default_model(seed=37, n_bath=n_bath)
+    h, tl = build_h_free(m), compile_cdd(2, 5.0)
+    if case == "odd-field":
+        # omega S_z (x) 1 keeps the sectors and S_z, but the flip turns it over
+        h = h + 0.03 * np.kron(np.diag([0.5, -0.5]), np.eye(m.ops.dim // 2))
+    else:
+        # the flip about x turns a pi/2 pulse about y into its inverse, and
+        # the flip about y does so for x
+        tl = _half_pi_timeline(["x", "y", "-x", "-y"])
+    blocks = _sector_blocks(np.asarray(h, dtype=complex), _sectors(n_bath))
+    assert avgham._defect_flip(tl.events, blocks) is None
+    got, seen = _counted_defects(monkeypatch, tl, h, m.ops, True)
+    assert len(seen) == n_bath + 1
+    # the all-sector layout is the one code path, so the same bits
+    assert got == _counted_defects(monkeypatch, tl, h, m.ops, False)[0]
+    expected = _full_space_magnus_defect(tl, h, m.ops, oracle.toggling_frames(tl, h))
+    assert abs(got - expected) <= 1e-10 * expected
 
 
 def test_sector_averages_build_each_kick_generator_once(monkeypatch):

@@ -997,6 +997,36 @@ def test_model_tau_b_reads_the_iz_mean_crossing():
     assert est.value == pytest.approx(crossing.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_bath", range(1, 9))
+def test_model_tau_b_product_tables_match_the_linspace_grid(monkeypatch, n_bath):
+    # model_tau_b reads its uniform grids at the counts 0..n-1 with scaled
+    # frequencies; a t_max of 3 us is short enough that every horizon doubles
+    kernel, seen = engine._autocorrelation, []
+
+    def recorded(blocks, times):
+        series = kernel(blocks, times)
+        seen.append((times, series))
+        return series
+
+    monkeypatch.setattr(engine, "_autocorrelation", recorded)
+    m = default_model(seed=37, n_bath=n_bath)
+    for t_max in (2000.0, 3.0):
+        del seen[:]
+        est = engine.model_tau_b(m, t_max=t_max)
+        calls, horizon = list(seen), t_max
+        for times, series in calls:
+            assert np.array_equal(times, np.arange(800))
+            t = np.linspace(0.0, horizon, 800)
+            ref = bath_correlation(m, t, which="iz_mean")
+            assert np.max(np.abs(series - ref)) < 1e-12
+            expected = estimate_tau_b(ref, t)
+            horizon *= 2.0
+        assert est.reached == expected.reached
+        assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+    # 3 us doubles three times and never reaches tau_B
+    assert len(calls) == 4 and not est.reached
+
+
 def test_estimate_tau_b_synthetic():
     t = np.linspace(0.0, 10.0, 2001)
     est = estimate_tau_b(np.exp(-t / 2.0), t)
