@@ -17,14 +17,9 @@ H_free, and each sector block is then folded from a few quadrant products
 (_sector_averages). A small registry of closed-form claims about these
 terms is checked numerically by verify_claim.
 
-magnus_defect builds every sector block, or, when the spin flip Q = (u .
-sigma) (x) J_bath with u = x or y maps H_free's block k exactly onto block
-n - k and every ideal pulse onto itself up to a sign (_defect_flip), only
-the _mirror_sectors k <= n - k, counting the squared norm of each pair
-twice: Q maps each term of sector k onto that of sector n - k, and a
-unitary conjugation keeps the norm. pi pulses about x and y qualify with u
-= x, so pdd, cdd, cpmg and udd defects of H_free compute about half the
-blocks.
+magnus_defect builds only the _mirror_sectors k <= n - k when a spin flip
+maps its sector k onto sector n - k (_defect_flip), as it does for pdd,
+cdd, cpmg and udd defects of H_free, and every sector otherwise.
 """
 
 import math
@@ -32,15 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (_axis_frame, _flip, _halves, _interval_products, _Kept, _static_operators,
-                     _unitary_eig)
+from .frame import _axis_frame, _flip, _halves, _interval_products, _Kept, _static_operators
 from .errors import ContractError
 from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _sector_blocks, _sectors,
                            build_h_free, default_model)
-from .operators import (_SPIN_HALF, UNITARY_ATOL, _checked_n_bath, exp_propagator,
-                        require_hermitian)
+from .operators import (_SPIN_HALF, UNITARY_ATOL, _checked_n_bath, _hermitian_moduli,
+                        exp_propagator, require_hermitian)
 from .pulses import ErrorModel, _left, delta_rotation, error_factor, ideal_frame
 from .sequences import compile_cpmg, compile_pdd
+from .spectral import _sandwich, _unitary_eig
 
 CLAIM_TOL = 1e-10
 # claim residuals below this sit at round-off and are printed as the bound
@@ -63,7 +58,7 @@ class ToggledSegment:
 
 def rotation_generator(u):
     """Hermitian G = P diag(-theta) P^dag with u = exp(-i G), principal branch
-    per eigenphase, from engine._unitary_eig of a u unitary within UNITARY_ATOL."""
+    per eigenphase, from spectral._unitary_eig of a u unitary within UNITARY_ATOL."""
     u = np.asarray(u, dtype=complex)
     eig = _unitary_eig(u)
     if eig is None or np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) > UNITARY_ATOL:
@@ -368,7 +363,7 @@ def _defect_flip(events, h_blocks):
     J_bath, u = x or y, under which magnus_defect's sector n - k repeats
     sector k, or None.
 
-    Q maps sector k onto sector n - k with its bath states reversed (engine
+    Q maps sector k onto sector n - k with its bath states reversed (frame
     module notes). So block n - k must be Q block k Q^dag exactly, h[::-1,
     ::-1] with its off-diagonal halves times conj(c)^2, and Q must turn
     every ideal pulse rotation R into +R or -R within 1e-15, as it does a pi
@@ -387,6 +382,14 @@ def _defect_flip(events, h_blocks):
                         for k in range((n + 1) // 2))):
             return c
     return None
+
+
+def _back(kept, us):
+    """Sector blocks U in the frame of `kept` (frame._Kept) turned out of it,
+    V U V^dag with V = diag(V_+, V_-)."""
+    vs = [v.conj().swapaxes(1, 2) for _, v, _ in kept.eigs]
+    return [_sandwich(v[:, None], u.reshape(2, len(v[0]), 2, -1).swapaxes(1, 2), v[None])
+            .swapaxes(1, 2).reshape(len(u), -1) for u, v in zip(us, vs)]
 
 
 def magnus_defect(timeline, h_free, ops):
@@ -408,8 +411,7 @@ def magnus_defect(timeline, h_free, ops):
     """
     if any(ev.duration > 0 for ev in timeline.events):
         raise ContractError("magnus_defect needs delta pulses, got a finite-width pulse")
-    h_free = require_hermitian(np.asarray(h_free, dtype=complex), "free Hamiltonian")
-    a = np.abs(h_free)
+    h_free, a = _hermitian_moduli(np.asarray(h_free, dtype=complex), "free Hamiltonian")
     tol = 1e-12 * max(1.0, float(np.max(a)))
     # basis states of one bath sector and one system half, by their bits
     z = _basis_z(ops.n_bath + 1)
@@ -432,7 +434,7 @@ def magnus_defect(timeline, h_free, ops):
                  _defect_flip(timeline.events, h_blocks))
     phases = kept.phases({dt for kind, dt in pieces if kind == "free"})
     operators = _static_operators([pieces], kept, ErrorModel(), 1.0, {})
-    u_exact = kept.back(_interval_products([pieces], operators, kept, phases)[0])
+    u_exact = _back(kept, _interval_products([pieces], operators, kept, phases)[0])
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
     terms = _sector_averages(timeline, [h_blocks[k] for k in kept.sectors])

@@ -65,19 +65,25 @@ def build_operator_set(n_bath):
 
 def require_hermitian(h, what="operator", atol=HERMITIAN_ATOL):
     """Raise ContractError unless `h` is Hermitian within `atol` (scaled)."""
+    return _hermitian_moduli(h, what, atol)[0]
+
+
+def _hermitian_moduli(h, what, atol=HERMITIAN_ATOL):
+    """(h, |h|): require_hermitian's h, checked, and the moduli its check forms."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractError(f"{what} must be a square matrix, got shape {h.shape}")
     # before any arithmetic, which inf would turn into NaN with a warning
     if not np.isfinite(h).all():
         raise ContractError(f"{what} is not Hermitian: it has a non-finite entry")
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
     # |conj(h) - h^T| is |h - h^dag| transposed, without a strided conjugate
     dev = float(np.max(np.abs(h.conj() - h.T))) if h.size else 0.0
+    a = np.abs(h)
+    scale = max(1.0, float(np.max(a)) if h.size else 1.0)
     # written so that NaN and inf fail
     if not dev <= atol * scale:
         raise ContractError(f"{what} is not Hermitian: max deviation {dev:.3e}")
-    return h
+    return h, a
 
 
 @dataclass(frozen=True, eq=False)

@@ -232,7 +232,7 @@ def real_pulse(spec, rf_scale, err, h_free, ops, tilt=None):
     H_free + sign * w_eff * (u . S) for the pulse duration, with
     w_eff = rf_amplitude * rf_scale * (1 + eps), so system-bath and
     intra-bath dynamics run during the pulse. `tilt` overrides the error
-    model's static axis tilt. It is the dense reference of engine._pulse_blocks.
+    model's static axis tilt. It is the dense reference of frame._pulse_blocks.
     """
     if not (math.isfinite(rf_scale) and rf_scale > 0):
         raise ContractError(f"rf_scale must be finite and > 0, got {rf_scale}")

@@ -7,6 +7,7 @@ import pytest
 
 import spinbath.analysis as analysis
 import spinbath.engine as engine
+import spinbath.frame as frame
 from spinbath import (
     ContractError,
     ErrorModel,
@@ -329,7 +330,7 @@ def test_one_row_chunks_give_the_same_echo_curve(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
     rows = []
 
-    class Spy(engine._Accumulated):
+    class Spy(frame._Accumulated):
         def __init__(self, *args):
             super().__init__(*args)
             rows.append(self._rows)
@@ -346,7 +347,7 @@ def test_echo_curve_chunks_build_each_realizations_pulses_once(monkeypatch):
     # _CHUNK_BYTES, so each of the 15 delays is a chunk of its own
     model, grid = default_model(), np.linspace(5.0, 300.0, 15)
     err = ErrorModel(axis_tilt=0.1)
-    builds, build = [], engine._pulse_blocks
+    builds, build = [], frame._pulse_blocks
 
     def counted(*args, **kwargs):
         builds.append(args[0])
@@ -354,12 +355,12 @@ def test_echo_curve_chunks_build_each_realizations_pulses_once(monkeypatch):
 
     chunks = []
 
-    class Spy(engine._Accumulated):
+    class Spy(frame._Accumulated):
         def __init__(self, *args):
             super().__init__(*args)
             chunks.append(self._rows)
 
-    monkeypatch.setattr(engine, "_pulse_blocks", counted)
+    monkeypatch.setattr(frame, "_pulse_blocks", counted)
     monkeypatch.setattr(engine, "_Accumulated", Spy)
     curve = hahn_decay_trace(model, grid, err, "x", 1.5, 3, 2)
     assert chunks == 3 * len(grid) * [1]
@@ -375,7 +376,7 @@ def test_echo_curve_chunks_build_each_realizations_pulses_once(monkeypatch):
 def test_echo_curve_chunks_stay_within_the_budget(monkeypatch):
     chunks = []
 
-    class Spy(engine._Accumulated):
+    class Spy(frame._Accumulated):
         def __init__(self, *args):
             super().__init__(*args)
             tables = sum(p.nbytes for p in self._phases.values())

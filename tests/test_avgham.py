@@ -8,7 +8,7 @@ import pytest
 
 import kron_oracle as oracle
 import spinbath.avgham as avgham
-import spinbath.engine as engine
+import spinbath.frame as frame
 from spinbath import (
     CLAIM_IDS,
     ContractError,
@@ -149,7 +149,7 @@ def test_magnus_defects_of_one_h_free_diagonalize_its_halves_once(monkeypatch):
     assert shapes and not [a for a in shapes if len(a) == 3]
     # the cache keys its one entry on the real halves of the sector blocks,
     # and holds neither a full-space copy nor the complex blocks
-    (key, *_), = engine._frames
+    (key, *_), = frame._frames
     assert [a.shape for a in key] == halves
     assert all(a.dtype == np.float64 and a.base is None for a in key)
 
@@ -164,13 +164,13 @@ def test_magnus_defect_refuses_a_non_hermitian_hamiltonian():
 
 
 def test_magnus_defect_rejects_finite_pulses_before_building_them(monkeypatch):
-    builds, build = [], engine._pulse_blocks
+    builds, build = [], frame._pulse_blocks
 
     def counted(*args, **kwargs):
         builds.append(args[0])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_pulse_blocks", counted)
+    monkeypatch.setattr(frame, "_pulse_blocks", counted)
     m = default_model(n_bath=2)
     with pytest.raises(ContractError, match="delta pulses"):
         magnus_defect(compile_cdd(1, 5.0, 1.0), build_h_free(m), m.ops)

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import kron_oracle as oracle
+import spinbath.avgham as avgham
 import spinbath.engine as engine
+import spinbath.frame as frame
+import spinbath.spectral as spectral
 from spinbath import (
     BimodalRf,
     ContractError,
@@ -43,6 +46,7 @@ from spinbath import (
     sample_rf_scale,
 )
 from spinbath.analysis import compile_family
+from spinbath.hamiltonians import _mirror_sectors
 from spinbath.operators import _SPIN_HALF, exp_propagator
 from spinbath.pulses import axis_vector, split_axis
 from spinbath.util import realization_rng
@@ -314,7 +318,7 @@ def _with_eigenphases(theta, rng):
 
 
 def _assert_unitary_eigenbasis(u):
-    eig = engine._unitary_eig(u)
+    eig = spectral._unitary_eig(u)
     assert eig is not None
     theta, p = eig
     n = u.shape[0]
@@ -333,13 +337,13 @@ def test_unitary_eig_on_degenerate_spectra(monkeypatch):
     for n in (1, 2, 14, 70):
         _assert_unitary_eigenbasis(np.eye(n, dtype=complex))
     # ideal pulses leave a fully degenerate cycle spectrum
-    blocks, kernel = [], engine._unitary_eig
+    blocks, kernel = [], spectral._unitary_eig
 
     def collect(u):
         blocks.append(u)
         return kernel(u)
 
-    monkeypatch.setattr(engine, "_unitary_eig", collect)
+    monkeypatch.setattr(spectral, "_unitary_eig", collect)
     for n_bath in (0, 1):
         propagate(RunSpec(model=default_model(n_bath=n_bath),
                           timeline=compile_cpmg(12.0, 0.0, n_cycles=20)))
@@ -352,7 +356,7 @@ def test_unitary_eig_on_degenerate_spectra(monkeypatch):
 @pytest.mark.parametrize("n", [2, 6, 40])
 def test_unitary_eig_where_the_hermitian_part_is_degenerate(n):
     rng = np.random.default_rng(n)
-    phi = engine._EIG_PHASE
+    phi = spectral._EIG_PHASE
     # theta_i + theta_j = 2 phi: cos(theta - phi) is equal for the pair
     theta = rng.uniform(-np.pi, np.pi, n)
     theta[:2] = phi + 0.3, phi - 0.3
@@ -386,7 +390,7 @@ def _eigh_dtypes(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 6, 14, 40, 70, 140])
 def test_unitary_eig_takes_real_arithmetic_on_symmetric_unitaries(n, monkeypatch):
     rng = np.random.default_rng(n)
-    phi = engine._EIG_PHASE
+    phi = spectral._EIG_PHASE
     spectra = [rng.uniform(-np.pi, np.pi, n) for _ in range(2)]
     # the clustered spectra of test_unitary_eig_where_the_hermitian_part_is_degenerate
     spectra[0][:2] = phi + 0.3, phi - 0.3
@@ -398,7 +402,7 @@ def test_unitary_eig_takes_real_arithmetic_on_symmetric_unitaries(n, monkeypatch
     for theta in spectra:
         u = _symmetric_with_eigenphases(theta, rng)
         _assert_unitary_eigenbasis(u)
-        assert np.isrealobj(engine._unitary_eig(u)[1])
+        assert np.isrealobj(spectral._unitary_eig(u)[1])
     assert dtypes and all(t == np.float64 for t in dtypes)
 
 
@@ -406,7 +410,7 @@ def test_unitary_eig_takes_a_diagonal_block_as_its_own_eigenbasis(monkeypatch):
     theta = np.random.default_rng(4).uniform(-np.pi, np.pi, 14)
     u = np.diag(np.exp(1j * theta))
     shapes = _counted_eigh(monkeypatch)
-    phases, p = engine._unitary_eig(u)
+    phases, p = spectral._unitary_eig(u)
     assert shapes == []
     assert np.array_equal(p, np.eye(14))
     assert np.max(np.abs(phases - theta)) < 1e-15
@@ -416,7 +420,7 @@ def test_unitary_eig_takes_a_diagonal_block_as_its_own_eigenbasis(monkeypatch):
     rotation = np.eye(14)
     rotation[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
     tilted = rotation @ u @ rotation.T
-    assert engine._EIG_RESIDUAL_MAX < np.max(np.abs(tilted - np.diag(np.diag(tilted))))
+    assert spectral._EIG_RESIDUAL_MAX < np.max(np.abs(tilted - np.diag(np.diag(tilted))))
     _assert_unitary_eigenbasis(tilted)
     assert shapes
 
@@ -429,7 +433,7 @@ def test_sandwich_holds_two_products_at_a_time():
     a = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
     tracemalloc.start()
     try:
-        out = engine._sandwich(v, a, u)
+        out = spectral._sandwich(v, a, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -439,14 +443,14 @@ def test_sandwich_holds_two_products_at_a_time():
 
 def _eig_bases(monkeypatch):
     """The eigenbasis of every block _unitary_eig returns from here on."""
-    kernel, bases = engine._unitary_eig, []
+    kernel, bases = spectral._unitary_eig, []
 
     def recorded(u):
         eig = kernel(u)
         bases.append(eig[1])
         return eig
 
-    monkeypatch.setattr(engine, "_unitary_eig", recorded)
+    monkeypatch.setattr(spectral, "_unitary_eig", recorded)
     return bases
 
 
@@ -470,7 +474,7 @@ def test_time_symmetric_single_axis_cycles_take_the_real_path(family, tau_p, n_b
     bases = _eig_bases(monkeypatch)
     _force(monkeypatch, "powered")
     fast = propagate(spec)
-    assert all(v.dtype == m.dtype == np.float64 for _, v, m in engine._frames[-1][1])
+    assert all(v.dtype == m.dtype == np.float64 for _, v, m in frame._frames[-1][1])
     # the kept sectors, the middle one as its two parity halves
     assert len(bases) == n_bath // 2 + 1 + (n_bath % 2 == 0)
     assert all(np.isrealobj(p) for p in bases)
@@ -512,7 +516,7 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch, timeline, n_bath
         results.append(powered(*args))
         return results[-1]
 
-    advance, steps = engine._advance, []
+    advance, steps = frame._advance, []
 
     def counted(u, w, out):
         # the products of a delta-pulse train are built from phase steps and
@@ -521,8 +525,8 @@ def test_unitary_eig_fallback_runs_the_direct_loop(monkeypatch, timeline, n_bath
         return advance(u, w, out)
 
     monkeypatch.setattr(engine, "_powered_overlaps", recorded)
-    monkeypatch.setattr(engine, "_advance", counted)
-    monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
+    monkeypatch.setattr(frame, "_advance", counted)
+    monkeypatch.setattr(spectral, "_EIG_RESIDUAL_MAX", 0.0)
     _force(monkeypatch, "powered")
     fell_back = propagate(spec)
     assert results == [None, None]
@@ -553,11 +557,11 @@ def test_a_powered_run_that_falls_back_builds_its_operators_once(monkeypatch, ti
         return products(*args)
 
     monkeypatch.setattr(engine, "_interval_products", recorded)
-    monkeypatch.setattr(engine, "_EIG_RESIDUAL_MAX", 0.0)
+    monkeypatch.setattr(spectral, "_EIG_RESIDUAL_MAX", 0.0)
     shapes.clear()
     fell_back = propagate(spec)
     # one build per pulse strength and realization, and one cycle product each
-    assert shapes == powered and len(shapes) == 2 * len({engine._strength(ev)
+    assert shapes == powered and len(shapes) == 2 * len({frame._strength(ev)
                                                          for ev in timeline.events})
     assert len(built) == 2
     assert np.array_equal(fell_back.s, slow.s)
@@ -590,7 +594,7 @@ def test_both_static_paths_match_dense_kron_reference(monkeypatch, steps, tau_p,
     tl = compile_family(family, 17.0, tau_p, n_cycles=n_cycles, order=2, udd_pulses=3)
     spec = RunSpec(model=default_model(seed=4, n_bath=4), timeline=tl, error_model=_STATIC,
                    initial_axis=axis, n_realizations=2, master_seed=8, record=record)
-    columns, _ = engine._initial_columns(axis, engine._flip_phase(tl.events, _STATIC))
+    columns, _ = engine._initial_columns(axis, frame._flip_phase(tl.events, _STATIC))
     assert columns.shape[1] == (2 if family in ("hahn", "cpmg") else 1)
     products, built = engine._interval_products, []
 
@@ -610,7 +614,7 @@ def test_both_static_paths_match_dense_kron_reference(monkeypatch, steps, tau_p,
 def _counts(timelines, n_bath, paired, columns=1, record="cycle_boundaries"):
     """What _plan reads of static runs of `timelines` (one, or one-cycle rows)
     on n_bath spins, from the counts alone: no model is built."""
-    pairs = (engine._mirror_sectors(n_bath) if paired else
+    pairs = (_mirror_sectors(n_bath) if paired else
              [(k, 1) for k in range(n_bath + 1)])
     intervals = engine._row_intervals([engine._recording_intervals(t, record)
                                        for t in timelines])
@@ -692,25 +696,25 @@ def test_jittered_and_avgham_runs_never_plan(monkeypatch):
 
 def _frame_products(model, pieces, err, rf_scale=1.0):
     """(kept, products): the frame of every sector of the model's H_free,
-    without the pairing (engine._Kept), and the interval products of the
+    without the pairing (frame._Kept), and the interval products of the
     segment lists `pieces` under the static `err` in it."""
     h_blocks = build_h_free(model, engine._sectors(model.n_bath))
-    kept = engine._Kept(h_blocks, h_blocks)
+    kept = frame._Kept(h_blocks, h_blocks)
     phases = kept.phases({p for segments in pieces for kind, p in segments if kind == "free"})
-    operators = engine._static_operators(pieces, kept, err, rf_scale, {})
-    return kept, engine._interval_products(pieces, operators, kept, phases)
+    operators = frame._static_operators(pieces, kept, err, rf_scale, {})
+    return kept, frame._interval_products(pieces, operators, kept, phases)
 
 
 def _cycle_blocks(model, timeline, err, rf_scale=1.02):
     """The cycle product on every sector, built without the pairing and
     turned out of the free-evolution frame."""
     kept, (u,) = _frame_products(model, [timeline.segments()], err, rf_scale)
-    return kept.back(u)
+    return avgham._back(kept, u)
 
 
 def _flip_operator(c, width):
     """Q = (u . sigma) (x) J on a sector block `width` wide."""
-    return np.kron(engine._flip(c), np.eye(width // 2)[::-1])
+    return np.kron(frame._flip(c), np.eye(width // 2)[::-1])
 
 
 @pytest.mark.parametrize("n_bath", [4, 5])
@@ -720,7 +724,7 @@ def _flip_operator(c, width):
 def test_paired_timelines_have_mirrored_cycle_blocks(family, axis_tilt, tau_p, n_bath):
     err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=axis_tilt)
     tl = compile_family(family, 12.0, tau_p, order=2, udd_pulses=4)
-    c = engine._flip_phase(tl.events, err)
+    c = frame._flip_phase(tl.events, err)
     assert c is not None
     u = _cycle_blocks(default_model(seed=6, n_bath=n_bath), tl, err)
     for k, block in enumerate(u):
@@ -730,7 +734,7 @@ def test_paired_timelines_have_mirrored_cycle_blocks(family, axis_tilt, tau_p, n
         # the middle block commutes with Q: no entry between its parity halves
         # in the original basis the flip's K is J, the reversal itself
         middle = u[n_bath // 2]
-        *_, pm, mp = engine._parity_blocks(middle, c, np.eye(len(middle) // 2)[::-1])
+        *_, pm, mp = spectral._parity_blocks(middle, c, np.eye(len(middle) // 2)[::-1])
         assert max(np.max(np.abs(pm)), np.max(np.abs(mp))) < 1e-13
 
 
@@ -740,14 +744,14 @@ def test_paired_timelines_have_mirrored_cycle_blocks(family, axis_tilt, tau_p, n
     (compile_cpmg(12.0).events, ErrorModel(tilt_jitter_sd=0.1)),
 ], ids=["pdd", "cdd2", "jitter"])
 def test_runs_without_one_static_pulse_line_do_not_pair(events, err):
-    assert engine._flip_phase(events, err) is None
+    assert frame._flip_phase(events, err) is None
 
 
 def test_pulses_about_z_are_rejected():
     for axes in (["z"], ["y", "-z"]):
         events = [PulseEvent(5.0 + 4.0 * i, axis, np.pi, 0.0) for i, axis in enumerate(axes)]
         with pytest.raises(ContractError, match="PULSE_AXES"):
-            engine._flip_phase(events, ErrorModel())
+            frame._flip_phase(events, ErrorModel())
 
 
 def test_pdd_cycle_blocks_are_not_mirrored():
@@ -773,7 +777,7 @@ def test_paired_runs_match_dense_kron_reference(monkeypatch, n_bath, family, tau
     # are neither even nor odd under the flip
     err = ErrorModel(rf=BimodalRf(), flip_angle_fraction=0.03, axis_tilt=0.05)
     tl = compile_family(family, 17.0, tau_p, n_cycles=n_cycles, udd_pulses=4)
-    assert engine._flip_phase(tl.events, err) is not None
+    assert frame._flip_phase(tl.events, err) is not None
     powered, results = engine._powered_overlaps, []
 
     def recorded(*args):
@@ -840,13 +844,13 @@ def test_the_middle_sector_reads_the_parity_blocks_of_the_nonzero_parts(monkeypa
                                                                         middle):
     # S_x is even under the flip about x and S_z odd; in the frame the other
     # parity blocks are rounding, not zero, and are not read
-    kernel, seen = engine._autocorrelation, []
+    kernel, seen = spectral._weighted, []
 
-    def recorded(blocks, times):
+    def recorded(blocks):
         seen.append([m for *_, m in blocks])
-        return kernel(blocks, times)
+        return kernel(blocks)
 
-    monkeypatch.setattr(engine, "_autocorrelation", recorded)
+    monkeypatch.setattr(spectral, "_weighted", recorded)
     _force(monkeypatch, "powered")
     propagate(RunSpec(model=default_model(seed=4, n_bath=4), timeline=compile_free(6.0, 16),
                       initial_axis=axis))
@@ -1048,6 +1052,34 @@ def test_model_tau_b_rejects_a_bad_horizon(t_max, n_points):
         engine.model_tau_b(default_model(n_bath=3), t_max=t_max, n_points=n_points)
 
 
+@pytest.mark.parametrize("n_points", [800.5, math.inf, "9", True])
+def test_model_tau_b_rejects_a_point_count_that_is_no_integer(n_points):
+    with pytest.raises(ContractError, match="n_points must be an integer"):
+        engine.model_tau_b(default_model(n_bath=3), n_points=n_points)
+
+
+def test_model_tau_b_weights_its_blocks_once_for_every_horizon(monkeypatch):
+    # the |V^dag A V|^2 weights do not depend on the horizon, which 3 us
+    # doubles three times
+    weighted, horizons = spectral._weighted, []
+    kernel, passes = engine._autocorrelation, []
+
+    def counted(blocks):
+        passes.append(len(blocks))
+        return weighted(blocks)
+
+    def recorded(blocks, times):
+        horizons.append(times)
+        return kernel(blocks, times)
+
+    m = default_model(seed=37)
+    expected = engine.model_tau_b(m, t_max=3.0)
+    monkeypatch.setattr(spectral, "_weighted", counted)
+    monkeypatch.setattr(engine, "_autocorrelation", recorded)
+    assert engine.model_tau_b(m, t_max=3.0) == expected
+    assert len(passes) == 1 and len(horizons) == 4
+
+
 def test_model_tau_b_frozen_default():
     est = engine.model_tau_b(default_model())
     assert est.reached
@@ -1216,7 +1248,7 @@ def _full_propagator_key(axis):
         full = np.kron(s_u.T, d)
         if c is None:
             return full
-        q = engine._flip(c)
+        q = frame._flip(c)
         return 0.5 * (full + np.kron((q @ s_u @ q).T, q @ d @ q))
 
     return key
@@ -1241,7 +1273,7 @@ def test_one_column_loop_matches_full_propagator_and_dense_kron(monkeypatch, fam
     tl = compile_family(family, 17.0, tau_p, n_cycles=n_cycles, order=2, udd_pulses=3)
     spec = RunSpec(model=default_model(seed=4, n_bath=n_bath), timeline=tl, error_model=err,
                    initial_axis=axis, n_realizations=2, master_seed=8, record=record)
-    c = engine._flip_phase(tl.events, err)
+    c = frame._flip_phase(tl.events, err)
     columns, _ = engine._initial_columns(axis, c)
     tilted_pair = c is not None and err.axis_tilt != 0 and axis != "z"
     assert columns.shape == (2, 2 if tilted_pair else 1)
@@ -1262,14 +1294,14 @@ def test_prepared_columns_are_the_plus_states(axis):
 
 
 def _per_pulse_cycles(pieces, kept, err, rf_scale, rng):
-    """engine._jittered_cycles with one scalar tilt draw, one _pulse_blocks
+    """frame._jittered_cycles with one scalar tilt draw, one _pulse_blocks
     build and one turn per pulse, in time order, each turn taken from
     split_axis and axis_vector."""
     def pulse(ev):
         base, sign = split_axis(ev.axis)
         ux, uy = axis_vector(base, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
-        x = engine._pulse_blocks(ev, kept, err, rf_scale)
-        return engine._turned(x, np.conj(sign * complex(ux, uy)))
+        x = frame._pulse_blocks(ev, kept, err, rf_scale)
+        return frame._turned(x, np.conj(sign * complex(ux, uy)))
 
     def cycle():
         return [[p if kind == "free" else pulse(p) for kind, p in segments]
@@ -1300,12 +1332,13 @@ def test_jittered_cycles_equal_one_draw_and_one_build_per_pulse(monkeypatch, fam
 def test_jittered_runs_carry_one_system_column(monkeypatch):
     shapes = []
 
-    class Spy(engine._Accumulated):
+    class Spy(frame._Accumulated):
         def __init__(self, *args):
             super().__init__(*args)
             shapes.append(self._states[0][0].shape)
 
     monkeypatch.setattr(engine, "_Accumulated", Spy)
+    monkeypatch.setattr(frame, "_Accumulated", Spy)
     propagate(RunSpec(model=default_model(seed=4, n_bath=3),
                       timeline=compile_cpmg(8.0, 0.0, n_cycles=3), error_model=_JITTER,
                       n_realizations=2))
@@ -1327,7 +1360,7 @@ def test_frame_loop_matches_dense_kron_reference(n_bath, tau_p, err, axis, recor
     spec = RunSpec(model=default_model(seed=5, n_bath=n_bath), timeline=tl, error_model=err,
                    initial_axis=axis, n_realizations=2, master_seed=6, record=record)
     if err is _STATIC:
-        columns, _ = engine._initial_columns(axis, engine._flip_phase(tl.events, err))
+        columns, _ = engine._initial_columns(axis, frame._flip_phase(tl.events, err))
         assert columns.shape == (2, 2)
     trace = propagate(spec)
     ref = _dense_kron_curves(spec).mean(axis=0)
@@ -1339,21 +1372,21 @@ def test_jittered_delta_pulses_mix_once_per_width(monkeypatch):
     # a free step is one phase multiply and a delta pulse one real mixing
     # product per sector width; no (C, C) block product runs
     mixes, per_step = [], []
-    mix = engine._mix
+    mix = frame._mix
 
     def counted_mix(m, x, out):
         mixes.append((m.dtype, x.dtype, out.dtype))
         mix(m, x, out)
 
-    class Spy(engine._Accumulated):
+    class Spy(frame._Accumulated):
         def advance(self, op):
             before = len(mixes)
             super().advance(op)
             per_step.append((isinstance(op, float), len(mixes) - before))
 
-    monkeypatch.setattr(engine, "_mix", counted_mix)
+    monkeypatch.setattr(frame, "_mix", counted_mix)
     monkeypatch.setattr(engine, "_Accumulated", Spy)
-    monkeypatch.setattr(engine, "_advance", None)
+    monkeypatch.setattr(frame, "_advance", None)
     tl = compile_cpmg(8.0, 0.0, n_cycles=5)
     propagate(RunSpec(model=default_model(seed=4, n_bath=7), timeline=tl, error_model=_JITTER))
     # widths 1, 7, 21 and 35: sectors k and 7 - k share one product
@@ -1403,26 +1436,26 @@ def test_rows_that_cannot_share_the_pulses_are_rejected(rows, record, monkeypatc
 
 def _counted_pulse_builds(monkeypatch):
     strengths = []
-    build = engine._pulse_blocks
+    build = frame._pulse_blocks
 
     def counted(ev, *args, **kwargs):
-        strengths.append(engine._strength(ev))
+        strengths.append(frame._strength(ev))
         return build(ev, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "_pulse_blocks", counted)
+    monkeypatch.setattr(frame, "_pulse_blocks", counted)
     return strengths
 
 
 def _counted_turns(monkeypatch):
-    """The number of pulses each engine._turned call turns."""
+    """The number of pulses each frame._turned call turns."""
     counts = []
-    turned = engine._turned
+    turned = frame._turned
 
     def counted(x, turn):
         counts.append(np.size(turn))
         return turned(x, turn)
 
-    monkeypatch.setattr(engine, "_turned", counted)
+    monkeypatch.setattr(frame, "_turned", counted)
     return counts
 
 
@@ -1433,7 +1466,7 @@ def test_free_eigensystems_reproduce_the_full_width_propagator(n_bath):
     # diag(exp(-i w_s t)) V_s^T on each, and M = V_+^T V_- mixes the halves
     m = default_model(seed=6, n_bath=n_bath)
     h_blocks = build_h_free(m, engine._sectors(n_bath))
-    eigs = engine._free_eigensystems(h_blocks, h_blocks)
+    eigs = frame._Kept(h_blocks, h_blocks).eigs
     assert len(eigs) == len(h_blocks)
     for h, (w, v, mix) in zip(h_blocks, eigs):
         c = len(h) // 2
@@ -1496,7 +1529,7 @@ def test_cached_runs_equal_uncached_runs_alternating_two_models():
     for m in models:
         runs = []
         for tl in timelines:
-            engine._frames = ()
+            frame._frames = ()
             runs += _runs(m, [tl])
         uncached.append(runs)
     for i in (0, 0, 1, 0, 1, 1):
@@ -1510,7 +1543,7 @@ def test_threads_sharing_the_cache_see_whole_entries():
     tl = compile_cpmg(12.0, 0.0, n_cycles=3)
     expected = []
     for m in models:
-        engine._frames = ()
+        frame._frames = ()
         expected.append(_runs(m, [tl])[0].s)
 
     def work(first):
@@ -1540,7 +1573,7 @@ def test_a_model_one_coupling_away_misses_the_cache(monkeypatch):
     tl = compile_cpmg(15.0, 0.0, n_cycles=3)
     (fresh,) = _runs(near, [tl])
     # the cache now holds only m, one coupling away from near
-    engine._frames = ()
+    frame._frames = ()
     _runs(m, [tl])
     shapes = _counted_eigh(monkeypatch)
     (cached,) = _runs(near, [tl])
@@ -1562,7 +1595,7 @@ def test_the_cache_keys_on_a_copy_of_the_couplings(monkeypatch):
     m.d[1, 2] = m.d[2, 1] = np.nextafter(m.d[1, 2], np.inf)
     (edited,) = _runs(m, [tl])
     assert len(shapes) == m.n_bath + 1
-    engine._frames = ()
+    frame._frames = ()
     (uncached,) = _runs(build_model(m.b, m.d), [tl])
     assert np.array_equal(edited.s, uncached.s)
 
@@ -1586,7 +1619,7 @@ def test_paired_and_unpaired_runs_on_one_bath_share_one_entry(monkeypatch):
     # cpmg keeps the mirror sectors under its spin flip, cdd2 keeps every one
     _runs(m, [compile_cpmg(10.0, 0.0, n_cycles=4), compile_cdd(2, 10.0, 0.0, n_cycles=2)])
     assert len(shapes) == m.n_bath + 1
-    (key, eigs, layouts, _), = engine._frames
+    (key, eigs, layouts, _), = frame._frames
     assert set(layouts) == {False, True}
     for layout in layouts.values():
         assert all(e is eigs[k] for e, k in zip(layout["eigs"], layout["sectors"]))
@@ -1594,10 +1627,10 @@ def test_paired_and_unpaired_runs_on_one_bath_share_one_entry(monkeypatch):
     assert layouts[True]["weights"] == (2, 2, 1)
     # the middle sector's reversal is formed once, on first use, into the entry
     h_blocks = build_h_free(m, engine._sectors(m.n_bath))
-    k = engine._Kept(h_blocks, key, 1.0).reversal
-    assert layouts[True]["reversal"] is k is engine._Kept(h_blocks, key, 1j).reversal
+    k = frame._Kept(h_blocks, key, 1.0).reversal
+    assert layouts[True]["reversal"] is k is frame._Kept(h_blocks, key, 1j).reversal
     assert np.allclose(k @ k.T, np.eye(len(k)), atol=1e-13)
-    assert len(engine._frames) == 1 and len(shapes) == m.n_bath + 1
+    assert len(frame._frames) == 1 and len(shapes) == m.n_bath + 1
 
 
 def _held_bytes(entry):
@@ -1612,15 +1645,24 @@ def _held_bytes(entry):
     return sum(a.nbytes for a in arrays)
 
 
+@pytest.mark.parametrize("turn", ["first", "second"])
+def test_each_test_starts_with_an_empty_frame_cache(turn):
+    # conftest empties the cache after each test: whichever turn runs second
+    # finds the entry the other left, should that reset miss the cache
+    assert frame._frames == ()
+    _runs(default_model(seed=4, n_bath=3), [compile_cpmg(10.0, 0.0, n_cycles=2)])
+    assert len(frame._frames) == 1
+
+
 @pytest.mark.parametrize("budget", [0, 60_000])
 def test_the_cache_stays_within_its_budget_and_keeps_the_newest(monkeypatch, budget):
-    monkeypatch.setattr(engine, "_FRAME_BYTES", budget)
+    monkeypatch.setattr(frame, "_FRAME_BYTES", budget)
     # the bytes the cache holds while each eigh runs
     held = []
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        held.append(sum(f[3] for f in engine._frames))
+        held.append(sum(f[3] for f in frame._frames))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -1631,7 +1673,7 @@ def test_the_cache_stays_within_its_budget_and_keeps_the_newest(monkeypatch, bud
         m = default_model(seed=4, n_bath=n)
         del held[:]
         _runs(m, [tl])
-        frames = engine._frames
+        frames = frame._frames
         assert all(f[3] == _held_bytes(f) for f in frames)
         assert len(frames) == 1 or sum(f[3] for f in frames) <= budget
         key = frames[-1][0]
@@ -1651,12 +1693,14 @@ def test_phase_tables_from_products_match_the_exponentials():
     f, g = rng.uniform(-np.pi, np.pi, 40), rng.uniform(-np.pi, np.pi, 30)
     blocks = [((f, np.eye(40)), (g, rng.normal(size=(30, 30))), [rng.normal(size=(40, 30))], 1)]
     counts = np.arange(1, 700)
-    products = engine._autocorrelation(blocks, counts)
-    assert np.max(np.abs(products - engine._autocorrelation(blocks, counts.astype(float)))) < 1e-13
+    weighted = spectral._weighted(blocks)
+    products = spectral._autocorrelation(weighted, counts)
+    floats = spectral._autocorrelation(weighted, counts.astype(float))
+    assert np.max(np.abs(products - floats)) < 1e-13
     # integer times that do not step by 1 take the exponentials
     steps = counts[::3]
-    assert np.array_equal(engine._autocorrelation(blocks, steps),
-                          engine._autocorrelation(blocks, steps.astype(float)))
+    assert np.array_equal(spectral._autocorrelation(weighted, steps),
+                          spectral._autocorrelation(weighted, steps.astype(float)))
 
 
 def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
@@ -1666,11 +1710,11 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
     propagate(RunSpec(model=m, timeline=tl, error_model=_STATIC, record="every_pulse"))
     # cdd's x and y pulses share one +x pulse, turned once per shape
     assert strengths == [(np.pi, 0.0)]
-    assert turns == [1] * len({engine._shape(ev) for ev in tl.events}) == [1, 1]
+    assert turns == [1] * len({frame._shape(ev) for ev in tl.events}) == [1, 1]
 
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
     _, products = _frame_products(m, pieces, _STATIC)
-    keys = [tuple(p if kind == "free" else engine._shape(p) for kind, p in segs)
+    keys = [tuple(p if kind == "free" else frame._shape(p) for kind, p in segs)
             for segs in pieces]
     for key, product in zip(keys, products):
         assert product is products[keys.index(key)]
@@ -1683,12 +1727,12 @@ def test_interval_products_own_their_memory(monkeypatch, tau_p):
     # the whole buffer of its product
     buffers = []
 
-    class Spy(engine._Accumulated):
+    class Spy(frame._Accumulated):
         def __init__(self, *args):
             super().__init__(*args)
             buffers.extend(state[0] for state in self._states)
 
-    monkeypatch.setattr(engine, "_Accumulated", Spy)
+    monkeypatch.setattr(frame, "_Accumulated", Spy)
     m = default_model(seed=4, n_bath=3)
     tl = compile_cdd(2, 10.0, tau_p)
     pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]

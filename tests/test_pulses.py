@@ -20,7 +20,8 @@ from spinbath import (
     real_pulse,
     sample_rf_scale,
 )
-from spinbath.engine import _Kept, _pulse_blocks, _turned, _turns
+from spinbath.avgham import _back
+from spinbath.frame import _Kept, _pulse_blocks, _turned, _turns
 from spinbath.pulses import PULSE_AXES, axis_vector, delta_rotation, split_axis
 from spinbath.hamiltonians import _sector_blocks, _sectors
 
@@ -111,7 +112,7 @@ def test_engine_finite_pulse_matches_real_pulse_per_sector():
         for tilt in (0.0, 0.3):
             dense = real_pulse(spec, 0.97, err, h_free, m.ops, tilt).matrix
             (turn,) = _turns([ev])(np.array([tilt]))
-            blocks = kept.back(_turned(x_pulse, turn))
+            blocks = _back(kept, _turned(x_pulse, turn))
             assert len(blocks) == len(sectors)
             for idx, block in zip(sectors, blocks):
                 assert np.max(np.abs(block - dense[np.ix_(idx, idx)])) < 1e-12
