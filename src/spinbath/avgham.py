@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import _axis_frame, _flip, _halves, _interval_products, _Kept, _static_operators
+from .frame import (_axis_frame, _flip, _free_eigensystems, _halves, _interval_products,
+                    _operators)
 from .errors import ContractError
 from .hamiltonians import (_basis_z, _coupling_blocks, _h_e_sectors, _sector_blocks, _sectors,
                            build_h_free, default_model)
@@ -384,10 +385,10 @@ def _defect_flip(events, h_blocks):
     return None
 
 
-def _back(kept, us):
-    """Sector blocks U in the frame of `kept` (frame._Kept) turned out of it,
-    V U V^dag with V = diag(V_+, V_-)."""
-    vs = [v.conj().swapaxes(1, 2) for _, v, _ in kept.eigs]
+def _back(layout, us):
+    """Sector blocks U in the frame of a layout (frame._Layout) turned out of
+    it, V U V^dag with V = diag(V_+, V_-)."""
+    vs = [v.conj().swapaxes(1, 2) for _, v, _ in layout.eigs]
     return [_sandwich(v[:, None], u.reshape(2, len(v[0]), 2, -1).swapaxes(1, 2), v[None])
             .swapaxes(1, 2).reshape(len(u), -1) for u, v in zip(us, vs)]
 
@@ -406,7 +407,7 @@ def magnus_defect(timeline, h_free, ops):
     itself up to a sign (_defect_flip), as for H_free under pdd, cdd, cpmg
     and udd, sector n - k has the same defect norm as sector k. Then only
     the _mirror_sectors are built, in the paired layout of propagate
-    (_Kept), and the squared norm of each pair counts twice; any other
+    (_Layout), and the squared norm of each pair counts twice; any other
     input builds every sector.
     """
     if any(ev.duration > 0 for ev in timeline.events):
@@ -430,14 +431,14 @@ def magnus_defect(timeline, h_free, ops):
     pieces = timeline.segments()
     # keyed on the blocks' halves, so a second defect of one h_free diagonalizes
     # nothing and the frame cache keeps no off-diagonal or imaginary zeros
-    kept = _Kept(h_blocks, [_halves(h) for h in h_blocks],
-                 _defect_flip(timeline.events, h_blocks))
-    phases = kept.phases({dt for kind, dt in pieces if kind == "free"})
-    operators = _static_operators([pieces], kept, ErrorModel(), 1.0, {})
-    u_exact = _back(kept, _interval_products([pieces], operators, kept, phases)[0])
+    layout = _free_eigensystems(h_blocks, [_halves(h) for h in h_blocks],
+                                _defect_flip(timeline.events, h_blocks) is not None)
+    phases = layout.phases({dt for kind, dt in pieces if kind == "free"})
+    operators = _operators(timeline.events, layout, ErrorModel(), 1.0)([pieces])
+    u_exact = _back(layout, _interval_products([pieces], operators, layout, phases)[0])
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
-    terms = _sector_averages(timeline, [h_blocks[k] for k in kept.sectors])
+    terms = _sector_averages(timeline, [h_blocks[k] for k in layout.sectors])
     return float(np.linalg.norm([
         np.linalg.norm(_left(frame, u) - exp_propagator(h0 + h1, tau_c)) * math.sqrt(m)
-        for (h0, h1), u, m in zip(terms, u_exact, kept.weights)]))
+        for (h0, h1), u, m in zip(terms, u_exact, layout.weights)]))

@@ -21,7 +21,7 @@ with a generator seeded deterministically from (master_seed, k), and
 takes the path _plan picks (_realization_curve); a static run may power
 its cycle product (spectral module notes). One-cycle runs with the same
 pulses, such as the delays of an echo curve, are rows of one buffer in
-chunks within _CHUNK_BYTES.
+chunks within _CHUNK_BYTES, each set up once for all realizations (_Run).
 
 Detection follows the ideal pulse frame, the numerical analog of a
 receiver phase that tracks where a perfect sequence would have parked the
@@ -32,14 +32,15 @@ an alternating sign.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError
-from .frame import (_Accumulated, _flip, _flip_phase, _interval_key, _interval_products,
-                    _jittered_cycles, _Kept, _shape, _static_operators)
+from .frame import (_Accumulated, _flip, _flip_phase, _free_eigensystems, _interval_key,
+                    _interval_products, _operators, _shape)
 from .hamiltonians import _sectors, build_h_free
 from .operators import _SPIN_HALF
 from .pulses import ErrorModel, ideal_frame, sample_rf_scale
@@ -151,7 +152,7 @@ class TauBEstimate(NamedTuple):
 def _plan(intervals, n_cycles, columns, rows, widths, weights, built=False):
     """The path of a static run, "powered", "products" or "steps", whichever
     costs least by a count of real multiply-adds over the kept sectors
-    (_Kept: their `widths` C and `weights`), plus _CALL_COST per numpy call
+    (_Layout: their `widths` C and `weights`), plus _CALL_COST per numpy call
     and _EIG_COST N^3 per eigh of width N. It reads no array.
 
     Both direct paths carry B = D T columns (`rows` D, `columns` T) and pay,
@@ -290,59 +291,59 @@ def _detection_key(d, c, sign):
     return 0.5 * key
 
 
-def _realization_curve(spec, intervals, kept, phases, s_u, k, rows, pulses):
-    """Survival values for realization k at the recording instants after
-    t = 0, from the kept sector blocks (_Kept): per cycle and interval, each
-    of the D `rows` in turn (_row_intervals). A static run builds its pulses
-    into `pulses` (_static_operators), which may hold them from an earlier
-    chunk of rows.
+# what every realization of one chunk of rows reads, built once before
+# them: what _plan reads of it (`counts`: its recording intervals, cycles,
+# columns, rows and sector widths and weights), the layout (_Layout) and
+# spin-flip phase `flip` (_flip_phase) of the run, the free steps' phase
+# tables, the initial columns and their `sign` (_initial_columns), the
+# detection key of the prepared S_u (_detection_key), the initial norm, and
+# under static errors the path _plan picks (else None)
+_Run = namedtuple("_Run", "spec counts layout flip phases columns sign key norm0 path")
+
+
+def _realization_curve(run, k, built):
+    """Survival values for realization k of a run (_Run) at the recording
+    instants after t = 0: per cycle and interval, each of its rows in turn.
+    The realization's operators (_operators) go into `built` under k, where
+    a later chunk of rows finds them.
 
     The direct loop carries the accumulated propagators W applied to the
-    prepared state's system column |+u> (_Accumulated, _initial_columns),
-    and reads s = Re Tr{(d (x) 1) W (S_u (x) 1) W^dag} / Tr{(S_u (x) 1)^2},
-    with d the prepared S_u in the detection frame, as the sum of each
-    row's Gram of those columns against the key of d (_detection_key). A
-    jittered run applies each segment. A static run takes the one path
-    _plan picks from its counts: powered, steps (each segment, with each
-    pulse built once) or products (one interval product per interval and
-    cycle). A powered run that falls back reuses its operators and cycle
-    product, and is planned again with that product paid for.
+    initial columns (_Accumulated), and reads s = Re Tr{(d (x) 1) W (S_u (x)
+    1) W^dag} / Tr{(S_u (x) 1)^2}, with d the prepared S_u in the detection
+    frame, as the sum of each row's Gram of those columns against the key of
+    d (_detection_key). A jittered run applies each segment. A static run
+    takes the run's path: powered, steps (each segment, with each pulse
+    built once) or products (one interval product per interval and cycle).
+    A powered run that falls back reuses its operators and cycle product,
+    and is planned again with that product paid for.
     """
-    n_cycles, err = spec.timeline.n_cycles, spec.error_model
-    rng = realization_rng(spec.master_seed, k)
-    rf_scale = sample_rf_scale(err, rng)
+    spec, layout, (intervals, n_cycles, _, rows, *_) = run.spec, run.layout, run.counts
     pieces = [iv.segments for iv in intervals]
-    columns, sign = _initial_columns(spec.initial_axis, kept.flip)
-    if err.tilt_jitter_sd == 0:
-        static, products = _static_operators(pieces, kept, err, rf_scale, pulses), None
-        counts = (intervals, n_cycles, columns.shape[1], rows, kept.widths, kept.weights)
-        path = _plan(*counts)
-        if path == "powered":
-            products = _interval_products(pieces, static, kept, phases)
-            powered = _powered_overlaps(products[0], s_u, n_cycles, kept)
-            if powered is not None:
-                return powered[1:]
-            path = _plan(*counts, built=True)
-        if path == "products":
-            static = [[u] for u in products or _interval_products(pieces, static, kept, phases)]
+    rng = realization_rng(spec.master_seed, k)
+    rf_scale = sample_rf_scale(spec.error_model, rng)
+    if k not in built:
+        built[k] = _operators(spec.timeline.events, layout, spec.error_model, rf_scale)
+    operators, path, s_u = built[k], run.path, _SPIN_HALF[spec.initial_axis]
+    static, products = None if path is None else operators(pieces), None
+    if path == "powered":
+        products = _interval_products(pieces, static, layout, run.phases)
+        powered = _powered_overlaps(products[0], s_u, n_cycles, layout, run.flip)
+        if powered is not None:
+            return powered[1:]
+        path = _plan(*run.counts, built=True)
+    if path == "products":
+        static = [[u] for u in products or _interval_products(pieces, static, layout, run.phases)]
 
-        def cycle():
-            return static
-    else:
-        cycle = _jittered_cycles(pieces, kept, err, rf_scale, rng)
-
-    w = _Accumulated(kept, phases, columns, rows)
-    d, key = s_u, _detection_key(s_u, kept.flip, sign)
-    norm0 = 0.5 * sum(m * c for m, c in zip(kept.weights, kept.widths))
-    values = []
+    w = _Accumulated(layout, run.phases, run.columns, rows)
+    d, key, values = s_u, run.key, []
     for _ in range(n_cycles):
-        for iv, operators in zip(intervals, cycle()):
-            for us in operators:
+        for iv, ops in zip(intervals, static or operators(pieces, rng)):
+            for us in ops:
                 w.advance(us)
             if iv.frame is not None:
                 d = iv.frame @ d @ iv.frame.conj().T
-                key = _detection_key(d, kept.flip, sign)
-            values += [float(np.real(np.vdot(key, g))) / norm0 for g in w.gram()]
+                key = _detection_key(d, run.flip, run.sign)
+            values += [float(np.real(np.vdot(key, g))) / run.norm0 for g in w.gram()]
     return np.asarray(values)
 
 
@@ -371,37 +372,41 @@ def propagate(spec, *, rows=()):
     trace then holds s at each run's cycle end, the same as runs of their own.
     """
     model, tl = spec.model, spec.timeline
+    runs = [_recording_intervals(t, spec.record) for t in (tl, *rows)]
     if rows and (spec.record != "cycle_boundaries" or {t.n_cycles for t in (tl, *rows)} != {1}
                  or any(a.cycle_time >= b.cycle_time for a, b in zip((tl, *rows), rows))
-                 or len({tuple(kind if kind == "free" else _shape(p) for kind, p in t.segments())
-                         for t in (tl, *rows)}) > 1):
+                 or len({tuple(kind if kind == "free" else _shape(p) for kind, p in run[0].segments)
+                         for run in runs}) > 1):
         raise ContractError("rows need one-cycle timelines recorded at cycle_boundaries, with "
                             "the pulses of spec.timeline in order and ever longer cycles")
-    s_u = _SPIN_HALF[spec.initial_axis]
-    runs = [_recording_intervals(t, spec.record) for t in (tl, *rows)]
     # free evolution does not depend on the pulse-error draw, so the
     # realizations share one frame read-only; the couplings key the frame
     # cache, copied so that no later edit of the model reaches it; no H_free
     # block outlives the frame
-    kept = _Kept(build_h_free(model, _sectors(model.n_bath)), (model.b.copy(), model.d.copy()),
-                 _flip_phase(tl.events, spec.error_model))
+    flip = _flip_phase(tl.events, spec.error_model)
+    layout = _free_eigensystems(build_h_free(model, _sectors(model.n_bath)),
+                                (model.b.copy(), model.d.copy()), flip is not None)
+    columns, sign = _initial_columns(spec.initial_axis, flip)
+    key = _detection_key(_SPIN_HALF[spec.initial_axis], flip, sign)
+    norm0 = 0.5 * sum(m * c for m, c in zip(layout.weights, layout.widths))
 
     def free_keys(intervals):
         return {p for iv in intervals for kind, p in iv.segments if kind == "free"}
 
     # a row takes two buffers of T columns and its phase tables
-    t = _initial_columns(spec.initial_axis, kept.flip)[0].shape[1]
-    row_bytes = 32 * kept.size * (2 * t + len(free_keys(_row_intervals(runs))))
+    row_bytes = 32 * layout.size * (2 * columns.shape[1] + len(free_keys(_row_intervals(runs))))
     step = max(1, _CHUNK_BYTES // row_bytes)
     curves = [np.ones((spec.n_realizations, 1))]
-    # each realization's static pulses, kept for its later chunks when there
-    # are several
-    pulses = [{} for _ in range(spec.n_realizations if len(runs) > step else 0)]
+    # each realization's operators, kept for its later chunks when there are
+    # several
+    built = {}
     for chunk in (runs[lo:lo + step] for lo in range(0, len(runs), step)):
         intervals = _row_intervals(chunk)
-        phases = kept.phases(free_keys(intervals))
-        curves.append(np.vstack([_realization_curve(spec, intervals, kept, phases, s_u, k,
-                                                    len(chunk), pulses[k] if pulses else {})
+        counts = (intervals, tl.n_cycles, columns.shape[1], len(chunk), layout.widths,
+                  layout.weights)
+        run = _Run(spec, counts, layout, flip, layout.phases(free_keys(intervals)), columns, sign,
+                   key, norm0, _plan(*counts) if spec.error_model.tilt_jitter_sd == 0 else None)
+        curves.append(np.vstack([_realization_curve(run, k, built if len(runs) > step else {})
                                  for k in range(spec.n_realizations)]))
     curves = np.hstack(curves)
 
@@ -411,11 +416,8 @@ def propagate(spec, *, rows=()):
     # a cycle ends at (m + 1) tau_c; m tau_c + tau_c can differ in the last bit
     times[:, -1] = (m[:, 0] + 1) * tl.cycle_time
     counts = m * intervals[-1].n_pulses + np.array([iv.n_pulses for iv in intervals])
-    mean = curves.mean(axis=0)
-    if curves.shape[0] > 1:
-        stderr = curves.std(axis=0, ddof=1) / np.sqrt(curves.shape[0])
-    else:
-        stderr = np.zeros_like(mean)
+    mean, n = curves.mean(axis=0), curves.shape[0]
+    stderr = curves.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
     # the rows' cycle ends follow
     times = np.concatenate(([0.0], times.ravel(), [r.cycle_time for r in rows]))
     counts = np.concatenate(([0], counts.ravel(), [intervals[-1].n_pulses] * len(rows)))

@@ -11,7 +11,7 @@ blocks from the basis bits, with no dense matrix. H_free also conserves the
 system S_z, so each sector block has two real symmetric (C, C) halves
 H_s = V_s diag(w_s) V_s^T, s = +, - (_free_eigensystems). A bounded cache
 keeps these free frames of recent couplings, with the layouts of the runs
-on them (_Kept), so a sweep over delays or baths run again in turn
+on them (_Layout), so a sweep over delays or baths run again in turn
 diagonalizes each bath once, and a repeat run stacks no mixings.
 
 Flipping every spin, Q = (u . sigma) (x) J_bath for an in-plane unit
@@ -24,7 +24,7 @@ not), block n - k of every interval product is Q times block k
 times Q^dag. Such a run keeps the sectors k < n - k with weight 2, plus the
 middle sector k = n/2 (_mirror_sectors). Sector n - k then reads the
 mirrored observable q S_u q and detection frame q d q, q = u . sigma, in
-sector k; the middle sector's Q in the frame is _Kept.reversal.
+sector k; the middle sector's Q in the frame is _Layout.reversal.
 avgham.magnus_defect pairs its sector blocks the same way, under the
 weaker condition that Q turns each pulse into itself up to a sign.
 
@@ -52,7 +52,7 @@ from .pulses import axis_vector, delta_rotation, split_axis
 
 # the free frames of _free_eigensystems, least recently used first, as
 # (key, eigensystems, layouts by pairing, bytes) tuples that no call changes
-# but for the one item _Kept.reversal sets in a paired layout; the budget
+# but for the reversal a paired layout forms on first use; the budget
 # holds several baths up to n_bath 9 (1.8 MB with a paired layout), one
 # from n_bath 10 (7.9 MB), and from n_bath 11 only the newest
 _frames = ()
@@ -60,7 +60,7 @@ _FRAME_BYTES = 1 << 24
 
 
 def _free_eigensystems(h_blocks, key, paired):
-    """The layout (_Kept) of a run of the _mirror_sectors (`paired` True) or
+    """The layout (_Layout) of a run of the _mirror_sectors (`paired` True) or
     of every sector on the frame of the blocks H_k: their eigs [(w, V, M)],
     the eigenpairs H_s = V_s diag(w_s) V_s^dag of the two system halves s =
     +, -, stacked as w (2, C) and V (2, C, C), and their mixing M = V_+^dag
@@ -98,27 +98,8 @@ def _free_eigensystems(h_blocks, key, paired):
             eigs.append((w, v, v[0].conj().T @ v[1]))
         entry = (key, eigs, {}, sum(a.nbytes for a in (*key, *(a for e in eigs for a in e))))
     if paired not in entry[2]:
-        n = len(entry[1])
-        sectors, weights = zip(*(_mirror_sectors(n - 1) if paired else [(k, 1) for k in range(n)]))
-        kept = [entry[1][k] for k in sectors]
-        widths = [len(v[0]) for _, v, _ in kept]
-        order = sorted(range(len(kept)), key=widths.__getitem__)
-        ends = dict(zip(order, np.cumsum([widths[i] ** 2 for i in order])))
-        slices = [slice(ends[i] - c * c, ends[i]) for i, c in enumerate(widths)]
-        groups = []
-        for c in sorted(set(widths)):
-            members = [i for i in order if widths[i] == c]
-            m = np.stack([kept[i][2] for i in members])
-            groups.append((slice(slices[members[0]].start, ends[members[-1]]), m.shape,
-                           np.stack((m, m.conj().swapaxes(1, 2)))))
-        w, ordered = np.hstack([kept[i][0] for i in order]), [widths[i] for i in order]
-        spread = np.repeat(np.arange(w.shape[1]), np.repeat(ordered, ordered))
-        layout = dict(sectors=sectors, weights=weights, eigs=kept, widths=widths, slices=slices,
-                      size=ends[order[-1]], groups=groups, _w=w, _spread=spread)
-        # counting the middle sector's _Kept.reversal, formed on first use
-        arrays = [w, spread, *(m for *_, m in groups),
-                  *(v[0] for (_, v, _), m in zip(kept, weights) if paired and m == 1)]
-        entry = (*entry[:2], {**entry[2], paired: layout}, entry[3] + sum(a.nbytes for a in arrays))
+        layout = _Layout(entry[1], paired)
+        entry = (*entry[:2], {**entry[2], paired: layout}, entry[3] + layout.nbytes)
     # threads that store at once may each drop the other's update: that
     # entry is built again when next asked for, never seen half built
     frames.append(entry)
@@ -136,26 +117,44 @@ def _halves(h):
     return x if x.imag.any() else x.real.copy()
 
 
-class _Kept:
-    """The sector blocks a run propagates: every sector, or under a spin flip
-    of phase `flip` (_flip_phase, avgham._defect_flip) the _mirror_sectors,
-    and the layout of such a run on the frame of `h_blocks` cached under
-    `key` (_free_eigensystems), shared read-only and holding no H_free block:
-    their weights and eigensystems (w, V, M), ordered by width in the buffer
-    (_Accumulated) so that k and n - k sit side by side, and each width's
-    stacked mixings [M, M^dag] (`groups`).
+class _Layout:
+    """The sector blocks a run propagates on one cached frame
+    (_free_eigensystems): every sector, or under a spin flip (_flip_phase,
+    avgham._defect_flip) the _mirror_sectors (`paired`), shared read-only and
+    holding no H_free block: their weights and eigensystems (w, V, M),
+    ordered by width in the buffer (_Accumulated) so that k and n - k sit side
+    by side, and each width's stacked mixings [M, M^dag] (`groups`).
     """
 
-    def __init__(self, h_blocks, key, flip=None):
-        self._layout = _free_eigensystems(h_blocks, key, flip is not None)
-        vars(self).update(self._layout, flip=flip)
+    def __init__(self, eigs, paired):
+        n = len(eigs)
+        self.sectors, self.weights = zip(*(_mirror_sectors(n - 1) if paired else
+                                           [(k, 1) for k in range(n)]))
+        self.eigs = [eigs[k] for k in self.sectors]
+        self.widths = widths = [len(v[0]) for _, v, _ in self.eigs]
+        order = sorted(range(len(widths)), key=widths.__getitem__)
+        ends = dict(zip(order, np.cumsum([widths[i] ** 2 for i in order])))
+        self.slices = [slice(ends[i] - c * c, ends[i]) for i, c in enumerate(widths)]
+        self.size, self.groups = ends[order[-1]], []
+        for c in sorted(set(widths)):
+            members = [i for i in order if widths[i] == c]
+            m = np.stack([self.eigs[i][2] for i in members])
+            self.groups.append((slice(self.slices[members[0]].start, ends[members[-1]]), m.shape,
+                                np.stack((m, m.conj().swapaxes(1, 2)))))
+        ordered = [widths[i] for i in order]
+        self._w = np.hstack([self.eigs[i][0] for i in order])
+        self._spread = np.repeat(np.arange(self._w.shape[1]), np.repeat(ordered, ordered))
+        # counting the middle sector's reversal, formed on first use
+        self.nbytes = sum(a.nbytes for a in [
+            self._w, self._spread, *(m for *_, m in self.groups),
+            *(v[0] for (_, v, _), m in zip(self.eigs, self.weights) if paired and m == 1)])
 
     def phases(self, keys):
         """The phase steps exp(-i w dt) of each free step's key, a length dt
-        or the tuple of the D rows' lengths (_row_intervals), as (D, 1, 2,
-        size) tables for _Accumulated."""
-        return {key: np.exp(-1j * np.reshape(key, (-1, 1, 1, 1)) * self._w)[..., self._spread]
-                for key in keys}
+        or the tuple of the D rows' lengths (_row_intervals), as C-contiguous
+        (D, 1, 2, size) tables for _Accumulated."""
+        return {key: np.take(np.exp(-1j * np.reshape(key, (-1, 1, 1, 1)) * self._w),
+                             self._spread, axis=-1) for key in keys}
 
     @cached_property
     def reversal(self):
@@ -164,14 +163,13 @@ class _Kept:
         the flip reads [[0, conj(c) K], [c K^T, 0]] in the frame
         (_parity_blocks). A powered run forms it on first use, after its
         cycle product, so that it adds nothing to the run's peak memory, and
-        leaves it in the layout for later runs: one dict item, set whole."""
+        the layout keeps it for later runs: one attribute, set whole."""
         (_, v, _), = [eig for eig, m in zip(self.eigs, self.weights) if m == 1]
-        self._layout["reversal"] = k = v[0].T @ v[1][::-1]
-        return k
+        return v[0].T @ v[1][::-1]
 
 
 class _Accumulated:
-    """The accumulated propagators W of the kept sectors (_Kept) of D rows
+    """The accumulated propagators W of the kept sectors (_Layout) of D rows
     (runs sharing their pulses) applied to T initial system columns psi_t,
     W (psi_t (x) 1), in their free eigenframe X_s = V_s^dag W_s (module notes).
 
@@ -209,7 +207,7 @@ class _Accumulated:
         return self._states[0][2]
 
     def advance(self, op):
-        """W <- U W for a free step keyed by `op` (_Kept.phases), a 2x2
+        """W <- U W for a free step keyed by `op` (_Layout.phases), a 2x2
         rotation `op` of the system spin, or a list `op` of full blocks in
         the frame (_advance)."""
         (x, by_row, blocks, mixes, _), (out, _, out_blocks, _, _) = self._states
@@ -342,60 +340,61 @@ def _turned(x, turn):
     return [_axis_frame(b, turn) for b in x] if isinstance(x, list) else _axis_frame(x, turn)
 
 
-def _jittered_cycles(pieces, kept, err, rf_scale, rng):
-    """A function that returns the operators of each interval of the next
-    jittered cycle, in the order _Accumulated.advance applies them: free
-    steps by their length, and each pulse turned to a fresh axis tilt
-    (_turned) from the +x pulse of its strength, built once (_pulse_blocks).
-    A cycle's tilts come from one rng.normal call in time order, the same
-    stream as one draw per pulse, and its delta pulses turn as one stack."""
-    events = [p for segments in pieces for kind, p in segments if kind == "pulse"]
-    built = {_strength(ev): ev for ev in events}
-    built = {key: _pulse_blocks(ev, kept, err, rf_scale) for key, ev in built.items()}
-    delta = [i for i, ev in enumerate(events) if ev.duration == 0]
-    stack, turns = np.array([built[_strength(events[i])] for i in delta]), _turns(events)
+def _operators(events, layout, err, rf_scale):
+    """The operators of a cycle of these pulse `events` on the layout under
+    one realization's errors, as a function of its segment lists `pieces`
+    and, under tilt jitter, the realization's generator, in the order
+    _Accumulated.advance applies them: free steps by their length, and each
+    pulse turned (_turned) from the +x pulse of its strength, built once
+    (_pulse_blocks). Static errors turn each shape once, to the static tilt.
+    Tilt jitter turns every pulse of each call to a fresh tilt, drawn by one
+    rng.normal call in time order, the same stream as one draw per pulse,
+    and its delta pulses as one stack."""
+    strengths = {_strength(ev): ev for ev in events}
+    built = {key: _pulse_blocks(ev, layout, err, rf_scale) for key, ev in strengths.items()}
+    if err.tilt_jitter_sd == 0:
+        shapes = {_shape(ev): ev for ev in events}
+        turned = {key: _turned(built[_strength(ev)], turn) for (key, ev), turn in
+                  zip(shapes.items(), _turns(shapes.values())(np.full(len(shapes), err.axis_tilt)))}
 
-    def cycle():
-        turn = turns(rng.normal(err.axis_tilt, err.tilt_jitter_sd, size=len(events)))
-        rotated = iter(_turned(stack, turn[delta]) if delta else ())
-        pulses = iter([next(rotated) if ev.duration == 0 else _turned(built[_strength(ev)], t)
-                       for ev, t in zip(events, turn)])
-        return [[p if kind == "free" else next(pulses) for kind, p in segments]
+        def pulses(rng):
+            return map(turned.get, map(_shape, events))
+    else:
+        delta = [i for i, ev in enumerate(events) if ev.duration == 0]
+        stack, turns = np.array([built[_strength(events[i])] for i in delta]), _turns(events)
+
+        def pulses(rng):
+            turn = turns(rng.normal(err.axis_tilt, err.tilt_jitter_sd, size=len(events)))
+            rotated = iter(_turned(stack, turn[delta]) if delta else ())
+            return [next(rotated) if ev.duration == 0 else _turned(built[_strength(ev)], t)
+                    for ev, t in zip(events, turn)]
+
+    def operators(pieces, rng=None):
+        applied = iter(pulses(rng))
+        return [[p if kind == "free" else next(applied) for kind, p in segments]
                 for segments in pieces]
 
-    return cycle
+    return operators
 
 
-def _static_operators(pieces, kept, err, rf_scale, pulses):
-    """The operators of each segment list of `pieces` under static errors, in
-    the order _Accumulated.advance applies them: free steps by their length,
-    and each pulse shape turned once to the static tilt (_turned) from the
-    +x pulse of its strength, built once (_pulse_blocks); both go into
-    `pulses`, by shape and by strength, where a later call finds them."""
-    shapes = {_shape(p): p for segments in pieces for kind, p in segments if kind == "pulse"}
-    new = [ev for key, ev in shapes.items() if key not in pulses]
-    strengths = {_strength(ev): ev for ev in new if _strength(ev) not in pulses}
-    pulses.update({key: _pulse_blocks(ev, kept, err, rf_scale) for key, ev in strengths.items()})
-    pulses.update({_shape(ev): _turned(pulses[_strength(ev)], turn)
-                   for ev, turn in zip(new, _turns(new)(np.full(len(new), err.axis_tilt)))})
-    return [[p if kind == "free" else pulses[_shape(p)] for kind, p in segments]
-            for segments in pieces]
-
-
-def _interval_products(pieces, operators, kept, phases):
+def _interval_products(pieces, operators, layout, phases):
     """For each segment list of `pieces` in order, the per-sector product of
-    its static `operators` (_static_operators) in the frame (_Kept), V^dag U V,
+    its static `operators` (_operators) in the frame (_Layout), V^dag U V,
     as full (2C, 2C) blocks that own their memory; `phases` holds the free
     steps' tables. Segment lists of equal shape share one product."""
     shared = {}
     for segments, ops in zip(pieces, operators):
         key = _interval_key(segments)
         if key not in shared:
-            w = _Accumulated(kept, phases)
+            w = _Accumulated(layout, phases)
             for op in ops:
                 w.advance(op)
-            shared[key] = [np.array(b.transpose(1, 2, 0, 3)).reshape(2 * len(b[0, 0]), -1)
-                           for b in w.blocks]
+            shared[key] = []
+            for b in w.blocks:
+                # quadrant [s, t] of the product is b[t, s], copied in place
+                u = np.empty((2, b.shape[-1], 2, b.shape[-1]), dtype=complex)
+                u[:, :, 0], u[:, :, 1] = b
+                shared[key].append(u.reshape(2 * b.shape[-1], -1))
     return [shared[_interval_key(segments)] for segments in pieces]
 
 

@@ -105,7 +105,7 @@ def _sandwich(v, a, u):
 def _parity_blocks(x, c, k):
     """(X_++, X_--, X_+-, X_-+) of a middle-sector block X = [[A, B], [C, D]]
     in system halves, on the eigenvectors P_a = (1, a c K^T) / sqrt 2 of its
-    spin flip Q = [[0, conj(c) K], [c K^T, 0]] (_flip_phase, _Kept.reversal),
+    spin flip Q = [[0, conj(c) K], [c K^T, 0]] (_flip_phase, _Layout.reversal),
     a = +1 or -1: X_ab = P_a^dag X P_b = (A + b c B K^T + a conj(c) K C
     + a b K D K^T) / 2, in real products with the real K."""
     n = len(x) // 2
@@ -120,10 +120,11 @@ def _parity_blocks(x, c, k):
     return even + plus, np.subtract(even, plus, out=even), odd - minus, np.add(odd, minus, out=odd)
 
 
-def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
+def _powered_overlaps(u_cycle, s_u, n_cycles, layout, c):
     """Survival overlaps after 0..n_cycles applications of one propagator,
-    given as the kept sector blocks in the frame (_Kept, _interval_products),
-    or None when a block has no accurate unitary eigenbasis (see
+    given as the sector blocks of a layout in the frame (_Layout,
+    _interval_products) under the spin flip of phase c (None for none), or
+    None when a block has no accurate unitary eigenbasis (see
     _unitary_eig).
 
     With U = P diag(exp(i theta)) P^dag per block, the m-fold conjugation
@@ -143,7 +144,6 @@ def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
     for its transpose. An off-parity residual of the cycle block above
     _EIG_RESIDUAL_MAX returns None.
     """
-    c = kept.flip
     parts = [s_u]
     if c is not None:
         q = _flip(c)
@@ -159,20 +159,20 @@ def _powered_overlaps(u_cycle, s_u, n_cycles, kept):
         return None if eig is None else (-eig[0], eig[1])
 
     blocks = []
-    for u, m, (_, _, mix) in zip(u_cycle, kept.weights, kept.eigs):
+    for u, m, (_, _, mix) in zip(u_cycle, layout.weights, layout.eigs):
         if c is None or m == 2:
             eig = frequencies(u if c is None else _axis_frame(u, c))
             if eig is None:
                 return None
             blocks.append((eig, eig, [_frame_observable(p, mix) for p in parts], m))
             continue
-        u_pp, u_mm, *off = _parity_blocks(u, c, kept.reversal)
+        u_pp, u_mm, *off = _parity_blocks(u, c, layout.reversal)
         if max(np.max(np.abs(x)) for x in off) > _EIG_RESIDUAL_MAX:
             return None
         plus, minus = frequencies(u_pp), frequencies(u_mm)
         if plus is None or minus is None:
             return None
-        a_pp, a_mm, a_pm, _ = _parity_blocks(_frame_observable(s_u, mix), c, kept.reversal)
+        a_pp, a_mm, a_pm, _ = _parity_blocks(_frame_observable(s_u, mix), c, layout.reversal)
         blocks += [b for b, keep in zip(((plus, plus, [a_pp], 1), (minus, minus, [a_mm], 1),
                                          (plus, minus, [a_pm], 2)), middle) if keep]
     return np.concatenate(([1.0], _autocorrelation(_weighted(blocks), np.arange(1, n_cycles + 1))))

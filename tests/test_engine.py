@@ -1,6 +1,7 @@
 """Propagation engine: exact oracles, determinism, and trace bookkeeping."""
 
 import concurrent.futures
+import dataclasses
 import io
 import math
 import sys
@@ -695,13 +696,14 @@ def test_jittered_and_avgham_runs_never_plan(monkeypatch):
 
 
 def _frame_products(model, pieces, err, rf_scale=1.0):
-    """(kept, products): the frame of every sector of the model's H_free,
-    without the pairing (frame._Kept), and the interval products of the
+    """(kept, products): the layout of every sector of the model's H_free,
+    without the pairing (frame._Layout), and the interval products of the
     segment lists `pieces` under the static `err` in it."""
     h_blocks = build_h_free(model, engine._sectors(model.n_bath))
-    kept = frame._Kept(h_blocks, h_blocks)
+    kept = frame._free_eigensystems(h_blocks, h_blocks, False)
     phases = kept.phases({p for segments in pieces for kind, p in segments if kind == "free"})
-    operators = frame._static_operators(pieces, kept, err, rf_scale, {})
+    events = [p for segments in pieces for kind, p in segments if kind == "pulse"]
+    operators = frame._operators(events, kept, err, rf_scale)(pieces)
     return kept, frame._interval_products(pieces, operators, kept, phases)
 
 
@@ -1293,21 +1295,21 @@ def test_prepared_columns_are_the_plus_states(axis):
     assert abs(np.vdot(plus, plus) - 1.0) < 1e-15
 
 
-def _per_pulse_cycles(pieces, kept, err, rf_scale, rng):
-    """frame._jittered_cycles with one scalar tilt draw, one _pulse_blocks
-    build and one turn per pulse, in time order, each turn taken from
-    split_axis and axis_vector."""
-    def pulse(ev):
+def _per_pulse_operators(events, kept, err, rf_scale):
+    """frame._operators under tilt jitter with one scalar tilt draw, one
+    _pulse_blocks build and one turn per pulse, in time order, each turn
+    taken from split_axis and axis_vector."""
+    def pulse(ev, rng):
         base, sign = split_axis(ev.axis)
         ux, uy = axis_vector(base, err.axis_tilt + rng.normal(0.0, err.tilt_jitter_sd))
         x = frame._pulse_blocks(ev, kept, err, rf_scale)
         return frame._turned(x, np.conj(sign * complex(ux, uy)))
 
-    def cycle():
-        return [[p if kind == "free" else pulse(p) for kind, p in segments]
+    def operators(pieces, rng):
+        return [[p if kind == "free" else pulse(p, rng) for kind, p in segments]
                 for segments in pieces]
 
-    return cycle
+    return operators
 
 
 @pytest.mark.parametrize("family, order, tau_p, record", [
@@ -1323,7 +1325,7 @@ def test_jittered_cycles_equal_one_draw_and_one_build_per_pulse(monkeypatch, fam
     spec = RunSpec(model=default_model(seed=4, n_bath=3), timeline=tl, error_model=err,
                    initial_axis="y", n_realizations=3, master_seed=5, record=record)
     vectorized = propagate(spec)
-    monkeypatch.setattr(engine, "_jittered_cycles", _per_pulse_cycles)
+    monkeypatch.setattr(engine, "_operators", _per_pulse_operators)
     per_pulse = propagate(spec)
     assert np.array_equal(vectorized.s, per_pulse.s)
     assert np.array_equal(vectorized.stderr, per_pulse.stderr)
@@ -1466,7 +1468,7 @@ def test_free_eigensystems_reproduce_the_full_width_propagator(n_bath):
     # diag(exp(-i w_s t)) V_s^T on each, and M = V_+^T V_- mixes the halves
     m = default_model(seed=6, n_bath=n_bath)
     h_blocks = build_h_free(m, engine._sectors(n_bath))
-    eigs = frame._Kept(h_blocks, h_blocks).eigs
+    eigs = frame._free_eigensystems(h_blocks, h_blocks, False).eigs
     assert len(eigs) == len(h_blocks)
     for h, (w, v, mix) in zip(h_blocks, eigs):
         c = len(h) // 2
@@ -1622,13 +1624,14 @@ def test_paired_and_unpaired_runs_on_one_bath_share_one_entry(monkeypatch):
     (key, eigs, layouts, _), = frame._frames
     assert set(layouts) == {False, True}
     for layout in layouts.values():
-        assert all(e is eigs[k] for e, k in zip(layout["eigs"], layout["sectors"]))
-    assert layouts[False]["sectors"] == tuple(range(m.n_bath + 1))
-    assert layouts[True]["weights"] == (2, 2, 1)
+        assert all(e is eigs[k] for e, k in zip(layout.eigs, layout.sectors))
+    assert layouts[False].sectors == tuple(range(m.n_bath + 1))
+    assert layouts[True].weights == (2, 2, 1)
     # the middle sector's reversal is formed once, on first use, into the entry
     h_blocks = build_h_free(m, engine._sectors(m.n_bath))
-    k = frame._Kept(h_blocks, key, 1.0).reversal
-    assert layouts[True]["reversal"] is k is frame._Kept(h_blocks, key, 1j).reversal
+    k = frame._free_eigensystems(h_blocks, key, True).reversal
+    assert vars(layouts[True])["reversal"] is k is frame._free_eigensystems(h_blocks, key,
+                                                                            True).reversal
     assert np.allclose(k @ k.T, np.eye(len(k)), atol=1e-13)
     assert len(frame._frames) == 1 and len(shapes) == m.n_bath + 1
 
@@ -1639,8 +1642,8 @@ def _held_bytes(entry):
     key, eigs, layouts, _ = entry
     arrays = [*key, *(a for e in eigs for a in e)]
     for paired, layout in layouts.items():
-        arrays += [layout["_w"], layout["_spread"], *(m for _, _, m in layout["groups"])]
-        arrays += [v[0] for (_, v, _), m in zip(layout["eigs"], layout["weights"])
+        arrays += [layout._w, layout._spread, *(m for _, _, m in layout.groups)]
+        arrays += [v[0] for (_, v, _), m in zip(layout.eigs, layout.weights)
                    if paired and m == 1]
     return sum(a.nbytes for a in arrays)
 
@@ -1797,3 +1800,40 @@ def test_bath_correlations_diagonalize_one_sector_of_each_mirrored_pair(monkeypa
     for which in ("ix_total", "iz_mean"):
         bath_correlation(m, t, which=which)
     assert shapes == 2 * [(math.comb(n_bath, k),) * 2 for k in range(n_bath // 2 + 1)]
+
+
+def test_a_chunked_static_run_sets_up_once_per_chunk(monkeypatch):
+    # one row per chunk: each chunk plans once for its three realizations,
+    # and the initial columns are read once for the whole call
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    plans, columns = [], []
+    plan, initial = engine._plan, engine._initial_columns
+
+    def planned(*counts, built=False):
+        plans.append(built)
+        return plan(*counts, built=built)
+
+    def read(*args):
+        columns.append(args)
+        return initial(*args)
+
+    monkeypatch.setattr(engine, "_plan", planned)
+    monkeypatch.setattr(engine, "_initial_columns", read)
+    first, *rows = [compile_hahn(tau, 1.5) for tau in (5.0, 9.0, 14.0, 20.0)]
+    spec = RunSpec(model=default_model(seed=4, n_bath=3), timeline=first, error_model=_STATIC,
+                   n_realizations=3, master_seed=2)
+    trace = propagate(spec, rows=rows)
+    assert plans.count(False) == 4 and len(columns) == 1
+    for tl, s in zip((first, *rows), trace.s[1:]):
+        assert s == propagate(dataclasses.replace(spec, timeline=tl)).s[-1]
+
+
+@pytest.mark.parametrize("key", [7.5, (2.0, 3.5, 11.0)])
+def test_phase_tables_are_c_contiguous(key):
+    m = default_model(seed=4, n_bath=4)
+    h_blocks = build_h_free(m, engine._sectors(m.n_bath))
+    layout = frame._free_eigensystems(h_blocks, h_blocks, True)
+    (table,) = layout.phases({key}).values()
+    assert table.flags.c_contiguous and table.shape == (np.size(key), 1, 2, layout.size)
+    assert np.array_equal(table, np.exp(-1j * np.reshape(key, (-1, 1, 1, 1))
+                                        * layout._w)[..., layout._spread])

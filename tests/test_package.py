@@ -36,3 +36,9 @@ def test_run_frame_and_spectral_modules_import_one_way():
     assert {"frame", "spectral"} <= sources["engine"]
     assert [name for source, name in _imported("avgham")
             if source == "engine" and (name or "").startswith("_")] == []
+
+
+def test_every_module_stays_under_500_lines():
+    sizes = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in PACKAGE.glob("*.py")}
+    assert {name: n for name, n in sizes.items() if n >= 500} == {}

@@ -21,7 +21,7 @@ from spinbath import (
     sample_rf_scale,
 )
 from spinbath.avgham import _back
-from spinbath.frame import _Kept, _pulse_blocks, _turned, _turns
+from spinbath.frame import _free_eigensystems, _pulse_blocks, _turned, _turns
 from spinbath.pulses import PULSE_AXES, axis_vector, delta_rotation, split_axis
 from spinbath.hamiltonians import _sector_blocks, _sectors
 
@@ -104,7 +104,7 @@ def test_engine_finite_pulse_matches_real_pulse_per_sector():
     sectors = _sectors(m.n_bath)
     err = ErrorModel(flip_angle_fraction=0.03, axis_tilt=0.05)
     h_blocks = _sector_blocks(h_free, sectors)
-    kept = _Kept(h_blocks, h_blocks)
+    kept = _free_eigensystems(h_blocks, h_blocks, False)
     x_pulse = _pulse_blocks(PulseEvent(3.0, "x", np.pi, 1.5), kept, err, 0.97)
     for axis in PULSE_AXES:
         ev = PulseEvent(3.0, axis, np.pi, 1.5)
