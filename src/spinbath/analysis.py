@@ -174,14 +174,15 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
               master_seed=0, method="one_over_e", fair=False):
     """Decay time across a delay grid at a fixed total-time budget.
 
-    Each grid point gets n_cycles = max(1, round(budget / tau_c)) cycles, so
-    long and short cycles see comparable total evolution time. Per-point
-    domain errors (SpinBathError, LinAlgError) are recorded and the sweep
-    continues; any other exception propagates. The returned tau_opt is
-    the grid delay maximizing the decay time, with unreached decays ranked
-    above any finite value (ties resolve to the smallest delay). The run
-    options, the method and the family (with `fair`) are checked once,
-    before the first point.
+    Each grid point is compiled once, at one cycle, and run for n_cycles =
+    max(1, round(budget / tau_c)) cycles, so long and short cycles see
+    comparable total evolution time. Per-point domain errors
+    (SpinBathError, LinAlgError) are recorded and the sweep continues; any
+    other exception propagates. The returned tau_opt is the grid delay
+    maximizing the decay time, with unreached decays ranked above any
+    finite value (ties resolve to the smallest delay). The run options, the
+    method and the family (with `fair`) are checked once, before the first
+    point.
     """
     tau_grid = [float(t) for t in tau_grid]
     if not tau_grid:
@@ -197,16 +198,13 @@ def sweep_tau(family, tau_grid, model, error_model, axis, time_budget,
         try:
             tau_eff = fair_tau(family, tau, order) if fair else tau
             tl = compile_family(family, tau_eff, tau_p, 1, order, udd_pulses)
-            n_cycles = max(1, int(round(time_budget / tl.cycle_time)))
-            tl = compile_family(family, tau_eff, tau_p, n_cycles, order, udd_pulses)
+            tl = dataclasses.replace(tl, n_cycles=max(1, int(round(time_budget / tl.cycle_time))))
             spec = RunSpec(model=model, timeline=tl, error_model=error_model,
                            initial_axis=axis, n_realizations=n_realizations,
                            master_seed=master_seed)
-            trace = propagate(spec)
-            stats_tau_c = tl.cycle_time
             summaries.append(decay_time(
-                trace, method, tau=tau, tau_c=stats_tau_c,
-                pulses_per_unit_time=tl.pulses_per_cycle / stats_tau_c))
+                propagate(spec), method, tau=tau, tau_c=tl.cycle_time,
+                pulses_per_unit_time=tl.pulses_per_cycle / tl.cycle_time))
         except (SpinBathError, np.linalg.LinAlgError) as exc:
             failures.append((tau, f"{type(exc).__name__}: {exc}"))
     if not summaries:

@@ -15,7 +15,9 @@ picture. The frames and kicks act on the system spin alone, so one walk
 over the cycle reduces them to 2x2 coefficients of the system quadrants of
 H_free, and each sector block is then folded from a few quadrant products
 (_sector_averages). A small registry of closed-form claims about these
-terms is checked numerically by verify_claim.
+terms is checked numerically by verify_claim. The claims and the avgham
+command subtract 1 (x) H_E per block and report root-sum-square norms over
+the blocks, so no full-space matrix is formed.
 
 magnus_defect builds only the _mirror_sectors k <= n - k when a spin flip
 maps its sector k onto sector n - k (_defect_flip), as it does for pdd,

@@ -12,6 +12,7 @@ configuration error.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .engine import RunSpec, bath_correlation, model_tau_b, propagate
 from .errors import ConfigError, ContractError, SpinBathError
 from .sequences import (compile_cdd, compile_cpmg, compile_hahn, compile_pdd, compile_udd,
                         dump_timeline)
-from .util import fmt
+from .util import fmt, write_csv
 
 
 def _write_json(path, command, payload, cfg=None):
@@ -41,10 +42,10 @@ def _write_json(path, command, payload, cfg=None):
         fh.write("\n")
 
 
-def _open_csv(path):
-    if path:
-        return open(path, "w", encoding="utf-8"), True
-    return sys.stdout, False
+def _csv_target(path):
+    """A context manager giving the file at `path` opened for writing, closed
+    on exit, or stdout, left open, when the path is empty."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _resolved_seed(cfg, args):
@@ -74,19 +75,16 @@ def cmd_simulate(args):
         "label": tl.label, "axis": cfg.initial_axis, "tau_c_us": fmt(tl.cycle_time),
         "n_realizations": cfg.n_realizations, "master_seed": seed,
     }
-    fh, owned = _open_csv(args.csv or cfg.csv_path)
-    try:
+    csv_path = args.csv or cfg.csv_path
+    with _csv_target(csv_path) as fh:
         trace.to_csv(fh, meta)
-    finally:
-        if owned:
-            fh.close()
     _write_json(args.json or cfg.json_path, "simulate", {
         "label": tl.label, "axis": cfg.initial_axis,
         "tau_c_us": tl.cycle_time, "n_cycles": tl.n_cycles,
         "pulses_per_cycle": tl.pulses_per_cycle, "master_seed": seed,
         "final_time_us": float(trace.times[-1]), "final_s": float(trace.s[-1]),
     }, cfg)
-    if owned:
+    if csv_path:
         print(f"simulate: {tl.label} axis={cfg.initial_axis} "
               f"final s={trace.s[-1]:.6f} at t={trace.times[-1]:.3f} us")
     return 0
@@ -128,25 +126,19 @@ def cmd_sweep(args):
     for family in families:
         result = _sweep_one(cfg, family, seed, fair)
         csv_path = _family_path(args.csv or cfg.csv_path, family, many)
-        fh, owned = _open_csv(csv_path)
-        try:
-            fh.write(f"# tool=spinbath\n# command=sweep\n# family={family}\n")
-            fh.write(f"# fingerprint={cfg.fingerprint()}\n")
-            fh.write(f"# master_seed={seed}\n# fair={str(fair).lower()}\n")
-            fh.write("tau_us,tau_c_us,decay_time_us,method,flag\n")
-            for s in result.summaries:
-                flag = "ok" if s.reached else "not_reached"
-                fh.write(f"{fmt(s.tau)},{fmt(s.tau_c)},{fmt(s.decay_time)},"
-                         f"{s.method},{flag}\n")
-        finally:
-            if owned:
-                fh.close()
+        with _csv_target(csv_path) as fh:
+            write_csv(fh, {"tool": "spinbath", "command": "sweep", "family": family,
+                           "fingerprint": cfg.fingerprint(), "master_seed": seed,
+                           "fair": str(fair).lower()},
+                      "tau_us,tau_c_us,decay_time_us,method,flag",
+                      ((fmt(s.tau), fmt(s.tau_c), fmt(s.decay_time), s.method,
+                        "ok" if s.reached else "not_reached") for s in result.summaries))
         summary["families"][family] = {
             "tau_opt_us": result.tau_opt,
             "n_points": len(result.summaries),
             "failures": [{"tau_us": t, "error": msg} for t, msg in result.failures],
         }
-        if owned:
+        if csv_path:
             print(f"sweep: {family} tau_opt={result.tau_opt:g} us "
                   f"({len(result.failures)} failed points)")
     _write_json(args.json or cfg.json_path, "sweep", summary, cfg)
@@ -161,21 +153,15 @@ def cmd_corr(args):
     ix = bath_correlation(model, t_grid, which="ix_total")
     iz = bath_correlation(model, t_grid, which="iz_mean")
     est = model_tau_b(model)
-    fh, owned = _open_csv(args.csv or cfg.csv_path)
-    try:
-        fh.write(f"# tool=spinbath\n# command=corr\n")
-        fh.write(f"# fingerprint={cfg.fingerprint()}\n")
-        fh.write(f"# tau_b_us={fmt(est.value)}\n# tau_b_reached={est.reached}\n")
-        fh.write("time_us,ix_total,iz_mean\n")
-        for t, a, b in zip(t_grid, ix, iz):
-            fh.write(f"{fmt(t)},{fmt(a)},{fmt(b)}\n")
-    finally:
-        if owned:
-            fh.close()
+    csv_path = args.csv or cfg.csv_path
+    with _csv_target(csv_path) as fh:
+        write_csv(fh, {"tool": "spinbath", "command": "corr", "fingerprint": cfg.fingerprint(),
+                       "tau_b_us": fmt(est.value), "tau_b_reached": est.reached},
+                  "time_us,ix_total,iz_mean", (map(fmt, row) for row in zip(t_grid, ix, iz)))
     _write_json(args.json or cfg.json_path, "corr", {
         "tau_b_us": est.value, "tau_b_reached": est.reached, "horizon_us": horizon,
     }, cfg)
-    if owned:
+    if csv_path:
         print(f"corr: tau_B={est.value:.3f} us (reached={est.reached})")
     return 0
 

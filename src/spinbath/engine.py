@@ -22,6 +22,8 @@ takes the path _plan picks (_realization_curve); a static run may power
 its cycle product (spectral module notes). One-cycle runs with the same
 pulses, such as the delays of an echo curve, are rows of one buffer in
 chunks within _CHUNK_BYTES, each set up once for all realizations (_Run).
+Long cpmg runs and the FID power, one-cycle echoes step, and many-pulse
+cycles over a few cycles take interval products (_plan).
 
 Detection follows the ideal pulse frame, the numerical analog of a
 receiver phase that tracks where a perfect sequence would have parked the
@@ -45,7 +47,7 @@ from .hamiltonians import _sectors, build_h_free
 from .operators import _SPIN_HALF
 from .pulses import ErrorModel, ideal_frame, sample_rf_scale
 from .spectral import _autocorrelation, _bath_blocks, _powered_overlaps
-from .util import first_crossing, fmt, realization_rng, require_int
+from .util import first_crossing, fmt, realization_rng, require_int, write_csv
 
 RECORD_MODES = ("cycle_boundaries", "every_pulse")
 INITIAL_AXES = ("x", "y", "z")
@@ -133,12 +135,10 @@ class SurvivalTrace:
                                 "[-1, 1] + 1e-9, with a finite stderr")
 
     def to_csv(self, fh, meta=None):
-        """Write `time_us,n_pulses,s,stderr` rows with `# key=value` headers."""
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("time_us,n_pulses,s,stderr\n")
-        for t, n, s, e in zip(self.times, self.n_pulses, self.s, self.stderr):
-            fh.write(f"{fmt(t)},{int(n)},{fmt(s)},{fmt(e)}\n")
+        """Write `time_us,n_pulses,s,stderr` rows under `# key=value` lines (util.write_csv)."""
+        write_csv(fh, meta or {}, "time_us,n_pulses,s,stderr",
+                  ((fmt(t), str(int(n)), fmt(s), fmt(e))
+                   for t, n, s, e in zip(self.times, self.n_pulses, self.s, self.stderr)))
 
 
 class TauBEstimate(NamedTuple):

@@ -1,5 +1,7 @@
 """The free eigenframe of a run's sector blocks, and what acts in it.
 
+This module imports neither spectral nor engine, which build on it.
+
 H_free, every pulse and the prepared state conserve the total bath I_z,
 so propagate works in the bath-magnetization sectors: sector k (k bath
 spins up) is C^2 (x) span{bath states with k up}, of size 2 C(n, k).

@@ -6,6 +6,14 @@ that exchanges polarization through flip-flops but conserves total I_z.
 There is no system-only term: on resonance the qubit Hamiltonian vanishes
 and everything of interest sits in the couplings. Couplings are angular
 frequencies in rad/us and times are in us throughout.
+
+Every piece is filled from the bits of the basis index, one block per
+bath-magnetization sector (_sectors), with no dense spin operator.
+_flip_flops is the one H_E kernel, on the bath space alone; _h_e_blocks
+places it into one C(n, k)-wide block per sector, and build_h_free puts each
+block on both system halves of a complex block and adds the H_SE diagonal.
+_coupling_blocks fills the error-term blocks avgham reads. The dense
+build_h_free(model) and build_h_e are scattered from the same blocks.
 """
 
 import functools

@@ -5,7 +5,12 @@ spin-1/2 particles follow in index order. All operators use the eigenvalue
 convention +-1/2 (hbar = 1), so a pi rotation is exp(-i pi S_u) and
 Tr(S_u^2) = dim/4. Matrices are dense complex numpy arrays; time evolution
 goes through an exact Hermitian eigendecomposition, never through splitting
-approximations.
+approximations; exp_propagator is the one exp(-i H t) kernel.
+
+No spin operator is embedded in the full space: an OperatorSet holds the
+sizes alone, and the Hamiltonians are filled per sector from the basis bits
+(hamiltonians). tests/kron_oracle.py writes the dense operators out as the
+tests' reference.
 """
 
 from dataclasses import dataclass

@@ -13,6 +13,10 @@ pattern selecting the plain train (both +y), the alternating variant
 periodic train, and nesting that block into itself n times gives the
 concatenated family with 4^n free periods and N_n = 4 N_{n-1} + 4 pulses.
 The variable-spacing family places pulse i at tau_c sin^2(pi i / (2N + 2)).
+
+Timeline.segments is the one walk of a cycle into free gaps and pulses. A
+count (n_cycles, the concatenation order, the number of variable-spacing
+pulses) must be an integer, numpy integers included (util.require_int).
 """
 
 import math
@@ -91,7 +95,7 @@ class Timeline:
 def validate_timeline(tl):
     """Return a list of violation strings; empty means the timeline is sound."""
     problems = []
-    cursor = -TIME_ATOL
+    cursor = -math.inf  # the first event has no previous one to overlap
     for i, ev in enumerate(tl.events):
         if ev.axis not in PULSE_AXES:
             problems.append(f"event {i} has unknown axis {ev.axis!r}")

@@ -1,5 +1,7 @@
 """Eigenphase series: powered survival overlaps and bath correlations.
 
+It imports frame, never engine, which builds on it.
+
 A static run's cycle product (engine module notes), built in the free
 eigenframe (frame module notes), is powered through the eigenphases of
 each block, from a Hermitian eigh (_unitary_eig). Time reversal makes

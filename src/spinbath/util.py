@@ -1,4 +1,5 @@
-"""Small shared helpers: seeding, integer checks, crossings, hashing, stable float text."""
+"""Small shared helpers: seeding, integer checks, crossings, hashing, stable float
+text and the CSV table layout."""
 
 import hashlib
 
@@ -38,8 +39,6 @@ def first_crossing(times, values, level):
             if i == 0:
                 return float(times[0])
             v0 = values[i - 1]
-            if v0 == v:
-                return float(times[i])
             frac = (v0 - level) / (v0 - v)
             return float(times[i - 1] + frac * (times[i] - times[i - 1]))
     return None
@@ -53,3 +52,11 @@ def text_digest(text):
 def fmt(x):
     """Shortest round-trip decimal text for a float; used for CSV output."""
     return repr(float(x))
+
+
+def write_csv(fh, meta, header, rows):
+    """Write a table to the text file `fh`: a `# key=value` line for each item
+    of `meta`, the `header` line, then each row of strings joined by commas."""
+    fh.writelines(f"# {key}={value}\n" for key, value in meta.items())
+    fh.write(header + "\n")
+    fh.writelines(",".join(row) + "\n" for row in rows)

@@ -27,6 +27,7 @@ from spinbath import (
     propagate,
     sweep_tau,
 )
+from spinbath.util import first_crossing
 
 
 def make_trace(t, s, axis="x", label="synthetic"):
@@ -65,6 +66,28 @@ class TestEnvelope:
     def test_too_few_samples(self):
         with pytest.raises(ContractError):
             envelope(make_trace([0, 1, 2], [1, 1, 1]))
+
+    def test_a_later_peak_does_not_lift_the_first_sample(self):
+        # the first sample is no anchor when a later |s| exceeds it; it is
+        # anchored anyway, so the envelope starts at |s(0)|
+        y = np.array([0.2, -0.9, 0.5, 0.3, 0.1])
+        env = envelope(make_trace(np.arange(5.0), y))
+        assert np.array_equal(env.s, np.abs(y))
+
+
+class TestFirstCrossing:
+    def test_a_series_that_starts_at_the_level_crosses_at_its_first_time(self):
+        assert first_crossing([2.0, 3.0, 4.0], [0.5, 0.2, 0.1], 0.5) == 2.0
+        assert first_crossing([2.0, 3.0, 4.0], [0.1, 0.9, 0.1], 0.5) == 2.0
+
+    def test_an_exact_hit_is_that_sample_time(self):
+        assert first_crossing([0.0, 1.0, 2.0], [1.0, 0.8, 0.5], 0.5) == 2.0
+
+    def test_interpolates_between_samples(self):
+        assert first_crossing([0.0, 1.0, 2.0], [1.0, 0.8, 0.4], 0.6) == pytest.approx(1.5)
+
+    def test_a_series_that_stays_above_never_crosses(self):
+        assert first_crossing([0.0, 1.0], [1.0, 0.9], 0.5) is None
 
 
 class TestDecayTime:

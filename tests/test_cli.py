@@ -164,6 +164,12 @@ def test_sweep_requires_grid_and_budget(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SIM)
     assert main(["sweep", "--config", cfg]) == 2
     assert "tau_grid_us" in capsys.readouterr().err
+    for budget in ("0", "-5"):
+        cfg = write_cfg(tmp_path, SWEEP.replace("time_budget_us = 400",
+                                                f"time_budget_us = {budget}"))
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("config error: sweep needs "
+                                           "sequence.time_budget_us > 0\n")
 
 
 def test_corr_outputs_tau_b(tmp_path):
@@ -182,6 +188,19 @@ def test_corr_outputs_tau_b(tmp_path):
     assert float(first[1]) == pytest.approx(1.0)
     report = json.loads(js.read_text())
     assert report["tau_b_us"] > 0
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", SIM), ("corr", SMALL_BATH + "\n[sequence]\ntime_budget_us = 500\n"),
+    ("sweep", SWEEP)])
+def test_a_csv_without_a_path_goes_to_stdout_with_no_summary(tmp_path, capsys, command, text):
+    cfg = write_cfg(tmp_path, text)
+    csv = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--csv", str(csv)]) == 0
+    summary = capsys.readouterr().out
+    assert summary.startswith(f"{command}: ") and summary.count("\n") == 1
+    assert main([command, "--config", cfg]) == 0
+    assert capsys.readouterr().out == csv.read_text(encoding="utf-8")
 
 
 def test_corr_matches_the_dense_oracle(tmp_path):

@@ -800,6 +800,51 @@ def test_paired_runs_match_dense_kron_reference(monkeypatch, n_bath, family, tau
     assert np.max(np.abs(trace.s - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("fault", ["off_parity_residual", "half_without_eigenbasis"])
+def test_a_middle_sector_that_does_not_split_runs_the_direct_loop(monkeypatch, fault):
+    # a paired cpmg run on 4 bath spins powers sectors 0 and 1 with their
+    # mirrors (pulse-axis frame), then the middle sector by its parity halves
+    err = ErrorModel(rf=BimodalRf(), flip_angle_fraction=0.03, axis_tilt=0.05)
+    spec = RunSpec(model=default_model(seed=4, n_bath=4),
+                   timeline=compile_cpmg(17.0, 0.0, n_cycles=20), error_model=err,
+                   n_realizations=2, master_seed=8)
+    with monkeypatch.context() as direct:
+        _force(direct)
+        slow = propagate(spec)
+    powered, parity, eig = engine._powered_overlaps, spectral._parity_blocks, spectral._unitary_eig
+    results, calls = [], []
+
+    def recorded(*args):
+        calls.append([])
+        results.append(powered(*args))
+        return results[-1]
+
+    def split(x, c, k):
+        calls[-1].append("split")
+        pp, mm, pm, mp = parity(x, c, k)
+        if fault == "off_parity_residual":
+            pm = pm + 2 * spectral._EIG_RESIDUAL_MAX
+        return pp, mm, pm, mp
+
+    def basis(u):
+        calls[-1].append("eig")
+        half = "split" in calls[-1]
+        return None if half and fault == "half_without_eigenbasis" else eig(u)
+
+    monkeypatch.setattr(engine, "_powered_overlaps", recorded)
+    monkeypatch.setattr(spectral, "_parity_blocks", split)
+    monkeypatch.setattr(spectral, "_unitary_eig", basis)
+    _force(monkeypatch, "powered")
+    fell_back = propagate(spec)
+    # the two pair blocks resolve; the middle one gives up before its halves
+    # are diagonalized, or on them
+    halves = [] if fault == "off_parity_residual" else ["eig", "eig"]
+    assert results == [None, None]
+    assert calls == [["eig", "eig", "split"] + halves] * 2
+    assert np.max(np.abs(fell_back.s - slow.s)) < 1e-12
+    assert np.max(np.abs(fell_back.stderr - slow.stderr)) < 1e-12
+
+
 def _dense_free_curve(spec):
     """s of a pulseless run from one eigh of the dense H_free and the
     kron-embedded S_u: sum_ab |A_ab|^2 cos((w_a - w_b) t) / sum_ab |A_ab|^2,

@@ -2,10 +2,12 @@
 
 import ast
 import pathlib
+import re
 
 import spinbath
 
 PACKAGE = pathlib.Path(spinbath.__file__).parent
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_every_documented_name_resolves():
@@ -42,3 +44,11 @@ def test_every_module_stays_under_500_lines():
     sizes = {path.name: len(path.read_text(encoding="utf-8").splitlines())
              for path in PACKAGE.glob("*.py")}
     assert {name: n for name, n in sizes.items() if n >= 500} == {}
+
+
+def test_the_declared_numpy_floor_has_bitwise_count():
+    # the sector layouts call np.bitwise_count, a ufunc new in NumPy 2.0;
+    # read by a regex, as tomllib is not in Python 3.10
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', PYPROJECT.read_text(encoding="utf-8"))
+    assert floor is not None
+    assert tuple(map(int, floor.groups())) >= (2, 0)

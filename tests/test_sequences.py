@@ -208,6 +208,34 @@ def test_rejects_non_finite_timelines():
                               "event 2 has non-finite nominal_angle")
 
 
+@pytest.mark.parametrize("events, message", [
+    ((PulseEvent(-1.0, "y", np.pi, 0.0),), "event 0 starts before 0 (t=-1.0)"),
+    ((PulseEvent(1.0, "x", np.pi, 2.0), PulseEvent(2.0, "y", np.pi, 0.0)),
+     "event 1 at t=2.0 overlaps the previous event ending at 3.0"),
+    ((PulseEvent(9.0, "y", np.pi, 2.0),), "event 0 ends at 11.0, past the cycle time 10.0"),
+], ids=["start-before-0", "overlap", "end-past-cycle"])
+def test_rejects_events_outside_their_cycle(events, message):
+    with pytest.raises(TimelineError) as exc:
+        Timeline(events, 10.0)
+    assert str(exc.value) == message
+
+
+def test_rejects_a_timeline_of_no_cycles():
+    with pytest.raises(TimelineError, match=r"^n_cycles must be >= 1, got 0$"):
+        Timeline((), 10.0, n_cycles=0)
+
+
+@pytest.mark.parametrize("compile_with, message", [
+    (lambda: compile_pdd(0.0), "tau must be > 0, got 0.0"),
+    (lambda: compile_cdd(2, -3.0), "tau must be > 0, got -3.0"),
+    (lambda: compile_udd(4, 0.0), "cycle_time must be > 0, got 0.0"),
+], ids=["pdd", "cdd", "udd"])
+def test_compilers_reject_delays_that_are_not_positive(compile_with, message):
+    with pytest.raises(ContractError) as exc:
+        compile_with()
+    assert str(exc.value) == message
+
+
 def test_rejects_unknown_pulse_axes():
     for axis in ("z", "q"):
         with pytest.raises(TimelineError) as exc:
