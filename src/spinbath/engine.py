@@ -20,8 +20,8 @@ draws one RF amplitude scale (static inhomogeneity) from the error model,
 with a generator seeded deterministically from (master_seed, k), and
 takes the path _plan picks (_realization_curve); a static run may power
 its cycle product (spectral module notes). One-cycle runs with the same
-pulses, such as the delays of an echo curve, are rows of one buffer in
-chunks within _CHUNK_BYTES, each set up once for all realizations (_Run).
+pulses, such as an echo curve's delays, are rows of one buffer started from
+one broadcast row, in chunks within _CHUNK_BYTES set up once each (_Run).
 Long cpmg runs and the FID power, one-cycle echoes step, and many-pulse
 cycles over a few cycles take interval products (_plan).
 
@@ -58,8 +58,10 @@ INITIAL_AXES = ("x", "y", "z")
 _CALL_COST = 2e4
 _EIG_COST = 15
 
-# bytes of buffers and phase tables per chunk of rows, of at least one row
-_CHUNK_BYTES = 1 << 19
+# bytes of buffers and phase tables per chunk of rows, held at once, of at
+# least one row: an n 7 echo curve's 15 rows (165 KB each, 2.5 MB) are one
+# chunk; more rows or wider sectors still split into chunks within it
+_CHUNK_BYTES = 1 << 22
 
 # |+u>, the system state of the prepared S_u along each initial axis
 _PLUS = {"x": np.array([1.0, 1.0]) * math.sqrt(0.5), "y": np.array([1.0, 1j]) * math.sqrt(0.5),
@@ -347,14 +349,12 @@ def _realization_curve(run, k, built):
     return np.asarray(values)
 
 
-def _row_intervals(runs):
-    """The recording intervals of one run, or the one interval of one-cycle
-    runs (rows) with each free step keyed by the tuple of their lengths."""
-    if len(runs) == 1:
-        return runs[0]
-    (first,), *_ = runs
+def _row_intervals(intervals, rows):
+    """A one-cycle run's one recording interval and net frame, for `rows` with its
+    pulses (segment lists), with each free step keyed by the tuple of their lengths."""
+    (first,) = intervals
     return [first._replace(segments=[
-        (kind, tuple(run[0].segments[i][1] for run in runs) if kind == "free" else p)
+        (kind, tuple(segments[i][1] for segments in rows) if kind == "free" else p)
         for i, (kind, p) in enumerate(first.segments)])]
 
 
@@ -372,11 +372,11 @@ def propagate(spec, *, rows=()):
     trace then holds s at each run's cycle end, the same as runs of their own.
     """
     model, tl = spec.model, spec.timeline
-    runs = [_recording_intervals(t, spec.record) for t in (tl, *rows)]
+    intervals, runs = _recording_intervals(tl, spec.record), [t.segments() for t in (tl, *rows)]
     if rows and (spec.record != "cycle_boundaries" or {t.n_cycles for t in (tl, *rows)} != {1}
                  or any(a.cycle_time >= b.cycle_time for a, b in zip((tl, *rows), rows))
-                 or len({tuple(kind if kind == "free" else _shape(p) for kind, p in run[0].segments)
-                         for run in runs}) > 1):
+                 or len({tuple(kind if kind == "free" else _shape(p) for kind, p in segments)
+                         for segments in runs}) > 1):
         raise ContractError("rows need one-cycle timelines recorded at cycle_boundaries, with "
                             "the pulses of spec.timeline in order and ever longer cycles")
     # free evolution does not depend on the pulse-error draw, so the
@@ -394,23 +394,23 @@ def propagate(spec, *, rows=()):
         return {p for iv in intervals for kind, p in iv.segments if kind == "free"}
 
     # a row takes two buffers of T columns and its phase tables
-    row_bytes = 32 * layout.size * (2 * columns.shape[1] + len(free_keys(_row_intervals(runs))))
+    whole = _row_intervals(intervals, runs) if rows else intervals
+    row_bytes = 32 * layout.size * (2 * columns.shape[1] + len(free_keys(whole)))
     step = max(1, _CHUNK_BYTES // row_bytes)
     curves = [np.ones((spec.n_realizations, 1))]
     # each realization's operators, kept for its later chunks when there are
     # several
     built = {}
     for chunk in (runs[lo:lo + step] for lo in range(0, len(runs), step)):
-        intervals = _row_intervals(chunk)
-        counts = (intervals, tl.n_cycles, columns.shape[1], len(chunk), layout.widths,
+        shared = whole if len(chunk) == len(runs) else _row_intervals(intervals, chunk)
+        counts = (shared, tl.n_cycles, columns.shape[1], len(chunk), layout.widths,
                   layout.weights)
-        run = _Run(spec, counts, layout, flip, layout.phases(free_keys(intervals)), columns, sign,
+        run = _Run(spec, counts, layout, flip, layout.phases(free_keys(shared)), columns, sign,
                    key, norm0, _plan(*counts) if spec.error_model.tilt_jitter_sd == 0 else None)
         curves.append(np.vstack([_realization_curve(run, k, built if len(runs) > step else {})
                                  for k in range(spec.n_realizations)]))
     curves = np.hstack(curves)
 
-    intervals = runs[0]
     m = np.arange(tl.n_cycles)[:, None]
     times = m * tl.cycle_time + np.array([iv.end for iv in intervals])
     # a cycle ends at (m + 1) tau_c; m tau_c + tau_c can differ in the last bit

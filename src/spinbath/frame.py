@@ -181,7 +181,8 @@ class _Accumulated:
     free one writes the second of two buffers and swaps them. A sector of
     weight m starts at sqrt(m) psi_t (x) 1, so the Gram counts it m times;
     without columns W starts at the frame's identity and comes out as
-    V^dag W V.
+    V^dag W V. Every row starts the same, so row 0's T columns are written in
+    place, sector by sector, and rows 1..D-1 take them in one broadcast copy.
     """
 
     def __init__(self, kept, phases, columns=None, rows=1):
@@ -199,10 +200,13 @@ class _Accumulated:
              [(m[0], x[:, 1, sl].reshape(t, *shape).view(m.dtype),
                out[:, 0, sl].reshape(t, *shape).view(m.dtype)) for sl, shape, m in kept.groups])
             for x, out in (buffers, buffers[::-1])]
-        start = np.tile(np.eye(2) if columns is None else columns.T, (rows, 1))
+        start = np.eye(2) if columns is None else columns.T
         for block, (_, v, _), m in zip(self.blocks, kept.eigs, kept.weights):
-            block[...] = np.eye(len(v[0])) if columns is None else v.conj().swapaxes(1, 2)
-            block *= (start if columns is None else math.sqrt(m) * start)[:, :, None, None]
+            row = block[:len(start)]
+            row[...] = np.eye(len(v[0])) if columns is None else v.conj().swapaxes(1, 2)
+            row *= (start if columns is None else math.sqrt(m) * start)[:, :, None, None]
+        if rows > 1:
+            self._states[0][1][1:] = self._states[0][1][0]
 
     @property
     def blocks(self):

@@ -366,8 +366,9 @@ def test_one_row_chunks_give_the_same_echo_curve(monkeypatch):
 
 
 def test_echo_curve_chunks_build_each_realizations_pulses_once(monkeypatch):
-    # at n_bath 7 a two-column 1.5 us pulse row takes more than half of
-    # _CHUNK_BYTES, so each of the 15 delays is a chunk of its own
+    # at n_bath 7 a two-column 1.5 us pulse row takes more than half of a
+    # 512 KB budget, so each of the 15 delays is a chunk of its own
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1 << 19)
     model, grid = default_model(), np.linspace(5.0, 300.0, 15)
     err = ErrorModel(axis_tilt=0.1)
     builds, build = [], frame._pulse_blocks
@@ -394,6 +395,43 @@ def test_echo_curve_chunks_build_each_realizations_pulses_once(monkeypatch):
         expected = np.concatenate([[getattr(runs[0], name)[0]],
                                    [getattr(run, name)[-1] for run in runs]])
         assert np.array_equal(getattr(curve, name), expected), name
+
+
+def test_an_n_bath_7_echo_curve_of_15_delays_is_one_chunk(monkeypatch):
+    # perfbench's echo_curve: all 15 rows share one buffer, and the curve is
+    # the one that one-row chunks give
+    model, grid = default_model(), np.linspace(5.0, 300.0, 15)
+    chunks = []
+
+    class Spy(frame._Accumulated):
+        def __init__(self, *args):
+            super().__init__(*args)
+            chunks.append(self._rows)
+
+    monkeypatch.setattr(engine, "_Accumulated", Spy)
+    curve = hahn_decay_trace(model, grid)
+    assert chunks == [15]
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    single = hahn_decay_trace(model, grid)
+    assert chunks[1:] == 15 * [1]
+    for name in ("times", "n_pulses", "s", "stderr"):
+        assert np.array_equal(getattr(single, name), getattr(curve, name)), name
+
+
+def test_echo_curve_rows_read_one_net_frame(monkeypatch):
+    # the rows share the pulses of the first delay, so only its recording
+    # interval and net frame are formed, whatever the chunks
+    frames, net_frame = [], engine._net_frame
+
+    def counted(segments):
+        frames.append(segments)
+        return net_frame(segments)
+
+    monkeypatch.setattr(engine, "_net_frame", counted)
+    for budget in (engine._CHUNK_BYTES, 1):
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
+        hahn_decay_trace(default_model(seed=3, n_bath=4), np.linspace(5.0, 120.0, 9))
+    assert len(frames) == 2
 
 
 def test_echo_curve_chunks_stay_within_the_budget(monkeypatch):

@@ -617,8 +617,9 @@ def _counts(timelines, n_bath, paired, columns=1, record="cycle_boundaries"):
     on n_bath spins, from the counts alone: no model is built."""
     pairs = (_mirror_sectors(n_bath) if paired else
              [(k, 1) for k in range(n_bath + 1)])
-    intervals = engine._row_intervals([engine._recording_intervals(t, record)
-                                       for t in timelines])
+    intervals = engine._recording_intervals(timelines[0], record)
+    if len(timelines) > 1:
+        intervals = engine._row_intervals(intervals, [t.segments() for t in timelines])
     return (intervals, timelines[0].n_cycles, columns, len(timelines),
             [math.comb(n_bath, k) for k, _ in pairs], tuple(m for _, m in pairs))
 
@@ -648,15 +649,14 @@ def test_plan_counts_the_kept_sectors_of_a_run():
 def test_plan_picks_the_benchmark_paths():
     # the static runs perfbench makes, at seed 37: static_scaling's cpmg
     # over 100 cycles at n_bath 6, 7 and 8 (paired on the x line, axis x: one
-    # column), echo_curve's 100-cycle FID, and its 15 echoes as 5 chunks of 3
-    # one-cycle rows (noisy_sweep is jittered; avgham_corr runs no propagate)
+    # column), echo_curve's 100-cycle FID, and its 15 echoes as one chunk of
+    # 15 one-cycle rows (noisy_sweep is jittered; avgham_corr runs no propagate)
     cpmg = compile_cpmg(30.0, 0.0, 100)
     for n in (6, 7, 8):
         assert engine._plan(*_counts([cpmg], n, True)) == "powered"
     assert engine._plan(*_counts([compile_free(4.0, 100)], 7, True)) == "powered"
     echoes = [compile_hahn(float(tau)) for tau in np.linspace(5.0, 300.0, 15)]
-    for lo in range(0, 15, 3):
-        assert engine._plan(*_counts(echoes[lo:lo + 3], 7, True)) == "steps"
+    assert engine._plan(*_counts(echoes, 7, True)) == "steps"
 
 
 def test_plan_powers_long_runs_and_applies_products_over_few_cycles():
@@ -1882,3 +1882,36 @@ def test_phase_tables_are_c_contiguous(key):
     assert table.flags.c_contiguous and table.shape == (np.size(key), 1, 2, layout.size)
     assert np.array_equal(table, np.exp(-1j * np.reshape(key, (-1, 1, 1, 1))
                                         * layout._w)[..., layout._spread])
+
+
+def _filled_start(kept, columns, rows):
+    """The buffer's initial blocks as a fill and a scale per sector over every
+    row, the way _Accumulated built them before it broadcast one row."""
+    start = np.tile(np.eye(2) if columns is None else columns.T, (rows, 1))
+    blocks = []
+    for (_, v, _), m in zip(kept.eigs, kept.weights):
+        block = np.empty((len(start), 2, len(v[0]), len(v[0])), dtype=complex)
+        block[...] = np.eye(len(v[0])) if columns is None else v.conj().swapaxes(1, 2)
+        block *= (start if columns is None else math.sqrt(m) * start)[:, :, None, None]
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("rows", [1, 3, 15])
+@pytest.mark.parametrize("paired", [True, False])
+@pytest.mark.parametrize("tilt", [0.0, 0.1])
+def test_rows_start_from_one_broadcast_row(rows, paired, tilt):
+    # axis x under a static axis tilt takes two columns (T = 2), else one;
+    # n_bath 4 pairs its sectors around a middle sector of weight 1
+    m = default_model(seed=4, n_bath=4)
+    kept = frame._free_eigensystems(build_h_free(m, engine._sectors(m.n_bath)),
+                                    (m.b.copy(), m.d.copy()), paired)
+    flip = frame._flip_phase(compile_hahn(10.0).events, ErrorModel(axis_tilt=tilt))
+    columns, _ = engine._initial_columns("x", flip if tilt else None)
+    assert columns.shape[1] == (2 if tilt else 1)
+    for cols in (columns, None):
+        w = frame._Accumulated(kept, {}, cols, rows)
+        expected = _filled_start(kept, cols, rows)
+        assert len(w.blocks) == len(expected)
+        for block, want in zip(w.blocks, expected):
+            assert np.array_equal(block, want)
