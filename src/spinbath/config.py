@@ -84,8 +84,10 @@ class ExperimentConfig:
     def fingerprint(self):
         """Hex digest of the canonical key=value listing.
 
-        Stable across reordering and comment changes in the source file;
-        two configs agree iff every resolved setting agrees.
+        Stable across reordering and comment changes in the source file.
+        Each key's value is hashed as coerced to its type, before enumerated
+        values are lowercased or read, so `family = CPMG` and `family = cpmg`,
+        or `fair = yes` and `fair = true`, run alike but hash differently.
         """
         lines = []
         for section in sorted(self.raw):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError
 from .operators import _SPIN_HALF, OperatorSet, _checked_n_bath, build_operator_set
-from .util import KHZ_TO_RAD_PER_US
+from .util import KHZ_TO_RAD_PER_US, require_int
 
 COUPLING_DISTRIBUTIONS = ("uniform_symmetric", "gaussian")
 
@@ -103,9 +103,10 @@ class CouplingSpec:
     def __post_init__(self):
         if self.distribution not in COUPLING_DISTRIBUTIONS:
             raise ContractError(f"unknown coupling distribution {self.distribution!r}")
-        if self.b_scale < 0 or self.d_scale < 0:
-            raise ContractError("coupling scales must be >= 0")
-        if self.seed < 0:
+        # written so that NaN fails the bound
+        if not (0 <= self.b_scale < np.inf and 0 <= self.d_scale < np.inf):
+            raise ContractError("coupling scales must be finite and >= 0")
+        if require_int(self.seed, "coupling seed") < 0:
             raise ContractError(f"coupling seed must be >= 0, got {self.seed}")
 
 

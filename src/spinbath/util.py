@@ -27,13 +27,12 @@ def require_int(value, name):
 def first_crossing(times, values, level):
     """Time of the first downward crossing of `values` through `level`.
 
-    Linear interpolation between samples; an exact hit takes the earlier
-    sample time. Returns None when the series never reaches the level.
+    Linear interpolation between samples of 1-D arrays of one length, which
+    callers check; an exact hit takes the earlier sample time. Returns None
+    when the series never reaches the level.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.ndim != 1:
-        raise ValueError("times and values must be 1-d arrays of equal length")
     for i, v in enumerate(values):
         if v <= level:
             if i == 0:

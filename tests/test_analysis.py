@@ -8,6 +8,7 @@ import pytest
 import spinbath.analysis as analysis
 import spinbath.engine as engine
 import spinbath.frame as frame
+import spinbath.plan as plan
 from spinbath import (
     ContractError,
     ErrorModel,
@@ -421,13 +422,13 @@ def test_an_n_bath_7_echo_curve_of_15_delays_is_one_chunk(monkeypatch):
 def test_echo_curve_rows_read_one_net_frame(monkeypatch):
     # the rows share the pulses of the first delay, so only its recording
     # interval and net frame are formed, whatever the chunks
-    frames, net_frame = [], engine._net_frame
+    frames, net_frame = [], plan._net_frame
 
     def counted(segments):
         frames.append(segments)
         return net_frame(segments)
 
-    monkeypatch.setattr(engine, "_net_frame", counted)
+    monkeypatch.setattr(plan, "_net_frame", counted)
     for budget in (engine._CHUNK_BYTES, 1):
         monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
         hahn_decay_trace(default_model(seed=3, n_bath=4), np.linspace(5.0, 120.0, 9))

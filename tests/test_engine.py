@@ -15,6 +15,7 @@ import kron_oracle as oracle
 import spinbath.avgham as avgham
 import spinbath.engine as engine
 import spinbath.frame as frame
+import spinbath.plan as plan
 import spinbath.spectral as spectral
 from spinbath import (
     BimodalRf,
@@ -63,9 +64,9 @@ def _force(monkeypatch, path=None):
     """Make every static run take `path`, or with None the direct path the
     planner gives a powered run that fell back; a forced powered run that
     falls back is planned so too."""
-    plan = engine._plan
+    real_plan = engine._plan
     monkeypatch.setattr(engine, "_plan", lambda *counts, built=False:
-                        path if path and not built else plan(*counts, built=True))
+                        path if path and not built else real_plan(*counts, built=True))
 
 
 def test_fid_matches_product_of_cosines():
@@ -617,9 +618,9 @@ def _counts(timelines, n_bath, paired, columns=1, record="cycle_boundaries"):
     on n_bath spins, from the counts alone: no model is built."""
     pairs = (_mirror_sectors(n_bath) if paired else
              [(k, 1) for k in range(n_bath + 1)])
-    intervals = engine._recording_intervals(timelines[0], record)
+    intervals = plan._recording_intervals(timelines[0], record)
     if len(timelines) > 1:
-        intervals = engine._row_intervals(intervals, [t.segments() for t in timelines])
+        intervals = plan._row_intervals(intervals, [t.segments() for t in timelines])
     return (intervals, timelines[0].n_cycles, columns, len(timelines),
             [math.comb(n_bath, k) for k, _ in pairs], tuple(m for _, m in pairs))
 
@@ -627,11 +628,11 @@ def _counts(timelines, n_bath, paired, columns=1, record="cycle_boundaries"):
 def test_plan_counts_the_kept_sectors_of_a_run():
     # _counts stands for what propagate hands _plan
     seen = []
-    plan = engine._plan
+    real_plan = engine._plan
 
     def recorded(*counts, built=False):
         seen.append(counts)
-        return plan(*counts, built=built)
+        return real_plan(*counts, built=built)
 
     for family, paired in (("cpmg", True), ("cdd", False)):
         tl = compile_family(family, 20.0, 0.0, 3)
@@ -927,6 +928,18 @@ def test_survival_trace_rejects_non_finite_values():
                           stderr=np.array(stderr), axis="x", label="fid")
 
 
+@pytest.mark.parametrize("times, n_pulses, s", [
+    ([0.0, 10.0, 20.0], [0, 2, 4], [1.0]),
+    ([0.0, 10.0], [0, 2, 4], [1.0, 0.5]),
+    ([[0.0, 10.0]], [[0, 2]], [[1.0, 0.5]]),
+    (0.0, 0, 1.0),
+], ids=["short-s", "long-n_pulses", "2-D", "0-D"])
+def test_survival_trace_rejects_arrays_of_other_shapes(times, n_pulses, s):
+    with pytest.raises(ContractError, match="1-D and of one length"):
+        SurvivalTrace(times=np.array(times), n_pulses=np.array(n_pulses), s=np.array(s),
+                      stderr=np.zeros_like(s), axis="x", label="fid")
+
+
 def test_trace_csv_roundtrip():
     m = dephasing_model(2)
     trace = propagate(RunSpec(model=m, timeline=compile_free(30.0, n_cycles=2)))
@@ -1037,6 +1050,14 @@ def test_bath_correlation_accepts_a_numpy_index():
 def test_estimate_tau_b_rejects_a_bad_time_grid(times):
     with pytest.raises(ContractError, match="times must increase strictly"):
         estimate_tau_b(np.exp(-np.arange(5.0)), times)
+
+
+@pytest.mark.parametrize("series", [[np.nan, 0.1], [1.0, np.nan, 0.1], [1.0, np.inf, 0.1],
+                                    [1.0, 0.5, -np.inf]],
+                         ids=["nan-start", "nan-before-crossing", "inf", "-inf-after"])
+def test_estimate_tau_b_rejects_a_series_that_is_not_finite(series):
+    with pytest.raises(ContractError, match="correlation series must be finite"):
+        estimate_tau_b(series, np.arange(float(len(series))))
 
 
 def test_model_tau_b_reads_the_iz_mean_crossing():
@@ -1760,7 +1781,7 @@ def test_static_runs_build_each_pulse_and_interval_shape_once(monkeypatch):
     assert strengths == [(np.pi, 0.0)]
     assert turns == [1] * len({frame._shape(ev) for ev in tl.events}) == [1, 1]
 
-    pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
+    pieces = [iv.segments for iv in plan._recording_intervals(tl, "every_pulse")]
     _, products = _frame_products(m, pieces, _STATIC)
     keys = [tuple(p if kind == "free" else frame._shape(p) for kind, p in segs)
             for segs in pieces]
@@ -1783,7 +1804,7 @@ def test_interval_products_own_their_memory(monkeypatch, tau_p):
     monkeypatch.setattr(frame, "_Accumulated", Spy)
     m = default_model(seed=4, n_bath=3)
     tl = compile_cdd(2, 10.0, tau_p)
-    pieces = [iv.segments for iv in engine._recording_intervals(tl, "every_pulse")]
+    pieces = [iv.segments for iv in plan._recording_intervals(tl, "every_pulse")]
     kept, products = _frame_products(m, pieces, _STATIC)
     assert 1 in kept.widths and len(buffers) == 2 * len({id(p) for p in products})
     blocks = list({id(b): b for product in products for b in product}.values())
@@ -1852,11 +1873,11 @@ def test_a_chunked_static_run_sets_up_once_per_chunk(monkeypatch):
     # and the initial columns are read once for the whole call
     monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
     plans, columns = [], []
-    plan, initial = engine._plan, engine._initial_columns
+    real_plan, initial = engine._plan, engine._initial_columns
 
     def planned(*counts, built=False):
         plans.append(built)
-        return plan(*counts, built=built)
+        return real_plan(*counts, built=built)
 
     def read(*args):
         columns.append(args)

@@ -58,6 +58,24 @@ def test_explicit_spec_refuses_sampling():
         CouplingSpec(seed=-3)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: default_model(seed=1.5), "coupling seed must be an integer"),
+    (lambda: default_model(seed=True), "coupling seed must be an integer"),
+    (lambda: default_model(b_scale=math.inf), "finite"),
+    (lambda: default_model(b_scale=math.nan), "finite"),
+    (lambda: default_model(d_scale=math.inf), "finite"),
+    (lambda: default_model(d_scale=math.nan), "finite"),
+], ids=["float-seed", "bool-seed", "inf-b", "nan-b", "inf-d", "nan-d"])
+def test_coupling_specs_reject_non_integer_seeds_and_non_finite_scales(build, match):
+    with pytest.raises(ContractError, match=match):
+        build()
+
+
+def test_coupling_specs_take_numpy_integer_seeds():
+    assert np.array_equal(default_model(seed=np.int64(5), n_bath=3).b,
+                          default_model(seed=5, n_bath=3).b)
+
+
 def test_build_model_validates_shapes():
     with pytest.raises(ContractError):
         build_model(np.zeros(3), np.zeros((2, 2)))

@@ -30,12 +30,15 @@ def _imported(module):
 
 
 def test_run_frame_and_spectral_modules_import_one_way():
-    # frame <- spectral <- engine, and avgham reads the frame and the
-    # eigenphase kernels from their own modules, not through engine
-    sources = {m: {source for source, _ in _imported(m)} for m in ("frame", "spectral", "engine")}
-    assert not sources["frame"] & {"engine", "spectral"}
+    # frame <- spectral <- engine and frame <- plan <- engine, and avgham
+    # reads the frame and the eigenphase kernels from their own modules, not
+    # through engine
+    sources = {m: {source for source, _ in _imported(m)}
+               for m in ("frame", "spectral", "plan", "engine")}
+    assert not sources["frame"] & {"engine", "spectral", "plan"}
     assert "engine" not in sources["spectral"]
-    assert {"frame", "spectral"} <= sources["engine"]
+    assert not sources["plan"] & {"engine", "spectral"}
+    assert {"frame", "spectral", "plan"} <= sources["engine"]
     assert [name for source, name in _imported("avgham")
             if source == "engine" and (name or "").startswith("_")] == []
 

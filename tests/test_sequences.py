@@ -198,8 +198,10 @@ def test_rejects_non_finite_timelines():
     for bad in (np.nan, np.inf):
         with pytest.raises(TimelineError, match="cycle_time"):
             Timeline((), bad)
+    # a NaN tau is out of the compiler's contract (ContractError, tested
+    # below); a NaN pulse length reaches the cycle time
     with pytest.raises(TimelineError, match="cycle_time"):
-        compile_cpmg(np.nan, 0.0, 3)
+        compile_cpmg(20.0, np.nan, 3)
     with pytest.raises(TimelineError) as exc:
         Timeline((PulseEvent(np.nan, "y", np.pi, 0.0), PulseEvent(20.0, "y", np.pi, np.inf),
                   PulseEvent(40.0, "x", np.nan, 0.0)), 60.0, 3)
@@ -229,7 +231,12 @@ def test_rejects_a_timeline_of_no_cycles():
     (lambda: compile_pdd(0.0), "tau must be > 0, got 0.0"),
     (lambda: compile_cdd(2, -3.0), "tau must be > 0, got -3.0"),
     (lambda: compile_udd(4, 0.0), "cycle_time must be > 0, got 0.0"),
-], ids=["pdd", "cdd", "udd"])
+    (lambda: compile_hahn(np.nan), "tau must be > 0, got nan"),
+    (lambda: compile_cpmg(np.nan), "tau must be > 0, got nan"),
+    (lambda: compile_pdd(-np.inf), "tau must be > 0, got -inf"),
+    (lambda: compile_cdd(1, np.nan, 1.0), "tau must be > 0, got nan"),
+    (lambda: compile_udd(4, np.nan), "cycle_time must be > 0, got nan"),
+], ids=["pdd", "cdd", "udd", "hahn-nan", "cpmg-nan", "pdd-inf", "cdd-nan", "udd-nan"])
 def test_compilers_reject_delays_that_are_not_positive(compile_with, message):
     with pytest.raises(ContractError) as exc:
         compile_with()
