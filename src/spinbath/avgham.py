@@ -21,7 +21,13 @@ the blocks, so no full-space matrix is formed.
 
 magnus_defect builds only the _mirror_sectors k <= n - k when a spin flip
 maps its sector k onto sector n - k (_defect_flip), as it does for pdd,
-cdd, cpmg and udd defects of H_free, and every sector otherwise.
+cdd, cpmg and udd defects of H_free, and every sector otherwise. When every
+ideal pulse maps S_z onto +S_z or -S_z (_keeps_sz), as every pi pulse
+does, every toggling frame is diagonal or anti-diagonal, so H0 + H1
+conserves the system S_z as H_free does: each sector's exp(-i (H0 + H1)
+tau_c) is then the exponential of its two (C, C) halves, one stacked eigh
+at a quarter of the flops of the (2C, 2C) block's. Other cycles, such as
+pi/2 pulses, exponentiate the whole block.
 """
 
 import math
@@ -361,6 +367,11 @@ def residual_text(residual, spec):
     return f"residual={residual:{spec}}"
 
 
+def _ideal_rotations(events):
+    """The 2x2 ideal rotation of each distinct pulse of `events`."""
+    return [delta_rotation(*pulse) for pulse in {(ev.axis, ev.nominal_angle) for ev in events}]
+
+
 def _defect_flip(events, h_blocks):
     """The phase c = u_x + i u_y, 1 or i, of a spin flip Q = (u . sigma) (x)
     J_bath, u = x or y, under which magnus_defect's sector n - k repeats
@@ -375,7 +386,7 @@ def _defect_flip(events, h_blocks):
     every term of sector n - k is Q times that of sector k times Q^dag.
     """
     n = len(h_blocks) - 1
-    rotations = [delta_rotation(*pulse) for pulse in {(ev.axis, ev.nominal_angle) for ev in events}]
+    rotations = _ideal_rotations(events)
     for c in (1.0, 1j):
         q = _flip(c)
         if (all(min(np.max(np.abs(q @ r @ q - s * r)) for s in (1.0, -1.0)) <= 1e-15
@@ -385,6 +396,29 @@ def _defect_flip(events, h_blocks):
                         for k in range((n + 1) // 2))):
             return c
     return None
+
+
+def _keeps_sz(events):
+    """Whether every ideal pulse rotation of `events` is diagonal or
+    anti-diagonal within 1e-15, so that it maps S_z onto +S_z or -S_z, as a
+    pi pulse about any transverse axis does (module notes)."""
+    return all(min(np.max(np.abs(np.diag(r))), np.max(np.abs(np.diag(r[::-1])))) <= 1e-15
+               for r in _ideal_rotations(events))
+
+
+def _cycle_gap(fu, h, tau_c, split):
+    """Frobenius norm of F^dag U - exp(-i h tau_c) for one sector block, with
+    fu = F^dag U, which it overwrites. With `split` (_keeps_sz) h conserves
+    the system S_z up to round-off, so its two halves are exponentiated in
+    one stacked call and subtracted from fu's diagonal quadrants; fu's
+    off-diagonal quadrants enter the norm as they are."""
+    if not split:
+        return np.linalg.norm(fu - exp_propagator(h, tau_c))
+    c = len(h) // 2
+    e, quads = exp_propagator(_halves(h), tau_c), fu.reshape(2, c, 2, c)
+    quads[0, :, 0] -= e[0]
+    quads[1, :, 1] -= e[1]
+    return np.linalg.norm(fu)
 
 
 def _back(layout, us):
@@ -410,7 +444,8 @@ def magnus_defect(timeline, h_free, ops):
     and udd, sector n - k has the same defect norm as sector k. Then only
     the _mirror_sectors are built, in the paired layout of propagate
     (_Layout), and the squared norm of each pair counts twice; any other
-    input builds every sector.
+    input builds every sector. A cycle of pulses that map S_z onto +S_z or
+    -S_z (_keeps_sz) exponentiates H0 + H1 per system half (_cycle_gap).
     """
     if any(ev.duration > 0 for ev in timeline.events):
         raise ContractError("magnus_defect needs delta pulses, got a finite-width pulse")
@@ -441,6 +476,7 @@ def magnus_defect(timeline, h_free, ops):
     # the frames rotate the system spin alone, so each sector block is toggled alone
     frame, tau_c = ideal_frame(timeline.events).conj().T, timeline.cycle_time
     terms = _sector_averages(timeline, [h_blocks[k] for k in layout.sectors])
+    split = _keeps_sz(timeline.events)
     return float(np.linalg.norm([
-        np.linalg.norm(_left(frame, u) - exp_propagator(h0 + h1, tau_c)) * math.sqrt(m)
+        _cycle_gap(_left(frame, u), h0 + h1, tau_c, split) * math.sqrt(m)
         for (h0, h1), u, m in zip(terms, u_exact, layout.weights)]))

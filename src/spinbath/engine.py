@@ -122,8 +122,8 @@ class SurvivalTrace:
         shapes = [a.shape for a in (self.times, self.n_pulses, self.s, self.stderr)]
         if self.times.ndim != 1 or len(set(shapes)) > 1:
             raise ContractError(f"trace arrays must be 1-D and of one length, got shapes {shapes}")
-        if not np.all(np.diff(self.times) > 0):
-            raise ContractError("trace times must be strictly increasing")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):
+            raise ContractError("trace times must be finite and strictly increasing")
         # written so that NaN fails the bound
         if not (np.all(np.abs(self.s) <= 1.0 + 1e-9) and np.all(np.isfinite(self.stderr))):
             raise ContractError("survival probabilities must be finite, within "
@@ -330,15 +330,18 @@ def bath_correlation(model, t_grid, which="ix_total", j=0):
 def estimate_tau_b(series, times):
     """First 1/e crossing of a correlation series, linearly interpolated.
 
-    The series must be finite, start at 1 (within 1e-6) and lie on strictly increasing
-    times. When it never reaches 1/e it is flagged unreached at the end of the grid.
+    The series must be finite, start at 1 (within 1e-6) and lie on finite, strictly
+    increasing times. When it never reaches 1/e it is flagged unreached at the end of
+    the grid.
     """
     series = np.asarray(series, dtype=float)
     times = np.asarray(times, dtype=float)
     if series.size < 2:
         raise ContractError("need at least two samples")
-    if times.ndim != 1 or times.shape != series.shape or not np.all(np.diff(times) > 0):
-        raise ContractError(f"times must increase strictly, one per sample, got {times.shape}")
+    if (times.ndim != 1 or times.shape != series.shape or not np.all(np.isfinite(times))
+            or not np.all(np.diff(times) > 0)):
+        raise ContractError(f"times must increase strictly and be finite, one per sample, "
+                            f"got {times.shape}")
     if not np.all(np.isfinite(series)):
         raise ContractError("correlation series must be finite")
     if abs(series[0] - 1.0) > 1e-6:

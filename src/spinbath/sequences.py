@@ -120,12 +120,15 @@ def validate_timeline(tl):
     return problems
 
 
-def _positive(value, name):
-    """float(value), or a ContractError naming `name` unless it is > 0; NaN is not."""
-    value = float(value)
-    if not value > 0:
-        raise ContractError(f"{name} must be > 0, got {value}")
-    return value
+def _delays(tau, tau_p, name="tau"):
+    """(tau, tau_p) as floats, or a ContractError naming `name` unless tau is
+    > 0, or naming tau_p unless it is finite and >= 0; NaN is neither."""
+    tau, tau_p = float(tau), float(tau_p)
+    if not tau > 0:
+        raise ContractError(f"{name} must be > 0, got {tau}")
+    if not 0 <= tau_p < math.inf:
+        raise ContractError(f"tau_p must be finite and >= 0, got {tau_p}")
+    return tau, tau_p
 
 
 def compile_free(cycle_time, n_cycles=1, label="fid"):
@@ -138,7 +141,7 @@ def compile_hahn(tau, tau_p=0.0, n_cycles=1):
 
     The cycle time is 2 tau + tau_p and the echo forms at the cycle end.
     """
-    tau, tau_p = _positive(tau, "tau"), float(tau_p)
+    tau, tau_p = _delays(tau, tau_p)
     events = (PulseEvent(tau, "y", np.pi, tau_p),)
     return Timeline(events, 2.0 * tau + tau_p, n_cycles, "hahn")
 
@@ -150,7 +153,7 @@ def compile_cpmg(tau, tau_p=0.0, n_cycles=1, variant="cpmg"):
     state); 'cpmg2' alternates +y, -y; 'cp' uses x pulses, i.e. the train
     perpendicular to a y-prepared state. Cycle time 2 tau + 2 tau_p.
     """
-    tau, tau_p = _positive(tau, "tau"), float(tau_p)
+    tau, tau_p = _delays(tau, tau_p)
     if variant not in CPMG_VARIANTS:
         raise ContractError(f"variant must be one of {CPMG_VARIANTS}, got {variant!r}")
     axes = {"cp": ("x", "x"), "cpmg": ("y", "y"), "cpmg2": ("y", "-y")}[variant]
@@ -183,7 +186,7 @@ def compile_pdd(tau, tau_p=0.0, n_cycles=1):
 
     Cycle time 4 (tau + tau_p); the four free periods all have length tau.
     """
-    tau, tau_p = _positive(tau, "tau"), float(tau_p)
+    tau, tau_p = _delays(tau, tau_p)
     events, total = _events_from_symbols(_four_block(["f"]), tau, tau_p)
     return Timeline(events, total, n_cycles, "pdd")
 
@@ -199,7 +202,7 @@ def compile_cdd(order, tau, tau_p=0.0, n_cycles=1):
     order = int(require_int(order, "order"))
     if not 1 <= order <= 5:
         raise ContractError(f"concatenation order must be in 1..5, got {order}")
-    tau, tau_p = _positive(tau, "tau"), float(tau_p)
+    tau, tau_p = _delays(tau, tau_p)
     symbols = ["f"]
     for _ in range(order):
         symbols = _four_block(symbols)
@@ -217,7 +220,7 @@ def compile_udd(n_pulses, cycle_time, tau_p=0.0, n_cycles=1):
     n_pulses = int(require_int(n_pulses, "n_pulses"))
     if n_pulses < 1:
         raise ContractError(f"n_pulses must be >= 1, got {n_pulses}")
-    cycle_time, tau_p = _positive(cycle_time, "cycle_time"), float(tau_p)
+    cycle_time, tau_p = _delays(cycle_time, tau_p, "cycle_time")
     if cycle_time <= n_pulses * tau_p:
         raise TimelineError(
             f"cycle_time {cycle_time} cannot hold {n_pulses} pulses of {tau_p} us"

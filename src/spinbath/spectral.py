@@ -16,7 +16,8 @@ Q = +1 and -1 halves (_parity_blocks).
 
 These powers and the bath correlations are one eigenbasis sum, Re sum_ab
 W_ab exp(i (f_a - f_b) t) with W = |V^dag A V|^2, which _weighted forms
-and _autocorrelation evaluates with no weight dropped (_spectral_series).
+and _autocorrelation evaluates with no weight dropped (_spectral_series),
+over chunks of times whose phase tables fill about _SERIES_BYTES.
 """
 
 import numpy as np
@@ -30,6 +31,9 @@ from .hamiltonians import _basis_z, _h_e_blocks, _mirror_sectors
 _EIG_PHASE = 0.5 * (np.sqrt(5.0) - 1.0)
 _EIG_CLUSTER_GAP = 1e-6
 _EIG_RESIDUAL_MAX = 1e-13
+# _autocorrelation's chunk of times: the bytes of one phase table of the
+# widest frequency array
+_SERIES_BYTES = 1 << 22
 
 
 def _unitary_eig(u):
@@ -209,14 +213,21 @@ def _autocorrelation(weighted, times):
     grid counts, build each phase table exp(-i f t) from products: its first
     column by exp, then the columns t + n from those before times
     exp(-i f n), doubling n.
+
+    The times run in chunks of max(256, W, _SERIES_BYTES / 16 W) for the
+    widest frequency array or weight side W: a table of the widest array
+    fills about _SERIES_BYTES, so model_tau_b's 800 counts at n_bath 7 are
+    one chunk, while memory stays O(dim max(dim, 256)) beside that budget
+    and series of at most 256 times are one chunk as before.
     """
     counts = np.issubdtype(np.asarray(times).dtype, np.integer) and np.all(np.diff(times) == 1)
     times = np.asarray(times, dtype=float)
     series = np.zeros(times.size)
-    # chunks of at least 256 times keep memory O(dim max(dim, 256)); each
-    # frequency array's phase table is built once per chunk (parity halves and
-    # bath blocks share theirs) and dropped after the last block reading it
-    step = max(256, *(n for _, _, w in weighted for n in w.shape))
+    # each frequency array's phase table is built once per chunk (parity
+    # halves and bath blocks share theirs) and dropped after the last block
+    # reading it
+    widest = max(n for _, _, w in weighted for n in w.shape)
+    step = max(256, widest, _SERIES_BYTES // (16 * widest))
     last = {id(a): i for i, (f, g, _) in enumerate(weighted) for a in (f, g)}
     for start in range(0, times.size, step):
         chunk, tables = times[start:start + step], {}

@@ -106,25 +106,54 @@ def test_rotation_generator_refuses_a_non_unitary(u):
         rotation_generator(u)
 
 
+def _recorded_eighs(patch):
+    """Patch np.linalg.eigh and avgham.exp_propagator so that they record,
+    apart, the shapes of magnus_defect's frame eighs and of its
+    exponentials; returns the two lists."""
+    frames, exps, inside = [], [], []
+    eigh, exp = np.linalg.eigh, avgham.exp_propagator
+
+    def counted(a, *args, **kwargs):
+        if not inside:
+            frames.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def exponential(h, t):
+        exps.append(np.shape(h))
+        inside.append(h)
+        try:
+            return exp(h, t)
+        finally:
+            inside.pop()
+
+    patch.setattr(np.linalg, "eigh", counted)
+    patch.setattr(avgham, "exp_propagator", exponential)
+    return frames, exps
+
+
+def _exponentials(widths, split=True):
+    """The shapes of magnus_defect's exponentials on sector blocks of these
+    widths: both (C, C) system halves stacked, or the whole (2C, 2C) block."""
+    return [(2, w // 2, w // 2) if split else (w, w) for w in widths]
+
+
 def test_magnus_defect_stays_within_the_sector_blocks(monkeypatch):
     m = default_model(seed=37, n_bath=7)
     h = build_h_free(m)
-    widths, folded = [], []
-    eigh, fold = np.linalg.eigh, avgham._fold
-
-    def counted(a, *args, **kwargs):
-        widths.append(np.shape(a)[-1])
-        return eigh(a, *args, **kwargs)
+    folded, fold = [], avgham._fold
 
     def recorded(block, *args, **kwargs):
         folded.append(np.shape(block)[-1])
         return fold(block, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    frames, exps = _recorded_eighs(monkeypatch)
     monkeypatch.setattr(avgham, "_fold", recorded)
     for order in (1, 2):
         assert magnus_defect(compile_cdd(order, 5.0), h, m.ops) > 0
-    assert widths and max(widths) == 70
+    # the frames and the exponentials diagonalize the system halves of the
+    # sector blocks, at most C(7, 3) = 35 wide, never a block or the full space
+    assert frames and exps and max(s[-1] for s in frames + exps) == 35
+    assert exps == 2 * _exponentials([2, 14, 42, 70])
     # the averages are folded per sector block, never on the full space
     assert folded and max(folded) == 70
 
@@ -133,20 +162,16 @@ def test_magnus_defects_of_one_h_free_diagonalize_its_halves_once(monkeypatch):
     m = default_model(seed=37, n_bath=5)
     h = build_h_free(m)
     tl = compile_cdd(2, 5.0)
-    shapes, eigh = [], np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    frames, exps = _recorded_eighs(monkeypatch)
     first = magnus_defect(tl, h, m.ops)
     # one stacked eigh of both system halves per sector, C(5, k) wide
     halves = [(2, math.comb(5, k), math.comb(5, k)) for k in range(6)]
-    assert [a for a in shapes if len(a) == 3] == halves
-    del shapes[:]
+    assert frames == halves
+    # and one stacked exponential of both halves per kept sector
+    assert exps == halves[:3]
+    del frames[:], exps[:]
     assert magnus_defect(tl, h.copy(), m.ops) == first
-    assert shapes and not [a for a in shapes if len(a) == 3]
+    assert exps == halves[:3] and frames == []
     # the cache keys its one entry on the real halves of the sector blocks,
     # and holds neither a full-space copy nor the complex blocks
     (key, *_), = frame._frames
@@ -356,20 +381,13 @@ def _half_pi_timeline(axes):
 
 def _counted_defects(monkeypatch, tl, h, ops, paired):
     """magnus_defect of one cycle, with the spin-flip pairing left on or
-    forced off, and the widths of its exponentials' eighs: one 2-D eigh of
-    H0 + H1 per computed sector (a frame eigh stacks both halves, 3-D)."""
-    widths, eigh = [], np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        if np.ndim(a) == 2:
-            widths.append(len(a))
-        return eigh(a, *args, **kwargs)
-
+    forced off, and the shapes of its exponentials of H0 + H1: one per
+    computed sector (_recorded_eighs)."""
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigh", counted)
+        _, exps = _recorded_eighs(patch)
         if not paired:
             patch.setattr(avgham, "_defect_flip", lambda events, blocks: None)
-        return magnus_defect(tl, h, ops), widths
+        return magnus_defect(tl, h, ops), exps
 
 
 _PAIRED_FAMILIES = [("cdd", 1, 4), ("cdd", 2, 4), ("cdd", 3, 4), ("pdd", 2, 4),
@@ -388,16 +406,40 @@ def test_paired_magnus_defect_matches_every_sector(monkeypatch, n_bath):
     timelines = [compile_family(f, tau, 0.0, 1, order, pulses)
                  for f, order, pulses in _PAIRED_FAMILIES for tau in (5.0, 13.0)]
     for tl in (*timelines, _half_pi_timeline(["y", "-y", "y"])):
+        # pi pulses map S_z onto -S_z, so H0 + H1 splits into its halves;
+        # the pi/2 cycle is exponentiated as whole blocks
+        split = tl.label != "half-pi"
         paired, seen = _counted_defects(monkeypatch, tl, h, m.ops, True)
-        assert seen == widths[:n_bath // 2 + 1]
+        assert seen == _exponentials(widths[:n_bath // 2 + 1], split)
         full, seen = _counted_defects(monkeypatch, tl, h, m.ops, False)
-        assert seen == widths
+        assert seen == _exponentials(widths, split)
         # at n_bath 1 every toggled term commutes and the defect is rounding;
         # short cycles leave defects near 1e-5, where both differ by 1e-16
         assert abs(paired - full) <= max(1e-12 * full, 1e-15), (tl.label, paired, full)
     blocks = _sector_blocks(np.asarray(h, dtype=complex), sectors)
     assert avgham._defect_flip(_half_pi_timeline(["y", "-y"]).events, blocks) == 1j
     assert avgham._defect_flip(compile_cdd(2, 5.0).events, blocks) == 1.0
+
+
+@pytest.mark.parametrize("n_bath", range(1, 8))
+def test_magnus_defect_per_system_half_matches_the_whole_block(monkeypatch, n_bath):
+    # the pi pulses of these families map S_z onto -S_z, so H0 + H1 is
+    # block-diagonal in the system halves up to round-off and its exponential
+    # is that of its halves; forcing the whole-block exponential must agree
+    m = default_model(seed=37, n_bath=n_bath)
+    h = build_h_free(m)
+    for f, order, pulses in _PAIRED_FAMILIES:
+        for tau in (5.0, 13.0):
+            tl = compile_family(f, tau, 0.0, 1, order, pulses)
+            assert avgham._keeps_sz(tl.events)
+            split = magnus_defect(tl, h, m.ops)
+            with monkeypatch.context() as patch:
+                patch.setattr(avgham, "_keeps_sz", lambda events: False)
+                whole = magnus_defect(tl, h, m.ops)
+            # at n_bath 1 every toggled term commutes and the defect is
+            # rounding: about 1e-15 from the whole 4-wide block, 1e-18 by halves
+            assert abs(split - whole) <= max(1e-12 * whole, 1e-14), (tl.label, split, whole)
+    assert not avgham._keeps_sz(_half_pi_timeline(["y"]).events)
 
 
 @pytest.mark.parametrize("n_bath", [2, 3])
@@ -415,7 +457,7 @@ def test_magnus_defect_without_a_spin_flip_keeps_every_sector(monkeypatch, case,
     blocks = _sector_blocks(np.asarray(h, dtype=complex), _sectors(n_bath))
     assert avgham._defect_flip(tl.events, blocks) is None
     got, seen = _counted_defects(monkeypatch, tl, h, m.ops, True)
-    assert len(seen) == n_bath + 1
+    assert seen == _exponentials([idx.size for idx in _sectors(n_bath)], case == "odd-field")
     # the all-sector layout is the one code path, so the same bits
     assert got == _counted_defects(monkeypatch, tl, h, m.ops, False)[0]
     expected = _full_space_magnus_defect(tl, h, m.ops, oracle.toggling_frames(tl, h))

@@ -940,6 +940,15 @@ def test_survival_trace_rejects_arrays_of_other_shapes(times, n_pulses, s):
                       stderr=np.zeros_like(s), axis="x", label="fid")
 
 
+@pytest.mark.parametrize("times", [[0.0, np.inf], [0.0, np.nan], [-np.inf, 0.0]],
+                         ids=["inf", "nan", "-inf"])
+def test_survival_trace_rejects_times_that_are_not_finite(times):
+    # np.diff([0, inf]) > 0 holds, so the order check alone passes inf
+    with pytest.raises(ContractError, match="trace times must be finite"):
+        SurvivalTrace(times=np.array(times), n_pulses=np.array([0, 2]), s=np.array([1.0, 0.5]),
+                      stderr=np.zeros(2), axis="x", label="fid")
+
+
 def test_trace_csv_roundtrip():
     m = dephasing_model(2)
     trace = propagate(RunSpec(model=m, timeline=compile_free(30.0, n_cycles=2)))
@@ -1060,6 +1069,14 @@ def test_estimate_tau_b_rejects_a_series_that_is_not_finite(series):
         estimate_tau_b(series, np.arange(float(len(series))))
 
 
+@pytest.mark.parametrize("times", [[0.0, np.inf], [0.0, np.nan], [-np.inf, 0.0]],
+                         ids=["inf", "nan", "-inf"])
+def test_estimate_tau_b_rejects_times_that_are_not_finite(times):
+    # np.diff([0, inf]) > 0 holds, so the order check alone passes inf
+    with pytest.raises(ContractError, match="times must increase strictly and be finite"):
+        estimate_tau_b([1.0, 0.1], times)
+
+
 def test_model_tau_b_reads_the_iz_mean_crossing():
     m = default_model()
     t = np.linspace(0.0, 2000.0, 800)
@@ -1067,6 +1084,37 @@ def test_model_tau_b_reads_the_iz_mean_crossing():
     est = engine.model_tau_b(m)
     assert crossing.reached and est.reached
     assert est.value == pytest.approx(crossing.value, rel=1e-12)
+
+
+def test_model_tau_b_series_is_one_chunk_within_its_byte_budget(monkeypatch):
+    # the 800 counts at n_bath 7 fit the byte budget in one chunk; with no
+    # budget they run in chunks of 256, each table restarted by exp
+    kernel, series_kernel, seen, chunks = engine._autocorrelation, spectral._spectral_series, [], []
+
+    def recorded(blocks, times):
+        del chunks[:]
+        series = kernel(blocks, times)
+        seen.append((series, len(chunks) / len(blocks)))
+        return series
+
+    def counted(*args):
+        chunks.append(args)
+        return series_kernel(*args)
+
+    monkeypatch.setattr(engine, "_autocorrelation", recorded)
+    monkeypatch.setattr(spectral, "_spectral_series", counted)
+    m = default_model(seed=37, n_bath=7)
+    one = engine.model_tau_b(m)
+    (series, n_chunks), = seen
+    assert n_chunks == 1
+    del seen[:]
+    monkeypatch.setattr(spectral, "_SERIES_BYTES", 0)
+    split = engine.model_tau_b(m)
+    (ref, n_chunks), = seen
+    assert n_chunks >= 3
+    assert np.max(np.abs(series - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert one.reached and split.reached
+    assert one.value == pytest.approx(split.value, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_bath", range(1, 9))

@@ -161,7 +161,7 @@ def test_cycle_stats():
 def test_rejects_unphysical_parameters():
     with pytest.raises(ContractError):
         compile_hahn(-1.0)
-    with pytest.raises(TimelineError):
+    with pytest.raises(ContractError, match="tau_p"):
         compile_cpmg(10.0, tau_p=-0.5)
     with pytest.raises(ContractError):
         compile_cdd(0, 10.0)
@@ -198,10 +198,8 @@ def test_rejects_non_finite_timelines():
     for bad in (np.nan, np.inf):
         with pytest.raises(TimelineError, match="cycle_time"):
             Timeline((), bad)
-    # a NaN tau is out of the compiler's contract (ContractError, tested
-    # below); a NaN pulse length reaches the cycle time
-    with pytest.raises(TimelineError, match="cycle_time"):
-        compile_cpmg(20.0, np.nan, 3)
+    # a NaN tau or pulse length is out of the compiler's contract
+    # (ContractError, tested below)
     with pytest.raises(TimelineError) as exc:
         Timeline((PulseEvent(np.nan, "y", np.pi, 0.0), PulseEvent(20.0, "y", np.pi, np.inf),
                   PulseEvent(40.0, "x", np.nan, 0.0)), 60.0, 3)
@@ -241,6 +239,21 @@ def test_compilers_reject_delays_that_are_not_positive(compile_with, message):
     with pytest.raises(ContractError) as exc:
         compile_with()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("compile_with", [
+    lambda tau_p: compile_hahn(20.0, tau_p),
+    lambda tau_p: compile_cpmg(20.0, tau_p, 3),
+    lambda tau_p: compile_pdd(5.0, tau_p),
+    lambda tau_p: compile_cdd(2, 5.0, tau_p),
+    lambda tau_p: compile_udd(4, 50.0, tau_p),
+], ids=["hahn", "cpmg", "pdd", "cdd", "udd"])
+@pytest.mark.parametrize("tau_p", [np.nan, np.inf, -0.5])
+def test_compilers_reject_pulse_lengths_by_name(compile_with, tau_p):
+    # checked before the cycle time, which a bad pulse length also spoils
+    with pytest.raises(ContractError) as exc:
+        compile_with(tau_p)
+    assert str(exc.value) == f"tau_p must be finite and >= 0, got {tau_p}"
 
 
 def test_rejects_unknown_pulse_axes():
